@@ -6,24 +6,21 @@ file supplies defaults that flags override.  Exit codes: 0 success,
 2 input/domain/validation problem, 3 numeric budget exhausted,
 4 filesystem error.  Outputs carry no timestamps and all floats are
 written with their shortest round-trip repr, so identical config and
-inputs produce byte-identical files.  The only environment variable
-honored is HALFBUBBLE_THREADS (point-parallel solves behind a merge
-ordered by label).
+inputs produce byte-identical files.  Points are processed one after
+another and no environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .bubble import check_bubble_residual
-from .config import RII_CONVENTIONS, RunConfig
+from .config import RunConfig
 from .corrector import solve_vq, verify_corrector, check_solvability
 from .energy import (
     WEYL_DENOMINATORS,
@@ -45,7 +42,6 @@ from .errors import (
     ValidationFailure,
 )
 from .geometry import (
-    generate_sample,
     load_curvature_file,
     make_battery,
     validate_curvature,
@@ -92,16 +88,6 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(_py(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HALFBUBBLE_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise InputFormatError(
-            f"HALFBUBBLE_THREADS must be an integer, got {raw!r}")
-    return max(1, count)
-
-
 def _load_points(cfg: RunConfig):
     """Points from the configured curvature file, or a generated battery."""
     if cfg.curvature_file:
@@ -114,33 +100,18 @@ def _load_points(cfg: RunConfig):
 
 
 def _map_points(points, worker):
-    """Apply worker(point) across points; results merged by label order.
+    """Apply worker(point) to each point in turn; results ordered by label.
 
     Failures do not abort the batch: the quarantine dict maps the label to
     the error text.
     """
     results, quarantined = {}, {}
-    threads = _thread_count()
-    if threads == 1:
-        items = [(p.label, _guarded(worker, p)) for p in points]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = {p.label: ex.submit(_guarded, worker, p) for p in points}
-            items = [(label, fut.result()) for label, fut in futures.items()]
-    for label, (ok, payload) in items:
-        if ok:
-            results[label] = payload
-        else:
-            quarantined[label] = payload
-    ordered = dict(sorted(results.items()))
-    return ordered, dict(sorted(quarantined.items()))
-
-
-def _guarded(worker, point):
-    try:
-        return True, worker(point)
-    except HalfBubbleError as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+    for point in points:
+        try:
+            results[point.label] = worker(point)
+        except HalfBubbleError as exc:
+            quarantined[point.label] = f"{type(exc).__name__}: {exc}"
+    return dict(sorted(results.items())), dict(sorted(quarantined.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +336,7 @@ def _build_reduced_functional(cfg: RunConfig, points, coeff_rows):
 
 def _reduction_payload(cfg: RunConfig, rf, quarantined,
                        neighborhood=None, coords=None) -> dict:
-    fam = find_blowup_point(rf, eps_ladder=cfg.eps_ladder)
+    fam = find_blowup_point(rf)
     rows = family_table(fam, cfg.eps_ladder,
                         phi_bound_coeff=cfg.phi_bound_coeff)
     if neighborhood:
@@ -643,8 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated, strictly increasing, in (0,1)")
     parser.add_argument("--weyl-denominator", dest="weyl_denominator",
                         choices=list(WEYL_DENOMINATORS))
-    parser.add_argument("--rii-convention", dest="rii_convention",
-                        choices=list(RII_CONVENTIONS))
     parser.add_argument("--mc-samples", type=int, dest="mc_samples")
     parser.add_argument("--metric-seed", type=int, dest="metric_seed")
     parser.add_argument("--deg3-scale", type=float, dest="deg3_scale")
@@ -686,9 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_FIELDS = (
     "n", "seed", "tol_quad", "tol_sym", "tol_solver", "t_max", "r_max", "h",
-    "delta_ladder", "eps_ladder", "weyl_denominator", "rii_convention",
-    "mc_samples", "metric_seed", "deg3_scale", "richardson",
-    "phi_bound_coeff", "curvature_file", "out_dir",
+    "delta_ladder", "eps_ladder", "weyl_denominator", "mc_samples",
+    "metric_seed", "deg3_scale", "richardson", "phi_bound_coeff",
+    "curvature_file", "out_dir",
 )
 
 

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import GridConfig
-from .energy import WEYL_DENOMINATORS
+from .energy import WEYL_DENOMINATORS, check_slope_ladder
 from .errors import DomainError, InputFormatError, ValidationFailure
-
-RII_CONVENTIONS = ("summed", "per_index")
 
 _DEFAULT_EPS_LADDER = tuple(float(e) for e in np.geomspace(1e-4, 1e-1, 7))
 
@@ -28,7 +26,8 @@ class RunConfig:
 
     h is the grid spacing of the mapped unit square; the solve uses
     round(1/h) cells per direction.  An empty delta_ladder leaves each
-    slope experiment on its regime-specific default ladder.
+    slope experiment on its regime-specific default ladder; a given one
+    must already have the shape a slope fit needs.
     """
     n: int = 11
     seed: int = 1
@@ -41,7 +40,6 @@ class RunConfig:
     delta_ladder: tuple = ()
     eps_ladder: tuple = _DEFAULT_EPS_LADDER
     weyl_denominator: str = "96(n-1)^2"
-    rii_convention: str = "summed"
     mc_samples: int = 60000
     metric_seed: int = 0
     deg3_scale: float = 5.0
@@ -65,9 +63,6 @@ class RunConfig:
         if self.weyl_denominator not in WEYL_DENOMINATORS:
             raise ValidationFailure(
                 f"weyl_denominator must be one of {WEYL_DENOMINATORS}")
-        if self.rii_convention not in RII_CONVENTIONS:
-            raise ValidationFailure(
-                f"rii_convention must be one of {RII_CONVENTIONS}")
         if self.deg3_scale < 0.0:
             raise ValidationFailure("deg3_scale must be nonnegative")
         if self.phi_bound_coeff <= 0.0:
@@ -75,6 +70,8 @@ class RunConfig:
         object.__setattr__(self, "delta_ladder",
                            _checked_ladder("delta_ladder", self.delta_ladder,
                                            allow_empty=True))
+        if self.delta_ladder:
+            check_slope_ladder(self.delta_ladder)
         object.__setattr__(self, "eps_ladder",
                            _checked_ladder("eps_ladder", self.eps_ladder,
                                            allow_empty=False))

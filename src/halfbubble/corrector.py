@@ -61,8 +61,6 @@ __all__ = [
     "verify_corrector",
     "check_solvability",
     "self_convergence",
-    "map_to_ball",
-    "eval_fq",
 ]
 
 
@@ -107,9 +105,6 @@ class HarmonicPattern:
         """Integral of Y^2 over the unit sphere S^{n-2}."""
         return quadratic_sphere_moment(self.S, 2)
 
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.S))))
-
 
 def source_radial(n: int, t, r) -> np.ndarray:
     """Radial factor of the corrector source: t^2 r^2 A(t, r)."""
@@ -139,42 +134,6 @@ def eval_source(point: CurvaturePoint, t, z) -> np.ndarray:
     return n * (n - 2.0) * t * t * quad * Q ** (-(n + 2) / 2.0)
 
 
-def eval_fq(point: CurvaturePoint, t, z) -> np.ndarray:
-    """Ball-transported source evaluated at the image point map_to_ball(t, z).
-
-    Defined through the half-space source divided by the critical power of
-    the profile: f(t, z) * U(t, z)^{-(n+2)/(n-2)}.  Grows like (1 + rho)^4
-    in the half-space variable, which is exactly what keeps it bounded on
-    the ball away from the puncture.
-    """
-    n = point.n
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    Q = (1.0 + t) ** 2 + np.sum(z * z, axis=-1)
-    # U^{-(n+2)/(n-2)} = Q^{(n+2)/2}, cancelling the source's Q-power
-    quad = np.einsum("...i,ij,...j->...", z, point.S, z)
-    return n * (n - 2.0) * t * t * quad
-
-
-def map_to_ball(t, z) -> np.ndarray:
-    """Mobius chart sending the closed half-space onto the closed ball of
-    radius 1/2 centered at -e_n/2.
-
-    F(t, z) = (z, 1+t)/(|z|^2 + (1+t)^2) - e_n; the boundary t = 0 lands on
-    the sphere |x + e_n/2| = 1/2 and infinity on -e_n.
-    """
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("map_to_ball needs points in the closed half-space")
-    Q = (1.0 + t) ** 2 + np.sum(z * z, axis=-1)
-    if np.any(Q == 0.0):
-        raise DomainError("inversion center hit")
-    out = np.concatenate([z, (1.0 + t)[..., None]], axis=-1) / Q[..., None]
-    out[..., -1] -= 1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Reduced profile solve
 
@@ -197,10 +156,6 @@ class GridConfig:
 
     def refined(self, factor: int = 2) -> "GridConfig":
         return replace(self, n_t=self.n_t * factor, n_r=self.n_r * factor)
-
-    def key(self) -> tuple:
-        return (self.n_t, self.n_r, self.t_max, self.r_max,
-                self.map_scale_t, self.map_scale_r)
 
 
 @dataclass(frozen=True)
@@ -351,70 +306,67 @@ def _assemble(n: int, grid: GridConfig):
     NJ = Nr + 1
     size = (Nt + 1) * NJ
     rows, cols, vals = [], [], []
-    rhs = np.zeros(size)
 
-    def add(i, j, i2, j2, v):
-        rows.append(i * NJ + j)
-        cols.append(i2 * NJ + j2)
-        vals.append(v)
+    def add(i, j, di, dj, v):
+        """Entries coupling node (i, j) to (i + di, j + dj); i, j, v broadcast."""
+        i, j, v = np.broadcast_arrays(i, j, v)
+        rows.append((i * NJ + j).ravel())
+        cols.append(((i + di) * NJ + j + dj).ravel())
+        vals.append(v.ravel())
 
     # interior PDE rows
-    for i in range(1, Nt):
-        aT = 1.0 / (tp[i] ** 2 * ht * ht)
-        bT = -tpp[i] / (tp[i] ** 3) / (2.0 * ht)
-        for j in range(1, Nr):
-            aR = 1.0 / (rp[j] ** 2 * hs * hs)
-            bR = (-rpp[j] / rp[j] ** 3 + (n - 2.0) / (r[j] * rp[j])) / (2.0 * hs)
-            add(i, j, i + 1, j, aT + bT)
-            add(i, j, i - 1, j, aT - bT)
-            add(i, j, i, j + 1, aR + bR)
-            add(i, j, i, j - 1, aR - bR)
-            add(i, j, i, j, -2.0 * aT - 2.0 * aR - 2.0 * (n - 1.0) / r[j] ** 2)
-            rhs[i * NJ + j] = -source_radial(n, t[i], r[j])
+    ia, it, jr = np.arange(Nt + 1), np.arange(1, Nt), np.arange(1, Nr)
+    I, J = np.meshgrid(it, jr, indexing="ij")
+    aT = (1.0 / (tp[it] ** 2 * ht * ht))[:, None]
+    bT = (-tpp[it] / (tp[it] ** 3) / (2.0 * ht))[:, None]
+    aR = 1.0 / (rp[jr] ** 2 * hs * hs)
+    bR = (-rpp[jr] / rp[jr] ** 3 + (n - 2.0) / (r[jr] * rp[jr])) / (2.0 * hs)
+    add(I, J, 1, 0, aT + bT)
+    add(I, J, -1, 0, aT - bT)
+    add(I, J, 0, 1, aR + bR)
+    add(I, J, 0, -1, aR - bR)
+    add(I, J, 0, 0, -2.0 * aT - 2.0 * aR - 2.0 * (n - 1.0) / r[jr] ** 2)
+    rhs = np.zeros((Nt + 1, NJ))
+    rhs[1:Nt, 1:Nr] = -source_radial(n, t[it, None], r[None, jr])
 
     # r = 0: Dirichlet (whole column, corners included)
-    for i in range(0, Nt + 1):
-        add(i, 0, i, 0, 1.0)
+    add(ia, 0, 0, 0, 1.0)
 
     # t = 0 row: psi_t + n (1+r^2)^{-1} psi = 0, one-sided second order
     c0 = 1.0 / (2.0 * ht * tp[0])
-    for j in range(1, Nr):
-        add(0, j, 0, j, -3.0 * c0 + n / (1.0 + r[j] ** 2))
-        add(0, j, 1, j, 4.0 * c0)
-        add(0, j, 2, j, -c0)
+    add(0, jr, 0, 0, -3.0 * c0 + n / (1.0 + r[jr] ** 2))
+    add(0, jr, 1, 0, 4.0 * c0)
+    add(0, jr, 2, 0, -c0)
 
     # far-t row: (t d/dt + r d/dr - (4 - n)) psi = 0
     cN = t[Nt] / (2.0 * ht * tp[Nt])
-    for j in range(1, Nr):
-        cr = r[j] / (2.0 * hs * rp[j])
-        add(Nt, j, Nt, j, 3.0 * cN - (4.0 - n))
-        add(Nt, j, Nt - 1, j, -4.0 * cN)
-        add(Nt, j, Nt - 2, j, cN)
-        add(Nt, j, Nt, j + 1, cr)
-        add(Nt, j, Nt, j - 1, -cr)
+    cr = r[jr] / (2.0 * hs * rp[jr])
+    add(Nt, jr, 0, 0, 3.0 * cN - (4.0 - n))
+    add(Nt, jr, -1, 0, -4.0 * cN)
+    add(Nt, jr, -2, 0, cN)
+    add(Nt, jr, 0, 1, cr)
+    add(Nt, jr, 0, -1, -cr)
 
-    # far-r column (corners at tau ends included): same Robin, one-sided in r
-    cr = r[Nr] / (2.0 * hs * rp[Nr])
-    for i in range(0, Nt + 1):
-        add(i, Nr, i, Nr, 3.0 * cr - (4.0 - n))
-        add(i, Nr, i, Nr - 1, -4.0 * cr)
-        add(i, Nr, i, Nr - 2, cr)
-        ct = t[i] / (2.0 * ht * tp[i])
-        if i == 0:
-            continue  # t = 0 there, the t-term drops
-        if i == Nt:
-            add(i, Nr, i, Nr, 3.0 * ct)
-            add(i, Nr, i - 1, Nr, -4.0 * ct)
-            add(i, Nr, i - 2, Nr, ct)
-        else:
-            add(i, Nr, i + 1, Nr, ct)
-            add(i, Nr, i - 1, Nr, -ct)
+    # far-r column: same Robin, one-sided in r; t = 0 drops the t-term
+    crN = r[Nr] / (2.0 * hs * rp[Nr])
+    add(ia, Nr, 0, 0, 3.0 * crN - (4.0 - n))
+    add(ia, Nr, 0, -1, -4.0 * crN)
+    add(ia, Nr, 0, -2, crN)
+    ct = t[it] / (2.0 * ht * tp[it])
+    add(it, Nr, 1, 0, ct)
+    add(it, Nr, -1, 0, -ct)
+    # far corner: one-sided in t too; its diagonal sums with the one above
+    add(Nt, Nr, 0, 0, 3.0 * cN)
+    add(Nt, Nr, -1, 0, -4.0 * cN)
+    add(Nt, Nr, -2, 0, cN)
 
-    M = csc_matrix((vals, (rows, cols)), shape=(size, size))
+    M = csc_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(size, size))
     # row equilibration
     scale = np.maximum(np.abs(M).max(axis=1).toarray().ravel(), 1e-300)
     M = diags(1.0 / scale) @ M
-    rhs = rhs / scale
+    rhs = rhs.ravel() / scale
     return M.tocsc(), rhs, tau, sigma
 
 
@@ -451,11 +403,7 @@ def _solve_profile_impl(n: int, grid: GridConfig, tol_solver: float) -> tuple:
     return profile, diag
 
 
-@lru_cache(maxsize=16)
-def _solve_profile_cached(n: int, key: tuple, tol_solver: float):
-    grid = GridConfig(n_t=key[0], n_r=key[1], t_max=key[2], r_max=key[3],
-                      map_scale_t=key[4], map_scale_r=key[5])
-    return _solve_profile_impl(n, grid, tol_solver)
+_solve_profile_cached = lru_cache(maxsize=16)(_solve_profile_impl)
 
 
 def solve_profile(n: int, grid: GridConfig | None = None,
@@ -467,13 +415,11 @@ def solve_profile(n: int, grid: GridConfig | None = None,
     """
     if grid is None:
         grid = GridConfig()
-    return _solve_profile_cached(n, grid.key(), tol_solver)
+    return _solve_profile_cached(n, grid, tol_solver)
 
 
 @lru_cache(maxsize=8)
-def _richardson_cached(n: int, key: tuple, tol_solver: float):
-    grid = GridConfig(n_t=key[0], n_r=key[1], t_max=key[2], r_max=key[3],
-                      map_scale_t=key[4], map_scale_r=key[5])
+def _richardson_cached(n: int, grid: GridConfig, tol_solver: float):
     coarse, diag_c = _solve_profile_impl(n, grid, tol_solver)
     fine, diag_f = _solve_profile_impl(n, grid.refined(2), tol_solver)
     psi_f = fine.psi[::2, ::2]
@@ -495,7 +441,7 @@ def richardson_profile(n: int, grid: GridConfig | None = None,
     the discretization error would otherwise set the floor."""
     if grid is None:
         grid = GridConfig()
-    return _richardson_cached(n, grid.key(), tol_solver)
+    return _richardson_cached(n, grid, tol_solver)
 
 
 def self_convergence(n: int, grid: GridConfig | None = None) -> dict:

@@ -52,6 +52,7 @@ __all__ = [
     "ReducedCoefficients",
     "SlopeExperiment",
     "WEYL_DENOMINATORS",
+    "check_slope_ladder",
     "compute_A",
     "compute_B",
     "compute_G_terms",
@@ -220,10 +221,17 @@ class SlopeExperiment:
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=float))
         if self.status == "ok":
-            if len(d) < 5:
-                raise DomainError("slope ladder needs at least 5 points")
-            if d.max() / d.min() < 10.0 ** 1.5 * (1.0 - 1e-12):
-                raise DomainError("slope ladder must span >= 1.5 decades")
+            check_slope_ladder(d)
+
+
+def check_slope_ladder(deltas) -> None:
+    """Reject a ladder too short for a log-log fit: at least 5 rungs
+    spanning at least 1.5 decades."""
+    d = np.asarray(deltas, dtype=float)
+    if len(d) < 5:
+        raise DomainError("slope ladder needs at least 5 points")
+    if d.max() / d.min() < 10.0 ** 1.5 * (1.0 - 1e-12):
+        raise DomainError("slope ladder must span >= 1.5 decades")
 
 
 def _fit_loglog(deltas, values, sigmas=None):

@@ -51,7 +51,6 @@ __all__ = [
     "validate_curvature",
     "weyl_part",
     "weyl_norm_consistency",
-    "rnnnn_total",
     "generate_sample",
     "make_battery",
     "load_curvature_file",
@@ -163,21 +162,7 @@ class CurvatureReport:
         return [c for c in self.checks if not c.passed]
 
 
-def rnnnn_total(point: CurvaturePoint, rii_convention: str = "summed") -> float:
-    """Summed normal-curvature scalar under the chosen storage convention.
-
-    "summed": the stored Rnnnn already sums the spatial index.
-    "per_index": the stored value is a per-index average; multiply by m.
-    """
-    if rii_convention == "summed":
-        return point.Rnnnn
-    if rii_convention == "per_index":
-        return point.Rnnnn * point.m
-    raise DomainError(f"unknown rii_convention {rii_convention!r}")
-
-
-def validate_curvature(point: CurvaturePoint, tol: float = 1e-12,
-                       rii_convention: str = "summed") -> CurvatureReport:
+def validate_curvature(point: CurvaturePoint, tol: float = 1e-12) -> CurvatureReport:
     """Check every algebraic identity the data must satisfy.
 
     Violations are measured relative to the Frobenius norm of the tensors
@@ -201,7 +186,7 @@ def validate_curvature(point: CurvaturePoint, tol: float = 1e-12,
     add("s_symmetric", np.linalg.norm((S - S.T).ravel()), nS)
     add("s_traceless", abs(np.trace(S)), nS)
     s2 = point.s_norm_sq()
-    rn = rnnnn_total(point, rii_convention)
+    rn = point.Rnnnn
     add("rnnnn_identity", abs(rn + 2.0 * s2), max(abs(rn), 2.0 * s2))
     add("wbar2_nonnegative", max(-point.Wbar2, 0.0), max(abs(point.Wbar2), 1.0))
     return CurvatureReport(label=point.label, checks=tuple(checks))
@@ -407,7 +392,6 @@ def _gauge_T4(m: int, X: np.ndarray, D2: float) -> np.ndarray:
 
 
 def metric_expansion(point: CurvaturePoint, seed: int = 0, mode: str = "gauge",
-                     rii_convention: str = "summed",
                      deg3_scale: float = 1.0) -> MetricExpansion:
     """Build the degree-<=4 inverse-metric expansion at a curvature point.
 
@@ -448,8 +432,7 @@ def metric_expansion(point: CurvaturePoint, seed: int = 0, mode: str = "gauge",
         S1n = _traceless(S1n)
         T4 = _gauge_T4(m, T4raw, point.D2)
         T3 = T3 - np.einsum("ij,k->ijk", np.eye(m) / m, np.einsum("iik->k", T3))
-        rn = rnnnn_total(point, rii_convention)
-        T5 = T5raw + (rn - np.trace(T5raw)) / m * np.eye(m)
+        T5 = T5raw + (point.Rnnnn - np.trace(T5raw)) / m * np.eye(m)
         lowrank = tuple((_traceless(a), Q) for a, Q in lowrank)
     else:
         X = 0.5 * (T4raw + T4raw.transpose(1, 0, 2, 3))

@@ -9,7 +9,6 @@ family rows record the concentration ladder delta = lambda0 eps^{1/3}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +91,6 @@ class BlowUpFamily:
     bracket: tuple
     value: float
     stability: str
-    eps_ladder: tuple = ()
 
     def __post_init__(self):
         if not self.lambda0 > 0:
@@ -101,9 +99,6 @@ class BlowUpFamily:
         if not (a <= self.lambda0 <= b):
             raise ValidationFailure(
                 f"lambda0 {self.lambda0} outside bracket ({a}, {b})")
-
-    def rows(self, phi_bound_coeff: float = 1.0) -> list:
-        return family_table(self, self.eps_ladder, phi_bound_coeff)
 
 
 def eval_G(rf: ReducedFunctional, lam: float, label: str) -> float:
@@ -163,8 +158,7 @@ def _golden_section_lambda(rf: ReducedFunctional, label: str) -> float:
     return 0.5 * (a + b)
 
 
-def find_blowup_point(rf: ReducedFunctional,
-                      eps_ladder=None) -> BlowUpFamily:
+def find_blowup_point(rf: ReducedFunctional) -> BlowUpFamily:
     """Discrete argmax of q -> G(lambda*(q), q) = (3/4) B gamma(q) lambda*(q).
 
     Ties break to the lexicographically smallest label.  The bracket spans
@@ -175,8 +169,6 @@ def find_blowup_point(rf: ReducedFunctional,
         raise ConstructionImpossibleError(
             "no admissible table point: construction impossible "
             "(every gamma <= 0 or phi >= 0)")
-    if eps_ladder is None:
-        eps_ladder = tuple(np.geomspace(1e-4, 1e-1, 7))
     idx = np.flatnonzero(mask)
     lams = np.array([critical_lambda(rf, rf.labels[i]) for i in idx])
     values = 0.75 * rf.B * rf.gamma[idx] * lams
@@ -188,8 +180,7 @@ def find_blowup_point(rf: ReducedFunctional,
     bracket = (0.5 * float(lams.min()), 2.0 * float(lams.max()))
     return BlowUpFamily(n=rf.n, lambda0=float(lams[k]), q0=q0,
                         bracket=bracket, value=float(values[k]),
-                        stability="discrete-argmax",
-                        eps_ladder=tuple(float(e) for e in eps_ladder))
+                        stability="discrete-argmax")
 
 
 def family_table(fam: BlowUpFamily, eps_ladder,

@@ -272,7 +272,7 @@ def _argmax_by_search(g, lo: float, hi: float) -> float:
 def test_criterion_7_reduction_closed_forms(functional5):
     t0 = time.time()
     rf = functional5
-    blow = find_blowup_point(rf, EPS_LADDER)
+    blow = find_blowup_point(rf)
     failures = []
 
     search_gap = 0.0
@@ -295,7 +295,7 @@ def test_criterion_7_reduction_closed_forms(functional5):
             n=rf.n, B=rf.B, labels=rf.labels,
             gamma=tuple(c * g for g in rf.gamma),
             phi=tuple(c * p for p in rf.phi))
-        other = find_blowup_point(scaled, EPS_LADDER)
+        other = find_blowup_point(scaled)
         if other.q0 != blow.q0:
             failures.append(f"argmax moved under scale {c}")
         if abs(other.lambda0 - blow.lambda0) > 1e-12 * blow.lambda0:

@@ -8,6 +8,9 @@ runs with the same flags must produce identical files.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,12 @@ def read(path):
     return path.read_bytes()
 
 
+def artifacts(root):
+    """Every file under root, keyed by its relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 # ----------------------------------------------------------------------
 # RunConfig
 
@@ -47,14 +56,13 @@ class TestRunConfig:
             n=13,
             seed=7,
             h=1.0 / 64,
-            delta_ladder=(0.001, 0.01, 0.1),
+            delta_ladder=(0.001, 0.003, 0.01, 0.03, 0.1),
             mc_samples=2500,
             deg3_scale=2.5,
-            rii_convention="per_index",
         )
         back = RunConfig.from_dict(json.loads(cfg.to_json()))
         assert back == cfg
-        assert back.delta_ladder == (0.001, 0.01, 0.1)
+        assert back.delta_ladder == (0.001, 0.003, 0.01, 0.03, 0.1)
 
     def test_grid_mapping(self):
         grid = RunConfig(h=1.0 / 96, t_max=40.0, r_max=48.0).grid()
@@ -80,7 +88,7 @@ class TestRunConfig:
             {"t_max": 4.0},
             {"mc_samples": 10},
             {"weyl_denominator": "bogus"},
-            {"rii_convention": "bogus"},
+            {"delta_ladder": (0.01, 0.02, 0.03)},
             {"deg3_scale": -1.0},
             {"phi_bound_coeff": 0.0},
             {"eps_ladder": (0.1, 0.01)},
@@ -181,18 +189,6 @@ class TestSolveAndPhi:
         assert len(phis) == 5
         assert all(p < 0 for p in phis)
 
-    def test_thread_pool_output_is_byte_identical(self, tmp_path, monkeypatch):
-        assert run(tmp_path / "serial", "phi") == 0
-        monkeypatch.setenv("HALFBUBBLE_THREADS", "3")
-        assert run(tmp_path / "pooled", "phi") == 0
-        assert read(tmp_path / "serial" / "coefficients.csv") == read(
-            tmp_path / "pooled" / "coefficients.csv"
-        )
-
-    def test_bad_thread_env_is_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HALFBUBBLE_THREADS", "many")
-        assert run(tmp_path, "phi") == 2
-
 
 # ----------------------------------------------------------------------
 # pipeline / reduce / family
@@ -210,6 +206,27 @@ class TestPipeline:
             os.path.join("plots", "G_curves.csv"),
         ):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
+
+    def test_fresh_processes_are_byte_identical(self, tmp_path):
+        # two new interpreters start from cold profile caches; this process
+        # may already hold warm ones from earlier tests
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        for sub in ("proc-a", "proc-b"):
+            subprocess.run(
+                [sys.executable, "-m", "halfbubble.cli", *FAST,
+                 "--out-dir", str(tmp_path / sub), "pipeline", "--skip-slopes"],
+                env=env, check=True, timeout=600)
+        assert run(tmp_path / "in-process", "pipeline", "--skip-slopes") == 0
+        reference = artifacts(tmp_path / "proc-a")
+        assert "coefficients.csv" in reference
+        for sub in ("proc-b", "in-process"):
+            other = artifacts(tmp_path / sub)
+            assert sorted(other) == sorted(reference), sub
+            for name in reference:
+                assert other[name] == reference[name], (sub, name)
 
     def test_report_contents(self, tmp_path):
         assert run(tmp_path, "pipeline", "--skip-slopes") == 0
@@ -293,6 +310,8 @@ class TestResidualSlopeCommand:
             "--omit-corrector",
         )
         assert code == 2
+        # rejected with the config, before any output is written
+        assert not tmp_path.joinpath("plots").exists()
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from halfbubble.bubble import eval_U, eval_U_hess
+from halfbubble import corrector
 from halfbubble.corrector import (
     CorrectorSolution,
     GridConfig,
     HarmonicPattern,
     check_solvability,
-    eval_fq,
     eval_source,
     eval_v,
     eval_v_derivatives,
-    map_to_ball,
     reduce_rhs,
     richardson_profile,
     self_convergence,
@@ -93,10 +92,6 @@ class TestHarmonicPattern:
         se = area * y2.std(ddof=1) / math.sqrt(len(y2))
         assert abs(est - pat.mean_square()) < 3.0 * se
 
-    def test_sup_abs(self):
-        S = np.diag([2.0, -2.0] + [0.0] * 8)
-        assert HarmonicPattern(n=11, S=S).sup_abs() == pytest.approx(2.0)
-
 
 class TestReduction:
     def test_pattern_matches_point(self):
@@ -141,7 +136,80 @@ class TestReduction:
 # Profile solve
 
 
+def assemble_by_loop(n, grid):
+    """Node-by-node reference for corrector._assemble: dense matrix and
+    right-hand side before row equilibration."""
+    Nt, Nr = grid.n_t, grid.n_r
+    Lt, Lr = grid.map_scale_t, grid.map_scale_r
+    tau = np.linspace(0.0, grid.t_max / (Lt + grid.t_max), Nt + 1)
+    sigma = np.linspace(0.0, grid.r_max / (Lr + grid.r_max), Nr + 1)
+    ht, hs = tau[1] - tau[0], sigma[1] - sigma[0]
+    t, r = Lt * tau / (1.0 - tau), Lr * sigma / (1.0 - sigma)
+    tp, tpp = Lt / (1.0 - tau) ** 2, 2.0 * Lt / (1.0 - tau) ** 3
+    rp, rpp = Lr / (1.0 - sigma) ** 2, 2.0 * Lr / (1.0 - sigma) ** 3
+    NJ = Nr + 1
+    M = np.zeros(((Nt + 1) * NJ, (Nt + 1) * NJ))
+    rhs = np.zeros((Nt + 1) * NJ)
+
+    def add(i, j, i2, j2, v):
+        M[i * NJ + j, i2 * NJ + j2] += v
+
+    for i in range(1, Nt):
+        aT = 1.0 / (tp[i] ** 2 * ht * ht)
+        bT = -tpp[i] / tp[i] ** 3 / (2.0 * ht)
+        for j in range(1, Nr):
+            aR = 1.0 / (rp[j] ** 2 * hs * hs)
+            bR = (-rpp[j] / rp[j] ** 3 + (n - 2.0) / (r[j] * rp[j])) / (2.0 * hs)
+            add(i, j, i + 1, j, aT + bT)
+            add(i, j, i - 1, j, aT - bT)
+            add(i, j, i, j + 1, aR + bR)
+            add(i, j, i, j - 1, aR - bR)
+            add(i, j, i, j, -2.0 * aT - 2.0 * aR - 2.0 * (n - 1.0) / r[j] ** 2)
+            rhs[i * NJ + j] = -source_radial(n, t[i], r[j])
+    for i in range(Nt + 1):
+        add(i, 0, i, 0, 1.0)
+    c0 = 1.0 / (2.0 * ht * tp[0])
+    cN = t[Nt] / (2.0 * ht * tp[Nt])
+    for j in range(1, Nr):
+        add(0, j, 0, j, -3.0 * c0 + n / (1.0 + r[j] ** 2))
+        add(0, j, 1, j, 4.0 * c0)
+        add(0, j, 2, j, -c0)
+        cr = r[j] / (2.0 * hs * rp[j])
+        add(Nt, j, Nt, j, 3.0 * cN - (4.0 - n))
+        add(Nt, j, Nt - 1, j, -4.0 * cN)
+        add(Nt, j, Nt - 2, j, cN)
+        add(Nt, j, Nt, j + 1, cr)
+        add(Nt, j, Nt, j - 1, -cr)
+    cr = r[Nr] / (2.0 * hs * rp[Nr])
+    for i in range(Nt + 1):
+        add(i, Nr, i, Nr, 3.0 * cr - (4.0 - n))
+        add(i, Nr, i, Nr - 1, -4.0 * cr)
+        add(i, Nr, i, Nr - 2, cr)
+        ct = t[i] / (2.0 * ht * tp[i])
+        if i == Nt:
+            add(i, Nr, i, Nr, 3.0 * ct)
+            add(i, Nr, i - 1, Nr, -4.0 * ct)
+            add(i, Nr, i - 2, Nr, ct)
+        elif i > 0:
+            add(i, Nr, i + 1, Nr, ct)
+            add(i, Nr, i - 1, Nr, -ct)
+    return M, rhs
+
+
 class TestSolveProfile:
+    @pytest.mark.parametrize("n,cells", [(11, 16), (15, 24)])
+    def test_assemble_matches_loop_reference(self, n, cells):
+        grid = GridConfig(n_t=cells, n_r=cells + 4, t_max=30.0, r_max=30.0)
+        M, rhs, _, _ = corrector._assemble(n, grid)
+        ref, ref_rhs = assemble_by_loop(n, grid)
+        scale = np.abs(ref).max(axis=1)
+        # same stencil, same arithmetic per entry: rounding-level agreement
+        np.testing.assert_array_equal(M.toarray() != 0, ref != 0)
+        np.testing.assert_allclose(M.toarray(), ref / scale[:, None],
+                                   rtol=0, atol=4e-16)
+        np.testing.assert_allclose(rhs, ref_rhs / scale,
+                                   rtol=0, atol=4e-16 * np.abs(rhs).max())
+
     def test_diagnostics(self):
         _, diag = solve_profile(11)
         assert diag.discrete_residual <= 1e-8
@@ -294,63 +362,6 @@ class TestVerification:
     def test_kernel_overlaps_zero_source(self):
         overlaps = check_solvability(zero_pattern_point(11))
         np.testing.assert_array_equal(overlaps, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Ball chart
-
-
-class TestBallChart:
-    def test_origin_lands_on_boundary(self):
-        x = map_to_ball(np.array([0.0]), np.zeros((1, 10)))[0]
-        center = np.zeros(11)
-        center[-1] = -0.5
-        assert np.linalg.norm(x) == 0.0
-        assert np.linalg.norm(x - center) == pytest.approx(0.5, abs=1e-15)
-
-    def test_half_space_boundary_to_sphere(self):
-        rng = np.random.default_rng(2)
-        z = rng.standard_normal((50, 10)) * np.exp(rng.uniform(-2, 3, (50, 1)))
-        x = map_to_ball(np.zeros(50), z)
-        center = np.zeros(11)
-        center[-1] = -0.5
-        d = np.linalg.norm(x - center, axis=1)
-        np.testing.assert_allclose(d, 0.5, atol=1e-12)
-
-    def test_far_limit(self):
-        x = map_to_ball(np.array([1e9]), np.zeros((1, 10)))[0]
-        assert x[-1] == pytest.approx(-1.0, abs=1e-8)
-        assert np.linalg.norm(x[:-1]) == 0.0
-
-    def test_interior_stays_inside(self):
-        rng = np.random.default_rng(3)
-        t = 10.0 ** rng.uniform(-2, 3, 100)
-        z = rng.standard_normal((100, 10)) * 5
-        x = map_to_ball(t, z)
-        center = np.zeros(11)
-        center[-1] = -0.5
-        assert np.all(np.linalg.norm(x - center, axis=1) < 0.5)
-
-    def test_rejects_lower_half(self):
-        with pytest.raises(DomainError):
-            map_to_ball(np.array([-0.1]), np.zeros((1, 10)))
-
-    def test_fq_growth_and_consistency(self):
-        pt = generate_sample(11, seed=4)
-        rng = np.random.default_rng(6)
-        t = np.geomspace(0.5, 200.0, 30)
-        direction = rng.standard_normal(10)
-        direction /= np.linalg.norm(direction)
-        z = np.outer(t, direction) * 1.3
-        fq = eval_fq(pt, t, z)
-        rho = np.sqrt(t * t + np.sum(z * z, axis=1))
-        ratio = np.abs(fq) / (1.0 + rho) ** 4
-        assert np.all(np.isfinite(ratio))
-        assert ratio.max() < 10.0 * max(ratio[0], 1e-300) + 10.0
-        # transported = source / U^{(n+2)/(n-2)}
-        Q = (1.0 + t) ** 2 + np.sum(z * z, axis=1)
-        np.testing.assert_allclose(
-            fq, eval_source(pt, t, z) * Q ** 6.5, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from halfbubble.errors import DomainError, InputFormatError
 from halfbubble.geometry import (CurvaturePoint, check_dim, eval_metric_inverse,
                                  generate_sample, load_curvature_file, make_battery,
                                  metric_det, metric_divergence, metric_expansion,
-                                 rnnnn_total, save_curvature_file, validate_curvature,
+                                 save_curvature_file, validate_curvature,
                                  weyl_norm_consistency, weyl_part)
 
 
@@ -90,17 +90,15 @@ class TestSamplesAndValidation:
                              p.Wbar2, p.gamma)
         assert any(c.name == "rnnnn_identity" for c in validate_curvature(bad).failures())
 
-    def test_rii_convention(self):
+    def test_rnnnn_read_as_summed(self):
+        # Rnnnn is the value summed over the spatial index: a point that
+        # stores the per-index average instead fails the identity
         p = generate_sample(11, seed=7)
-        assert rnnnn_total(p, "summed") == p.Rnnnn
-        assert rnnnn_total(p, "per_index") == p.Rnnnn * p.m
-        with pytest.raises(DomainError):
-            rnnnn_total(p, "bogus")
-        # a point stored in per-index convention passes only under that flag
+        assert validate_curvature(p).passed
         per = CurvaturePoint("per", p.n, p.Rbar, p.S, p.D2, p.Rnnnn / p.m,
                              p.Wbar2, p.gamma)
-        assert not validate_curvature(per, rii_convention="summed").passed
-        assert validate_curvature(per, rii_convention="per_index").passed
+        assert [c.name for c in validate_curvature(per).failures()] == [
+            "rnnnn_identity"]
 
     def test_battery_deterministic(self):
         a = make_battery(11, 3, seed=42)
