@@ -332,13 +332,11 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
     """A4, L2, L3 at one delta, reduced to 1D/2D quadrature in bubble
     coordinates with the cutoff dressed in."""
     n = point.n
-    s = n - 2.0
     p = 2.0 * (n - 1.0) / (n - 2.0)
     prof = sol.profile
     cY, cYY, cS2 = _angular_coefficients(point)
     grad_moment = 4.0 * (cS2 - cYY)
     cap = 1.0 / delta
-    area = sphere_area(n - 2)
 
     # --- boundary Taylor term (t = 0 line) ---
     def boundary_parts(r):
@@ -352,16 +350,16 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
         cubic = uc ** (p - 3.0) * vc ** 3 * w
         return quad, cubic
 
-    edges_r = _panel_edges(cap, panels)
+    # every panel's Gauss nodes in one batch: 1D for the boundary line,
+    # their tensor grid for the 2D integrals
     x_nodes, x_weights = np.polynomial.legendre.leggauss(order)
-    R2 = 0.0
-    R3 = 0.0
-    for a, b in zip(edges_r[:-1], edges_r[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        r = mid + half * x_nodes
-        quad, cubic = boundary_parts(r)
-        R2 += half * np.sum(x_weights * quad)
-        R3 += half * np.sum(x_weights * cubic)
+    edges = _panel_edges(cap, panels)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
+    weights = (half[:, None] * x_weights).ravel()
+    quad, cubic = boundary_parts(nodes)
+    R2 = float(np.sum(weights * quad))
+    R3 = float(np.sum(weights * cubic))
     c_n = (n - 2.0) ** 2 / (2.0 * (n - 1.0))
     cY3 = quadratic_sphere_moment(point.S, 3)
     A4 = -(c_n * p * (p - 1.0) / 2.0) * delta ** 4 * cYY * R2 \
@@ -398,20 +396,9 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
         dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + grad_moment * (vc / r_safe) ** 2
         return np.stack([cross_S * w, cross_flat * w, dir_core * w])
 
-    edges_t = _panel_edges(cap, panels)
-
-    totals = np.zeros(3)
-    for a, b in zip(edges_t[:-1], edges_t[1:]):
-        mt, ht = 0.5 * (a + b), 0.5 * (b - a)
-        tt = mt + ht * x_nodes
-        for c, d in zip(edges_r[:-1], edges_r[1:]):
-            mr, hr = 0.5 * (c + d), 0.5 * (d - c)
-            rr = mr + hr * x_nodes
-            T, R = np.meshgrid(tt, rr, indexing="ij")
-            vals = bulk(T.ravel(), R.ravel()).reshape(3, order, order)
-            wgt = np.outer(x_weights, x_weights) * ht * hr
-            totals += np.sum(vals * wgt, axis=(1, 2))
-
+    T, R = np.meshgrid(nodes, nodes, indexing="ij")
+    vals = bulk(T.ravel(), R.ravel()).reshape(3, nodes.size, nodes.size)
+    totals = (vals @ weights) @ weights
     L2 = delta ** 4 * (totals[0] + totals[1])
     L3 = 0.5 * delta ** 4 * totals[2]
     return {"A4": A4, "L2": L2, "L3": L3, "ratio_max": ratio_max,
@@ -480,6 +467,33 @@ def verify_A4_L2_L3_identity(point: CurvaturePoint, sol: CorrectorSolution,
 # Residual slope experiment
 
 
+def _cutoff_shell(n: int, delta: float, t_all: np.ndarray, z_all: np.ndarray):
+    """Samples inside the cutoff support rho < 1/delta (bubble coordinates)
+    and the cutoff's jets there.
+
+    Returns (keep, t, z, chi, grad_chi, lap_chi, hess_chi): the mask over
+    the input samples, the kept samples, and chi(delta rho) with its
+    gradient, Laplacian and Hessian in the slot order (z_1..z_{n-1}, t).
+    """
+    keep = delta * np.sqrt(t_all * t_all + np.sum(z_all * z_all, axis=1)) < 1.0
+    t, z = t_all[keep], z_all[keep]
+    x = np.concatenate([z, t[:, None]], axis=1)
+    rho = np.sqrt(np.sum(x * x, axis=1))
+    rho_safe = np.maximum(rho, 1e-8)
+    xhat = x / rho_safe[:, None]
+    s = delta * rho
+    chi = cutoff_chi(s)
+    chi1 = cutoff_chi(s, 1) * delta
+    chi2 = cutoff_chi(s, 2) * delta * delta
+    grad_chi = chi1[:, None] * xhat
+    lap_chi = chi2 + chi1 * (n - 1.0) / rho_safe
+    eye = np.eye(n)
+    hess_chi = (chi2[:, None, None] * xhat[:, :, None] * xhat[:, None, :]
+                + (chi1 / rho_safe)[:, None, None]
+                * (eye[None] - xhat[:, :, None] * xhat[:, None, :]))
+    return keep, t, z, chi, grad_chi, lap_chi, hess_chi
+
+
 def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
                         me: MetricExpansion, delta: float,
                         include_v: bool = True):
@@ -494,31 +508,15 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
 
     def F(t_all, z_all):
         out_all = np.zeros(t_all.shape[0])
-        keep = delta * np.sqrt(t_all * t_all
-                               + np.sum(z_all * z_all, axis=1)) < 1.0
+        keep, t, z, chi, grad_chi, lap_chi, hess_chi = _cutoff_shell(
+            n, delta, t_all, z_all)
         if not keep.any():
             return out_all
-        t, z = t_all[keep], z_all[keep]
         B = t.shape[0]
-        x = np.concatenate([z, t[:, None]], axis=1)
-        rho = np.sqrt(np.sum(x * x, axis=1))
-        rho_safe = np.maximum(rho, 1e-8)
-        xhat = x / rho_safe[:, None]
-        s = delta * rho
-        chi = cutoff_chi(s)
-        chi1 = cutoff_chi(s, 1) * delta
-        chi2 = cutoff_chi(s, 2) * delta * delta
 
         u = eval_U(n, t, z)
         gu = eval_U_grad(n, t, z)
         hu = eval_U_hess(n, t, z)
-
-        grad_chi = chi1[:, None] * xhat
-        lap_chi = chi2 + chi1 * (n - 1.0) / rho_safe
-        eye = np.eye(n)
-        hess_chi = (chi2[:, None, None] * xhat[:, :, None] * xhat[:, None, :]
-                    + (chi1 / rho_safe)[:, None, None]
-                    * (eye[None] - xhat[:, :, None] * xhat[:, None, :]))
 
         # laplacian of U*chi: U is harmonic, only shell terms survive
         lap_W = u * lap_chi + 2.0 * np.einsum("bi,bi->b", gu, grad_chi)
@@ -652,51 +650,28 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
 def _cancellation_norms(point, sol, me, delta, p, n_samples, seed,
                         t_scale, z_scale):
     """L^p norms of the corrector's flat Laplacian, the metric quadratic
-    term on the bubble, and their sum (chi-dressed)."""
+    term on the bubble, and their sum (chi-dressed), from one set of
+    samples: (sum, corrector alone, metric alone)."""
     n = point.n
     m = n - 1
 
-    def parts(t_all, z_all):
-        zeros = np.zeros(t_all.shape[0])
-        keep = delta * np.sqrt(t_all * t_all
-                               + np.sum(z_all * z_all, axis=1)) < 1.0
-        if not keep.any():
-            return zeros, zeros.copy()
-        t, z = t_all[keep], z_all[keep]
-        x = np.concatenate([z, t[:, None]], axis=1)
-        rho = np.sqrt(np.sum(x * x, axis=1))
-        rho_safe = np.maximum(rho, 1e-8)
-        xhat = x / rho_safe[:, None]
-        s = delta * rho
-        chi = cutoff_chi(s)
-        chi1 = cutoff_chi(s, 1) * delta
-        chi2 = cutoff_chi(s, 2) * delta * delta
-        grad_chi = chi1[:, None] * xhat
-        lap_chi = chi2 + chi1 * (n - 1.0) / rho_safe
+    def powers(t_all, z_all):
+        parts = np.zeros((2, t_all.shape[0]))
+        keep, t, z, chi, grad_chi, lap_chi, _ = _cutoff_shell(n, delta, t_all, z_all)
+        if keep.any():
+            v, gv, hv = eval_v_derivatives(sol, t, z)
+            lap_v = np.einsum("bii->b", hv)
+            lap_V = chi * lap_v + 2.0 * np.einsum("bi,bi->b", gv, grad_chi) \
+                + v * lap_chi
+            parts[0, keep] = delta * delta * lap_V
 
-        v, gv, hv = eval_v_derivatives(sol, t, z)
-        lap_v = np.einsum("bii->b", hv)
-        lap_V = chi * lap_v + 2.0 * np.einsum("bi,bi->b", gv, grad_chi) \
-            + v * lap_chi
-        term_v_all = zeros
-        term_v_all[keep] = delta * delta * lap_V
+            hu = eval_U_hess(n, t, z)
+            M2 = eval_metric_inverse(me, delta * t, delta * z,
+                                     through_degree=2) - np.eye(m)
+            parts[1, keep] = chi * np.einsum("bij,bij->b", M2, hu[:, :m, :m])
+        tv, tm = parts
+        return np.abs(np.stack([tv + tm, tv, tm])) ** p
 
-        hu = eval_U_hess(n, t, z)
-        M2 = eval_metric_inverse(me, delta * t, delta * z,
-                                 through_degree=2) - np.eye(m)
-        term_m_all = np.zeros_like(zeros)
-        term_m_all[keep] = chi * np.einsum("bij,bij->b", M2, hu[:, :m, :m])
-        return term_v_all, term_m_all
-
-    def norm_of(pick):
-        def power(t, z):
-            tv, tm = parts(t, z)
-            return np.abs(pick(tv, tm)) ** p
-
-        est = mc_halfspace(n, power, n_samples=n_samples, seed=seed,
-                           t_scale=t_scale, z_scale=z_scale)
-        return est.mean ** (1.0 / p)
-
-    return (norm_of(lambda tv, tm: tv + tm),
-            norm_of(lambda tv, tm: tv),
-            norm_of(lambda tv, tm: tm))
+    ests = mc_halfspace(n, powers, n_samples=n_samples, seed=seed,
+                        t_scale=t_scale, z_scale=z_scale)
+    return tuple(est.mean ** (1.0 / p) for est in ests)

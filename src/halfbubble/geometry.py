@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -360,6 +360,11 @@ class MetricExpansion:
     Dense blocks use slot order (i, j, monomial slots...) except R1 which
     keeps the curvature order (i, k, j, l, mu).  The generic quartic spatial
     part is low-rank: a[i,j] (y.Qy)^2 per entry of lowrank.
+
+    The *_op fields are built from the blocks once, in __post_init__: every
+    spatial contraction of the evaluation is then a matrix product of one
+    operator with z (shape (B, m)) or v2 = (z x z).reshape(B, m^2), whose
+    column (k, l) holds z_k z_l.
     """
     point: CurvaturePoint
     mode: str
@@ -371,6 +376,81 @@ class MetricExpansion:
     T5: np.ndarray          # (m,m)   y_n^4 second-derivative part
     Ncorr: np.ndarray       # (m,m,m,m) trace rider on delta_ij, quartic in y
     lowrank: tuple          # tuples (a, Q) adding a[i,j] (y.Qy)^2
+    # inverse metric: v2 @ R_op is Rbar y^2 as (B, (i,j)); v3 @ R1_op is
+    # R1[i,k,j,l,mu] z_k z_l z_mu, where v3 holds the cubic monomials
+    # z_k z_l z_mu with k <= l <= mu listed by the rows of cubic;
+    # v2 @ K_op is the mixed y_n^2 y_k y_l block; z @ S1_op and z @ T3_op
+    # the y_n^2 y and y_n^3 y blocks; v2 @ N_op dotted with v2 is the
+    # trace rider
+    R_op: np.ndarray = field(init=False, repr=False)       # (m^2, m^2)
+    cubic: np.ndarray = field(init=False, repr=False)      # (3, C(m+2,3)) int
+    R1_op: np.ndarray = field(init=False, repr=False)      # (C(m+2,3), m^2)
+    S1_op: np.ndarray = field(init=False, repr=False)      # (m, m^2)
+    T3_op: np.ndarray = field(init=False, repr=False)      # (m, m^2)
+    N_op: np.ndarray = field(init=False, repr=False)       # (m^2, m^2)
+    K_op: np.ndarray = field(init=False, repr=False)       # (m^2, m^2)
+    SS: np.ndarray = field(init=False, repr=False)         # (m, m) S @ S
+    # divergence: z @ div2_op, v2 @ div3_op and (v2 @ div4_op)(j,k) z_k
+    # are the degree-2, 3 and 4 spatial parts; z @ div_K_op carries the
+    # y_n^2 y block; div_S1 and div_T3 are the traces S1[i,j,i], T3[i,j,i]
+    div2_op: np.ndarray = field(init=False, repr=False)    # (m, m)
+    div3_op: np.ndarray = field(init=False, repr=False)    # (m^2, m)
+    div4_op: np.ndarray = field(init=False, repr=False)    # (m^2, m^2)
+    div_K_op: np.ndarray = field(init=False, repr=False)   # (m, m)
+    div_S1: np.ndarray = field(init=False, repr=False)     # (m,)
+    div_T3: np.ndarray = field(init=False, repr=False)     # (m,)
+
+    def __post_init__(self):
+        m = self.m
+        mm = m * m
+        R, S = self.point.Rbar, self.point.S
+        # mixed block: coefficient of y_n^2 y_k y_l, (1/2) T4
+        # + (1/3) Sym_ij(Rbar . S), symmetrized over the monomial slots
+        rs = np.einsum("iksl,sj->ijkl", R, S)
+        rs = 0.5 * (rs + rs.transpose(1, 0, 2, 3))
+        K = self.T4 / 2.0 + rs / 3.0
+        K = 0.5 * (K + K.transpose(0, 1, 3, 2))
+        # degree-3 spatial: every slot triple (k, l, mu) adds its entry to
+        # the row of its sorted monomial
+        triples = np.sort(np.indices((m, m, m)).reshape(3, -1), axis=0)
+        cubic, row = np.unique(triples, axis=1, return_inverse=True)
+        R1_op = np.zeros((cubic.shape[1], mm))
+        np.add.at(R1_op, row.ravel(),
+                  self.R1.transpose(1, 3, 4, 0, 2).reshape(m * mm, mm) / 6.0)
+        cubic.setflags(write=False)
+        object.__setattr__(self, "cubic", cubic)
+        # degree-4 spatial divergence: the four slot-contractions of the
+        # (1/15) product (two vanish by antisymmetry / Ricci-flatness but
+        # are kept numerical) plus the trace rider's derivative
+        c1 = np.einsum("iisl,jmsp->jlmp", R, R)
+        c2 = np.einsum("iksi,jmsp->jkmp", R, R)
+        c3 = np.einsum("iksl,jisp->jklp", R, R)
+        c4 = np.einsum("iksl,jmsi->jklm", R, R)
+        div4 = (c1 + c2 + c3 + c4) / 15.0 + 4.0 / m * self.Ncorr
+        # degree-3 spatial divergence: the derivative hits the three
+        # monomial slots of R1
+        div3 = (np.einsum("iijlm->jlm", self.R1) + np.einsum("ikjim->jkm", self.R1)
+                + np.einsum("ikjli->jkl", self.R1)) / 6.0
+        # degree 2: both contractions are traces of Rbar (vanish for
+        # admissible data; kept numerical so nothing is assumed)
+        div2 = (np.einsum("iijl->jl", R) + np.einsum("ikji->jk", R)) / 3.0
+        ops = {
+            "R_op": R.transpose(1, 3, 0, 2).reshape(mm, mm),
+            "R1_op": R1_op,
+            "S1_op": self.S1.reshape(mm, m).T,
+            "T3_op": self.T3.reshape(mm, m).T,
+            "N_op": self.Ncorr.reshape(mm, mm),
+            "K_op": K.reshape(mm, mm).T,
+            "SS": S @ S,
+            "div2_op": div2.T,
+            "div3_op": div3.reshape(m, mm).T,
+            "div4_op": div4.transpose(2, 3, 0, 1).reshape(mm, mm),
+            "div_K_op": 2.0 * np.einsum("ijil->jl", K).T,
+            "div_S1": np.einsum("iji->j", self.S1),
+            "div_T3": np.einsum("iji->j", self.T3),
+        }
+        for name, op in ops.items():
+            object.__setattr__(self, name, _as_readonly(op))
 
     @property
     def m(self) -> int:
@@ -468,29 +548,9 @@ def _batch(t, z, m):
     return t, z, single
 
 
-def _mixed_quartic_block(me: MetricExpansion) -> np.ndarray:
-    """Coefficient of y_n^2 y_k y_l: (1/2) T4 + (1/3) Sym_ij(Rbar . S),
-    symmetrized over the monomial slots (k,l)."""
-    R, S = me.point.Rbar, me.point.S
-    rs = np.einsum("iksl,sj->ijkl", R, S)
-    rs = 0.5 * (rs + rs.transpose(1, 0, 2, 3))
-    K = me.T4 / 2.0 + rs / 3.0
-    return 0.5 * (K + K.transpose(0, 1, 3, 2))
-
-
-def _deg3_spatial(R1: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(1/6) R1[i,k,j,l,mu] z_k z_l z_mu, batched with bounded memory."""
-    m = R1.shape[0]
-    B = z.shape[0]
-    # group ((i,j), k, (l,mu)) for a BLAS-friendly contraction
-    R1r = np.ascontiguousarray(R1.transpose(0, 2, 1, 3, 4)).reshape(m * m, m, m * m)
-    out = np.empty((B, m, m))
-    for s in range(0, B, _CHUNK):
-        zz = z[s:s + _CHUNK]
-        v2 = (zz[:, :, None] * zz[:, None, :]).reshape(len(zz), m * m)
-        T = np.tensordot(v2, R1r, axes=([1], [2]))          # (b, (ij), k)
-        out[s:s + _CHUNK] = np.einsum("bqk,bk->bq", T, zz).reshape(len(zz), m, m)
-    return out / 6.0
+def _quadratic(z: np.ndarray) -> np.ndarray:
+    """v2 = (z x z).reshape(B, m^2): the monomials z_k z_l at column (k, l)."""
+    return (z[:, :, None] * z[:, None, :]).reshape(z.shape[0], -1)
 
 
 def eval_metric_inverse(me: MetricExpansion, t, z, through_degree: int = 4,
@@ -503,48 +563,46 @@ def eval_metric_inverse(me: MetricExpansion, t, z, through_degree: int = 4,
     """
     m = me.m
     t, z, single = _batch(t, z, m)
-    R, S = me.point.Rbar, me.point.S
     B = z.shape[0]
     out = np.broadcast_to(np.eye(m), (B, m, m)).copy()
-    t2 = (t * t)[:, None, None]
     if through_degree >= 2:
-        P = np.einsum("ikjl,bk->bijl", R, z, optimize=True) if B <= _CHUNK else None
-        if P is not None:
-            out += np.einsum("bijl,bl->bij", P, z) / 3.0
-        else:
-            for s in range(0, B, _CHUNK):
-                zz = z[s:s + _CHUNK]
-                out[s:s + _CHUNK] += np.einsum("ikjl,bk,bl->bij", R, zz, zz,
-                                               optimize=True) / 3.0
-        out += S[None] * t2
-    if through_degree >= 3:
-        if me.R1.any():
-            out += _deg3_spatial(me.R1, z)
-        if me.S1.any():
-            out += np.einsum("ijk,bk->bij", me.S1, z) * t2
-        if me.S1n.any():
-            out += me.S1n[None] * (t ** 3)[:, None, None] / 3.0
-    if through_degree >= 4:
+        # chunked so every (b, m^2) temporary stays bounded
         for s in range(0, B, _CHUNK):
-            zz = z[s:s + _CHUNK]
-            Pq = np.einsum("iksl,bk,bl->bis", R, zz, zz, optimize=True)
-            out[s:s + _CHUNK] += np.einsum("bis,bjs->bij", Pq, Pq) / 15.0
-            nc = np.einsum("klmp,bk,bl,bm,bp->b", me.Ncorr, zz, zz, zz, zz, optimize=True)
-            out[s:s + _CHUNK] += (nc / m)[:, None, None] * np.eye(m)[None]
-        for a, Q in me.lowrank:
-            q = np.einsum("kl,bk,bl->b", Q, z, z)
-            out += a[None] * (q * q)[:, None, None]
-        K = _mixed_quartic_block(me)
-        out += np.einsum("ijkl,bk,bl->bij", K, z, z, optimize=True) * t2
-        if me.T3.any():
-            out += np.einsum("ijk,bk->bij", me.T3, z) * (t ** 3)[:, None, None] / 3.0
-        out += (me.T5[None] + 8.0 * (S @ S)[None]) * (t ** 4)[:, None, None] / 12.0
+            out[s:s + _CHUNK] += _inverse_terms(me, t[s:s + _CHUNK],
+                                                z[s:s + _CHUNK], through_degree)
     if check_pd:
         mineig = float(np.min(np.linalg.eigvalsh(out)))
         if mineig < 1e-8:
             raise DomainError(
                 f"inverse metric not positive definite (min eigenvalue {mineig:.3e})")
     return out[0] if single else out
+
+
+def _inverse_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
+                   through_degree: int) -> np.ndarray:
+    """B2 + B3 + B4 (truncated at through_degree >= 2) on one chunk."""
+    b, m = z.shape
+    v2 = _quadratic(z)
+    t2 = (t * t)[:, None, None]
+    t3 = (t ** 3)[:, None, None]
+    P = (v2 @ me.R_op).reshape(b, m, m)                 # Rbar y^2
+    g = P / 3.0 + me.point.S * t2
+    if through_degree >= 3:
+        k, l, mu = me.cubic
+        g += ((z[:, k] * z[:, l] * z[:, mu]) @ me.R1_op).reshape(b, m, m)
+        g += (z @ me.S1_op).reshape(b, m, m) * t2
+        g += me.S1n * t3 / 3.0
+    if through_degree >= 4:
+        g += np.matmul(P, P.transpose(0, 2, 1)) / 15.0
+        nc = np.einsum("bq,bq->b", v2 @ me.N_op, v2)
+        g += (nc / m)[:, None, None] * np.eye(m)
+        for a, Q in me.lowrank:
+            q = v2 @ Q.ravel()
+            g += a * (q * q)[:, None, None]
+        g += (v2 @ me.K_op).reshape(b, m, m) * t2
+        g += (z @ me.T3_op).reshape(b, m, m) * t3 / 3.0
+        g += (me.T5 + 8.0 * me.SS) * (t ** 4)[:, None, None] / 12.0
+    return g
 
 
 def metric_det(me: MetricExpansion, t, z, through_degree: int = 4) -> np.ndarray:
@@ -562,39 +620,22 @@ def metric_divergence(me: MetricExpansion, t, z) -> np.ndarray:
     """
     m = me.m
     t, z, single = _batch(t, z, m)
-    R, S = me.point.Rbar, me.point.S
-    t2 = (t * t)[:, None]
-    t3 = (t ** 3)[:, None]
-    # degree 2: both contractions are traces of Rbar (vanish for admissible
-    # data; kept numerical so nothing is assumed)
-    c_a = np.einsum("iijl->jl", R) / 3.0
-    c_b = np.einsum("ikji->jk", R) / 3.0
-    out = np.einsum("jl,bl->bj", c_a + c_b, z)
-    # degree 3 spatial: derivative hits the three monomial slots of R1
-    if me.R1.any():
-        d1 = np.einsum("iijlm->jlm", me.R1)
-        d2 = np.einsum("ikjim->jkm", me.R1)
-        d3 = np.einsum("ikjli->jkl", me.R1)
-        out += (np.einsum("jlm,bl,bm->bj", d1, z, z, optimize=True)
-                + np.einsum("jkm,bk,bm->bj", d2, z, z, optimize=True)
-                + np.einsum("jkl,bk,bl->bj", d3, z, z, optimize=True)) / 6.0
-    if me.S1.any():
-        out += np.einsum("iji->j", me.S1)[None, :] * t2
-    # degree 4 spatial: the four slot-contractions of the (1/15) product;
-    # two vanish by antisymmetry / Ricci-flatness but are kept numerical
-    c1 = np.einsum("iisl,jmsp->jlmp", R, R)
-    c2 = np.einsum("iksi,jmsp->jkmp", R, R)
-    c3 = np.einsum("iksl,jisp->jklp", R, R)
-    c4 = np.einsum("iksl,jmsi->jklm", R, R)
-    quad_div = (c1 + c2 + c3 + c4) / 15.0
-    out += np.einsum("jklp,bk,bl,bp->bj", quad_div, z, z, z, optimize=True)
-    if me.Ncorr.any():
-        out += 4.0 / m * np.einsum("jlmp,bl,bm,bp->bj", me.Ncorr, z, z, z, optimize=True)
-    for a, Q in me.lowrank:
-        q = np.einsum("kl,bk,bl->b", Q, z, z)
-        out += 4.0 * q[:, None] * np.einsum("ij,bi->bj", a, z @ Q)
-    K = _mixed_quartic_block(me)
-    out += 2.0 * np.einsum("ijil,bl->bj", K, z) * t2
-    if me.T3.any():
-        out += np.einsum("iji->j", me.T3)[None, :] * t3 / 3.0
+    B = z.shape[0]
+    out = np.empty((B, m))
+    for s in range(0, B, _CHUNK):
+        out[s:s + _CHUNK] = _divergence_terms(me, t[s:s + _CHUNK], z[s:s + _CHUNK])
     return out[0] if single else out
+
+
+def _divergence_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    b, m = z.shape
+    v2 = _quadratic(z)
+    t2 = (t * t)[:, None]
+    d = z @ me.div2_op + v2 @ me.div3_op + me.div_S1 * t2
+    d += np.matmul((v2 @ me.div4_op).reshape(b, m, m), z[:, :, None])[:, :, 0]
+    for a, Q in me.lowrank:
+        q = v2 @ Q.ravel()
+        d += 4.0 * q[:, None] * ((z @ Q) @ a)
+    d += (z @ me.div_K_op) * t2
+    d += me.div_T3 * (t ** 3)[:, None] / 3.0
+    return d

@@ -481,14 +481,19 @@ _MC_CHUNK = 1 << 18
 
 def mc_halfspace(n: int, integrand, n_samples: int, seed: int,
                  t_scale: float = 1.0, z_scale: float = 1.0,
-                 nu: float = 3.0) -> MCEstimate:
+                 nu: float = 3.0) -> MCEstimate | tuple[MCEstimate, ...]:
     """Monte Carlo estimate of integral over the half-space of integrand(t, z).
 
     Proposal: t ~ half-Cauchy(t_scale), z ~ multivariate Student with nu
     degrees of freedom and scale z_scale (heavy tails cover slowly decaying
-    integrands).  integrand must be vectorized: (B,), (B, n-1) -> (B,).
+    integrands).  integrand must be vectorized: (B,), (B, n-1) -> (B,), or
+    -> (k, B) for k integrands on the same samples, in which case a tuple
+    of k estimates is returned; each equals the estimate of its row alone.
     Results are reproducible from (seed, n_samples, scales, nu) alone; the
     internal chunk size is fixed so chunking never changes the stream.
+    The variance is accumulated from centered per-chunk sums of squares
+    (Chan et al. pairwise update), so it keeps its digits when the mean
+    dwarfs the spread.
 
     Raises PoisonedEstimateError naming a sample point if the integrand
     returns a non-finite value.
@@ -499,8 +504,7 @@ def mc_halfspace(n: int, integrand, n_samples: int, seed: int,
     rng = np.random.default_rng(seed)
     log_norm = (lgamma(0.5 * (nu + d)) - lgamma(0.5 * nu)
                 - 0.5 * d * math.log(nu * math.pi) - d * math.log(z_scale))
-    total = 0.0
-    total_sq = 0.0
+    totals = sq_dev = None
     done = 0
     while done < n_samples:
         B = min(_MC_CHUNK, n_samples - done)
@@ -512,15 +516,29 @@ def mc_halfspace(n: int, integrand, n_samples: int, seed: int,
         zz = np.einsum("bi,bi->b", z, z)
         log_qz = log_norm - 0.5 * (nu + d) * np.log1p(zz / (nu * z_scale ** 2))
         vals = np.asarray(integrand(t, z), dtype=float)
-        bad = ~np.isfinite(vals)
+        rows = np.ascontiguousarray(np.atleast_2d(vals))
+        bad = ~np.isfinite(rows)
         if bad.any():
-            i = int(np.argmax(bad))
+            k, i = np.unravel_index(np.argmax(bad), bad.shape)
             raise PoisonedEstimateError(
-                f"integrand returned {vals[i]!r} at t={t[i]!r}", t[i], z[i].copy())
-        wgt = vals * np.exp(-(log_qt + log_qz))
-        total += float(wgt.sum())
-        total_sq += float((wgt * wgt).sum())
+                f"integrand returned {rows[k, i]!r} at t={t[i]!r}", t[i], z[i].copy())
+        wgt = rows * np.exp(-(log_qt + log_qz))
+        if totals is None:
+            totals = [0.0] * len(wgt)
+            sq_dev = [0.0] * len(wgt)
+        for k, row in enumerate(wgt):
+            chunk_total = float(row.sum())
+            chunk_mean = chunk_total / B
+            chunk_sq_dev = float(np.sum((row - chunk_mean) ** 2))
+            if done:
+                gap = chunk_mean - totals[k] / done
+                chunk_sq_dev += gap * gap * done * B / (done + B)
+            totals[k] += chunk_total
+            sq_dev[k] += chunk_sq_dev
         done += B
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0) / (n_samples - 1)
-    return MCEstimate(mean=mean, std_error=math.sqrt(var), n_samples=n_samples, seed=seed)
+    ests = tuple(
+        MCEstimate(mean=total / n_samples,
+                   std_error=math.sqrt(dev / n_samples / (n_samples - 1)),
+                   n_samples=n_samples, seed=seed)
+        for total, dev in zip(totals, sq_dev))
+    return ests if vals.ndim == 2 else ests[0]

@@ -12,10 +12,15 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from halfbubble.bubble import eval_U_grad
-from halfbubble.corrector import GridConfig, solve_vq
+from halfbubble.bubble import eval_U_dr_tr, eval_U_dt_tr, eval_U_grad, eval_U_hess, eval_U_tr
+from halfbubble.corrector import GridConfig, eval_v_derivatives, solve_vq
 from halfbubble.energy import (
     ReducedCoefficients,
+    _angular_coefficients,
+    _cancellation_norms,
+    _chi_tr,
+    _identity_terms,
+    _panel_edges,
     SlopeExperiment,
     compute_A,
     compute_A_boundary,
@@ -30,11 +35,12 @@ from halfbubble.energy import (
     verify_A4_L2_L3_identity,
 )
 from halfbubble.errors import BudgetError, DomainError, ValidationFailure
-from halfbubble.geometry import generate_sample, metric_expansion
+from halfbubble.geometry import eval_metric_inverse, generate_sample, metric_expansion
 from halfbubble.quadrature import (
     MomentKey,
     mc_halfspace,
     moment,
+    quadratic_sphere_moment,
     sphere_area,
 )
 
@@ -327,6 +333,78 @@ class TestSlopeExperimentType:
         assert exp.status == "degenerate"
 
 
+def _ref_identity_terms(point, sol, delta, panels=40, order=10):
+    """Reference for energy._identity_terms: the same quadrature summed
+    panel by panel (40 boundary panels, 40 x 40 bulk panels of 10 x 10
+    Gauss nodes each)."""
+    n = point.n
+    p = 2.0 * (n - 1.0) / (n - 2.0)
+    prof = sol.profile
+    cY, cYY, cS2 = _angular_coefficients(point)
+    grad_moment = 4.0 * (cS2 - cYY)
+    cap = 1.0 / delta
+
+    def boundary_parts(r):
+        u = eval_U_tr(n, np.zeros_like(r), r)
+        chi = cutoff_chi(delta * r)
+        psi = prof.eval(np.zeros_like(r), r)
+        uc = u * chi
+        vc = psi * chi
+        w = r ** (n - 2)
+        return uc ** (p - 2.0) * vc ** 2 * w, uc ** (p - 3.0) * vc ** 3 * w
+
+    edges_r = _panel_edges(cap, panels)
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(order)
+    R2 = 0.0
+    R3 = 0.0
+    for a, b in zip(edges_r[:-1], edges_r[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        quad, cubic = boundary_parts(mid + half * x_nodes)
+        R2 += half * np.sum(x_weights * quad)
+        R3 += half * np.sum(x_weights * cubic)
+    c_n = (n - 2.0) ** 2 / (2.0 * (n - 1.0))
+    cY3 = quadratic_sphere_moment(point.S, 3)
+    A4 = -(c_n * p * (p - 1.0) / 2.0) * delta ** 4 * cYY * R2 \
+        - (c_n * p * (p - 1.0) * (p - 2.0) / 6.0) * delta ** 6 * cY3 * R3
+
+    r_probe = np.geomspace(1e-2, cap, 200)
+    ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe))
+             * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
+             / eval_U_tr(n, np.zeros_like(r_probe), r_probe))
+
+    def bulk(t, r):
+        chi, ct, cr, *_ = _chi_tr(t, r, delta)
+        u = eval_U_tr(n, t, r)
+        u_t = eval_U_dt_tr(n, t, r)
+        u_r = eval_U_dr_tr(n, t, r)
+        psi = prof.eval(t, r)
+        psi_t = prof.eval(t, r, dt=1)
+        psi_r = prof.eval(t, r, dr=1)
+        uc_r = u_r * chi + u * cr
+        uc_t = u_t * chi + u * ct
+        vc = psi * chi
+        vc_t = psi_t * chi + psi * ct
+        vc_r = psi_r * chi + psi * cr
+        w = r ** (n - 2)
+        r_safe = np.maximum(r, 1e-300)
+        cross_S = t * t * uc_r * (cYY * vc_r + 2.0 * (cS2 - cYY) * vc / r_safe)
+        cross_flat = cY * (uc_t * vc_t + uc_r * vc_r)
+        dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + grad_moment * (vc / r_safe) ** 2
+        return np.stack([cross_S * w, cross_flat * w, dir_core * w])
+
+    totals = np.zeros(3)
+    for a, b in zip(edges_r[:-1], edges_r[1:]):
+        mt, ht = 0.5 * (a + b), 0.5 * (b - a)
+        tt = mt + ht * x_nodes
+        for c, d in zip(edges_r[:-1], edges_r[1:]):
+            mr, hr = 0.5 * (c + d), 0.5 * (d - c)
+            T, R = np.meshgrid(tt, mr + hr * x_nodes, indexing="ij")
+            vals = bulk(T.ravel(), R.ravel()).reshape(3, order, order)
+            totals += np.sum(vals * np.outer(x_weights, x_weights) * ht * hr, axis=(1, 2))
+    return {"A4": A4, "L2": delta ** 4 * (totals[0] + totals[1]),
+            "L3": 0.5 * delta ** 4 * totals[2], "ratio_max": float(np.max(ratio))}
+
+
 class TestIdentityExperiment:
     def test_slope_and_coefficient(self, point11, sol11_big):
         exp = verify_A4_L2_L3_identity(point11, sol11_big)
@@ -340,6 +418,26 @@ class TestIdentityExperiment:
     def test_taylor_region_never_clipped(self, point11, sol11_big):
         exp = verify_A4_L2_L3_identity(point11, sol11_big)
         assert exp.extras["taylor_ratio_max"] < 0.5
+
+    def test_batched_terms_match_panel_loop(self, point11, sol11_big):
+        # default 7-rung ladder; the remainder cancels about 4 digits of
+        # the sum, so it is bounded against |sum|, not against itself
+        exp = verify_A4_L2_L3_identity(point11, sol11_big)
+        pairing = sol11_big.pairing()
+        ratios = []
+        for d in exp.deltas:
+            got = _identity_terms(point11, sol11_big, float(d))
+            ref = _ref_identity_terms(point11, sol11_big, float(d))
+            for key in ("A4", "L2", "L3"):
+                assert got[key] == pytest.approx(ref[key], rel=1e-13, abs=0.0), (d, key)
+            total = got["A4"] + got["L2"] + got["L3"]
+            ref_total = ref["A4"] + ref["L2"] + ref["L3"]
+            remainder = total - 0.5 * d ** 4 * pairing
+            ref_remainder = ref_total - 0.5 * d ** 4 * pairing
+            assert abs(remainder - ref_remainder) <= 1e-12 * abs(ref_total), d
+            assert got["ratio_max"] == ref["ratio_max"]
+            ratios.append(ref["ratio_max"])
+        assert exp.extras["taylor_ratio_max"] == max(ratios)
 
     def test_zero_curvature_is_degenerate(self):
         pt = zero_curvature_point(11)
@@ -372,6 +470,48 @@ class TestResidualSlope:
         each = max(exp.extras["cancel_slope_v"],
                    exp.extras["cancel_slope_metric"])
         assert fast >= each + 0.8
+
+    def test_cancellation_one_pass_matches_three(self, point11, sol11_big):
+        # the three diagnostics share one sample set; each norm is the one
+        # a pass of its own on the same seed gives, bit for bit
+        n, m = 11, 10
+        p = 2.0 * n / (n + 2.0)
+        me = metric_expansion(point11, seed=0, mode="gauge", deg3_scale=5.0)
+        for delta in (0.01, 0.1):
+
+            def parts(t_all, z_all):
+                zeros = np.zeros((2, t_all.shape[0]))
+                keep = delta * np.sqrt(t_all * t_all + np.sum(z_all * z_all, axis=1)) < 1.0
+                if not keep.any():
+                    return zeros
+                t, z = t_all[keep], z_all[keep]
+                x = np.concatenate([z, t[:, None]], axis=1)
+                rho = np.sqrt(np.sum(x * x, axis=1))
+                rho_safe = np.maximum(rho, 1e-8)
+                xhat = x / rho_safe[:, None]
+                s = delta * rho
+                chi = cutoff_chi(s)
+                chi1 = cutoff_chi(s, 1) * delta
+                chi2 = cutoff_chi(s, 2) * delta * delta
+                grad_chi = chi1[:, None] * xhat
+                lap_chi = chi2 + chi1 * (n - 1.0) / rho_safe
+                v, gv, hv = eval_v_derivatives(sol11_big, t, z)
+                lap_V = (chi * np.einsum("bii->b", hv)
+                         + 2.0 * np.einsum("bi,bi->b", gv, grad_chi) + v * lap_chi)
+                zeros[0, keep] = delta * delta * lap_V
+                M2 = eval_metric_inverse(me, delta * t, delta * z, through_degree=2) - np.eye(m)
+                hu = eval_U_hess(n, t, z)
+                zeros[1, keep] = chi * np.einsum("bij,bij->b", M2, hu[:, :m, :m])
+                return zeros
+
+            picks = (lambda tv, tm: tv + tm, lambda tv, tm: tv, lambda tv, tm: tm)
+            want = tuple(
+                mc_halfspace(n, lambda t, z, pick=pick: np.abs(pick(*parts(t, z))) ** p,
+                             n_samples=3000, seed=5, t_scale=0.8,
+                             z_scale=0.5).mean ** (1.0 / p)
+                for pick in picks)
+            got = _cancellation_norms(point11, sol11_big, me, delta, p, 3000, 5, 0.8, 0.5)
+            assert got == want
 
     def test_zero_curvature_degenerate(self):
         pt = zero_curvature_point(11)

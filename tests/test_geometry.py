@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from halfbubble.errors import DomainError, InputFormatError
-from halfbubble.geometry import (CurvaturePoint, check_dim, eval_metric_inverse,
+from halfbubble.geometry import (_CHUNK, CurvaturePoint, check_dim, eval_metric_inverse,
                                  generate_sample, load_curvature_file, make_battery,
                                  metric_det, metric_divergence, metric_expansion,
                                  save_curvature_file, validate_curvature,
@@ -300,3 +300,132 @@ class TestMetricExpansion:
         p = generate_sample(11, seed=9)
         with pytest.raises(DomainError):
             metric_expansion(p, seed=0, mode="wild")
+
+
+# ---------------------------------------------------------------------------
+# Reference: the einsum evaluation of the metric expansion, term by term as
+# the blocks are written in the geometry module docstring, with the same
+# chunking.  The module evaluates the same terms as matrix products with
+# operators built once per expansion.
+
+
+def _ref_mixed_quartic_block(me):
+    R, S = me.point.Rbar, me.point.S
+    rs = np.einsum("iksl,sj->ijkl", R, S)
+    rs = 0.5 * (rs + rs.transpose(1, 0, 2, 3))
+    K = me.T4 / 2.0 + rs / 3.0
+    return 0.5 * (K + K.transpose(0, 1, 3, 2))
+
+
+def _ref_deg3_spatial(R1, z):
+    m = R1.shape[0]
+    B = z.shape[0]
+    R1r = np.ascontiguousarray(R1.transpose(0, 2, 1, 3, 4)).reshape(m * m, m, m * m)
+    out = np.empty((B, m, m))
+    for s in range(0, B, _CHUNK):
+        zz = z[s:s + _CHUNK]
+        v2 = (zz[:, :, None] * zz[:, None, :]).reshape(len(zz), m * m)
+        T = np.tensordot(v2, R1r, axes=([1], [2]))
+        out[s:s + _CHUNK] = np.einsum("bqk,bk->bq", T, zz).reshape(len(zz), m, m)
+    return out / 6.0
+
+
+def _ref_eval_metric_inverse(me, t, z, through_degree=4):
+    m = me.m
+    R, S = me.point.Rbar, me.point.S
+    B = z.shape[0]
+    out = np.broadcast_to(np.eye(m), (B, m, m)).copy()
+    t2 = (t * t)[:, None, None]
+    if through_degree >= 2:
+        P = np.einsum("ikjl,bk->bijl", R, z, optimize=True) if B <= _CHUNK else None
+        if P is not None:
+            out += np.einsum("bijl,bl->bij", P, z) / 3.0
+        else:
+            for s in range(0, B, _CHUNK):
+                zz = z[s:s + _CHUNK]
+                out[s:s + _CHUNK] += np.einsum("ikjl,bk,bl->bij", R, zz, zz,
+                                               optimize=True) / 3.0
+        out += S[None] * t2
+    if through_degree >= 3:
+        if me.R1.any():
+            out += _ref_deg3_spatial(me.R1, z)
+        if me.S1.any():
+            out += np.einsum("ijk,bk->bij", me.S1, z) * t2
+        if me.S1n.any():
+            out += me.S1n[None] * (t ** 3)[:, None, None] / 3.0
+    if through_degree >= 4:
+        for s in range(0, B, _CHUNK):
+            zz = z[s:s + _CHUNK]
+            Pq = np.einsum("iksl,bk,bl->bis", R, zz, zz, optimize=True)
+            out[s:s + _CHUNK] += np.einsum("bis,bjs->bij", Pq, Pq) / 15.0
+            nc = np.einsum("klmp,bk,bl,bm,bp->b", me.Ncorr, zz, zz, zz, zz, optimize=True)
+            out[s:s + _CHUNK] += (nc / m)[:, None, None] * np.eye(m)[None]
+        for a, Q in me.lowrank:
+            q = np.einsum("kl,bk,bl->b", Q, z, z)
+            out += a[None] * (q * q)[:, None, None]
+        K = _ref_mixed_quartic_block(me)
+        out += np.einsum("ijkl,bk,bl->bij", K, z, z, optimize=True) * t2
+        if me.T3.any():
+            out += np.einsum("ijk,bk->bij", me.T3, z) * (t ** 3)[:, None, None] / 3.0
+        out += (me.T5[None] + 8.0 * (S @ S)[None]) * (t ** 4)[:, None, None] / 12.0
+    return out
+
+
+def _ref_metric_divergence(me, t, z):
+    m = me.m
+    R = me.point.Rbar
+    t2 = (t * t)[:, None]
+    t3 = (t ** 3)[:, None]
+    c_a = np.einsum("iijl->jl", R) / 3.0
+    c_b = np.einsum("ikji->jk", R) / 3.0
+    out = np.einsum("jl,bl->bj", c_a + c_b, z)
+    if me.R1.any():
+        d1 = np.einsum("iijlm->jlm", me.R1)
+        d2 = np.einsum("ikjim->jkm", me.R1)
+        d3 = np.einsum("ikjli->jkl", me.R1)
+        out += (np.einsum("jlm,bl,bm->bj", d1, z, z, optimize=True)
+                + np.einsum("jkm,bk,bm->bj", d2, z, z, optimize=True)
+                + np.einsum("jkl,bk,bl->bj", d3, z, z, optimize=True)) / 6.0
+    if me.S1.any():
+        out += np.einsum("iji->j", me.S1)[None, :] * t2
+    c1 = np.einsum("iisl,jmsp->jlmp", R, R)
+    c2 = np.einsum("iksi,jmsp->jkmp", R, R)
+    c3 = np.einsum("iksl,jisp->jklp", R, R)
+    c4 = np.einsum("iksl,jmsi->jklm", R, R)
+    quad_div = (c1 + c2 + c3 + c4) / 15.0
+    out += np.einsum("jklp,bk,bl,bp->bj", quad_div, z, z, z, optimize=True)
+    if me.Ncorr.any():
+        out += 4.0 / m * np.einsum("jlmp,bl,bm,bp->bj", me.Ncorr, z, z, z, optimize=True)
+    for a, Q in me.lowrank:
+        q = np.einsum("kl,bk,bl->b", Q, z, z)
+        out += 4.0 * q[:, None] * np.einsum("ij,bi->bj", a, z @ Q)
+    K = _ref_mixed_quartic_block(me)
+    out += 2.0 * np.einsum("ijil,bl->bj", K, z) * t2
+    if me.T3.any():
+        out += np.einsum("iji->j", me.T3)[None, :] * t3 / 3.0
+    return out
+
+
+class TestMatrixProductPath:
+    """The operator-product evaluation against the einsum reference, on
+    batches below, at and across the chunk boundary."""
+
+    @pytest.mark.parametrize("n", [11, 15])
+    @pytest.mark.parametrize("mode", ["gauge", "free", "zero"])
+    def test_matches_einsum_reference(self, n, mode):
+        p = generate_sample(n, seed=20 + n)
+        me = metric_expansion(p, seed=3, mode=mode, deg3_scale=5.0)
+        rng = np.random.default_rng(n)
+        for B in (1, 100, _CHUNK + 37):
+            z = 0.3 * rng.standard_normal((B, p.m))
+            t = 0.4 * rng.random(B)
+            for deg in (2, 3, 4):
+                got = eval_metric_inverse(me, t, z, through_degree=deg)
+                ref = _ref_eval_metric_inverse(me, t, z, through_degree=deg)
+                tol = 1e-13 * np.max(np.abs(ref - np.eye(p.m)))
+                err = np.max(np.abs(got - ref))
+                assert err <= tol, (B, deg, err, tol)
+            got = metric_divergence(me, t, z)
+            ref = _ref_metric_divergence(me, t, z)
+            err = np.max(np.abs(got - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref)), (B, err)

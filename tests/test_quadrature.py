@@ -17,7 +17,7 @@ from scipy.integrate import quad as scipy_quad
 
 from halfbubble.errors import (BudgetError, DomainError, PoisonedEstimateError,
                                UnsupportedPatternError)
-from halfbubble.quadrature import (MCEstimate, MomentKey, MomentTable, angular_moment,
+from halfbubble.quadrature import (_MC_CHUNK, MCEstimate, MomentKey, MomentTable, angular_moment,
                                    half_line_moment, integrate_interval,
                                    integrate_rectangle, mc_halfspace, moment,
                                    panel_gauss_2d, quadratic_sphere_moment, sphere_area)
@@ -275,3 +275,58 @@ class TestMonteCarlo:
             mc_halfspace(n, f, n_samples=10_000, seed=3)
         assert ei.value.t > 1.0
         assert ei.value.z.shape == (n - 1,)
+
+    def test_rows_match_single_passes(self):
+        # a (k, B) integrand shares the samples; each row's estimate is the
+        # one its own pass would give, bit for bit, across chunks too
+        n = 5
+
+        def rows(t, z):
+            r2 = np.einsum("bi,bi->b", z, z)
+            return np.stack([np.exp(-t - r2), t * np.exp(-r2), (1.0 + r2 + t) ** -4.0])
+
+        n_samples = _MC_CHUNK + 1000
+        ests = mc_halfspace(n, rows, n_samples=n_samples, seed=17)
+        assert isinstance(ests, tuple) and len(ests) == 3
+        for k, est in enumerate(ests):
+            single = mc_halfspace(n, lambda t, z: rows(t, z)[k], n_samples=n_samples,
+                                  seed=17)
+            assert est == single
+
+    def test_poisoned_row_reported(self):
+        def rows(t, z):
+            bad = np.ones_like(t)
+            bad[t > 1.0] = np.inf
+            return np.stack([np.ones_like(t), bad])
+
+        with pytest.raises(PoisonedEstimateError) as ei:
+            mc_halfspace(5, rows, n_samples=1000, seed=3)
+        assert ei.value.t > 1.0
+
+    def test_variance_survives_large_mean(self):
+        # weighted values 1e6 + cos(t): mean/std about 1.4e6, over three
+        # chunks; sum-of-squares minus mean^2 loses the variance here
+        n, d, nu = 3, 2, 3.0
+        t_scale, z_scale = 0.8, 0.5
+        log_norm = (lgamma(0.5 * (nu + d)) - lgamma(0.5 * nu)
+                    - 0.5 * d * math.log(nu * math.pi) - d * math.log(z_scale))
+        seen = []
+
+        def weighted(t):
+            return 1e6 + np.cos(t)
+
+        def f(t, z):
+            seen.append(t)
+            log_q = (math.log(2.0 / (math.pi * t_scale)) - np.log1p((t / t_scale) ** 2)
+                     + log_norm - 0.5 * (nu + d)
+                     * np.log1p(np.einsum("bi,bi->b", z, z) / (nu * z_scale ** 2)))
+            return weighted(t) * np.exp(log_q)
+
+        n_samples = 2 * _MC_CHUNK + 12345
+        est = mc_halfspace(n, f, n_samples=n_samples, seed=8, t_scale=t_scale,
+                           z_scale=z_scale, nu=nu)
+        x = weighted(np.concatenate(seen))
+        assert x.size == n_samples
+        assert x.mean() / x.std() >= 1e6
+        ref = math.sqrt(np.sum((x - x.mean()) ** 2) / n_samples / (n_samples - 1))
+        assert est.std_error == pytest.approx(ref, rel=1e-10)
