@@ -284,37 +284,41 @@ def cmd_phi(cfg: RunConfig) -> int:
 
 
 def _read_coefficients_csv(path: Path) -> dict:
+    """phi by label from a coefficients CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != energy_csv_header():
         raise InputFormatError(
             f"{path}: expected header {energy_csv_header()!r}")
     names = lines[0].split(",")
-    rows = {}
+    phis = {}
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(names):
             raise InputFormatError(f"{path}: malformed row {line!r}")
         rec = dict(zip(names, parts))
-        rows[rec["label"]] = rec
-    return rows
+        try:
+            phis[rec["label"]] = float(rec["phi"])
+        except ValueError:
+            raise InputFormatError(
+                f"{path}: phi {rec['phi']!r} is not a number") from None
+    return phis
 
 
-def _build_reduced_functional(cfg: RunConfig, points, coeff_rows):
+def _build_reduced_functional(cfg: RunConfig, points, phis: dict):
     """Merge geometry gamma with per-point phi by label.
 
-    Points without a coefficient row, or with phi > 0, are quarantined
-    rather than aborting the batch.
+    Points without a phi, or with phi > 0, are quarantined rather than
+    aborting the batch.
     """
-    labels, gammas, phis, quarantined = [], [], [], {}
+    labels, gammas, phi_values, quarantined = [], [], [], {}
     by_label = {p.label: p for p in points}
     for label in sorted(by_label):
         point = by_label[label]
-        row = coeff_rows.get(label)
-        if row is None:
+        phi = phis.get(label)
+        if phi is None:
             quarantined[label] = "no coefficient row"
             continue
-        phi = float(row["phi"])
         if phi > 0.0:
             quarantined[label] = f"phi positive ({phi!r})"
             continue
@@ -325,12 +329,12 @@ def _build_reduced_functional(cfg: RunConfig, points, coeff_rows):
                 label, f"inadmissible: gamma = {point.gamma!r}")
         labels.append(label)
         gammas.append(point.gamma)
-        phis.append(phi)
+        phi_values.append(phi)
     if not labels:
         raise ConstructionImpossibleError(
             "no admissible point: every table row was quarantined")
     rf = ReducedFunctional(n=cfg.n, B=compute_B(cfg.n), labels=tuple(labels),
-                           gamma=np.asarray(gammas), phi=np.asarray(phis))
+                           gamma=np.asarray(gammas), phi=np.asarray(phi_values))
     return rf, quarantined
 
 
@@ -390,21 +394,19 @@ def _g_curves_csv_text(rf, payload: dict) -> str:
 
 def _reduce_payload_from_cfg(cfg: RunConfig, args) -> tuple:
     points = _load_points(cfg)
-    coeff_path = Path(getattr(args, "coefficients", "") or
-                      Path(cfg.out_dir) / "coefficients.csv")
-    if coeff_path.exists():
-        coeff_rows = _read_coefficients_csv(coeff_path)
+    named = getattr(args, "coefficients", "")
+    coeff_path = Path(named or Path(cfg.out_dir) / "coefficients.csv")
+    # a named file is read as given, so a missing one fails (exit 4)
+    if named or coeff_path.exists():
+        phis = _read_coefficients_csv(coeff_path)
     else:
-        results, quarantined_phi = _map_points(
-            points, lambda p: _phi_for_point(cfg, p))
-        coeff_rows = {
-            label: dict(zip(energy_csv_header().split(","),
-                            energy_csv_row(coeffs).split(",")))
-            for label, (sol, coeffs) in results.items()}
+        results, _ = _map_points(points, lambda p: _phi_for_point(cfg, p))
         _write_coefficients(Path(cfg.out_dir) / "coefficients.csv",
                             {label: energy_csv_row(coeffs)
                              for label, (sol, coeffs) in results.items()})
-    rf, quarantined = _build_reduced_functional(cfg, points, coeff_rows)
+        phis = {label: float(coeffs.phi)
+                for label, (sol, coeffs) in results.items()}
+    rf, quarantined = _build_reduced_functional(cfg, points, phis)
     neighborhood = None
     coords = None
     if getattr(args, "neighborhood", ""):
@@ -517,13 +519,9 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     outputs = ["coefficients.csv", "pipeline_report.json"]
 
     try:
-        coeff_rows = {
-            label: dict(zip(energy_csv_header().split(","),
-                            energy_csv_row(c).split(",")))
-            for label, c in coeff_objects.items()}
-        survivors = [p for p in valid_points if p.label in coeff_rows]
-        rf, quarantined_reduce = _build_reduced_functional(
-            cfg, survivors, coeff_rows)
+        phis = {label: float(c.phi) for label, c in coeff_objects.items()}
+        survivors = [p for p in valid_points if p.label in phis]
+        rf, quarantined_reduce = _build_reduced_functional(cfg, survivors, phis)
         quarantined.update(quarantined_reduce)
         payload = _reduction_payload(cfg, rf, quarantined)
         selected = payload["q0"]
@@ -635,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_family = sub.add_parser("family", help="concentration ladder CSV")
     for p in (p_reduce, p_family):
         p.add_argument("--coefficients", default="",
-                       help="coefficients CSV (default <out-dir>/coefficients.csv)")
+                       help="coefficients CSV, which must exist (default "
+                            "<out-dir>/coefficients.csv, computed if absent)")
         p.add_argument("--neighborhood", default="",
                        help="comma-separated ordered labels around q0")
         p.add_argument("--coords", default="",

@@ -186,55 +186,47 @@ class Profile2D:
 
     @property
     def t_nodes(self) -> np.ndarray:
-        Lt = self.grid.map_scale_t
-        return Lt * self.tau / (1.0 - self.tau)
+        return _stretch(self.tau, self.grid.map_scale_t)[0]
 
     @property
     def r_nodes(self) -> np.ndarray:
-        Lr = self.grid.map_scale_r
-        return Lr * self.sigma / (1.0 - self.sigma)
+        return _stretch(self.sigma, self.grid.map_scale_r)[0]
 
-    def _to_tau(self, t):
-        Lt = self.grid.map_scale_t
-        t = np.asarray(t, dtype=float)
-        return t / (Lt + t)
+    def _partial(self, tau, sigma, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """One spline partial in the computational coordinates.  A column
+        tau (N, 1) and an ascending row sigma (1, M) evaluate on their
+        tensor grid; any other shapes broadcast point by point."""
+        grid = (tau.ndim == sigma.ndim == 2 and tau.shape[1] == 1
+                and sigma.shape[0] == 1 and np.all(np.diff(tau[:, 0]) >= 0)
+                and np.all(np.diff(sigma[0]) >= 0))
+        if grid:
+            x, y = tau[:, 0], sigma[0]
+        else:
+            tau, sigma = np.broadcast_arrays(tau, sigma)
+            x, y = tau.ravel(), sigma.ravel()
+        out = self._spline(x, y, dx=dx, dy=dy, grid=grid)
+        return out.reshape(np.broadcast_shapes(tau.shape, sigma.shape))
 
-    def _to_sigma(self, r):
-        Lr = self.grid.map_scale_r
-        r = np.asarray(r, dtype=float)
-        return r / (Lr + r)
+    def eval(self, t, r) -> tuple:
+        """The jet (psi, psi_t, psi_r, psi_tt, psi_rr, psi_tr) at (t, r).
 
-    def eval(self, t, r, dt: int = 0, dr: int = 0) -> np.ndarray:
-        """psi and its (t, r)-derivatives up to second order, vectorized."""
-        if dt > 2 or dr > 2 or dt < 0 or dr < 0:
-            raise DomainError("profile derivatives supported up to order 2")
+        t and r broadcast; a column t (N, 1) with a row r (1, M) is
+        evaluated on their tensor grid in one spline pass per partial.
+        """
         Lt, Lr = self.grid.map_scale_t, self.grid.map_scale_r
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
-        tau = self._to_tau(t)
-        sigma = self._to_sigma(r)
-        tp = Lt / (1.0 - tau) ** 2
-        tpp = 2.0 * Lt / (1.0 - tau) ** 3
-        rp = Lr / (1.0 - sigma) ** 2
-        rpp = 2.0 * Lr / (1.0 - sigma) ** 3
-
-        def s(dx, dy):
-            return self._spline(tau.ravel(), sigma.ravel(), dx=dx, dy=dy,
-                                grid=False).reshape(tau.shape)
-
-        if dt == 0 and dr == 0:
-            return s(0, 0)
-        if dt == 1 and dr == 0:
-            return s(1, 0) / tp
-        if dt == 0 and dr == 1:
-            return s(0, 1) / rp
-        if dt == 2 and dr == 0:
-            return s(2, 0) / tp ** 2 - s(1, 0) * tpp / tp ** 3
-        if dt == 0 and dr == 2:
-            return s(0, 2) / rp ** 2 - s(0, 1) * rpp / rp ** 3
-        if dt == 1 and dr == 1:
-            return s(1, 1) / (tp * rp)
-        raise DomainError(f"unsupported derivative order ({dt}, {dr})")
+        tau, sigma = _compress(t, Lt), _compress(r, Lr)
+        _, tp, tpp = _stretch(tau, Lt)
+        _, rp, rpp = _stretch(sigma, Lr)
+        s10 = self._partial(tau, sigma, 1, 0)
+        s01 = self._partial(tau, sigma, 0, 1)
+        return (self._partial(tau, sigma),
+                s10 / tp,
+                s01 / rp,
+                self._partial(tau, sigma, 2, 0) / tp ** 2 - s10 * tpp / tp ** 3,
+                self._partial(tau, sigma, 0, 2) / rp ** 2 - s01 * rpp / rp ** 3,
+                self._partial(tau, sigma, 1, 1) / (tp * rp))
 
     def far_field_exponent(self) -> float:
         """Fitted log-log decay exponent along the diagonal far field.
@@ -245,7 +237,7 @@ class Profile2D:
         """
         cap = min(self.grid.t_max, self.grid.r_max)
         rho = np.geomspace(cap / 5.0, cap / 1.2, 16)
-        vals = self.eval(rho / math.sqrt(2.0), rho / math.sqrt(2.0))
+        vals = self.eval(rho / math.sqrt(2.0), rho / math.sqrt(2.0))[0]
         good = np.abs(vals) > 1e-300
         if good.sum() < 4:
             return float("nan")
@@ -266,10 +258,12 @@ class Profile2D:
         Lt, Lr = self.grid.map_scale_t, self.grid.map_scale_r
 
         def F(tau, sigma):
-            t = Lt * tau / (1.0 - tau)
-            r = Lr * sigma / (1.0 - sigma)
-            jac = Lt / (1.0 - tau) ** 2 * Lr / (1.0 - sigma) ** 2
-            psi = self._spline(tau, sigma, grid=False)
+            t, tp, _ = _stretch(tau, Lt)
+            r = _stretch(sigma, Lr)[0]
+            # dt/dtau * dr/dsigma, grouped as (dt/dtau * Lr) / (1 - sigma)^2
+            # so that the pairing keeps its rounding
+            jac = tp * Lr / (1.0 - sigma) ** 2
+            psi = self._partial(tau, sigma)
             return psi * source_radial(n, t, r) * r ** (n - 2) * jac
 
         val = panel_gauss_2d(F, self.tau, self.sigma, order=8)
@@ -286,22 +280,27 @@ class Profile2D:
                     fh.write(f"{float(t[i])!r},{float(r[j])!r},{float(self.psi[i, j])!r}\n")
 
 
+def _stretch(s, L):
+    """The compactifying map x = L s/(1-s) and its first two s-derivatives."""
+    q = 1.0 - s
+    return L * s / q, L / q ** 2, 2.0 * L / q ** 3
+
+
+def _compress(x, L):
+    """Inverse of the compactifying map: s = x/(L+x)."""
+    return x / (L + x)
+
+
 def _assemble(n: int, grid: GridConfig):
     """Sparse system (row-equilibrated) for the reduced profile."""
     Nt, Nr = grid.n_t, grid.n_r
     Lt, Lr = grid.map_scale_t, grid.map_scale_r
-    tau_max = grid.t_max / (Lt + grid.t_max)
-    sig_max = grid.r_max / (Lr + grid.r_max)
-    tau = np.linspace(0.0, tau_max, Nt + 1)
-    sigma = np.linspace(0.0, sig_max, Nr + 1)
+    tau = np.linspace(0.0, _compress(grid.t_max, Lt), Nt + 1)
+    sigma = np.linspace(0.0, _compress(grid.r_max, Lr), Nr + 1)
     ht = tau[1] - tau[0]
     hs = sigma[1] - sigma[0]
-    t = Lt * tau / (1.0 - tau)
-    r = Lr * sigma / (1.0 - sigma)
-    tp = Lt / (1.0 - tau) ** 2
-    tpp = 2.0 * Lt / (1.0 - tau) ** 3
-    rp = Lr / (1.0 - sigma) ** 2
-    rpp = 2.0 * Lr / (1.0 - sigma) ** 3
+    t, tp, tpp = _stretch(tau, Lt)
+    r, rp, rpp = _stretch(sigma, Lr)
 
     NJ = Nr + 1
     size = (Nt + 1) * NJ
@@ -503,7 +502,7 @@ def eval_v(sol: CorrectorSolution, t, z) -> np.ndarray:
     """Corrector values at (t, z)."""
     z = np.asarray(z, dtype=float)
     r = np.sqrt(np.sum(z * z, axis=-1))
-    return sol.profile.eval(t, r) * sol.pattern.y_of_z(z)
+    return sol.profile.eval(t, r)[0] * sol.pattern.y_of_z(z)
 
 
 def eval_v_derivatives(sol: CorrectorSolution, t, z):
@@ -519,13 +518,7 @@ def eval_v_derivatives(sol: CorrectorSolution, t, z):
     theta = z / r_safe[:, None]
     Y = sol.pattern.y_of_z(z)
     Sz = z @ S
-    prof = sol.profile
-    p = prof.eval(t, r)
-    p_t = prof.eval(t, r, dt=1)
-    p_r = prof.eval(t, r, dr=1)
-    p_tt = prof.eval(t, r, dt=2)
-    p_rr = prof.eval(t, r, dr=2)
-    p_tr = prof.eval(t, r, dt=1, dr=1)
+    p, p_t, p_r, p_tt, p_rr, p_tr = sol.profile.eval(t, r)
 
     dY = (2.0 * Sz - 2.0 * Y[:, None] * z) / r_safe[:, None] ** 2
     eye = np.eye(n - 1)
@@ -604,22 +597,21 @@ def _pde_residual_offgrid(profile: Profile2D, n: int, n_samples: int, seed: int)
     cap = min(profile.grid.t_max, profile.grid.r_max) / 3.0
     t = 10.0 ** rng.uniform(-1.0, math.log10(cap), n_samples)
     r = 10.0 ** rng.uniform(-1.0, math.log10(cap), n_samples)
-    lhs = (profile.eval(t, r, dt=2) + profile.eval(t, r, dr=2)
-           + (n - 2.0) / r * profile.eval(t, r, dr=1)
-           - 2.0 * (n - 1.0) / r ** 2 * profile.eval(t, r))
+    psi, _, psi_r, psi_tt, psi_rr, _ = profile.eval(t, r)
+    lhs = (psi_tt + psi_rr + (n - 2.0) / r * psi_r
+           - 2.0 * (n - 1.0) / r ** 2 * psi)
     src = source_radial(n, t, r)
-    scale = (np.abs(src) + 2.0 * (n - 1.0) / r ** 2 * np.abs(profile.eval(t, r))
-             + np.abs(profile.eval(t, r, dt=2)) + np.abs(profile.eval(t, r, dr=2)))
+    scale = (np.abs(src) + 2.0 * (n - 1.0) / r ** 2 * np.abs(psi)
+             + np.abs(psi_tt) + np.abs(psi_rr))
     return float(np.max(np.abs(lhs + src) / np.maximum(scale, 1e-300)))
 
 
 def _bc_residual(profile: Profile2D, n: int, n_samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     r = 10.0 ** rng.uniform(-1.0, math.log10(profile.grid.r_max / 3.0), n_samples)
-    t0 = np.zeros_like(r)
-    lhs = profile.eval(t0, r, dt=1) + n / (1.0 + r ** 2) * profile.eval(t0, r)
-    scale = np.abs(profile.eval(t0, r, dt=1)) + n / (1.0 + r ** 2) * np.abs(
-        profile.eval(t0, r))
+    psi, psi_t, *_ = profile.eval(np.zeros_like(r), r)
+    lhs = psi_t + n / (1.0 + r ** 2) * psi
+    scale = np.abs(psi_t) + n / (1.0 + r ** 2) * np.abs(psi)
     return float(np.max(np.abs(lhs) / np.maximum(scale, 1e-300)))
 
 

@@ -284,19 +284,12 @@ def cutoff_chi(s, order: int = 0) -> np.ndarray:
 
 def _chi_tr(t, r, delta):
     """Cutoff in bubble coordinates (support rho <= 1/delta) and its exact
-    (t, r) partial derivatives up to second order."""
+    first (t, r) partial derivatives."""
     rho = np.sqrt(t * t + r * r)
     rho_safe = np.maximum(rho, 1e-300)
     s = delta * rho
-    c = cutoff_chi(s)
     c1 = cutoff_chi(s, 1) * delta
-    c2 = cutoff_chi(s, 2) * delta * delta
-    ct = c1 * t / rho_safe
-    cr = c1 * r / rho_safe
-    ctt = c2 * (t / rho_safe) ** 2 + c1 * (r * r) / rho_safe ** 3
-    crr = c2 * (r / rho_safe) ** 2 + c1 * (t * t) / rho_safe ** 3
-    ctr = (c2 - c1 / rho_safe) * t * r / rho_safe ** 2
-    return c, ct, cr, ctt, crr, ctr
+    return cutoff_chi(s), c1 * t / rho_safe, c1 * r / rho_safe
 
 
 def _angular_coefficients(point: CurvaturePoint):
@@ -342,7 +335,7 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
     def boundary_parts(r):
         u = eval_U_tr(n, np.zeros_like(r), r)
         chi = cutoff_chi(delta * r)
-        psi = prof.eval(np.zeros_like(r), r)
+        psi = prof.eval(np.zeros_like(r), r)[0]
         uc = u * chi
         vc = psi * chi
         w = r ** (n - 2)
@@ -368,20 +361,18 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
     # Taylor validity: the corrector perturbation must stay below half the
     # profile on the boundary support
     r_probe = np.geomspace(1e-2, cap, 200)
-    ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe))
+    ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe)[0])
              * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
              / eval_U_tr(n, np.zeros_like(r_probe), r_probe))
     ratio_max = float(np.max(ratio))
 
     # --- 2D integrals ---
     def bulk(t, r):
-        chi, ct, cr, *_ = _chi_tr(t, r, delta)
+        chi, ct, cr = _chi_tr(t, r, delta)
         u = eval_U_tr(n, t, r)
         u_t = eval_U_dt_tr(n, t, r)
         u_r = eval_U_dr_tr(n, t, r)
-        psi = prof.eval(t, r)
-        psi_t = prof.eval(t, r, dt=1)
-        psi_r = prof.eval(t, r, dr=1)
+        psi, psi_t, psi_r, *_ = prof.eval(t, r)
         uc_r = u_r * chi + u * cr
         uc_t = u_t * chi + u * ct
         vc = psi * chi
@@ -396,8 +387,7 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
         dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + grad_moment * (vc / r_safe) ** 2
         return np.stack([cross_S * w, cross_flat * w, dir_core * w])
 
-    T, R = np.meshgrid(nodes, nodes, indexing="ij")
-    vals = bulk(T.ravel(), R.ravel()).reshape(3, nodes.size, nodes.size)
+    vals = bulk(nodes[:, None], nodes[None, :])
     totals = (vals @ weights) @ weights
     L2 = delta ** 4 * (totals[0] + totals[1])
     L3 = 0.5 * delta ** 4 * totals[2]

@@ -281,7 +281,8 @@ def panel_gauss_2d(F, x_edges: np.ndarray, y_edges: np.ndarray, order: int = 12)
     """Composite tensor Gauss-Legendre quadrature on a fixed panel grid.
 
     Used for smooth grid-aligned integrands (profile energies) where
-    adaptivity is unnecessary; F is vectorized over flat arrays.
+    adaptivity is unnecessary; F receives a column of x nodes and a row of
+    y nodes and returns its values on their tensor grid.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
     xm = 0.5 * (x_edges[:-1] + x_edges[1:])
@@ -292,9 +293,7 @@ def panel_gauss_2d(F, x_edges: np.ndarray, y_edges: np.ndarray, order: int = 12)
     ys = (ym[:, None] + yh[:, None] * nodes[None, :]).ravel()
     wx = (xh[:, None] * weights[None, :]).ravel()
     wy = (yh[:, None] * weights[None, :]).ravel()
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = F(X.ravel(), Y.ravel()).reshape(X.shape)
-    return float(wx @ vals @ wy)
+    return float(wx @ F(xs[:, None], ys[None, :]) @ wy)
 
 
 # ---------------------------------------------------------------------------

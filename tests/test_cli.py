@@ -337,6 +337,26 @@ class TestExitCodes:
         code = cli.main(["--out-dir", str(wall / "sub"), "moments"])
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["reduce", "family"])
+    def test_missing_coefficients_file_is_exit_4(self, tmp_path, command):
+        missing = tmp_path / "no" / "such.csv"
+        code = run(tmp_path, command, "--coefficients", str(missing))
+        assert code == 4
+        # failed on the named file, without recomputing phi in its place
+        assert not (tmp_path / "coefficients.csv").exists()
+        assert not (tmp_path / "reduction.json").exists()
+
+    def test_non_numeric_phi_is_exit_2(self, tmp_path):
+        coeffs = tmp_path / "coefficients.csv"
+        assert run(tmp_path, "phi") == 0
+        lines = coeffs.read_text().splitlines()
+        parts = lines[1].split(",")
+        parts[lines[0].split(",").index("phi")] = "abc"
+        lines[1] = ",".join(parts)
+        coeffs.write_text("\n".join(lines) + "\n")
+        assert run(tmp_path, "reduce") == 2
+        assert not (tmp_path / "reduction.json").exists()
+
     def test_curvature_dimension_mismatch_is_exit_2(self, tmp_path):
         k = 8
         point = CurvaturePoint(

@@ -261,6 +261,118 @@ class TestSolveProfile:
         assert e_rich <= 0.25 * e_plain
 
 
+def jet_by_dispatch(prof, t, r):
+    """Reference for Profile2D.eval: the former one-derivative-per-call
+    dispatch, each (dt, dr) mapping (t, r) again and evaluating its spline
+    partials on its own."""
+    Lt, Lr = prof.grid.map_scale_t, prof.grid.map_scale_r
+
+    def one(dt, dr):
+        tau = t / (Lt + t)
+        sigma = r / (Lr + r)
+        tp = Lt / (1.0 - tau) ** 2
+        tpp = 2.0 * Lt / (1.0 - tau) ** 3
+        rp = Lr / (1.0 - sigma) ** 2
+        rpp = 2.0 * Lr / (1.0 - sigma) ** 3
+
+        def s(dx, dy):
+            return prof._spline(tau.ravel(), sigma.ravel(), dx=dx, dy=dy,
+                                grid=False).reshape(tau.shape)
+
+        if dt == 0 and dr == 0:
+            return s(0, 0)
+        if dt == 1 and dr == 0:
+            return s(1, 0) / tp
+        if dt == 0 and dr == 1:
+            return s(0, 1) / rp
+        if dt == 2 and dr == 0:
+            return s(2, 0) / tp ** 2 - s(1, 0) * tpp / tp ** 3
+        if dt == 0 and dr == 2:
+            return s(0, 2) / rp ** 2 - s(0, 1) * rpp / rp ** 3
+        return s(1, 1) / (tp * rp)
+
+    return tuple(one(dt, dr) for dt, dr in
+                 ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
+
+
+def overlap_by_meshgrid(prof, order=8):
+    """Reference for Profile2D.source_overlap: the panel Gauss rule on a
+    flattened meshgrid of its nodes, one scattered spline call."""
+    n = prof.n
+    Lt, Lr = prof.grid.map_scale_t, prof.grid.map_scale_r
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    mid = lambda e: 0.5 * (e[:-1] + e[1:])
+    half = lambda e: 0.5 * (e[1:] - e[:-1])
+    xs = (mid(prof.tau)[:, None] + half(prof.tau)[:, None] * nodes).ravel()
+    ys = (mid(prof.sigma)[:, None] + half(prof.sigma)[:, None] * nodes).ravel()
+    wx = (half(prof.tau)[:, None] * weights).ravel()
+    wy = (half(prof.sigma)[:, None] * weights).ravel()
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    tau, sigma = X.ravel(), Y.ravel()
+    t = Lt * tau / (1.0 - tau)
+    r = Lr * sigma / (1.0 - sigma)
+    jac = Lt / (1.0 - tau) ** 2 * Lr / (1.0 - sigma) ** 2
+    psi = prof._spline(tau, sigma, grid=False)
+    vals = psi * source_radial(n, t, r) * r ** (n - 2) * jac
+    return float(wx @ vals.reshape(X.shape) @ wy)
+
+
+JET_GRID = GridConfig(n_t=32, n_r=40, t_max=30.0, r_max=30.0)
+
+
+@pytest.fixture(scope="module", params=[(11, False), (11, True),
+                                        (15, False), (15, True)],
+                ids=["n11", "n11-richardson", "n15", "n15-richardson"])
+def jet_profile(request):
+    n, rich = request.param
+    solver = richardson_profile if rich else solve_profile
+    return solver(n, JET_GRID)[0]
+
+
+class TestProfileJet:
+    # nodes, the axis, the boundary line and far-field points
+    t_col = np.concatenate([[0.0, 1e-12, 1e-6], np.geomspace(1e-3, 29.0, 37)])
+    r_row = np.concatenate([[0.0, 1e-12, 1e-6], np.geomspace(1e-3, 29.0, 41)])
+
+    def test_scattered_matches_dispatch(self, jet_profile):
+        rng = np.random.default_rng(5)
+        t = np.concatenate([np.zeros(20), 10.0 ** rng.uniform(-3, 1.4, 200)])
+        r = np.concatenate([10.0 ** rng.uniform(-12, -3, 20),
+                            10.0 ** rng.uniform(-3, 1.4, 200)])
+        t[25:30] = 0.0  # the boundary line away from the axis
+        got = jet_profile.eval(t, r)
+        ref = jet_by_dispatch(jet_profile, t, r)
+        assert len(got) == 6
+        for g, w in zip(got, ref):
+            np.testing.assert_array_equal(g, w)
+        # 2-D inputs keep their shape
+        for g, w in zip(jet_profile.eval(t.reshape(20, 11), r.reshape(20, 11)),
+                        ref):
+            np.testing.assert_array_equal(g, w.reshape(20, 11))
+
+    def test_tensor_grid_matches_scattered(self, jet_profile):
+        T, R = np.meshgrid(self.t_col, self.r_row, indexing="ij")
+        grid = jet_profile.eval(self.t_col[:, None], self.r_row[None, :])
+        flat = jet_profile.eval(T, R)
+        for g, f in zip(grid, flat):
+            assert g.shape == T.shape
+            np.testing.assert_array_equal(g, f)
+        # a descending column is not a tensor grid for the spline, yet
+        # still evaluates point by point to the same values
+        back = jet_profile.eval(self.t_col[::-1, None], self.r_row[None, :])
+        for b, f in zip(back, flat):
+            np.testing.assert_array_equal(b, f[::-1])
+
+    def test_scalar_broadcasts(self, jet_profile):
+        got = jet_profile.eval(0.0, self.r_row)
+        ref = jet_profile.eval(np.zeros_like(self.r_row), self.r_row)
+        for g, w in zip(got, ref):
+            np.testing.assert_array_equal(g, w)
+
+    def test_source_overlap_matches_meshgrid(self, jet_profile):
+        assert jet_profile.source_overlap() == overlap_by_meshgrid(jet_profile)
+
+
 # ---------------------------------------------------------------------------
 # Full corrector field
 

@@ -347,7 +347,7 @@ def _ref_identity_terms(point, sol, delta, panels=40, order=10):
     def boundary_parts(r):
         u = eval_U_tr(n, np.zeros_like(r), r)
         chi = cutoff_chi(delta * r)
-        psi = prof.eval(np.zeros_like(r), r)
+        psi = prof.eval(np.zeros_like(r), r)[0]
         uc = u * chi
         vc = psi * chi
         w = r ** (n - 2)
@@ -368,18 +368,16 @@ def _ref_identity_terms(point, sol, delta, panels=40, order=10):
         - (c_n * p * (p - 1.0) * (p - 2.0) / 6.0) * delta ** 6 * cY3 * R3
 
     r_probe = np.geomspace(1e-2, cap, 200)
-    ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe))
+    ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe)[0])
              * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
              / eval_U_tr(n, np.zeros_like(r_probe), r_probe))
 
     def bulk(t, r):
-        chi, ct, cr, *_ = _chi_tr(t, r, delta)
+        chi, ct, cr = _chi_tr(t, r, delta)
         u = eval_U_tr(n, t, r)
         u_t = eval_U_dt_tr(n, t, r)
         u_r = eval_U_dr_tr(n, t, r)
-        psi = prof.eval(t, r)
-        psi_t = prof.eval(t, r, dt=1)
-        psi_r = prof.eval(t, r, dr=1)
+        psi, psi_t, psi_r, *_ = prof.eval(t, r)
         uc_r = u_r * chi + u * cr
         uc_t = u_t * chi + u * ct
         vc = psi * chi
