@@ -506,46 +506,32 @@ def eval_v(sol: CorrectorSolution, t, z) -> np.ndarray:
 
 
 def eval_v_derivatives(sol: CorrectorSolution, t, z):
-    """(value, gradient, Hessian) of the corrector, derivative slots ordered
-    (z_1..z_{n-1}, t) as in the profile module."""
-    n = sol.point.n
+    """The corrector's jet in span form: (v, v_t, a, b, c, e, lap).
+
+    v = psi(t, r) Y depends on z only through r^2 and z.Sz, so its spatial
+    gradient is a z + b Sz and its spatial Hessian is
+    a I + b S + c z z^T + e (z (Sz)^T + (Sz) z^T), with S the pattern
+    matrix; v_t is the t-derivative and lap the full Laplacian (spatial
+    trace plus v_tt).  Every array has the shape of t.
+    """
     S = sol.pattern.S
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    B = z.shape[0]
     r = np.sqrt(np.sum(z * z, axis=-1))
     r_safe = np.maximum(r, 1e-9)
-    theta = z / r_safe[:, None]
     Y = sol.pattern.y_of_z(z)
-    Sz = z @ S
-    p, p_t, p_r, p_tt, p_rr, p_tr = sol.profile.eval(t, r)
-
-    dY = (2.0 * Sz - 2.0 * Y[:, None] * z) / r_safe[:, None] ** 2
-    eye = np.eye(n - 1)
-    d2Y = (2.0 * S[None] / r_safe[:, None, None] ** 2
-           - 4.0 * (Sz[:, :, None] * z[:, None, :] + Sz[:, None, :] * z[:, :, None])
-           / r_safe[:, None, None] ** 4
-           - 2.0 * Y[:, None, None] * eye[None] / r_safe[:, None, None] ** 2
-           + 8.0 * Y[:, None, None] * z[:, :, None] * z[:, None, :]
-           / r_safe[:, None, None] ** 4)
-
-    val = p * Y
-    grad = np.empty((B, n))
-    grad[:, : n - 1] = p_r[:, None] * theta * Y[:, None] + p[:, None] * dY
-    grad[:, n - 1] = p_t * Y
-    hess = np.empty((B, n, n))
-    tt = theta[:, :, None] * theta[:, None, :]
-    hess[:, : n - 1, : n - 1] = (
-        p_rr[:, None, None] * tt * Y[:, None, None]
-        + p_r[:, None, None] * (eye[None] - tt) / r_safe[:, None, None] * Y[:, None, None]
-        + p_r[:, None, None] * (theta[:, :, None] * dY[:, None, :]
-                                + theta[:, None, :] * dY[:, :, None])
-        + p[:, None, None] * d2Y)
-    cross = p_tr[:, None] * theta * Y[:, None] + p_t[:, None] * dY
-    hess[:, : n - 1, n - 1] = cross
-    hess[:, n - 1, : n - 1] = cross
-    hess[:, n - 1, n - 1] = p_tt * Y
-    return val, grad, hess
+    p, p_t, p_r, p_tt, p_rr, _ = sol.profile.eval(t, r)
+    ir = 1.0 / r_safe
+    ir2 = ir * ir
+    b = 2.0 * p * ir2
+    a = (p_r * ir - b) * Y
+    c = (p_rr * ir2 - 5.0 * p_r * ir2 * ir + 4.0 * b * ir2) * Y
+    e = (2.0 * p_r * ir - 2.0 * b) * ir2
+    # Y is a degree-2 harmonic on the sphere: eigenvalue 2m, m = n - 1
+    m = sol.point.n - 1
+    lap = ((p_tt + p_rr + (m - 1) * p_r * ir - m * b) * Y
+           + float(np.trace(S)) * b)
+    return p * Y, p_t * Y, a, b, c, e, lap
 
 
 # ---------------------------------------------------------------------------

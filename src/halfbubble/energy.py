@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubble import (
-    eval_U,
-    eval_U_dr_tr,
-    eval_U_dt_tr,
-    eval_U_grad,
-    eval_U_hess,
-    eval_U_tr,
-)
+from .bubble import eval_U_dr_tr, eval_U_dt_tr, eval_U_tr
 from .corrector import CorrectorSolution, eval_v_derivatives
 from .errors import BudgetError, DomainError, ValidationFailure
 from .geometry import CurvaturePoint, MetricExpansion, eval_metric_inverse, \
@@ -461,27 +454,45 @@ def _cutoff_shell(n: int, delta: float, t_all: np.ndarray, z_all: np.ndarray):
     """Samples inside the cutoff support rho < 1/delta (bubble coordinates)
     and the cutoff's jets there.
 
-    Returns (keep, t, z, chi, grad_chi, lap_chi, hess_chi): the mask over
-    the input samples, the kept samples, and chi(delta rho) with its
-    gradient, Laplacian and Hessian in the slot order (z_1..z_{n-1}, t).
+    Returns (keep, t, z, rr, cut): the mask over the input samples, the
+    kept samples with rr = |z|^2, and cut = (chi, c1, c2, lap_chi): chi(delta
+    rho), whose gradient is c1 x and Hessian c1 I + c2 x x^T at x = (z, t),
+    and its Laplacian.
     """
-    keep = delta * np.sqrt(t_all * t_all + np.sum(z_all * z_all, axis=1)) < 1.0
-    t, z = t_all[keep], z_all[keep]
-    x = np.concatenate([z, t[:, None]], axis=1)
-    rho = np.sqrt(np.sum(x * x, axis=1))
+    rr_all = np.sum(z_all * z_all, axis=1)
+    keep = delta * np.sqrt(t_all * t_all + rr_all) < 1.0
+    t, z, rr = t_all[keep], z_all[keep], rr_all[keep]
+    rho = np.sqrt(rr + t * t)
     rho_safe = np.maximum(rho, 1e-8)
-    xhat = x / rho_safe[:, None]
     s = delta * rho
-    chi = cutoff_chi(s)
     chi1 = cutoff_chi(s, 1) * delta
     chi2 = cutoff_chi(s, 2) * delta * delta
-    grad_chi = chi1[:, None] * xhat
-    lap_chi = chi2 + chi1 * (n - 1.0) / rho_safe
-    eye = np.eye(n)
-    hess_chi = (chi2[:, None, None] * xhat[:, :, None] * xhat[:, None, :]
-                + (chi1 / rho_safe)[:, None, None]
-                * (eye[None] - xhat[:, :, None] * xhat[:, None, :]))
-    return keep, t, z, chi, grad_chi, lap_chi, hess_chi
+    c1 = chi1 / rho_safe
+    return keep, t, z, rr, (cutoff_chi(s), c1, (chi2 - c1) / (rho_safe * rho_safe),
+                            chi2 + chi1 * (n - 1.0) / rho_safe)
+
+
+def _bubble_jet(n: int, t: np.ndarray, rr: np.ndarray):
+    """U = Q^(-s/2), Q = (1+t)^2 + rr, s = n - 2, in the span form of
+    eval_v_derivatives: gradient u1 w and Hessian u1 I + u2 w w^T at
+    w = (z, 1 + t), and Laplacian 0 (U is harmonic)."""
+    s = n - 2.0
+    Q = (1.0 + t) ** 2 + rr
+    u1 = -s * Q ** (-(s + 2) / 2.0)
+    return (Q ** (-s / 2.0), u1 * (1.0 + t), u1, 0.0,
+            s * (s + 2) * Q ** (-(s + 4) / 2.0), 0.0, 0.0)
+
+
+def _dress(jet, cut, t, rr, zSz):
+    """chi f from the span-form jet (f, f_t, a, b, c, e, lap f) of f (see
+    eval_v_derivatives): (lap, k_I, k_S, k_zz, k_sym), with spatial
+    gradient k_I z + k_S Sz and spatial Hessian
+    k_I I + k_S S + k_zz z z^T + k_sym (z (Sz)^T + (Sz) z^T)."""
+    f, f_t, a, b, c, e, lap_f = jet
+    chi, c1, c2, lap_chi = cut
+    lap = chi * lap_f + 2.0 * c1 * (a * rr + b * zSz + f_t * t) + f * lap_chi
+    return (lap, chi * a + f * c1, chi * b, chi * c + 2.0 * a * c1 + f * c2,
+            chi * e + b * c1)
 
 
 def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
@@ -491,55 +502,48 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
     bubble (plus corrector), in bubble coordinates.
 
     The delta-prefactors of the L^{2n/(n+2)} norm cancel exactly in these
-    coordinates, so the norm of F is the reported residual norm.
+    coordinates, so the norm of F is the reported residual norm.  With
+    W = chi (U + delta^2 v) and g = Minv - I the spatial block,
+
+        F = lap W + g : Hess_z W + delta div . grad_z W.
+
+    U and chi depend on z only through |z|^2, and v = psi Y only through
+    |z|^2 and z.Sz (S the pattern matrix).  So grad_z W lies in
+    span{z, Sz} and Hess_z W in span{I, S, z z^T, z (Sz)^T + (Sz) z^T},
+    the coefficient of I being that of z and the coefficient of S that of
+    Sz; F is lap W plus those coefficients times four invariants of g --
+    tr g, g : S, z.gz and z.g(Sz) + (Sz).gz (both orders, so g need not be
+    symmetric) -- and times div.z and div.Sz.  No n x n Hessian is formed.
     """
     n = point.n
     m = n - 1
+    S = sol.pattern.S
 
     def F(t_all, z_all):
         out_all = np.zeros(t_all.shape[0])
-        keep, t, z, chi, grad_chi, lap_chi, hess_chi = _cutoff_shell(
-            n, delta, t_all, z_all)
+        keep, t, z, rr, cut = _cutoff_shell(n, delta, t_all, z_all)
         if not keep.any():
             return out_all
-        B = t.shape[0]
-
-        u = eval_U(n, t, z)
-        gu = eval_U_grad(n, t, z)
-        hu = eval_U_hess(n, t, z)
-
-        # laplacian of U*chi: U is harmonic, only shell terms survive
-        lap_W = u * lap_chi + 2.0 * np.einsum("bi,bi->b", gu, grad_chi)
-        hess_W = (chi[:, None, None] * hu
-                  + gu[:, :, None] * grad_chi[:, None, :]
-                  + grad_chi[:, :, None] * gu[:, None, :]
-                  + u[:, None, None] * hess_chi)
-        grad_W = chi[:, None] * gu + u[:, None] * grad_chi
-
+        jet = _bubble_jet(n, t, rr)
+        zSz = 0.0
         if include_v:
-            v, gv, hv = eval_v_derivatives(sol, t, z)
-            lap_v = np.einsum("bii->b", hv)
-            lap_V = (chi * lap_v + 2.0 * np.einsum("bi,bi->b", gv, grad_chi)
-                     + v * lap_chi)
-            hess_V = (chi[:, None, None] * hv
-                      + gv[:, :, None] * grad_chi[:, None, :]
-                      + grad_chi[:, :, None] * gv[:, None, :]
-                      + v[:, None, None] * hess_chi)
-            grad_V = chi[:, None] * gv + v[:, None] * grad_chi
-        else:
-            lap_V = np.zeros(B)
-            hess_V = np.zeros((B, n, n))
-            grad_V = np.zeros((B, n))
+            Sz = z @ S
+            zSz = np.sum(z * Sz, axis=1)
+            jet = [f + delta * delta * h
+                   for f, h in zip(jet, eval_v_derivatives(sol, t, z))]
+        lap, k_I, k_S, k_zz, k_sym = _dress(jet, cut, t, rr, zSz)
 
-        d2 = delta * delta
-        Minv = eval_metric_inverse(me, delta * t, delta * z) - np.eye(m)
+        g = eval_metric_inverse(me, delta * t, delta * z) - np.eye(m)
         div = metric_divergence(me, delta * t, delta * z)
-
-        total_hess = hess_W + d2 * hess_V
-        total_grad = grad_W + d2 * grad_V
-        out = lap_W + d2 * lap_V
-        out += np.einsum("bij,bij->b", Minv, total_hess[:, :m, :m])
-        out += delta * np.einsum("bj,bj->b", div, total_grad[:, :m])
+        gz = np.matmul(g, z[:, :, None])[:, :, 0]
+        out = (lap + k_zz * np.sum(z * gz, axis=1)
+               + k_I * (np.trace(g, axis1=1, axis2=2)
+                        + delta * np.sum(div * z, axis=1)))
+        if include_v:
+            gSz = np.matmul(g, Sz[:, :, None])[:, :, 0]
+            out += (k_S * (g.reshape(-1, m * m) @ S.ravel()
+                           + delta * np.sum(div * Sz, axis=1))
+                    + k_sym * np.sum(z * gSz + Sz * gz, axis=1))
         out_all[keep] = out
         return out_all
 
@@ -637,31 +641,42 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
                            extras=extras)
 
 
+def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,
+                        delta: float):
+    """The two terms the cancellation diagnostics compare, as one (2, B)
+    integrand: delta^2 lap(chi v), and chi g2 : Hess_z U with g2 the
+    degree-2 part of Minv - I, which is chi (u1 tr g2 + u2 z.g2 z)."""
+    n = sol.point.n
+
+    def parts(t_all, z_all):
+        out = np.zeros((2, t_all.shape[0]))
+        keep, t, z, rr, cut = _cutoff_shell(n, delta, t_all, z_all)
+        if keep.any():
+            zSz = np.sum(z * (z @ sol.pattern.S), axis=1)
+            lap_V = _dress(eval_v_derivatives(sol, t, z), cut, t, rr, zSz)[0]
+            out[0, keep] = delta * delta * lap_V
+            _, _, u1, _, u2, _, _ = _bubble_jet(n, t, rr)
+            g2 = eval_metric_inverse(me, delta * t, delta * z,
+                                     through_degree=2) - np.eye(n - 1)
+            zg2z = np.sum(z * np.matmul(g2, z[:, :, None])[:, :, 0], axis=1)
+            out[1, keep] = cut[0] * (u1 * np.trace(g2, axis1=1, axis2=2)
+                                     + u2 * zg2z)
+        return out
+
+    return parts
+
+
 def _cancellation_norms(point, sol, me, delta, p, n_samples, seed,
                         t_scale, z_scale):
     """L^p norms of the corrector's flat Laplacian, the metric quadratic
     term on the bubble, and their sum (chi-dressed), from one set of
     samples: (sum, corrector alone, metric alone)."""
-    n = point.n
-    m = n - 1
+    parts = _cancellation_parts(sol, me, delta)
 
     def powers(t_all, z_all):
-        parts = np.zeros((2, t_all.shape[0]))
-        keep, t, z, chi, grad_chi, lap_chi, _ = _cutoff_shell(n, delta, t_all, z_all)
-        if keep.any():
-            v, gv, hv = eval_v_derivatives(sol, t, z)
-            lap_v = np.einsum("bii->b", hv)
-            lap_V = chi * lap_v + 2.0 * np.einsum("bi,bi->b", gv, grad_chi) \
-                + v * lap_chi
-            parts[0, keep] = delta * delta * lap_V
-
-            hu = eval_U_hess(n, t, z)
-            M2 = eval_metric_inverse(me, delta * t, delta * z,
-                                     through_degree=2) - np.eye(m)
-            parts[1, keep] = chi * np.einsum("bij,bij->b", M2, hu[:, :m, :m])
-        tv, tm = parts
+        tv, tm = parts(t_all, z_all)
         return np.abs(np.stack([tv + tm, tv, tm])) ** p
 
-    ests = mc_halfspace(n, powers, n_samples=n_samples, seed=seed,
+    ests = mc_halfspace(point.n, powers, n_samples=n_samples, seed=seed,
                         t_scale=t_scale, z_scale=z_scale)
     return tuple(est.mean ** (1.0 / p) for est in ests)

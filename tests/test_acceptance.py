@@ -15,7 +15,7 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from halfbubble import cli
-from halfbubble.bubble import check_bubble_residual
+from halfbubble.bubble import check_bubble_residual, eval_U_grad
 from halfbubble.corrector import (
     GridConfig,
     check_solvability,
@@ -28,7 +28,6 @@ from halfbubble.energy import (
     compute_B,
     compute_G_terms,
     compute_phi,
-    eval_U_grad,
     residual_slope,
     verify_A4_L2_L3_identity,
 )

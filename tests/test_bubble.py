@@ -4,7 +4,8 @@ cross-checks of every derivative order, and the residual suites."""
 import numpy as np
 import pytest
 
-from halfbubble.bubble import (BubbleParams, boundary_residual, check_bubble_residual,
+from halfbubble.bubble import (BubbleParams, BubbleResidualReport, boundary_residual,
+                               check_bubble_residual,
                                eval_kernel, eval_kernel_dt, eval_U, eval_U_dr_tr,
                                eval_U_dt_tr, eval_U_grad, eval_U_hess, eval_U_scaled,
                                eval_U_third, eval_U_tr, interior_residual,
@@ -155,9 +156,10 @@ class TestKernel:
     def test_kernel_dt_fd(self):
         n = self.n
         t, z = sample_points(n, 25, 10)
+        dt = eval_kernel_dt(n, t, z)
         for b in (1, 5, n):
             fd = central_diff(lambda h: eval_kernel(n, b, t + h, z), 0.0)
-            assert np.allclose(eval_kernel_dt(n, b, t, z), fd, rtol=1e-7, atol=1e-12)
+            assert np.allclose(dt[:, b - 1], fd, rtol=1e-7, atol=1e-12)
 
     def test_kernel_harmonic(self):
         n = self.n
@@ -165,21 +167,106 @@ class TestKernel:
         Q = shifted_radius_sq(t, z)
         s = float(n - 2)
         scale = s * (s + 2) * (s + 4) * Q ** (-(s + 3) / 2.0) * np.sqrt(Q) ** 0
+        laps = kernel_laplacian(n, t, z)
         for b in (1, 7, n):
-            lap = kernel_laplacian(n, b, t, z)
+            lap = laps[:, b - 1]
             assert np.max(np.abs(lap / scale)) < 1e-12
 
     def test_kernel_boundary_pair(self):
         n = self.n
         _, z = sample_points(n, 60, 12)
+        res = kernel_boundary_residual(n, z)
         for b in (2, n):
-            assert np.max(np.abs(kernel_boundary_residual(n, b, z))) < 1e-12
+            assert np.max(np.abs(res[:, b - 1])) < 1e-12
 
     def test_bad_index(self):
         with pytest.raises(DomainError):
             eval_kernel(11, 0, 0.0, np.zeros(10))
         with pytest.raises(DomainError):
             eval_kernel(11, 12, 0.0, np.zeros(10))
+
+
+# ---------------------------------------------------------------------------
+# Per-kernel-element reference: one derivative stack per element b, as the
+# residual check assembled it before the stack was shared across b.
+
+
+def _ref_kernel_dt(n, b, t, z):
+    grad = eval_U_grad(n, t, z)
+    hess = eval_U_hess(n, t, z)
+    if b <= n - 1:
+        return hess[..., b - 1, n - 1]
+    s = n - 2.0
+    zdot = np.einsum("...i,...i->...", np.asarray(z, dtype=float), hess[..., : n - 1, n - 1])
+    return (s / 2.0) * grad[..., n - 1] + zdot + grad[..., n - 1] + t * hess[..., n - 1, n - 1]
+
+
+def _ref_kernel_laplacian(n, b, t, z):
+    third = eval_U_third(n, t, z)
+    lap_grad = np.einsum("...aab->...b", third)
+    if b <= n - 1:
+        return lap_grad[..., b - 1]
+    hess = eval_U_hess(n, t, z)
+    lap_U = np.einsum("...aa->...", hess)
+    y = np.concatenate([z, (1.0 + t)[..., None]], axis=-1)
+    y[..., n - 1] -= 1.0  # y = (z, t)
+    s = n - 2.0
+    return (s / 2.0) * lap_U + 2.0 * lap_U + np.einsum("...b,...b->...", y, lap_grad)
+
+
+def _ref_kernel_boundary_residual(n, b, z):
+    t0 = np.zeros(z.shape[:-1])
+    jb = eval_kernel(n, b, t0, z)
+    djb = _ref_kernel_dt(n, b, t0, z)
+    coupling = n * eval_U(n, t0, z) ** (2.0 / (n - 2.0))
+    scale = np.maximum(np.abs(djb), np.abs(coupling * jb))
+    scale = np.where(scale > 0, scale, 1.0)
+    return (djb + coupling * jb) / scale
+
+
+def _ref_check_bubble_residual(n, n_points, seed):
+    """check_bubble_residual with the per-b loop."""
+    rng = np.random.default_rng(seed)
+    radii = 10.0 ** rng.uniform(-3.0, 4.0, n_points)
+    t_frac = rng.uniform(0.0, 1.0, n_points)
+    t = radii * t_frac
+    dirs = rng.standard_normal((n_points, n - 1))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    z = dirs * (radii * np.sqrt(1.0 - t_frac ** 2))[:, None]
+    Q = shifted_radius_sq(t, z)
+    s = float(n - 2)
+    base = s * (s + 2) * (s + 4)
+    kern_int = 0.0
+    kern_bd = 0.0
+    for b in range(1, n + 1):
+        lap = _ref_kernel_laplacian(n, b, t, z)
+        scale = base * Q ** (-(s + 2 if b == n else s + 3) / 2.0)
+        kern_int = max(kern_int, float(np.max(np.abs(lap / scale))))
+        kern_bd = max(kern_bd, float(np.max(np.abs(_ref_kernel_boundary_residual(n, b, z)))))
+    return BubbleResidualReport(
+        n=n, n_points=n_points,
+        interior_max=float(np.max(np.abs(interior_residual(n, t, z)))),
+        boundary_max=float(np.max(np.abs(boundary_residual(n, z)))),
+        kernel_interior_max=kern_int, kernel_boundary_max=kern_bd)
+
+
+class TestSharedStack:
+    @pytest.mark.parametrize("n", [11, 15])
+    def test_slices_match_per_element_stacks(self, n):
+        t, z = sample_points(n, 500, 21)
+        t[:50] = 0.0
+        dt = eval_kernel_dt(n, t, z)
+        lap = kernel_laplacian(n, t, z)
+        bdry = kernel_boundary_residual(n, z)
+        for b in range(1, n + 1):
+            assert np.array_equal(dt[:, b - 1], _ref_kernel_dt(n, b, t, z))
+            assert np.array_equal(lap[:, b - 1], _ref_kernel_laplacian(n, b, t, z))
+            assert np.array_equal(bdry[:, b - 1], _ref_kernel_boundary_residual(n, b, z))
+
+    @pytest.mark.parametrize("n", [11, 15])
+    def test_report_matches_per_element_loop(self, n):
+        assert check_bubble_residual(n, n_points=1000, seed=1) \
+            == _ref_check_bubble_residual(n, 1000, 1)
 
 
 class TestScaledFamily:

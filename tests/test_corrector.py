@@ -406,11 +406,24 @@ class TestCorrectorField:
 
     def test_derivatives_match_fd(self):
         sol = solve_vq(generate_sample(11, seed=3))
+        S = sol.pattern.S
         rng = np.random.default_rng(5)
         t = rng.uniform(0.5, 3.0, 6)
         z = rng.standard_normal((6, 10)) * 1.5
-        val, grad, hess = eval_v_derivatives(sol, t, z)
+
+        def gradient(t, z):
+            # (z_1..z_10, t) gradient rebuilt from the span form a z + b Sz
+            v, v_t, a, b, *_ = eval_v_derivatives(sol, t, z)
+            return np.column_stack([a[:, None] * z + b[:, None] * (z @ S), v_t])
+
+        val, _, a, b, c, e, lap = eval_v_derivatives(sol, t, z)
         np.testing.assert_allclose(val, eval_v(sol, t, z), rtol=1e-12)
+        grad = gradient(t, z)
+        Sz = z @ S
+        hess = (a[:, None, None] * np.eye(10) + b[:, None, None] * S
+                + c[:, None, None] * z[:, :, None] * z[:, None, :]
+                + e[:, None, None] * (z[:, :, None] * Sz[:, None, :]
+                                      + Sz[:, :, None] * z[:, None, :]))
         h = 1e-5
         for k in range(11):
             dt = h if k == 10 else 0.0
@@ -421,10 +434,13 @@ class TestCorrectorField:
             vm = eval_v(sol, t - dt, z - dz)
             fd = (vp - vm) / (2 * h)
             np.testing.assert_allclose(grad[:, k], fd, rtol=5e-5, atol=1e-10)
-            vpp = eval_v_derivatives(sol, t + dt, z + dz)[1]
-            vmm = eval_v_derivatives(sol, t - dt, z - dz)[1]
-            fd2 = (vpp - vmm) / (2 * h)
-            np.testing.assert_allclose(hess[:, :, k], fd2, rtol=5e-4, atol=1e-8)
+            fd2 = (gradient(t + dt, z + dz) - gradient(t - dt, z - dz)) / (2 * h)
+            if k < 10:
+                np.testing.assert_allclose(hess[:, :, k], fd2[:, :10], rtol=5e-4, atol=1e-8)
+            else:
+                v_tt = fd2[:, 10]
+        np.testing.assert_allclose(lap, np.trace(hess, axis1=1, axis2=2) + v_tt,
+                                   rtol=5e-4, atol=1e-8)
 
     def test_boundary_condition_full_field(self):
         n = 11
@@ -432,10 +448,10 @@ class TestCorrectorField:
         rng = np.random.default_rng(9)
         z = rng.standard_normal((40, n - 1)) * 2
         t0 = np.zeros(40)
-        val, grad, _ = eval_v_derivatives(sol, t0, z)
+        val, v_t, *_ = eval_v_derivatives(sol, t0, z)
         u = eval_U(n, t0, z)
-        lhs = grad[:, n - 1] + n * u ** (2.0 / (n - 2.0)) * val
-        scale = np.max(np.abs(grad[:, n - 1])) + np.max(np.abs(n * u ** (2.0 / (n - 2)) * val))
+        lhs = v_t + n * u ** (2.0 / (n - 2.0)) * val
+        scale = np.max(np.abs(v_t)) + np.max(np.abs(n * u ** (2.0 / (n - 2)) * val))
         assert np.max(np.abs(lhs)) <= 5e-2 * scale
 
 

@@ -12,15 +12,18 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from halfbubble.bubble import eval_U_dr_tr, eval_U_dt_tr, eval_U_grad, eval_U_hess, eval_U_tr
-from halfbubble.corrector import GridConfig, eval_v_derivatives, solve_vq
+from halfbubble.bubble import (eval_U, eval_U_dr_tr, eval_U_dt_tr, eval_U_grad, eval_U_hess,
+                               eval_U_tr)
+from halfbubble.corrector import GridConfig, solve_vq
 from halfbubble.energy import (
     ReducedCoefficients,
     _angular_coefficients,
     _cancellation_norms,
+    _cancellation_parts,
     _chi_tr,
     _identity_terms,
     _panel_edges,
+    _residual_integrand,
     SlopeExperiment,
     compute_A,
     compute_A_boundary,
@@ -35,7 +38,8 @@ from halfbubble.energy import (
     verify_A4_L2_L3_identity,
 )
 from halfbubble.errors import BudgetError, DomainError, ValidationFailure
-from halfbubble.geometry import eval_metric_inverse, generate_sample, metric_expansion
+from halfbubble.geometry import (eval_metric_inverse, generate_sample, metric_divergence,
+                                 metric_expansion)
 from halfbubble.quadrature import (
     MomentKey,
     mc_halfspace,
@@ -472,36 +476,11 @@ class TestResidualSlope:
     def test_cancellation_one_pass_matches_three(self, point11, sol11_big):
         # the three diagnostics share one sample set; each norm is the one
         # a pass of its own on the same seed gives, bit for bit
-        n, m = 11, 10
+        n = 11
         p = 2.0 * n / (n + 2.0)
         me = metric_expansion(point11, seed=0, mode="gauge", deg3_scale=5.0)
         for delta in (0.01, 0.1):
-
-            def parts(t_all, z_all):
-                zeros = np.zeros((2, t_all.shape[0]))
-                keep = delta * np.sqrt(t_all * t_all + np.sum(z_all * z_all, axis=1)) < 1.0
-                if not keep.any():
-                    return zeros
-                t, z = t_all[keep], z_all[keep]
-                x = np.concatenate([z, t[:, None]], axis=1)
-                rho = np.sqrt(np.sum(x * x, axis=1))
-                rho_safe = np.maximum(rho, 1e-8)
-                xhat = x / rho_safe[:, None]
-                s = delta * rho
-                chi = cutoff_chi(s)
-                chi1 = cutoff_chi(s, 1) * delta
-                chi2 = cutoff_chi(s, 2) * delta * delta
-                grad_chi = chi1[:, None] * xhat
-                lap_chi = chi2 + chi1 * (n - 1.0) / rho_safe
-                v, gv, hv = eval_v_derivatives(sol11_big, t, z)
-                lap_V = (chi * np.einsum("bii->b", hv)
-                         + 2.0 * np.einsum("bi,bi->b", gv, grad_chi) + v * lap_chi)
-                zeros[0, keep] = delta * delta * lap_V
-                M2 = eval_metric_inverse(me, delta * t, delta * z, through_degree=2) - np.eye(m)
-                hu = eval_U_hess(n, t, z)
-                zeros[1, keep] = chi * np.einsum("bij,bij->b", M2, hu[:, :m, :m])
-                return zeros
-
+            parts = _cancellation_parts(sol11_big, me, delta)
             picks = (lambda tv, tm: tv + tm, lambda tv, tm: tv, lambda tv, tm: tm)
             want = tuple(
                 mc_halfspace(n, lambda t, z, pick=pick: np.abs(pick(*parts(t, z))) ** p,
@@ -538,6 +517,181 @@ class TestResidualSlope:
         assert np.allclose(tied.extras["eps_column"], deltas ** 3)
         assert np.allclose(tied.extras["bound_column"],
                            deltas ** 4 + deltas ** 3)
+
+
+# ---------------------------------------------------------------------------
+# Dense references for the residual ladder's structured integrand: every
+# Hessian and gradient built as a per-sample (B, n, n) / (B, n) array and
+# contracted with Minv - I entry by entry.
+
+
+def _dense_v_derivatives(sol, t, z):
+    """(value, gradient, Hessian) of the corrector, derivative slots ordered
+    (z_1..z_{n-1}, t)."""
+    n = sol.point.n
+    S = sol.pattern.S
+    B = z.shape[0]
+    r = np.sqrt(np.sum(z * z, axis=-1))
+    r_safe = np.maximum(r, 1e-9)
+    theta = z / r_safe[:, None]
+    Y = sol.pattern.y_of_z(z)
+    Sz = z @ S
+    p, p_t, p_r, p_tt, p_rr, p_tr = sol.profile.eval(t, r)
+    dY = (2.0 * Sz - 2.0 * Y[:, None] * z) / r_safe[:, None] ** 2
+    eye = np.eye(n - 1)
+    d2Y = (2.0 * S[None] / r_safe[:, None, None] ** 2
+           - 4.0 * (Sz[:, :, None] * z[:, None, :] + Sz[:, None, :] * z[:, :, None])
+           / r_safe[:, None, None] ** 4
+           - 2.0 * Y[:, None, None] * eye[None] / r_safe[:, None, None] ** 2
+           + 8.0 * Y[:, None, None] * z[:, :, None] * z[:, None, :]
+           / r_safe[:, None, None] ** 4)
+    grad = np.empty((B, n))
+    grad[:, : n - 1] = p_r[:, None] * theta * Y[:, None] + p[:, None] * dY
+    grad[:, n - 1] = p_t * Y
+    hess = np.empty((B, n, n))
+    tt = theta[:, :, None] * theta[:, None, :]
+    hess[:, : n - 1, : n - 1] = (
+        p_rr[:, None, None] * tt * Y[:, None, None]
+        + p_r[:, None, None] * (eye[None] - tt) / r_safe[:, None, None] * Y[:, None, None]
+        + p_r[:, None, None] * (theta[:, :, None] * dY[:, None, :]
+                                + theta[:, None, :] * dY[:, :, None])
+        + p[:, None, None] * d2Y)
+    cross = p_tr[:, None] * theta * Y[:, None] + p_t[:, None] * dY
+    hess[:, : n - 1, n - 1] = cross
+    hess[:, n - 1, : n - 1] = cross
+    hess[:, n - 1, n - 1] = p_tt * Y
+    return p * Y, grad, hess
+
+
+def _dense_shell(n, delta, t_all, z_all):
+    """Kept samples and chi with its gradient, Laplacian and Hessian."""
+    keep = delta * np.sqrt(t_all * t_all + np.sum(z_all * z_all, axis=1)) < 1.0
+    t, z = t_all[keep], z_all[keep]
+    x = np.concatenate([z, t[:, None]], axis=1)
+    rho = np.sqrt(np.sum(x * x, axis=1))
+    rho_safe = np.maximum(rho, 1e-8)
+    xhat = x / rho_safe[:, None]
+    s = delta * rho
+    chi = cutoff_chi(s)
+    chi1 = cutoff_chi(s, 1) * delta
+    chi2 = cutoff_chi(s, 2) * delta * delta
+    grad_chi = chi1[:, None] * xhat
+    lap_chi = chi2 + chi1 * (n - 1.0) / rho_safe
+    hess_chi = (chi2[:, None, None] * xhat[:, :, None] * xhat[:, None, :]
+                + (chi1 / rho_safe)[:, None, None]
+                * (np.eye(n)[None] - xhat[:, :, None] * xhat[:, None, :]))
+    return keep, t, z, chi, grad_chi, lap_chi, hess_chi
+
+
+def _dense_dressed(u, gu, hu, chi, grad_chi, lap_chi, hess_chi, lap_u):
+    """Laplacian, gradient and Hessian of chi * f from the jets of f."""
+    lap = chi * lap_u + 2.0 * np.einsum("bi,bi->b", gu, grad_chi) + u * lap_chi
+    hess = (chi[:, None, None] * hu + gu[:, :, None] * grad_chi[:, None, :]
+            + grad_chi[:, :, None] * gu[:, None, :] + u[:, None, None] * hess_chi)
+    return lap, chi[:, None] * gu + u[:, None] * grad_chi, hess
+
+
+def _dense_residual_integrand(sol, me, delta, include_v):
+    """F and, per sample, the sum of the magnitudes of the terms it adds
+    up (the scale of its rounding floor)."""
+    n = sol.point.n
+    m = n - 1
+
+    def F(t_all, z_all):
+        out_all = np.zeros(t_all.shape[0])
+        mag_all = np.zeros(t_all.shape[0])
+        keep, t, z, chi, grad_chi, lap_chi, hess_chi = _dense_shell(
+            n, delta, t_all, z_all)
+        # U is harmonic: its own Laplacian term is exactly zero
+        lap, grad, hess = _dense_dressed(
+            eval_U(n, t, z), eval_U_grad(n, t, z), eval_U_hess(n, t, z),
+            chi, grad_chi, lap_chi, hess_chi, 0.0)
+        if include_v:
+            v, gv, hv = _dense_v_derivatives(sol, t, z)
+            lap_V, grad_V, hess_V = _dense_dressed(
+                v, gv, hv, chi, grad_chi, lap_chi, hess_chi,
+                np.einsum("bii->b", hv))
+            lap = lap + delta * delta * lap_V
+            grad = grad + delta * delta * grad_V
+            hess = hess + delta * delta * hess_V
+        Minv = eval_metric_inverse(me, delta * t, delta * z) - np.eye(m)
+        div = metric_divergence(me, delta * t, delta * z)
+        out = lap + np.einsum("bij,bij->b", Minv, hess[:, :m, :m])
+        out += delta * np.einsum("bj,bj->b", div, grad[:, :m])
+        out_all[keep] = out
+        mag_all[keep] = (np.abs(lap) + np.abs(Minv * hess[:, :m, :m]).sum(axis=(1, 2))
+                         + delta * np.abs(div * grad[:, :m]).sum(axis=1))
+        return out_all, mag_all
+
+    return F
+
+
+def _dense_cancellation_parts(sol, me, delta):
+    n = sol.point.n
+    m = n - 1
+
+    def parts(t_all, z_all):
+        out = np.zeros((2, t_all.shape[0]))
+        keep, t, z, chi, grad_chi, lap_chi, hess_chi = _dense_shell(
+            n, delta, t_all, z_all)
+        v, gv, hv = _dense_v_derivatives(sol, t, z)
+        lap_V, _, _ = _dense_dressed(v, gv, hv, chi, grad_chi, lap_chi,
+                                     hess_chi, np.einsum("bii->b", hv))
+        out[0, keep] = delta * delta * lap_V
+        M2 = eval_metric_inverse(me, delta * t, delta * z, through_degree=2) - np.eye(m)
+        out[1, keep] = chi * np.einsum("bij,bij->b", M2, eval_U_hess(n, t, z)[:, :m, :m])
+        return out
+
+    return parts
+
+
+def _proposal_samples(n, count, seed, t_scale=0.8, z_scale=0.5, nu=3.0):
+    """Draws shaped like mc_halfspace's proposal (half-Cauchy t, Student z)."""
+    rng = np.random.default_rng(seed)
+    t = np.abs(rng.standard_cauchy(count)) * t_scale
+    w = rng.chisquare(nu, count)
+    z = z_scale * rng.standard_normal((count, n - 1)) * np.sqrt(nu / w)[:, None]
+    return t, z
+
+
+@pytest.fixture(scope="module")
+def sol15_far():
+    grid = GridConfig(n_t=48, n_r=48, t_max=160.0, r_max=160.0)
+    return solve_vq(generate_sample(15, seed=1), grid=grid)
+
+
+class TestStructuredResidual:
+    RUNGS = (0.01, 0.056, 0.316)
+
+    @pytest.fixture(params=[11, 15])
+    def sol(self, request, sol11_big, sol15_far):
+        return sol11_big if request.param == 11 else sol15_far
+
+    @pytest.mark.parametrize("mode", ["gauge", "free", "zero"])
+    @pytest.mark.parametrize("include_v", [True, False])
+    def test_integrand_matches_dense(self, sol, mode, include_v):
+        me = metric_expansion(sol.point, seed=0, mode=mode, deg3_scale=5.0)
+        t, z = _proposal_samples(sol.point.n, 4000, seed=11)
+        for delta in self.RUNGS:
+            want, mag = _dense_residual_integrand(sol, me, delta, include_v)(t, z)
+            got = _residual_integrand(sol.point, sol, me, delta, include_v)(t, z)
+            assert np.count_nonzero(want) > 1000
+            # 1e-13 of max|F|, plus a floor of ~9 ulp of the terms F sums:
+            # with the corrector in the zero mode F is 1e-4 of its terms on
+            # the two low rungs, below what either evaluation order resolves
+            bound = 1e-13 * np.max(np.abs(want)) + 2e-15 * mag
+            assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("mode", ["gauge", "free", "zero"])
+    def test_cancellation_parts_match_dense(self, sol, mode):
+        me = metric_expansion(sol.point, seed=0, mode=mode, deg3_scale=5.0)
+        t, z = _proposal_samples(sol.point.n, 4000, seed=12)
+        for delta in self.RUNGS:
+            want = _dense_cancellation_parts(sol, me, delta)(t, z)
+            got = _cancellation_parts(sol, me, delta)(t, z)
+            for row_got, row_want in zip(got, want):
+                assert np.max(np.abs(row_got - row_want)) \
+                    <= 1e-13 * np.max(np.abs(row_want))
 
 
 class TestCsvExport:
