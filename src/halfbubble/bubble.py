@@ -25,39 +25,21 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "BubbleParams",
     "shifted_radius_sq",
     "eval_U",
     "eval_U_grad",
     "eval_U_hess",
     "eval_U_third",
-    "eval_U_tr",
-    "eval_U_dt_tr",
-    "eval_U_dr_tr",
+    "eval_U_jet",
     "eval_kernel",
     "eval_kernel_dt",
     "kernel_laplacian",
     "interior_residual",
     "boundary_residual",
     "kernel_boundary_residual",
-    "eval_U_scaled",
-    "peak_amplitude",
     "BubbleResidualReport",
     "check_bubble_residual",
 ]
-
-
-@dataclass(frozen=True)
-class BubbleParams:
-    """Dimension and concentration scale of one bubble."""
-    n: int
-    delta: float
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise DomainError(f"bubble needs n >= 3, got n={self.n}")
-        if not self.delta > 0:
-            raise DomainError(f"bubble scale must be positive, got delta={self.delta}")
 
 
 def _check_z(n: int, z: np.ndarray) -> np.ndarray:
@@ -123,23 +105,17 @@ def eval_U_third(n: int, t, z) -> np.ndarray:
             - s * (s + 2) * (s + 4) * www * qa ** (-(s + 6) / 2.0))
 
 
-def eval_U_tr(n: int, t, r) -> np.ndarray:
-    """Axially reduced profile: U as a function of (t, r=|z|)."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return ((1.0 + t) ** 2 + r * r) ** (-(n - 2) / 2.0)
-
-
-def eval_U_dt_tr(n: int, t, r) -> np.ndarray:
+def eval_U_jet(n: int, t, rr) -> tuple:
+    """U and its derivatives from t and rr = |z|^2, in the span form
+    (U, U_t, u1, 0, u2, 0, 0): gradient u1 w and Hessian u1 I + u2 w w^T at
+    w = (z, 1 + t), and Laplacian 0 (U is harmonic).  The zero slots match
+    the span-form corrector jet (corrector.eval_v_derivatives); the radial
+    derivative is u1 r.  t and rr broadcast."""
     s = n - 2.0
-    Q = (1.0 + np.asarray(t, dtype=float)) ** 2 + np.asarray(r, dtype=float) ** 2
-    return -s * (1.0 + t) * Q ** (-(s + 2) / 2.0)
-
-
-def eval_U_dr_tr(n: int, t, r) -> np.ndarray:
-    s = n - 2.0
-    Q = (1.0 + np.asarray(t, dtype=float)) ** 2 + np.asarray(r, dtype=float) ** 2
-    return -s * np.asarray(r, dtype=float) * Q ** (-(s + 2) / 2.0)
+    Q = (1.0 + t) ** 2 + rr
+    u1 = -s * Q ** (-(s + 2) / 2.0)
+    return (Q ** (-s / 2.0), u1 * (1.0 + t), u1, 0.0,
+            s * (s + 2) * Q ** (-(s + 4) / 2.0), 0.0, 0.0)
 
 
 def eval_kernel(n: int, b: int, t, z) -> np.ndarray:
@@ -230,20 +206,6 @@ def kernel_boundary_residual(n: int, z) -> np.ndarray:
     scale = np.maximum(np.abs(djb), np.abs(coupling * jb))
     scale = np.where(scale > 0, scale, 1.0)
     return (djb + coupling * jb) / scale
-
-
-def eval_U_scaled(n: int, delta: float, t, z) -> np.ndarray:
-    """Concentrating family: delta^{-(n-2)/2} U(t/delta, z/delta)."""
-    BubbleParams(n, delta)
-    t = np.asarray(t, dtype=float)
-    z = _check_z(n, z)
-    return delta ** (-(n - 2) / 2.0) * eval_U(n, t / delta, z / delta)
-
-
-def peak_amplitude(n: int, delta: float) -> float:
-    """Value of the scaled profile at the origin, delta^{-(n-2)/2}."""
-    BubbleParams(n, delta)
-    return float(delta) ** (-(n - 2) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ another and no environment variable is read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -48,6 +49,7 @@ from .geometry import (
 )
 from .quadrature import MomentTable, angular_moment, sphere_area
 from .reduction import (
+    BlowUpFamily,
     ReducedFunctional,
     eval_G,
     family_table,
@@ -341,8 +343,6 @@ def _build_reduced_functional(cfg: RunConfig, points, phis: dict):
 def _reduction_payload(cfg: RunConfig, rf, quarantined,
                        neighborhood=None, coords=None) -> dict:
     fam = find_blowup_point(rf)
-    rows = family_table(fam, cfg.eps_ladder,
-                        phi_bound_coeff=cfg.phi_bound_coeff)
     if neighborhood:
         hess = hessian_check(rf, fam.lambda0, fam.q0, neighborhood,
                              coords=coords)
@@ -365,11 +365,17 @@ def _reduction_payload(cfg: RunConfig, rf, quarantined,
         "bracket": list(fam.bracket),
         "value": fam.value,
         "stability": fam.stability,
-        "family": [{"eps": r.eps, "delta": r.delta, "peak": r.peak,
-                    "phi_bound": r.phi_bound} for r in rows],
+        "family": _family_rows(cfg, fam),
         "hessian": hessian,
         "quarantined": quarantined,
     }
+
+
+def _family_rows(cfg: RunConfig, fam) -> list:
+    return [{"eps": r.eps, "delta": r.delta, "peak": r.peak,
+             "phi_bound": r.phi_bound}
+            for r in family_table(fam, cfg.eps_ladder,
+                                  phi_bound_coeff=cfg.phi_bound_coeff)]
 
 
 def _family_csv_text(payload: dict) -> str:
@@ -426,6 +432,8 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
 
 
 def cmd_family(cfg: RunConfig, args) -> int:
+    """Rows for the configured eps ladder at the lambda0 of reduction.json
+    (header only if it carries an error), else of a fresh reduction."""
     report = Path(cfg.out_dir) / "reduction.json"
     if report.exists():
         with open(report, "r", encoding="utf-8") as fh:
@@ -433,6 +441,15 @@ def cmd_family(cfg: RunConfig, args) -> int:
         if payload.get("n") != cfg.n:
             raise InputFormatError(
                 f"{report}: report has n={payload.get('n')}, config n={cfg.n}")
+        if not payload.get("error"):
+            try:
+                fam = BlowUpFamily(
+                    n=cfg.n, lambda0=payload["lambda0"], q0=payload["q0"],
+                    bracket=tuple(payload["bracket"]), value=payload["value"],
+                    stability=payload["stability"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputFormatError(f"{report}: malformed report ({exc!r})") from exc
+            payload["family"] = _family_rows(cfg, fam)
     else:
         _, payload = _reduce_payload_from_cfg(cfg, args)
     _write_text(Path(cfg.out_dir) / "family.csv", _family_csv_text(payload))
@@ -652,20 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELDS = (
-    "n", "seed", "tol_quad", "tol_sym", "tol_solver", "t_max", "r_max", "h",
-    "delta_ladder", "eps_ladder", "weyl_denominator", "mc_samples",
-    "metric_seed", "deg3_scale", "richardson", "phi_bound_coeff",
-    "curvature_file", "out_dir",
-)
-
-
 def config_from_args(args) -> RunConfig:
     base = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = RunConfig.from_json(fh.read()).to_dict()
-    for name in _CONFIG_FIELDS:
+    for name in (f.name for f in dataclasses.fields(RunConfig)):
         value = getattr(args, name, None)
         if value is None:
             continue

@@ -15,7 +15,8 @@ import numpy as np
 
 from .corrector import GridConfig
 from .energy import WEYL_DENOMINATORS, check_slope_ladder
-from .errors import DomainError, InputFormatError, ValidationFailure
+from .errors import InputFormatError, ValidationFailure
+from .geometry import check_dim
 
 _DEFAULT_EPS_LADDER = tuple(float(e) for e in np.geomspace(1e-4, 1e-1, 7))
 
@@ -52,8 +53,7 @@ class RunConfig:
         for name in ("tol_quad", "tol_sym", "tol_solver"):
             if not getattr(self, name) > 0.0:
                 raise ValidationFailure(f"{name} must be positive")
-        if self.n < 5:
-            raise DomainError(f"dimension must be at least 5, got {self.n}")
+        check_dim(self.n)
         if not 0.0 < self.h <= 0.125:
             raise ValidationFailure(f"h must lie in (0, 1/8], got {self.h}")
         if self.t_max <= 8.0 or self.r_max <= 8.0:

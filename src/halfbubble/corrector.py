@@ -45,7 +45,6 @@ from .quadrature import angular_moment, integrate_rectangle, panel_gauss_2d, \
 
 __all__ = [
     "HarmonicPattern",
-    "reduce_rhs",
     "source_radial",
     "eval_source",
     "GridConfig",
@@ -112,16 +111,6 @@ def source_radial(n: int, t, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     A = n * (n - 2.0) * ((1.0 + t) ** 2 + r * r) ** (-(n + 2) / 2.0)
     return t * t * r * r * A
-
-
-def reduce_rhs(point: CurvaturePoint) -> HarmonicPattern:
-    """Angular content of the corrector source for a curvature point.
-
-    The full quadratic-block source is S_ij z_i z_j t^2 A plus a
-    curvature-block term that cancels pointwise; only the pattern survives.
-    The radial factor is source_radial.
-    """
-    return HarmonicPattern(n=point.n, S=point.S)
 
 
 def eval_source(point: CurvaturePoint, t, z) -> np.ndarray:
@@ -477,24 +466,25 @@ class CorrectorSolution:
     profile: Profile2D
     diagnostics: SolveDiagnostics
 
-    def source_overlap(self) -> float:
-        """Quarter-plane integral of psi * (t^2 r^2 A) * r^{n-2}."""
-        return self.profile.source_overlap()
-
     def pairing(self) -> float:
         """Half-space integral of v * Laplacian(v) = -<Y^2> * source overlap.
 
         Nonpositive for the solved corrector.
         """
-        return -self.pattern.mean_square() * self.source_overlap()
+        return -self.pattern.mean_square() * self.profile.source_overlap()
 
 
 def solve_vq(point: CurvaturePoint, grid: GridConfig | None = None,
              tol_solver: float = 1e-8, richardson: bool = False) -> CorrectorSolution:
-    """Corrector for one curvature point; reuses the cached profile."""
+    """Corrector for one curvature point; reuses the cached profile.
+
+    The quadratic-block source is S_ij z_i z_j t^2 A plus a curvature-block
+    term that cancels pointwise, so only the pattern of S survives; the
+    radial factor is source_radial.
+    """
     solver = richardson_profile if richardson else solve_profile
     profile, diag = solver(point.n, grid, tol_solver)
-    return CorrectorSolution(point=point, pattern=reduce_rhs(point),
+    return CorrectorSolution(point=point, pattern=HarmonicPattern(point.n, point.S),
                              profile=profile, diagnostics=diag)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubble import eval_U_dr_tr, eval_U_dt_tr, eval_U_tr
+from .bubble import eval_U_jet
 from .corrector import CorrectorSolution, eval_v_derivatives
 from .errors import BudgetError, DomainError, ValidationFailure
 from .geometry import CurvaturePoint, MetricExpansion, eval_metric_inverse, \
@@ -95,10 +95,8 @@ def compute_A(n: int, tol: float = 1e-10) -> float:
     plane.  The two are tied by the divergence theorem (gradient integral =
     (n-2) * boundary integral), which the tests check via both routes.
     """
-    grad_term, _ = moment(n, MomentKey(n - 1, 0, 0), tol=tol)
-    grad_term *= (n - 2.0) ** 2
-    boundary_term = compute_A_boundary(n, tol=tol)
-    return 0.5 * grad_term - (n - 2.0) ** 2 / (2.0 * (n - 1.0)) * boundary_term
+    return (0.5 * compute_A_gradient(n, tol=tol)
+            - (n - 2.0) ** 2 / (2.0 * (n - 1.0)) * compute_A_boundary(n, tol=tol))
 
 
 def compute_A_gradient(n: int, tol: float = 1e-10) -> float:
@@ -326,7 +324,7 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
 
     # --- boundary Taylor term (t = 0 line) ---
     def boundary_parts(r):
-        u = eval_U_tr(n, np.zeros_like(r), r)
+        u = eval_U_jet(n, 0.0, r * r)[0]
         chi = cutoff_chi(delta * r)
         psi = prof.eval(np.zeros_like(r), r)[0]
         uc = u * chi
@@ -356,15 +354,14 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
     r_probe = np.geomspace(1e-2, cap, 200)
     ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe)[0])
              * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
-             / eval_U_tr(n, np.zeros_like(r_probe), r_probe))
+             / eval_U_jet(n, 0.0, r_probe * r_probe)[0])
     ratio_max = float(np.max(ratio))
 
     # --- 2D integrals ---
     def bulk(t, r):
         chi, ct, cr = _chi_tr(t, r, delta)
-        u = eval_U_tr(n, t, r)
-        u_t = eval_U_dt_tr(n, t, r)
-        u_r = eval_U_dr_tr(n, t, r)
+        u, u_t, u1, *_ = eval_U_jet(n, t, r * r)
+        u_r = u1 * r
         psi, psi_t, psi_r, *_ = prof.eval(t, r)
         uc_r = u_r * chi + u * cr
         uc_t = u_t * chi + u * ct
@@ -472,17 +469,6 @@ def _cutoff_shell(n: int, delta: float, t_all: np.ndarray, z_all: np.ndarray):
                             chi2 + chi1 * (n - 1.0) / rho_safe)
 
 
-def _bubble_jet(n: int, t: np.ndarray, rr: np.ndarray):
-    """U = Q^(-s/2), Q = (1+t)^2 + rr, s = n - 2, in the span form of
-    eval_v_derivatives: gradient u1 w and Hessian u1 I + u2 w w^T at
-    w = (z, 1 + t), and Laplacian 0 (U is harmonic)."""
-    s = n - 2.0
-    Q = (1.0 + t) ** 2 + rr
-    u1 = -s * Q ** (-(s + 2) / 2.0)
-    return (Q ** (-s / 2.0), u1 * (1.0 + t), u1, 0.0,
-            s * (s + 2) * Q ** (-(s + 4) / 2.0), 0.0, 0.0)
-
-
 def _dress(jet, cut, t, rr, zSz):
     """chi f from the span-form jet (f, f_t, a, b, c, e, lap f) of f (see
     eval_v_derivatives): (lap, k_I, k_S, k_zz, k_sym), with spatial
@@ -524,7 +510,7 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
         keep, t, z, rr, cut = _cutoff_shell(n, delta, t_all, z_all)
         if not keep.any():
             return out_all
-        jet = _bubble_jet(n, t, rr)
+        jet = eval_U_jet(n, t, rr)
         zSz = 0.0
         if include_v:
             Sz = z @ S
@@ -553,8 +539,7 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
 def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
                    eps: float = 0.0, tie_eps: bool = False,
                    deltas=None, mc_samples: int = 100000, seed: int = 0,
-                   include_v: bool = True, mode: str = "gauge",
-                   metric_seed: int = 0, deg3_scale: float = 5.0,
+                   include_v: bool = True, metric_seed: int = 0, deg3_scale: float = 5.0,
                    with_cancellation: bool = True,
                    max_rel_error: float = 0.25,
                    t_scale: float = 0.8, z_scale: float = 0.5) -> SlopeExperiment:
@@ -598,8 +583,7 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
             raise DomainError(
                 f"delta ladder needs the profile solved out to rho = {cap}, "
                 f"grid covers ({grid.t_max}, {grid.r_max})")
-    me = metric_expansion(point, seed=metric_seed, mode=mode,
-                          deg3_scale=deg3_scale)
+    me = metric_expansion(point, seed=metric_seed, deg3_scale=deg3_scale)
     norms = np.empty(len(deltas))
     errs = np.empty(len(deltas))
     cancel = {"sum": [], "v_alone": [], "metric_alone": []}
@@ -655,7 +639,7 @@ def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,
             zSz = np.sum(z * (z @ sol.pattern.S), axis=1)
             lap_V = _dress(eval_v_derivatives(sol, t, z), cut, t, rr, zSz)[0]
             out[0, keep] = delta * delta * lap_V
-            _, _, u1, _, u2, _, _ = _bubble_jet(n, t, rr)
+            _, _, u1, _, u2, _, _ = eval_U_jet(n, t, rr)
             g2 = eval_metric_inverse(me, delta * t, delta * z,
                                      through_degree=2) - np.eye(n - 1)
             zg2z = np.sum(z * np.matmul(g2, z[:, :, None])[:, :, 0], axis=1)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,22 +64,13 @@ __all__ = [
 _CHUNK = 8192
 
 
-def check_dim(n: int, allow_low: bool = False) -> int:
-    """Gate on the ambient dimension.
-
-    The coefficient chains implemented here require n >= 11.  With
-    allow_low=True dimensions down to 7 are admitted (every shipped moment
-    still converges there) with a RuntimeWarning.
-    """
+def check_dim(n: int) -> int:
+    """Gate on the ambient dimension: the blow-up construction and the
+    coefficient chains implemented here hold for n >= 11."""
     n = int(n)
-    if n >= 11:
-        return n
-    if allow_low and n >= 7:
-        warnings.warn(
-            f"n={n} is below the regime the coefficient chains are derived in; "
-            "results are exploratory", RuntimeWarning, stacklevel=2)
-        return n
-    raise DomainError(f"dimension n={n} not supported (need n >= 11, or n >= 7 with allow_low)")
+    if n < 11:
+        raise DomainError(f"dimension n={n} not supported (need n >= 11)")
+    return n
 
 
 def _sym2(A: np.ndarray) -> np.ndarray:
@@ -163,7 +153,8 @@ class CurvatureReport:
 
 
 def validate_curvature(point: CurvaturePoint, tol: float = 1e-12) -> CurvatureReport:
-    """Check every algebraic identity the data must satisfy.
+    """Check every algebraic identity the data must satisfy, Wbar2 against
+    the squared norm of the Weyl part of Rbar among them.
 
     Violations are measured relative to the Frobenius norm of the tensors
     involved (or to 1 when everything vanishes), so tol is relative.
@@ -189,6 +180,7 @@ def validate_curvature(point: CurvaturePoint, tol: float = 1e-12) -> CurvatureRe
     rn = point.Rnnnn
     add("rnnnn_identity", abs(rn + 2.0 * s2), max(abs(rn), 2.0 * s2))
     add("wbar2_nonnegative", max(-point.Wbar2, 0.0), max(abs(point.Wbar2), 1.0))
+    add("wbar2_identity", weyl_norm_consistency(point), 1.0)
     return CurvatureReport(label=point.label, checks=tuple(checks))
 
 
@@ -245,7 +237,7 @@ def generate_sample(n: int, seed: int, scale: float = 1.0,
     Both tensor norms are set to scale exactly, so downstream magnitudes are
     predictable: ||S||^2 = scale^2, Rnnnn = -2 scale^2.
     """
-    check_dim(n, allow_low=True)
+    check_dim(n)
     m = n - 1
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")

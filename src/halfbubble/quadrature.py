@@ -187,94 +187,69 @@ def _eval_cells_1d(F, segs: np.ndarray):
     return kron, np.abs(kron - gauss)
 
 
-def integrate_rectangle(F, x0: float, x1: float, y0: float, y1: float,
-                        tol_abs: float, max_cells: int = 40000,
-                        initial: int = 8) -> tuple[float, float]:
-    """Adaptive tensor Gauss-Kronrod integration of vectorized F on a box.
+def _refine(evaluate, cells: np.ndarray, tol_abs: float,
+            max_cells: int) -> tuple[float, float]:
+    """Adaptive Gauss-Kronrod refinement shared by the 1-D and 2-D engines.
 
-    Refines the worst cells (4-way splits, batched) until the summed
+    cells has rows (lo_0, hi_0, lo_1, hi_1, ...) over d axes, and
+    evaluate(cells) returns their (kron, err) arrays.  Each round bisects the
+    32 >> d worst cells along every axis (16 segments or 8 boxes), with the
+    first axis varying fastest among the children, until the summed
     Kronrod-Gauss discrepancy drops below tol_abs.  Raises BudgetError with
     the best estimate if max_cells is exceeded.
     """
-    ex = np.linspace(x0, x1, initial + 1)
-    ey = np.linspace(y0, y1, initial + 1)
-    boxes = np.array([(ex[i], ex[i + 1], ey[j], ey[j + 1])
-                      for i in range(initial) for j in range(initial)])
-    vals, errs = _eval_cells_2d(F, boxes)
-    counter = 0
-    heap = []
-    for b, v, e in zip(boxes, vals, errs):
-        heap.append((-float(e), counter, tuple(b), float(v)))
-        counter += 1
+    d = cells.shape[1] // 2
+    # child k takes the upper half of axis i where bit i of k is set
+    upper = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 == 1
+    vals, errs = evaluate(cells)
+    heap = [(-float(e), i, c, float(v))
+            for i, (c, v, e) in enumerate(zip(cells, vals, errs))]
     heapq.heapify(heap)
+    counter = len(heap)
     total_v = float(vals.sum())
     total_e = float(errs.sum())
     ncells = len(heap)
     while total_e > tol_abs:
         if ncells >= max_cells:
             raise BudgetError(
-                f"2-D quadrature exceeded {max_cells} cells (error {total_e:.3e} > {tol_abs:.3e})",
+                f"{d}-D quadrature exceeded {max_cells} cells (error {total_e:.3e} > {tol_abs:.3e})",
                 total_v, total_e)
-        batch = []
-        for _ in range(min(8, len(heap))):
-            ne, _, box, v = heapq.heappop(heap)
-            batch.append((box, v, -ne))
-        kids = []
-        for (bx0, bx1, by0, by1), v, e in batch:
-            mx, my = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
-            kids.extend([(bx0, mx, by0, my), (mx, bx1, by0, my),
-                         (bx0, mx, my, by1), (mx, bx1, my, by1)])
+        batch = [heapq.heappop(heap) for _ in range(min(32 >> d, len(heap)))]
+        for ne, _, _, v in batch:
             total_v -= v
-            total_e -= e
-        kid_boxes = np.array(kids)
-        kv, ke = _eval_cells_2d(F, kid_boxes)
-        for b, v, e in zip(kids, kv, ke):
-            heapq.heappush(heap, (-float(e), counter, b, float(v)))
+            total_e -= -ne
+        parents = np.array([cell for _, _, cell, _ in batch])
+        lo, hi = parents[:, None, 0::2], parents[:, None, 1::2]
+        mid = 0.5 * (lo + hi)
+        kids = np.stack([np.where(upper, mid, lo), np.where(upper, hi, mid)],
+                        axis=-1).reshape(-1, 2 * d)
+        kv, ke = evaluate(kids)
+        for c, v, e in zip(kids, kv, ke):
+            heapq.heappush(heap, (-float(e), counter, c, float(v)))
             counter += 1
         total_v += float(kv.sum())
         total_e += float(ke.sum())
-        ncells += 3 * len(batch)
+        ncells += ((1 << d) - 1) * len(batch)
     return total_v, total_e
+
+
+def integrate_rectangle(F, x0: float, x1: float, y0: float, y1: float,
+                        tol_abs: float, max_cells: int = 40000) -> tuple[float, float]:
+    """Adaptive tensor Gauss-Kronrod integration of vectorized F on a box,
+    refined from an 8 x 8 start (see _refine)."""
+    ex = np.linspace(x0, x1, 9)
+    ey = np.linspace(y0, y1, 9)
+    boxes = np.array([(ex[i], ex[i + 1], ey[j], ey[j + 1])
+                      for i in range(8) for j in range(8)])
+    return _refine(lambda c: _eval_cells_2d(F, c), boxes, tol_abs, max_cells)
 
 
 def integrate_interval(F, x0: float, x1: float, tol_abs: float,
-                       max_cells: int = 20000, initial: int = 16) -> tuple[float, float]:
-    """1-D analogue of integrate_rectangle."""
-    ex = np.linspace(x0, x1, initial + 1)
+                       max_cells: int = 20000) -> tuple[float, float]:
+    """1-D analogue of integrate_rectangle, from 16 equal segments."""
+    ex = np.linspace(x0, x1, 17)
     segs = np.stack([ex[:-1], ex[1:]], axis=1)
-    vals, errs = _eval_cells_1d(F, segs)
-    heap = []
-    counter = 0
-    for s, v, e in zip(segs, vals, errs):
-        heap.append((-float(e), counter, (float(s[0]), float(s[1])), float(v)))
-        counter += 1
-    heapq.heapify(heap)
-    total_v = float(vals.sum())
-    total_e = float(errs.sum())
-    ncells = len(heap)
-    while total_e > tol_abs:
-        if ncells >= max_cells:
-            raise BudgetError(
-                f"1-D quadrature exceeded {max_cells} cells (error {total_e:.3e} > {tol_abs:.3e})",
-                total_v, total_e)
-        batch = []
-        for _ in range(min(16, len(heap))):
-            ne, _, seg, v = heapq.heappop(heap)
-            batch.append((seg, v, -ne))
-        kids = []
-        for (a, b), v, e in batch:
-            mid = 0.5 * (a + b)
-            kids.extend([(a, mid), (mid, b)])
-            total_v -= v
-            total_e -= e
-        kv, ke = _eval_cells_1d(F, np.array(kids))
-        for s, v, e in zip(kids, kv, ke):
-            heapq.heappush(heap, (-float(e), counter, s, float(v)))
-            counter += 1
-        total_v += float(kv.sum())
-        total_e += float(ke.sum())
-        ncells += len(batch)
-    return total_v, total_e
+    return _refine(lambda c: _eval_cells_1d(F, c), segs, tol_abs, max_cells)
 
 
 def panel_gauss_2d(F, x_edges: np.ndarray, y_edges: np.ndarray, order: int = 12) -> float:
@@ -427,9 +402,6 @@ class MomentTable:
 
     def value(self, key: MomentKey) -> float:
         return self._entry(key)[0]
-
-    def error(self, key: MomentKey) -> float:
-        return self._entry(key)[1]
 
     def _entry(self, key: MomentKey) -> tuple[float, float]:
         if key not in self._cache:

@@ -4,13 +4,12 @@ cross-checks of every derivative order, and the residual suites."""
 import numpy as np
 import pytest
 
-from halfbubble.bubble import (BubbleParams, BubbleResidualReport, boundary_residual,
+from halfbubble.bubble import (BubbleResidualReport, boundary_residual,
                                check_bubble_residual,
-                               eval_kernel, eval_kernel_dt, eval_U, eval_U_dr_tr,
-                               eval_U_dt_tr, eval_U_grad, eval_U_hess, eval_U_scaled,
-                               eval_U_third, eval_U_tr, interior_residual,
+                               eval_kernel, eval_kernel_dt, eval_U, eval_U_grad, eval_U_hess,
+                               eval_U_jet, eval_U_third, interior_residual,
                                kernel_boundary_residual, kernel_laplacian,
-                               peak_amplitude, shifted_radius_sq)
+                               shifted_radius_sq)
 from halfbubble.errors import DomainError
 
 
@@ -33,8 +32,8 @@ class TestProfileValues:
     def test_radial_reduction_consistent(self):
         n = 11
         t, z = sample_points(n, 50, 0)
-        r = np.linalg.norm(z, axis=-1)
-        assert np.allclose(eval_U(n, t, z), eval_U_tr(n, t, r), rtol=1e-14)
+        rr = np.sum(z * z, axis=-1)
+        assert np.allclose(eval_U(n, t, z), eval_U_jet(n, t, rr)[0], rtol=1e-14)
 
     def test_far_field_decay(self):
         # U * rho^{n-2} -> 1 along rays
@@ -97,13 +96,31 @@ class TestDerivativeStack:
         assert np.allclose(third[..., 0], fd_z0, rtol=5e-5, atol=1e-12)
 
     def test_tr_derivatives(self):
+        # U_t and the radial derivative u1 r of the jet against differences
+        # of its own U in (t, r)
         n = self.n
         t = np.array([0.3, 1.7])
         r = np.array([0.9, 2.2])
-        fd = central_diff(lambda h: eval_U_tr(n, t, r + h), 0.0)
-        assert np.allclose(eval_U_dr_tr(n, t, r), fd, rtol=1e-9)
-        fd = central_diff(lambda h: eval_U_tr(n, t + h, r), 0.0)
-        assert np.allclose(eval_U_dt_tr(n, t, r), fd, rtol=1e-9)
+        U = lambda t, r: eval_U_jet(n, t, r * r)[0]
+        _, u_t, u1, *_ = eval_U_jet(n, t, r * r)
+        assert np.allclose(u1 * r, central_diff(lambda h: U(t, r + h), 0.0), rtol=1e-9)
+        assert np.allclose(u_t, central_diff(lambda h: U(t + h, r), 0.0), rtol=1e-9)
+
+    def test_jet_matches_dense_stack(self):
+        # gradient u1 w and Hessian u1 I + u2 w w^T at w = (z, 1 + t), zero
+        # Laplacian
+        n = self.n
+        t, z = sample_points(n, 40, 8)
+        U, u_t, u1, zero_b, u2, zero_e, lap = eval_U_jet(n, t, np.sum(z * z, axis=-1))
+        w = np.concatenate([z, (1.0 + t)[:, None]], axis=1)
+        assert np.allclose(U, eval_U(n, t, z), rtol=1e-14, atol=0)
+        grad = eval_U_grad(n, t, z)
+        assert np.allclose(u1[:, None] * w, grad, rtol=1e-13, atol=0)
+        assert np.allclose(u_t, grad[:, n - 1], rtol=1e-13, atol=0)
+        hess = u1[:, None, None] * np.eye(n) + u2[:, None, None] * w[:, :, None] * w[:, None, :]
+        scale = np.abs(eval_U_hess(n, t, z)).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(hess - eval_U_hess(n, t, z)) <= 1e-13 * scale)
+        assert (zero_b, zero_e, lap) == (0.0, 0.0, 0.0)
 
 
 class TestResiduals:
@@ -267,27 +284,3 @@ class TestSharedStack:
     def test_report_matches_per_element_loop(self, n):
         assert check_bubble_residual(n, n_points=1000, seed=1) \
             == _ref_check_bubble_residual(n, 1000, 1)
-
-
-class TestScaledFamily:
-    def test_scaling_identity(self):
-        n = 11
-        delta = 0.37
-        t, z = sample_points(n, 30, 13)
-        lhs = eval_U_scaled(n, delta, delta * t, delta * z)
-        rhs = delta ** (-(n - 2) / 2.0) * eval_U(n, t, z)
-        assert np.allclose(lhs, rhs, rtol=1e-13)
-
-    def test_peak_amplitude(self):
-        # frozen: n=11, delta=0.1 -> 0.1^{-4.5}
-        assert peak_amplitude(11, 0.1) == pytest.approx(10.0 ** 4.5, rel=1e-13)
-        assert eval_U_scaled(11, 0.1, 0.0, np.zeros(10)) == pytest.approx(
-            10.0 ** 4.5, rel=1e-13)
-
-    def test_invalid_params(self):
-        with pytest.raises(DomainError):
-            BubbleParams(11, 0.0)
-        with pytest.raises(DomainError):
-            BubbleParams(2, 0.5)
-        with pytest.raises(DomainError):
-            eval_U_scaled(11, -1.0, 0.0, np.zeros(10))

@@ -6,6 +6,7 @@ file stays cheap.  Determinism is checked at the byte level: repeated
 runs with the same flags must produce identical files.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from halfbubble import cli
 from halfbubble.config import RunConfig
 from halfbubble.errors import DomainError, InputFormatError, ValidationFailure
-from halfbubble.geometry import CurvaturePoint, save_curvature_file
+from halfbubble.geometry import CurvaturePoint, make_battery, save_curvature_file
 
 # Coarse-but-honest settings shared by the subcommand tests.  h = 0.02
 # gives a 50 x 50 solver grid, enough for every pipeline stage to run
@@ -94,6 +95,7 @@ class TestRunConfig:
             {"eps_ladder": (0.1, 0.01)},
             {"eps_ladder": (0.5, 1.5)},
             {"delta_ladder": (0.0, 0.1)},
+            {"n": 10},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -264,6 +266,18 @@ class TestPipeline:
         family = (tmp_path / "out" / "family.csv").read_text().splitlines()
         assert family == ["eps,delta,peak,phi_bound"]
 
+    def test_tampered_wbar2_is_quarantined(self, tmp_path):
+        points = make_battery(11, 2, 1)
+        points[1] = dataclasses.replace(points[1], Wbar2=50.0 * points[1].Wbar2)
+        path = tmp_path / "tampered.json"
+        save_curvature_file(path, 11, points)
+        code = run(tmp_path / "out", "--curvature", str(path), "pipeline", "--skip-slopes")
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "pipeline_report.json").read_text())
+        assert report["quarantined"] == {
+            "battery-01": "curvature validation: wbar2_identity"}
+        assert report["q0"] == "battery-00"
+
     def test_reduce_then_family_reuses_reduction(self, tmp_path):
         assert run(tmp_path, "phi") == 0
         assert run(tmp_path, "reduce") == 0
@@ -276,6 +290,20 @@ class TestPipeline:
         assert float(first[1]) == pytest.approx(
             reduction["family"][0]["delta"], rel=1e-12
         )
+
+    def test_family_applies_configured_ladder(self, tmp_path):
+        assert run(tmp_path, "reduce") == 0
+        written = read(tmp_path / "family.csv")
+        lambda0 = json.loads((tmp_path / "reduction.json").read_text())["lambda0"]
+        assert run(tmp_path, "--eps-ladder", "0.001,0.01", "--phi-bound-coeff", "3",
+                   "family") == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in (tmp_path / "family.csv").read_text().splitlines()[1:]]
+        assert [(eps, bound) for eps, _, _, bound in rows] == [(0.001, 0.003), (0.01, 0.03)]
+        assert rows[0][1] == lambda0 * 0.001 ** (1.0 / 3.0)
+        # the reduction's own ladder gives back the file it wrote
+        assert run(tmp_path, "family") == 0
+        assert read(tmp_path / "family.csv") == written
 
 
 # ----------------------------------------------------------------------

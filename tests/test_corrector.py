@@ -16,7 +16,6 @@ from halfbubble.corrector import (
     eval_source,
     eval_v,
     eval_v_derivatives,
-    reduce_rhs,
     richardson_profile,
     self_convergence,
     solve_profile,
@@ -96,7 +95,7 @@ class TestHarmonicPattern:
 class TestReduction:
     def test_pattern_matches_point(self):
         pt = generate_sample(11, seed=4)
-        pat = reduce_rhs(pt)
+        pat = solve_vq(pt).pattern
         np.testing.assert_array_equal(pat.S, pt.S)
 
     def test_source_radial_frozen(self):

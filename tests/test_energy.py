@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from halfbubble.bubble import (eval_U, eval_U_dr_tr, eval_U_dt_tr, eval_U_grad, eval_U_hess,
-                               eval_U_tr)
+from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess
 from halfbubble.corrector import GridConfig, solve_vq
 from halfbubble.energy import (
     ReducedCoefficients,
@@ -340,8 +339,23 @@ class TestSlopeExperimentType:
 def _ref_identity_terms(point, sol, delta, panels=40, order=10):
     """Reference for energy._identity_terms: the same quadrature summed
     panel by panel (40 boundary panels, 40 x 40 bulk panels of 10 x 10
-    Gauss nodes each)."""
+    Gauss nodes each), with U and its (t, r) derivatives read from the
+    dense eval_U / eval_U_grad at z = r e_1."""
     n = point.n
+
+    def on_axis(t, r):
+        t, r = np.broadcast_arrays(np.asarray(t, dtype=float), r)
+        z = np.zeros(r.shape + (n - 1,))
+        z[..., 0] = r
+        return t, z
+
+    def U_tr(t, r):
+        return eval_U(n, *on_axis(t, r))
+
+    def grad_tr(t, r):
+        grad = eval_U_grad(n, *on_axis(t, r))
+        return grad[..., n - 1], grad[..., 0]
+
     p = 2.0 * (n - 1.0) / (n - 2.0)
     prof = sol.profile
     cY, cYY, cS2 = _angular_coefficients(point)
@@ -349,7 +363,7 @@ def _ref_identity_terms(point, sol, delta, panels=40, order=10):
     cap = 1.0 / delta
 
     def boundary_parts(r):
-        u = eval_U_tr(n, np.zeros_like(r), r)
+        u = U_tr(0.0, r)
         chi = cutoff_chi(delta * r)
         psi = prof.eval(np.zeros_like(r), r)[0]
         uc = u * chi
@@ -374,13 +388,12 @@ def _ref_identity_terms(point, sol, delta, panels=40, order=10):
     r_probe = np.geomspace(1e-2, cap, 200)
     ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe)[0])
              * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
-             / eval_U_tr(n, np.zeros_like(r_probe), r_probe))
+             / U_tr(0.0, r_probe))
 
     def bulk(t, r):
         chi, ct, cr = _chi_tr(t, r, delta)
-        u = eval_U_tr(n, t, r)
-        u_t = eval_U_dt_tr(n, t, r)
-        u_r = eval_U_dr_tr(n, t, r)
+        u = U_tr(t, r)
+        u_t, u_r = grad_tr(t, r)
         psi, psi_t, psi_r, *_ = prof.eval(t, r)
         uc_r = u_r * chi + u * cr
         uc_t = u_t * chi + u * ct

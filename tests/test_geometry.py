@@ -27,14 +27,6 @@ class TestCheckDim:
         with pytest.raises(DomainError):
             check_dim(10)
 
-    def test_allow_low_warns(self):
-        with pytest.warns(RuntimeWarning):
-            assert check_dim(8, allow_low=True) == 8
-
-    def test_too_low_always_rejected(self):
-        with pytest.raises(DomainError):
-            check_dim(6, allow_low=True)
-
 
 class TestCurvaturePoint:
     def test_structural_validation(self):
@@ -89,6 +81,11 @@ class TestSamplesAndValidation:
         bad = CurvaturePoint("bad", p.n, p.Rbar, p.S, p.D2, p.Rnnnn + 0.3,
                              p.Wbar2, p.gamma)
         assert any(c.name == "rnnnn_identity" for c in validate_curvature(bad).failures())
+
+    def test_tampered_wbar2_detected(self):
+        p = generate_sample(11, seed=8)
+        bad = CurvaturePoint("bad", p.n, p.Rbar, p.S, p.D2, p.Rnnnn, 50.0 * p.Wbar2, p.gamma)
+        assert [c.name for c in validate_curvature(bad).failures()] == ["wbar2_identity"]
 
     def test_rnnnn_read_as_summed(self):
         # Rnnnn is the value summed over the spatial index: a point that

@@ -8,6 +8,7 @@ integrals, so
 The full half-space moment is sphere_area(n-2) * J(p, a, b + n - 2).
 """
 
+import heapq
 import math
 from math import lgamma
 
@@ -15,9 +16,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from halfbubble import corrector, quadrature
 from halfbubble.errors import (BudgetError, DomainError, PoisonedEstimateError,
                                UnsupportedPatternError)
-from halfbubble.quadrature import (_MC_CHUNK, MCEstimate, MomentKey, MomentTable, angular_moment,
+from halfbubble.geometry import generate_sample
+from halfbubble.quadrature import (_MC_CHUNK, _STANDARD_KEYS, _eval_cells_1d, _eval_cells_2d,
+                                   MCEstimate, MomentKey, MomentTable, angular_moment,
                                    half_line_moment, integrate_interval,
                                    integrate_rectangle, mc_halfspace, moment,
                                    panel_gauss_2d, quadratic_sphere_moment, sphere_area)
@@ -167,6 +171,133 @@ class TestAdaptiveEngines:
         got = panel_gauss_2d(F, edges, edges, order=10)
         want, _ = integrate_rectangle(F, 0, 2, 0, 2, tol_abs=1e-12)
         assert got == pytest.approx(want, rel=1e-11)
+
+
+def ref_integrate_rectangle(F, x0, x1, y0, y1, tol_abs, max_cells=40000, initial=8):
+    """Reference for integrate_rectangle: the former 2-D heap loop."""
+    ex = np.linspace(x0, x1, initial + 1)
+    ey = np.linspace(y0, y1, initial + 1)
+    boxes = np.array([(ex[i], ex[i + 1], ey[j], ey[j + 1])
+                      for i in range(initial) for j in range(initial)])
+    vals, errs = _eval_cells_2d(F, boxes)
+    counter = 0
+    heap = []
+    for b, v, e in zip(boxes, vals, errs):
+        heap.append((-float(e), counter, tuple(b), float(v)))
+        counter += 1
+    heapq.heapify(heap)
+    total_v = float(vals.sum())
+    total_e = float(errs.sum())
+    ncells = len(heap)
+    while total_e > tol_abs:
+        if ncells >= max_cells:
+            raise BudgetError("2-D budget", total_v, total_e)
+        batch = []
+        for _ in range(min(8, len(heap))):
+            ne, _, box, v = heapq.heappop(heap)
+            batch.append((box, v, -ne))
+        kids = []
+        for (bx0, bx1, by0, by1), v, e in batch:
+            mx, my = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
+            kids.extend([(bx0, mx, by0, my), (mx, bx1, by0, my),
+                         (bx0, mx, my, by1), (mx, bx1, my, by1)])
+            total_v -= v
+            total_e -= e
+        kv, ke = _eval_cells_2d(F, np.array(kids))
+        for b, v, e in zip(kids, kv, ke):
+            heapq.heappush(heap, (-float(e), counter, b, float(v)))
+            counter += 1
+        total_v += float(kv.sum())
+        total_e += float(ke.sum())
+        ncells += 3 * len(batch)
+    return total_v, total_e
+
+
+def ref_integrate_interval(F, x0, x1, tol_abs, max_cells=20000, initial=16):
+    """Reference for integrate_interval: the former 1-D heap loop."""
+    ex = np.linspace(x0, x1, initial + 1)
+    segs = np.stack([ex[:-1], ex[1:]], axis=1)
+    vals, errs = _eval_cells_1d(F, segs)
+    heap = []
+    counter = 0
+    for s, v, e in zip(segs, vals, errs):
+        heap.append((-float(e), counter, (float(s[0]), float(s[1])), float(v)))
+        counter += 1
+    heapq.heapify(heap)
+    total_v = float(vals.sum())
+    total_e = float(errs.sum())
+    ncells = len(heap)
+    while total_e > tol_abs:
+        if ncells >= max_cells:
+            raise BudgetError("1-D budget", total_v, total_e)
+        batch = []
+        for _ in range(min(16, len(heap))):
+            ne, _, seg, v = heapq.heappop(heap)
+            batch.append((seg, v, -ne))
+        kids = []
+        for (a, b), v, e in batch:
+            mid = 0.5 * (a + b)
+            kids.extend([(a, mid), (mid, b)])
+            total_v -= v
+            total_e -= e
+        kv, ke = _eval_cells_1d(F, np.array(kids))
+        for s, v, e in zip(kids, kv, ke):
+            heapq.heappush(heap, (-float(e), counter, s, float(v)))
+            counter += 1
+        total_v += float(kv.sum())
+        total_e += float(ke.sum())
+        ncells += len(batch)
+    return total_v, total_e
+
+
+class TestSharedRefinement:
+    """The shared refinement loop against the former per-dimension loops:
+    same cells in the same order, so values and errors agree bit for bit."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        def use_reference():
+            monkeypatch.setattr(quadrature, "integrate_rectangle", ref_integrate_rectangle)
+            monkeypatch.setattr(quadrature, "integrate_interval", ref_integrate_interval)
+            monkeypatch.setattr(corrector, "integrate_rectangle", ref_integrate_rectangle)
+        return use_reference
+
+    def test_standard_moments_bit_identical(self, reference):
+        keys = [(n, make(n)) for n in range(11, 16) for make in _STANDARD_KEYS.values()]
+        got = [moment(n, key) for n, key in keys]
+        reference()
+        assert got == [moment(n, key) for n, key in keys]
+
+    def test_half_line_moments_bit_identical(self, reference):
+        cases = [(n - 2.0, n - 1.0) for n in range(11, 16)] + [
+            (n - 2.0, n - 2.0) for n in range(11, 16)] + [(4.0, 6.5), (0.0, 2.0)]
+        got = [half_line_moment(c, p) for c, p in cases]
+        reference()
+        assert got == [half_line_moment(c, p) for c, p in cases]
+
+    @pytest.mark.parametrize("n", [11, 15])
+    def test_solvability_bit_identical(self, reference, n):
+        point = generate_sample(n, seed=2)
+        got = corrector.check_solvability(point)
+        reference()
+        assert np.array_equal(got, corrector.check_solvability(point))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_budget_error_matches_reference(self, dim):
+        if dim == 1:
+            F = lambda x: np.abs(x - 0.37313) ** 0.2
+            new = lambda: integrate_interval(F, 0, 1, tol_abs=1e-15, max_cells=40)
+            ref = lambda: ref_integrate_interval(F, 0, 1, tol_abs=1e-15, max_cells=40)
+        else:
+            F = lambda x, y: np.abs(x - 0.37313) ** 0.2 * np.abs(y - 0.5313) ** 0.1
+            new = lambda: integrate_rectangle(F, 0, 1, 0, 1, tol_abs=1e-15, max_cells=80)
+            ref = lambda: ref_integrate_rectangle(F, 0, 1, 0, 1, tol_abs=1e-15, max_cells=80)
+        with pytest.raises(BudgetError, match=f"{dim}-D quadrature exceeded") as got:
+            new()
+        with pytest.raises(BudgetError) as want:
+            ref()
+        assert (got.value.best_estimate, got.value.error_estimate) == \
+            (want.value.best_estimate, want.value.error_estimate)
 
 
 class TestHalfSpaceMoments:
