@@ -53,7 +53,7 @@ class RunConfig:
         for name in ("tol_quad", "tol_sym", "tol_solver"):
             if not getattr(self, name) > 0.0:
                 raise ValidationFailure(f"{name} must be positive")
-        check_dim(self.n)
+        object.__setattr__(self, "n", check_dim(self.n))
         if not 0.0 < self.h <= 0.125:
             raise ValidationFailure(f"h must lie in (0, 1/8], got {self.h}")
         if self.t_max <= 8.0 or self.r_max <= 8.0:

@@ -24,7 +24,10 @@ Discretization: the quarter plane is mapped to a rectangle by
 t = Lt tau/(1-tau), r = Lr sigma/(1-sigma); uniform grid, second-order
 centered stencils inside, one-sided 3-point second-order rows on the
 boundaries, sparse LU solve, and an inverse-power probe of the smallest
-singular value as a conditioning gate.
+singular value as a conditioning gate.  The probe iterates on A^T A from a
+fixed random start and stops once one step moves its estimate by at most
+1e-6 relative, or after 25 steps; SolveDiagnostics.probe_steps reports the
+count, and a count of 25 means the probe did not converge.
 """
 
 from __future__ import annotations
@@ -151,6 +154,7 @@ class GridConfig:
 class SolveDiagnostics:
     discrete_residual: float
     sigma_min: float
+    probe_steps: int
     n_nodes: int
     far_field_exponent: float
 
@@ -197,7 +201,7 @@ class Profile2D:
         return out.reshape(np.broadcast_shapes(tau.shape, sigma.shape))
 
     def eval(self, t, r) -> tuple:
-        """The jet (psi, psi_t, psi_r, psi_tt, psi_rr, psi_tr) at (t, r).
+        """The jet (psi, psi_t, psi_r, psi_tt, psi_rr) at (t, r).
 
         t and r broadcast; a column t (N, 1) with a row r (1, M) is
         evaluated on their tensor grid in one spline pass per partial.
@@ -214,8 +218,7 @@ class Profile2D:
                 s10 / tp,
                 s01 / rp,
                 self._partial(tau, sigma, 2, 0) / tp ** 2 - s10 * tpp / tp ** 3,
-                self._partial(tau, sigma, 0, 2) / rp ** 2 - s01 * rpp / rp ** 3,
-                self._partial(tau, sigma, 1, 1) / (tp * rp))
+                self._partial(tau, sigma, 0, 2) / rp ** 2 - s01 * rpp / rp ** 3)
 
     def far_field_exponent(self) -> float:
         """Fitted log-log decay exponent along the diagonal far field.
@@ -358,17 +361,29 @@ def _assemble(n: int, grid: GridConfig):
     return M.tocsc(), rhs, tau, sigma
 
 
-def _sigma_min_probe(lu, size: int, iters: int = 25, seed: int = 0) -> float:
-    """Smallest singular value via inverse power iteration on A^T A."""
-    rng = np.random.default_rng(seed)
+_PROBE_RTOL = 1e-6
+_PROBE_MAX_STEPS = 25
+
+
+def _sigma_min_probe(lu, size: int) -> tuple[float, int]:
+    """Smallest singular value via inverse power iteration on A^T A, and
+    the steps taken.
+
+    Each step costs two solves with the factor.  The iteration stops once a
+    step changes the estimate of ||(A^T A)^-1|| by at most _PROBE_RTOL
+    relative; _PROBE_MAX_STEPS steps means it did not converge.
+    """
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(size)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for step in range(1, _PROBE_MAX_STEPS + 1):
         w = lu.solve(lu.solve(v, trans="N"), trans="T")
-        lam = float(np.linalg.norm(w))
+        lam, prev = float(np.linalg.norm(w)), lam
         v = w / lam
-    return 1.0 / math.sqrt(lam)
+        if abs(lam - prev) <= _PROBE_RTOL * lam:
+            break
+    return 1.0 / math.sqrt(lam), step
 
 
 def _solve_profile_impl(n: int, grid: GridConfig, tol_solver: float) -> tuple:
@@ -376,7 +391,7 @@ def _solve_profile_impl(n: int, grid: GridConfig, tol_solver: float) -> tuple:
     lu = splu(M)
     x = lu.solve(rhs)
     res = float(np.max(np.abs(M @ x - rhs)) / max(np.max(np.abs(rhs)), 1e-300))
-    smin = _sigma_min_probe(lu, M.shape[0])
+    smin, steps = _sigma_min_probe(lu, M.shape[0])
     if smin < tol_solver:
         raise SolverError(
             f"reduced solve ill-conditioned: sigma_min {smin:.3e} < {tol_solver:.3e}")
@@ -386,7 +401,7 @@ def _solve_profile_impl(n: int, grid: GridConfig, tol_solver: float) -> tuple:
     psi = x.reshape(grid.n_t + 1, grid.n_r + 1)
     profile = Profile2D(n=n, grid=grid, tau=tau, sigma=sigma, psi=psi)
     diag = SolveDiagnostics(discrete_residual=res, sigma_min=smin,
-                            n_nodes=M.shape[0],
+                            probe_steps=steps, n_nodes=M.shape[0],
                             far_field_exponent=profile.far_field_exponent())
     return profile, diag
 
@@ -417,6 +432,8 @@ def _richardson_cached(n: int, grid: GridConfig, tol_solver: float):
     diag = SolveDiagnostics(discrete_residual=max(diag_c.discrete_residual,
                                                   diag_f.discrete_residual),
                             sigma_min=min(diag_c.sigma_min, diag_f.sigma_min),
+                            probe_steps=max(diag_c.probe_steps,
+                                            diag_f.probe_steps),
                             n_nodes=diag_f.n_nodes,
                             far_field_exponent=profile.far_field_exponent())
     return profile, diag
@@ -510,7 +527,7 @@ def eval_v_derivatives(sol: CorrectorSolution, t, z):
     r = np.sqrt(np.sum(z * z, axis=-1))
     r_safe = np.maximum(r, 1e-9)
     Y = sol.pattern.y_of_z(z)
-    p, p_t, p_r, p_tt, p_rr, _ = sol.profile.eval(t, r)
+    p, p_t, p_r, p_tt, p_rr = sol.profile.eval(t, r)
     ir = 1.0 / r_safe
     ir2 = ir * ir
     b = 2.0 * p * ir2
@@ -573,7 +590,7 @@ def _pde_residual_offgrid(profile: Profile2D, n: int, n_samples: int, seed: int)
     cap = min(profile.grid.t_max, profile.grid.r_max) / 3.0
     t = 10.0 ** rng.uniform(-1.0, math.log10(cap), n_samples)
     r = 10.0 ** rng.uniform(-1.0, math.log10(cap), n_samples)
-    psi, _, psi_r, psi_tt, psi_rr, _ = profile.eval(t, r)
+    psi, _, psi_r, psi_tt, psi_rr = profile.eval(t, r)
     lhs = (psi_tt + psi_rr + (n - 2.0) / r * psi_r
            - 2.0 * (n - 1.0) / r ** 2 * psi)
     src = source_radial(n, t, r)

@@ -66,11 +66,17 @@ _CHUNK = 8192
 
 def check_dim(n: int) -> int:
     """Gate on the ambient dimension: the blow-up construction and the
-    coefficient chains implemented here hold for n >= 11."""
-    n = int(n)
-    if n < 11:
-        raise DomainError(f"dimension n={n} not supported (need n >= 11)")
-    return n
+    coefficient chains implemented here hold for integers n >= 11.
+    Returns n as an int."""
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if isinstance(n, bool) or k is None or k != n:
+        raise DomainError(f"dimension must be an integer, got {n!r}")
+    if k < 11:
+        raise DomainError(f"dimension n={k} not supported (need n >= 11)")
+    return k
 
 
 def _sym2(A: np.ndarray) -> np.ndarray:

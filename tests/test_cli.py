@@ -96,11 +96,18 @@ class TestRunConfig:
             {"eps_ladder": (0.5, 1.5)},
             {"delta_ladder": (0.0, 0.1)},
             {"n": 10},
+            {"n": 11.5},
+            {"n": True},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises((ValidationFailure, DomainError, InputFormatError)):
             RunConfig(**kwargs)
+
+    def test_integral_dimension_stored_as_int(self):
+        cfg = RunConfig.from_json('{"n": 12.0}')
+        assert cfg.n == 12 and type(cfg.n) is int
+        assert cfg.to_json() == RunConfig(n=12).to_json()
 
     def test_empty_delta_ladder_allowed(self):
         assert RunConfig(delta_ladder=()).delta_ladder == ()
@@ -358,6 +365,16 @@ class TestExitCodes:
         unk = tmp_path / "unk.json"
         unk.write_text('{"n": 11, "bogus": 1}')
         assert cli.main(["--config", str(unk), "moments"]) == 2
+
+    @pytest.mark.parametrize("n", ["11.5", "true"])
+    def test_non_integer_dimension_is_exit_2(self, tmp_path, n):
+        cfg = tmp_path / "dim.json"
+        cfg.write_text('{"n": %s}' % n)
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(cfg), "--out-dir", str(out), "moments"])
+        assert code == 2
+        # rejected with the config, before any output is written
+        assert not out.exists()
 
     def test_blocked_output_directory_is_exit_4(self, tmp_path):
         wall = tmp_path / "wall"
