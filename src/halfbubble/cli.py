@@ -1,13 +1,18 @@
 """Deterministic batch pipeline over the library modules.
 
 Subcommands: verify, moments, solve-vq, phi, reduce, family,
-residual-slope, pipeline.  Flags mirror RunConfig fields; a JSON config
-file supplies defaults that flags override.  Exit codes: 0 success,
-2 input/domain/validation problem, 3 numeric budget exhausted,
-4 filesystem error.  Outputs carry no timestamps and all floats are
-written with their shortest round-trip repr, so identical config and
-inputs produce byte-identical files.  Points are processed one after
-another and no environment variable is read.
+residual-slope, pipeline.  Each one that reads points runs a prefix of one
+stage chain: points (curvature file or generated battery) -> curvature
+validation -> solve and coefficients -> reduction -> artifact writers.  So
+every subcommand quarantines a point that fails validation with the reason
+`pipeline` gives, and `verify` checks the configured points on the
+configured grid.  Flags mirror RunConfig fields; a JSON config file
+supplies defaults that flags override.  Exit codes: 0 success, 2
+input/domain/validation problem, 3 numeric budget exhausted, 4 filesystem
+error.  Outputs carry no timestamps and all floats are written with their
+shortest round-trip repr, so identical config and inputs produce
+byte-identical files.  Points are processed one after another and no
+environment variable is read.
 """
 
 from __future__ import annotations
@@ -90,34 +95,189 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(_py(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _load_points(cfg: RunConfig):
-    """Points from the configured curvature file, or a generated battery."""
+# ---------------------------------------------------------------------------
+# stages: points -> validation -> solve + coefficients -> reduction
+
+
+def _valid_points(cfg: RunConfig):
+    """The configured points (curvature file, or a generated battery), the
+    ones that pass curvature validation, and the quarantine reason of each
+    other one by label."""
     if cfg.curvature_file:
         file_n, points = load_curvature_file(cfg.curvature_file)
         if file_n != cfg.n:
             raise InputFormatError(
                 f"curvature file has n={file_n}, config has n={cfg.n}")
-        return points
-    return make_battery(cfg.n, 5, cfg.seed)
+    else:
+        points = make_battery(cfg.n, 5, cfg.seed)
+    valid, quarantined = [], {}
+    for point in points:
+        report = validate_curvature(point, tol=cfg.tol_sym)
+        if report.passed:
+            valid.append(point)
+        else:
+            quarantined[point.label] = "curvature validation: " + "; ".join(
+                f.name for f in report.failures())
+    return points, valid, quarantined
 
 
-def _map_points(points, worker):
-    """Apply worker(point) to each point in turn; results ordered by label.
+def _map_points(points, worker, quarantined: dict) -> dict:
+    """worker(point) for each point in turn, by label in label order.
 
-    Failures do not abort the batch: the quarantine dict maps the label to
+    Failures do not abort the batch: the label goes into quarantined with
     the error text.
     """
-    results, quarantined = {}, {}
+    results = {}
     for point in points:
         try:
             results[point.label] = worker(point)
         except HalfBubbleError as exc:
             quarantined[point.label] = f"{type(exc).__name__}: {exc}"
-    return dict(sorted(results.items())), dict(sorted(quarantined.items()))
+    return dict(sorted(results.items()))
+
+
+def _solve_point(cfg: RunConfig, point):
+    return solve_vq(point, grid=cfg.grid(), tol_solver=cfg.tol_solver,
+                    richardson=cfg.richardson)
+
+
+def _coefficients(cfg: RunConfig, points, quarantined: dict) -> dict:
+    """(solution, coefficients) by label; failed points join quarantined."""
+    def worker(point):
+        sol = _solve_point(cfg, point)
+        return sol, compute_phi(point, sol,
+                                weyl_denominator=cfg.weyl_denominator,
+                                tol_quad=cfg.tol_quad)
+    return _map_points(points, worker, quarantined)
+
+
+def _write_coefficients(path: Path, results: dict, slopes=None) -> None:
+    """coefficients.csv; slopes maps a label to (residual, identity)."""
+    lines = [energy_csv_header()]
+    for label, (_, coeffs) in results.items():
+        lines.append(energy_csv_row(
+            coeffs, *(slopes or {}).get(label, (None, None))))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _build_reduced_functional(cfg: RunConfig, points, phis: dict,
+                              quarantined: dict):
+    """Merge geometry gamma with per-point phi by label.
+
+    Points already quarantined are skipped.  Points without a phi, or with
+    phi > 0, join quarantined rather than aborting the batch.
+    """
+    labels, gammas, phi_values = [], [], []
+    for point in sorted(points, key=lambda p: p.label):
+        label = point.label
+        if label in quarantined:
+            continue
+        phi = phis.get(label)
+        if phi is None:
+            quarantined[label] = "no coefficient row"
+            continue
+        if phi > 0.0:
+            quarantined[label] = f"phi positive ({phi!r})"
+            continue
+        if phi == 0.0:
+            quarantined[label] = "inadmissible: phi = 0"
+        if point.gamma <= 0.0:
+            quarantined.setdefault(
+                label, f"inadmissible: gamma = {point.gamma!r}")
+        labels.append(label)
+        gammas.append(point.gamma)
+        phi_values.append(phi)
+    if not labels:
+        raise ConstructionImpossibleError(
+            "no admissible point: every table row was quarantined")
+    return ReducedFunctional(n=cfg.n, B=compute_B(cfg.n), labels=tuple(labels),
+                             gamma=np.asarray(gammas),
+                             phi=np.asarray(phi_values))
+
+
+def _reduction(cfg: RunConfig, points, phis: dict, quarantined: dict,
+               neighborhood=None, coords=None) -> tuple:
+    """The reduced functional and the reduction.json payload."""
+    rf = _build_reduced_functional(cfg, points, phis, quarantined)
+    fam = find_blowup_point(rf)
+    if neighborhood:
+        hess = hessian_check(rf, fam.lambda0, fam.q0, neighborhood,
+                             coords=coords)
+        hessian = {
+            "status": hess.status,
+            "classification": hess.classification,
+            "lambda_lambda_fd": hess.lambda_lambda_fd,
+            "lambda_lambda_closed": hess.lambda_lambda_closed,
+            "mixed_fd": hess.mixed_fd,
+            "q_second_fd": hess.q_second_fd,
+            "footnotes": list(hess.footnotes),
+        }
+    else:
+        hessian = {"status": "not-run", "classification": fam.stability}
+    return rf, {
+        "n": cfg.n,
+        "B": rf.B,
+        "lambda0": fam.lambda0,
+        "q0": fam.q0,
+        "bracket": list(fam.bracket),
+        "value": fam.value,
+        "stability": fam.stability,
+        "family": _family_rows(cfg, fam),
+        "hessian": hessian,
+        "quarantined": quarantined,
+    }
+
+
+def _family_rows(cfg: RunConfig, fam) -> list:
+    return [{"eps": r.eps, "delta": r.delta, "peak": r.peak,
+             "phi_bound": r.phi_bound}
+            for r in family_table(fam, cfg.eps_ladder,
+                                  phi_bound_coeff=cfg.phi_bound_coeff)]
+
+
+def _family_csv_text(payload: dict) -> str:
+    lines = ["eps,delta,peak,phi_bound"]
+    for row in payload["family"]:
+        lines.append(",".join(_f(row[k])
+                              for k in ("eps", "delta", "peak", "phi_bound")))
+    return "\n".join(lines) + "\n"
+
+
+def _write_reduction(out: Path, payload: dict) -> None:
+    _write_json(out / "reduction.json", payload)
+    _write_text(out / "family.csv", _family_csv_text(payload))
+
+
+def _residual_ladder(cfg: RunConfig, point, sol, **options):
+    """The residual slope experiment, its ladder written under plots/."""
+    exp = residual_slope(point, sol,
+                         deltas=(np.asarray(cfg.delta_ladder)
+                                 if cfg.delta_ladder else None),
+                         mc_samples=cfg.mc_samples, seed=cfg.seed,
+                         metric_seed=cfg.metric_seed,
+                         deg3_scale=cfg.deg3_scale, **options)
+    lines = ["delta,norm,std_error,eps,bound"]
+    columns = [exp.extras.get(key) for key in
+               ("std_errors", "eps_column", "bound_column")]
+    for k, d in enumerate(exp.deltas):
+        lines.append(",".join([_f(d), _f(exp.values[k])] + [
+            "" if col is None else _f(col[k]) for col in columns]))
+    name = f"residual_ladder_{point.label}.csv"
+    _write_text(Path(cfg.out_dir) / "plots" / name, "\n".join(lines) + "\n")
+    return exp
+
+
+def _slope_summary(exp) -> dict:
+    summary = {"status": exp.status, "slope": exp.slope,
+               "intercept": exp.intercept, "band": exp.band}
+    for key in ("cancel_slope_sum", "cancel_slope_v", "cancel_slope_metric"):
+        if key in exp.extras:
+            summary[key] = exp.extras[key]
+    return summary
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify / moments
 
 
 def _moment_identity_suite(cfg: RunConfig, tol: float = 1e-6) -> dict:
@@ -149,8 +309,7 @@ def _moment_identity_suite(cfg: RunConfig, tol: float = 1e-6) -> dict:
     return {"passed": passed, "tol": tol, "checks": checks}
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
+def cmd_verify(cfg: RunConfig, args) -> int:
     suites = {}
 
     bubble = check_bubble_residual(cfg.n, n_points=10000, seed=cfg.seed)
@@ -165,24 +324,19 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     suites["moments"] = _moment_identity_suite(cfg)
 
-    battery = make_battery(cfg.n, 20, cfg.seed)
-    geometry_ok = True
-    for point in battery:
-        report = validate_curvature(point, tol=cfg.tol_sym)
-        geometry_ok = geometry_ok and report.passed
-    suites["geometry"] = {"passed": geometry_ok, "points": len(battery)}
+    points, _, quarantined = _valid_points(cfg)
+    suites["geometry"] = {"passed": not quarantined, "points": len(points),
+                          "quarantined": quarantined}
 
     overlap_max = max(
         float(np.max(np.abs(check_solvability(p, tol_quad=cfg.tol_quad))))
-        for p in battery)
+        for p in points)
     suites["solvability"] = {"passed": overlap_max <= 1e-8,
                              "overlap_max": overlap_max, "tol": 1e-8}
 
-    sol = solve_vq(battery[0], tol_solver=cfg.tol_solver,
-                   richardson=cfg.richardson)
-    report = verify_corrector(sol, n_samples=400, seed=cfg.seed,
-                              with_convergence=True, with_far_field=True,
-                              tol_solver=cfg.tol_solver)
+    report = verify_corrector(_solve_point(cfg, points[0]), n_samples=400,
+                              seed=cfg.seed, with_convergence=True,
+                              with_far_field=True, tol_solver=cfg.tol_solver)
     suites["corrector"] = {
         "passed": report.passed(tol_sym=cfg.tol_sym),
         "pde_residual": report.pde_residual,
@@ -196,17 +350,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     }
 
     passed = all(s["passed"] for s in suites.values())
-    _write_json(out / "verify_report.json",
+    _write_json(Path(cfg.out_dir) / "verify_report.json",
                 {"n": cfg.n, "seed": cfg.seed, "passed": passed,
                  "suites": suites})
     return 0 if passed else 2
 
 
-# ---------------------------------------------------------------------------
-# moments
-
-
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = MomentTable(n=cfg.n, tol=cfg.tol_quad)
@@ -217,67 +367,37 @@ def cmd_moments(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# solve-vq
+# solve-vq / phi
 
 
-def _solve_point(cfg: RunConfig, point):
-    return solve_vq(point, grid=cfg.grid(), tol_solver=cfg.tol_solver,
-                    richardson=cfg.richardson)
-
-
-def _profile_sidecar(sol) -> dict:
-    grid = sol.profile.grid
-    return {
-        "label": sol.point.label,
-        "n": sol.point.n,
-        "residual": sol.diagnostics.discrete_residual,
-        "decay_exponent": sol.profile.far_field_exponent(),
-        "pairing": sol.pairing(),
-        "grid": {"n_t": grid.n_t, "n_r": grid.n_r,
-                 "t_max": grid.t_max, "r_max": grid.r_max},
-    }
-
-
-def cmd_solve_vq(cfg: RunConfig) -> int:
+def cmd_solve_vq(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir) / "profiles"
-    points = _load_points(cfg)
-    solutions, quarantined = _map_points(points, lambda p: _solve_point(cfg, p))
+    _, valid, quarantined = _valid_points(cfg)
+    solutions = _map_points(valid, lambda p: _solve_point(cfg, p), quarantined)
     for label, sol in solutions.items():
+        grid = sol.profile.grid
         out.mkdir(parents=True, exist_ok=True)
         sol.profile.to_csv(out / f"{label}.csv")
-        _write_json(out / f"{label}.json", _profile_sidecar(sol))
+        _write_json(out / f"{label}.json", {
+            "label": label,
+            "n": sol.point.n,
+            "residual": sol.diagnostics.discrete_residual,
+            "decay_exponent": sol.profile.far_field_exponent(),
+            "pairing": sol.pairing(),
+            "grid": {"n_t": grid.n_t, "n_r": grid.n_r,
+                     "t_max": grid.t_max, "r_max": grid.r_max},
+        })
     _write_json(Path(cfg.out_dir) / "solve_report.json",
                 {"solved": sorted(solutions), "quarantined": quarantined})
     return 0
 
 
-# ---------------------------------------------------------------------------
-# phi
-
-
-def _phi_for_point(cfg: RunConfig, point):
-    sol = _solve_point(cfg, point)
-    coeffs = compute_phi(point, sol, weyl_denominator=cfg.weyl_denominator,
-                         tol_quad=cfg.tol_quad)
-    return sol, coeffs
-
-
-def _write_coefficients(path: Path, rows: dict) -> None:
-    lines = [energy_csv_header()]
-    for label in sorted(rows):
-        lines.append(rows[label])
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def cmd_phi(cfg: RunConfig) -> int:
-    points = _load_points(cfg)
-    results, quarantined = _map_points(
-        points, lambda p: _phi_for_point(cfg, p))
-    rows = {label: energy_csv_row(coeffs)
-            for label, (sol, coeffs) in results.items()}
-    _write_coefficients(Path(cfg.out_dir) / "coefficients.csv", rows)
+def cmd_phi(cfg: RunConfig, args) -> int:
+    _, valid, quarantined = _valid_points(cfg)
+    results = _coefficients(cfg, valid, quarantined)
+    _write_coefficients(Path(cfg.out_dir) / "coefficients.csv", results)
     _write_json(Path(cfg.out_dir) / "phi_report.json",
-                {"computed": sorted(rows), "quarantined": quarantined})
+                {"computed": sorted(results), "quarantined": quarantined})
     return 0
 
 
@@ -307,127 +427,46 @@ def _read_coefficients_csv(path: Path) -> dict:
     return phis
 
 
-def _build_reduced_functional(cfg: RunConfig, points, phis: dict):
-    """Merge geometry gamma with per-point phi by label.
-
-    Points without a phi, or with phi > 0, are quarantined rather than
-    aborting the batch.
-    """
-    labels, gammas, phi_values, quarantined = [], [], [], {}
-    by_label = {p.label: p for p in points}
-    for label in sorted(by_label):
-        point = by_label[label]
-        phi = phis.get(label)
-        if phi is None:
-            quarantined[label] = "no coefficient row"
-            continue
-        if phi > 0.0:
-            quarantined[label] = f"phi positive ({phi!r})"
-            continue
-        if phi == 0.0:
-            quarantined[label] = "inadmissible: phi = 0"
-        if point.gamma <= 0.0:
-            quarantined.setdefault(
-                label, f"inadmissible: gamma = {point.gamma!r}")
-        labels.append(label)
-        gammas.append(point.gamma)
-        phi_values.append(phi)
-    if not labels:
-        raise ConstructionImpossibleError(
-            "no admissible point: every table row was quarantined")
-    rf = ReducedFunctional(n=cfg.n, B=compute_B(cfg.n), labels=tuple(labels),
-                           gamma=np.asarray(gammas), phi=np.asarray(phi_values))
-    return rf, quarantined
+def _neighborhood(args, points) -> tuple:
+    """--neighborhood labels and --coords, checked before any solve."""
+    if not args.neighborhood:
+        return None, None
+    labels = args.neighborhood.split(",")
+    if len(labels) < 3:
+        raise DomainError("neighborhood must contain at least 3 labels")
+    unknown = sorted(set(labels) - {p.label for p in points})
+    if unknown:
+        raise DomainError(f"neighborhood labels {unknown} are not points")
+    if not args.coords:
+        return labels, None
+    try:
+        coords = np.asarray([float(x) for x in args.coords.split(",")])
+    except ValueError:
+        raise InputFormatError(
+            f"coords {args.coords!r} are not numbers") from None
+    if coords.shape != (len(labels),):
+        raise DomainError("coords must align with the neighborhood")
+    return labels, coords
 
 
-def _reduction_payload(cfg: RunConfig, rf, quarantined,
-                       neighborhood=None, coords=None) -> dict:
-    fam = find_blowup_point(rf)
-    if neighborhood:
-        hess = hessian_check(rf, fam.lambda0, fam.q0, neighborhood,
-                             coords=coords)
-        hessian = {
-            "status": hess.status,
-            "classification": hess.classification,
-            "lambda_lambda_fd": hess.lambda_lambda_fd,
-            "lambda_lambda_closed": hess.lambda_lambda_closed,
-            "mixed_fd": hess.mixed_fd,
-            "q_second_fd": hess.q_second_fd,
-            "footnotes": list(hess.footnotes),
-        }
-    else:
-        hessian = {"status": "not-run", "classification": fam.stability}
-    return {
-        "n": cfg.n,
-        "B": rf.B,
-        "lambda0": fam.lambda0,
-        "q0": fam.q0,
-        "bracket": list(fam.bracket),
-        "value": fam.value,
-        "stability": fam.stability,
-        "family": _family_rows(cfg, fam),
-        "hessian": hessian,
-        "quarantined": quarantined,
-    }
-
-
-def _family_rows(cfg: RunConfig, fam) -> list:
-    return [{"eps": r.eps, "delta": r.delta, "peak": r.peak,
-             "phi_bound": r.phi_bound}
-            for r in family_table(fam, cfg.eps_ladder,
-                                  phi_bound_coeff=cfg.phi_bound_coeff)]
-
-
-def _family_csv_text(payload: dict) -> str:
-    lines = ["eps,delta,peak,phi_bound"]
-    for row in payload["family"]:
-        lines.append(",".join(_f(row[k])
-                              for k in ("eps", "delta", "peak", "phi_bound")))
-    return "\n".join(lines) + "\n"
-
-
-def _g_curves_csv_text(rf, payload: dict) -> str:
-    lo, hi = payload["bracket"]
-    lams = np.linspace(lo, hi, 65)
-    lines = ["label,lambda,G"]
-    for label in rf.labels:
-        if not rf.admissible_mask()[rf.index_of(label)]:
-            continue
-        for lam in lams:
-            lines.append(f"{label},{_f(lam)},{_f(eval_G(rf, float(lam), label))}")
-    return "\n".join(lines) + "\n"
-
-
-def _reduce_payload_from_cfg(cfg: RunConfig, args) -> tuple:
-    points = _load_points(cfg)
-    named = getattr(args, "coefficients", "")
-    coeff_path = Path(named or Path(cfg.out_dir) / "coefficients.csv")
+def _reduce_from_cfg(cfg: RunConfig, args) -> dict:
+    """reduction.json payload from the coefficients CSV, computed if absent."""
+    points, valid, quarantined = _valid_points(cfg)
+    neighborhood, coords = _neighborhood(args, points)
+    coeff_path = Path(args.coefficients or Path(cfg.out_dir) / "coefficients.csv")
     # a named file is read as given, so a missing one fails (exit 4)
-    if named or coeff_path.exists():
+    if args.coefficients or coeff_path.exists():
         phis = _read_coefficients_csv(coeff_path)
     else:
-        results, _ = _map_points(points, lambda p: _phi_for_point(cfg, p))
-        _write_coefficients(Path(cfg.out_dir) / "coefficients.csv",
-                            {label: energy_csv_row(coeffs)
-                             for label, (sol, coeffs) in results.items()})
-        phis = {label: float(coeffs.phi)
-                for label, (sol, coeffs) in results.items()}
-    rf, quarantined = _build_reduced_functional(cfg, points, phis)
-    neighborhood = None
-    coords = None
-    if getattr(args, "neighborhood", ""):
-        neighborhood = args.neighborhood.split(",")
-        if getattr(args, "coords", ""):
-            coords = np.asarray([float(x) for x in args.coords.split(",")])
-    payload = _reduction_payload(cfg, rf, quarantined,
-                                 neighborhood=neighborhood, coords=coords)
-    return rf, payload
+        results = _coefficients(cfg, valid, quarantined)
+        _write_coefficients(coeff_path, results)
+        phis = {label: float(c.phi) for label, (_, c) in results.items()}
+    return _reduction(cfg, valid, phis, quarantined,
+                      neighborhood=neighborhood, coords=coords)[1]
 
 
 def cmd_reduce(cfg: RunConfig, args) -> int:
-    rf, payload = _reduce_payload_from_cfg(cfg, args)
-    _write_json(Path(cfg.out_dir) / "reduction.json", payload)
-    _write_text(Path(cfg.out_dir) / "family.csv", _family_csv_text(payload))
+    _write_reduction(Path(cfg.out_dir), _reduce_from_cfg(cfg, args))
     return 0
 
 
@@ -451,7 +490,7 @@ def cmd_family(cfg: RunConfig, args) -> int:
                 raise InputFormatError(f"{report}: malformed report ({exc!r})") from exc
             payload["family"] = _family_rows(cfg, fam)
     else:
-        _, payload = _reduce_payload_from_cfg(cfg, args)
+        payload = _reduce_from_cfg(cfg, args)
     _write_text(Path(cfg.out_dir) / "family.csv", _family_csv_text(payload))
     return 0
 
@@ -460,50 +499,19 @@ def cmd_family(cfg: RunConfig, args) -> int:
 # residual-slope
 
 
-def _slope_ladder_csv_text(exp) -> str:
-    lines = ["delta,norm,std_error,eps,bound"]
-    errs = exp.extras.get("std_errors")
-    eps_col = exp.extras.get("eps_column")
-    bound = exp.extras.get("bound_column")
-    for k, d in enumerate(exp.deltas):
-        lines.append(",".join([
-            _f(d), _f(exp.values[k]),
-            _f(errs[k]) if errs is not None else "",
-            _f(eps_col[k]) if eps_col is not None else "",
-            _f(bound[k]) if bound is not None else "",
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _slope_summary(exp) -> dict:
-    summary = {"status": exp.status, "slope": exp.slope,
-               "intercept": exp.intercept, "band": exp.band}
-    for key in ("cancel_slope_sum", "cancel_slope_v", "cancel_slope_metric"):
-        if key in exp.extras:
-            summary[key] = exp.extras[key]
-    return summary
-
-
 def cmd_residual_slope(cfg: RunConfig, args) -> int:
-    points = _load_points(cfg)
-    label = getattr(args, "label", "") or points[0].label
-    by_label = {p.label: p for p in points}
-    if label not in by_label:
+    points, _, quarantined = _valid_points(cfg)
+    label = args.label or points[0].label
+    if label in quarantined:
+        raise ValidationFailure(f"point {label!r}: {quarantined[label]}")
+    point = next((p for p in points if p.label == label), None)
+    if point is None:
         raise DomainError(f"unknown point label {label!r}")
-    point = by_label[label]
-    sol = _solve_point(cfg, point)
-    deltas = np.asarray(cfg.delta_ladder) if cfg.delta_ladder else None
-    exp = residual_slope(point, sol, eps=getattr(args, "eps", 0.0),
-                         tie_eps=getattr(args, "tie_eps", False),
-                         deltas=deltas, mc_samples=cfg.mc_samples,
-                         seed=cfg.seed,
-                         include_v=not getattr(args, "omit_corrector", False),
-                         metric_seed=cfg.metric_seed,
-                         deg3_scale=cfg.deg3_scale)
-    out = Path(cfg.out_dir)
-    _write_text(out / "plots" / f"residual_ladder_{label}.csv",
-                _slope_ladder_csv_text(exp))
-    _write_json(out / f"residual_slope_{label}.json", _slope_summary(exp))
+    exp = _residual_ladder(cfg, point, _solve_point(cfg, point),
+                           eps=args.eps, tie_eps=args.tie_eps,
+                           include_v=not args.omit_corrector)
+    _write_json(Path(cfg.out_dir) / f"residual_slope_{label}.json",
+                _slope_summary(exp))
     return 0
 
 
@@ -513,52 +521,28 @@ def cmd_residual_slope(cfg: RunConfig, args) -> int:
 
 def cmd_pipeline(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    points = _load_points(cfg)
-    valid_points, quarantined = [], {}
-    for point in points:
-        report = validate_curvature(point, tol=cfg.tol_sym)
-        if report.passed:
-            valid_points.append(point)
-        else:
-            quarantined[point.label] = "curvature validation: " + "; ".join(
-                f.name for f in report.failures())
-
-    results, quarantined_solve = _map_points(
-        valid_points, lambda p: _phi_for_point(cfg, p))
-    quarantined.update(quarantined_solve)
-
-    solutions = {label: sol for label, (sol, _) in results.items()}
-    coeff_objects = {label: coeffs for label, (_, coeffs) in results.items()}
-
-    slope_rows = {}
-    slopes_summary = {}
-    selected = None
-    outputs = ["coefficients.csv", "pipeline_report.json"]
-
+    points, valid, quarantined = _valid_points(cfg)
+    results = _coefficients(cfg, valid, quarantined)
+    phis = {label: float(c.phi) for label, (_, c) in results.items()}
+    slopes, slopes_summary, selected, error = {}, {}, None, ""
+    outputs = ["coefficients.csv", "family.csv", "pipeline_report.json",
+               "reduction.json"]
     try:
-        phis = {label: float(c.phi) for label, c in coeff_objects.items()}
-        survivors = [p for p in valid_points if p.label in phis]
-        rf, quarantined_reduce = _build_reduced_functional(cfg, survivors, phis)
-        quarantined.update(quarantined_reduce)
-        payload = _reduction_payload(cfg, rf, quarantined)
+        rf, payload = _reduction(cfg, valid, phis, quarantined)
+    except ConstructionImpossibleError as exc:
+        error = str(exc)
+        payload = {"n": cfg.n, "family": [], "quarantined": quarantined,
+                   "error": error}
+    else:
         selected = payload["q0"]
-
-        if not getattr(args, "skip_slopes", False):
-            point = next(p for p in survivors if p.label == selected)
-            sol = solutions[selected]
+        if not args.skip_slopes:
+            point = next(p for p in valid if p.label == selected)
+            sol = results[selected][0]
             identity = verify_A4_L2_L3_identity(point, sol)
-            deltas = (np.asarray(cfg.delta_ladder)
-                      if cfg.delta_ladder else None)
-            residual = residual_slope(point, sol, deltas=deltas,
-                                      mc_samples=cfg.mc_samples,
-                                      seed=cfg.seed,
-                                      metric_seed=cfg.metric_seed,
-                                      deg3_scale=cfg.deg3_scale)
-            slope_rows[selected] = (residual.slope, identity.slope)
+            residual = _residual_ladder(cfg, point, sol)
+            slopes[selected] = (residual.slope, identity.slope)
             slopes_summary = {"identity": _slope_summary(identity),
                               "residual": _slope_summary(residual)}
-            _write_text(out / "plots" / f"residual_ladder_{selected}.csv",
-                        _slope_ladder_csv_text(residual))
             id_lines = ["delta,value"]
             for k, d in enumerate(identity.deltas):
                 id_lines.append(f"{_f(d)},{_f(identity.values[k])}")
@@ -566,28 +550,17 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
                         "\n".join(id_lines) + "\n")
             outputs += [f"plots/residual_ladder_{selected}.csv",
                         f"plots/identity_ladder_{selected}.csv"]
+        lo, hi = payload["bracket"]
+        g_lines = ["label,lambda,G"]
+        for label in rf.labels:
+            if rf.admissible_mask()[rf.index_of(label)]:
+                g_lines += [f"{label},{_f(lam)},{_f(eval_G(rf, float(lam), label))}"
+                            for lam in np.linspace(lo, hi, 65)]
+        _write_text(out / "plots" / "G_curves.csv", "\n".join(g_lines) + "\n")
+        outputs.append("plots/G_curves.csv")
 
-        _write_json(out / "reduction.json", payload)
-        _write_text(out / "family.csv", _family_csv_text(payload))
-        _write_text(out / "plots" / "G_curves.csv",
-                    _g_curves_csv_text(rf, payload))
-        outputs += ["reduction.json", "family.csv", "plots/G_curves.csv"]
-        family_error = ""
-    except ConstructionImpossibleError as exc:
-        family_error = str(exc)
-        _write_json(out / "reduction.json",
-                    {"n": cfg.n, "family": [], "quarantined": quarantined,
-                     "error": family_error})
-        _write_text(out / "family.csv", "eps,delta,peak,phi_bound\n")
-        outputs += ["reduction.json", "family.csv"]
-
-    rows = {}
-    for label, coeffs in coeff_objects.items():
-        res_slope, id_slope = slope_rows.get(label, (None, None))
-        rows[label] = energy_csv_row(coeffs, slope_residual=res_slope,
-                                     slope_identity=id_slope)
-    _write_coefficients(out / "coefficients.csv", rows)
-
+    _write_reduction(out, payload)
+    _write_coefficients(out / "coefficients.csv", results, slopes)
     _write_json(out / "pipeline_report.json", {
         "n": cfg.n,
         "points": sorted(p.label for p in points),
@@ -595,10 +568,10 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
         "q0": selected,
         "slopes": slopes_summary,
         "outputs": sorted(outputs),
-        "error": family_error,
+        "error": error,
     })
-    if family_error:
-        print(f"no admissible point: {family_error}", file=sys.stderr)
+    if error:
+        print(f"no admissible point: {error}", file=sys.stderr)
         return 2
     return 0
 
@@ -608,6 +581,9 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def ladder(text):
+        return [float(x) for x in text.split(",")] if text else []
+
     parser = argparse.ArgumentParser(
         prog="halfbubble",
         description="Verification pipeline for the half-space bubble "
@@ -623,9 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-max", type=float, dest="t_max")
     parser.add_argument("--r-max", type=float, dest="r_max")
     parser.add_argument("--h", type=float)
-    parser.add_argument("--delta-ladder", dest="delta_ladder",
+    parser.add_argument("--delta-ladder", type=ladder, dest="delta_ladder",
                         help="comma-separated, strictly increasing, in (0,1)")
-    parser.add_argument("--eps-ladder", dest="eps_ladder",
+    parser.add_argument("--eps-ladder", type=ladder, dest="eps_ladder",
                         help="comma-separated, strictly increasing, in (0,1)")
     parser.add_argument("--weyl-denominator", dest="weyl_denominator",
                         choices=list(WEYL_DENOMINATORS))
@@ -642,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", dest="out_dir")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", help="full invariant battery; exit 0 iff green")
+    sub.add_parser("verify", help="invariant battery on the configured "
+                                  "points and grid; exit 0 iff green")
     sub.add_parser("moments", help="moment table and identity report")
     sub.add_parser("solve-vq", help="corrector profiles per point")
     sub.add_parser("phi", help="reduced-energy coefficients per point")
@@ -675,37 +652,17 @@ def config_from_args(args) -> RunConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = RunConfig.from_json(fh.read()).to_dict()
     for name in (f.name for f in dataclasses.fields(RunConfig)):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name in ("delta_ladder", "eps_ladder") and isinstance(value, str):
-            value = [float(x) for x in value.split(",")] if value else []
-        base[name] = value
+        if getattr(args, name, None) is not None:
+            base[name] = getattr(args, name)
     return RunConfig.from_dict(base)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "moments":
-            return cmd_moments(cfg)
-        if args.command == "solve-vq":
-            return cmd_solve_vq(cfg)
-        if args.command == "phi":
-            return cmd_phi(cfg)
-        if args.command == "reduce":
-            return cmd_reduce(cfg, args)
-        if args.command == "family":
-            return cmd_family(cfg, args)
-        if args.command == "residual-slope":
-            return cmd_residual_slope(cfg, args)
-        if args.command == "pipeline":
-            return cmd_pipeline(cfg, args)
-        raise DomainError(f"unknown command {args.command!r}")
+        # looked up at call time, so a replaced cmd_* function is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
     except (BudgetError, PoisonedEstimateError, SolverError) as exc:
         print(f"numeric budget failure: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,16 @@ from .errors import InputFormatError, ValidationFailure
 from .geometry import check_dim
 
 _DEFAULT_EPS_LADDER = tuple(float(e) for e in np.geomspace(1e-4, 1e-1, 7))
+# value types by field annotation; n is left to check_dim, ladders to
+# _checked_ladder
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+          "bool": bool}
+
+
+def _is_a(value, kind) -> bool:
+    """isinstance, except that a bool counts only as a bool."""
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,12 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = _KINDS.get(f.type) if f.name != "n" else None
+            if kind and not _is_a(value, kind):
+                raise ValidationFailure(
+                    f"{f.name} must be {f.type}, got {value!r}")
         for name in ("tol_quad", "tol_sym", "tol_solver"):
             if not getattr(self, name) > 0.0:
                 raise ValidationFailure(f"{name} must be positive")
@@ -96,11 +113,7 @@ class RunConfig:
         unknown = sorted(set(d) - names)
         if unknown:
             raise InputFormatError(f"unknown config fields: {unknown}")
-        kwargs = dict(d)
-        for key in ("delta_ladder", "eps_ladder"):
-            if key in kwargs:
-                kwargs[key] = tuple(float(x) for x in kwargs[key])
-        return cls(**kwargs)
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -116,6 +129,10 @@ class RunConfig:
 
 
 def _checked_ladder(name: str, values, allow_empty: bool) -> tuple:
+    if not (isinstance(values, (list, tuple))
+            and all(_is_a(v, numbers.Real) for v in values)):
+        raise ValidationFailure(
+            f"{name} must be a list of numbers, got {values!r}")
     ladder = tuple(float(v) for v in values)
     if not ladder:
         if allow_empty:

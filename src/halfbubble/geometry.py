@@ -285,7 +285,8 @@ _POINT_FIELDS = {"label", "Rbar", "S", "D2", "Rnnnn", "Wbar2", "gamma"}
 
 
 def load_curvature_file(path) -> tuple[int, list[CurvaturePoint]]:
-    """Read {"n": ..., "points": [...]}; unknown fields are rejected."""
+    """Read {"n": ..., "points": [...]}; unknown fields, an empty point
+    list and a repeated label are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -301,8 +302,8 @@ def load_curvature_file(path) -> tuple[int, list[CurvaturePoint]]:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputFormatError(f"{path}: 'n' must be an integer, got {n!r}")
-    if not isinstance(data["points"], list):
-        raise InputFormatError(f"{path}: 'points' must be a list")
+    if not isinstance(data["points"], list) or not data["points"]:
+        raise InputFormatError(f"{path}: 'points' must be a nonempty list")
     points = []
     for idx, rec in enumerate(data["points"]):
         if not isinstance(rec, dict):
@@ -313,6 +314,8 @@ def load_curvature_file(path) -> tuple[int, list[CurvaturePoint]]:
         missing = _POINT_FIELDS - set(rec)
         if missing:
             raise InputFormatError(f"{path}: points[{idx}] missing fields {sorted(missing)}")
+        if any(p.label == str(rec["label"]) for p in points):
+            raise InputFormatError(f"{path}: points[{idx}] repeats label {rec['label']!r}")
         try:
             points.append(CurvaturePoint(
                 label=str(rec["label"]), n=n,

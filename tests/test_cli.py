@@ -18,6 +18,7 @@ import pytest
 
 from halfbubble import cli
 from halfbubble.config import RunConfig
+from halfbubble.corrector import solve_vq
 from halfbubble.errors import DomainError, InputFormatError, ValidationFailure
 from halfbubble.geometry import CurvaturePoint, make_battery, save_curvature_file
 
@@ -98,6 +99,20 @@ class TestRunConfig:
             {"n": 10},
             {"n": 11.5},
             {"n": True},
+            {"h": "0.1"},
+            {"mc_samples": "5000"},
+            {"mc_samples": 5000.0},
+            {"seed": True},
+            {"metric_seed": 1.5},
+            {"tol_solver": True},
+            {"deg3_scale": "5"},
+            {"richardson": "no"},
+            {"richardson": 1},
+            {"weyl_denominator": 96},
+            {"curvature_file": 0},
+            {"delta_ladder": ["x"]},
+            {"eps_ladder": (0.01, True)},
+            {"eps_ladder": "0.01,0.1"},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -157,6 +172,23 @@ class TestMomentsCommand:
 
 
 class TestVerifyCommand:
+    def test_checks_configured_points_and_grid(self, tmp_path, monkeypatch):
+        path = tmp_path / "pts.json"
+        save_curvature_file(path, 11, make_battery(11, 3, 7))
+        grids = []
+
+        def spy(point, grid, **kwargs):
+            grids.append(grid)
+            return solve_vq(point, grid=grid, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_vq", spy)
+        run(tmp_path / "out", "--curvature", str(path), "verify")
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert report["suites"]["geometry"] == {
+            "passed": True, "points": 3, "quarantined": {}}
+        args = cli.build_parser().parse_args([*FAST, "verify"])
+        assert grids == [cli.config_from_args(args).grid()]
+
     def test_default_battery_is_green(self, tmp_path):
         assert cli.main(["--seed", "1", "--out-dir", str(tmp_path), "verify"]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
@@ -285,6 +317,61 @@ class TestPipeline:
             "battery-01": "curvature validation: wbar2_identity"}
         assert report["q0"] == "battery-00"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-vq"],
+            ["phi"],
+            ["reduce"],
+            ["pipeline", "--skip-slopes"],
+            ["residual-slope", "--label", "battery-01", "--omit-corrector"],
+            ["verify"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_quarantines_tampered_point(self, tmp_path, capsys,
+                                                      argv):
+        # a smaller Wbar2 makes the tampered point the most attractive one,
+        # so a command that skips validation selects it
+        points = make_battery(11, 3, 0)
+        points[1] = dataclasses.replace(points[1], Wbar2=0.02 * points[1].Wbar2)
+        path = tmp_path / "tampered.json"
+        save_curvature_file(path, 11, points)
+        reason = "curvature validation: wbar2_identity"
+        out = tmp_path / "out"
+        code = run(out, "--curvature", str(path), *argv)
+        if argv[0] == "residual-slope":
+            assert code == 2
+            assert reason in capsys.readouterr().err
+            assert not out.exists()
+            return
+        if argv[0] == "verify":
+            assert code == 2
+            report = json.loads((out / "verify_report.json").read_text())
+            assert report["suites"]["geometry"]["quarantined"] == {
+                "battery-01": reason}
+            return
+        assert code == 0
+        name = {"solve-vq": "solve_report.json", "phi": "phi_report.json",
+                "reduce": "reduction.json"}.get(argv[0], "pipeline_report.json")
+        report = json.loads((out / name).read_text())
+        assert report["quarantined"] == {"battery-01": reason}
+        if argv[0] == "reduce":
+            assert run(tmp_path / "pipe", "--curvature", str(path),
+                       "pipeline", "--skip-slopes") == 0
+            pipe = json.loads((tmp_path / "pipe" / "reduction.json").read_text())
+            assert report["q0"] == pipe["q0"] == "battery-02"
+            assert report["quarantined"] == pipe["quarantined"]
+
+    def test_dispatch_finds_replaced_command(self, tmp_path, monkeypatch):
+        # a benchmark hook replaces cmd_pipeline by name; main must run it
+        calls = []
+        monkeypatch.setattr(cli, "cmd_pipeline",
+                            lambda cfg, args: calls.append(cfg.n) or 0)
+        assert run(tmp_path, "pipeline") == 0
+        assert calls == [11]
+        assert not tmp_path.joinpath("pipeline_report.json").exists()
+
     def test_reduce_then_family_reuses_reduction(self, tmp_path):
         assert run(tmp_path, "phi") == 0
         assert run(tmp_path, "reduce") == 0
@@ -401,6 +488,51 @@ class TestExitCodes:
         coeffs.write_text("\n".join(lines) + "\n")
         assert run(tmp_path, "reduce") == 2
         assert not (tmp_path / "reduction.json").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"h": "0.1"}', '{"mc_samples": "5000"}', '{"delta_ladder": ["x"]}',
+         '{"richardson": "no"}'],
+    )
+    def test_mistyped_config_value_is_exit_2(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out-dir", str(out),
+                         "moments"]) == 2
+        assert not out.exists()
+
+    def test_non_numeric_ladder_flag_is_exit_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--delta-ladder", "a,b", "--out-dir", str(tmp_path),
+                      "moments"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("problem", ["repeated-label", "no-points"])
+    def test_bad_point_list_is_exit_2(self, tmp_path, problem):
+        path = tmp_path / "pts.json"
+        points = make_battery(11, 2, 1)
+        save_curvature_file(
+            path, 11, [] if problem == "no-points" else [*points, points[0]])
+        out = tmp_path / "out"
+        assert run(out, "--curvature", str(path), "phi") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--neighborhood", "battery-00,battery-01"],
+            ["--neighborhood", "battery-00,battery-01,nowhere"],
+            ["--neighborhood", "battery-00,battery-01,battery-02",
+             "--coords", "0,1"],
+            ["--neighborhood", "battery-00,battery-01,battery-02",
+             "--coords", "a,b,c"],
+        ],
+        ids=["too-few", "unknown-label", "count-mismatch", "non-numeric"],
+    )
+    def test_bad_neighborhood_is_exit_2_before_solving(self, tmp_path, argv):
+        assert run(tmp_path, "reduce", *argv) == 2
+        assert not (tmp_path / "coefficients.csv").exists()
 
     def test_curvature_dimension_mismatch_is_exit_2(self, tmp_path):
         k = 8

@@ -177,6 +177,19 @@ class TestJsonInterchange:
         with pytest.raises(InputFormatError, match="not valid JSON"):
             load_curvature_file(path)
 
+    def test_empty_point_list_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 11, "points": []}))
+        with pytest.raises(InputFormatError, match="nonempty"):
+            load_curvature_file(path)
+
+    def test_repeated_label_rejected(self, tmp_path):
+        pts = make_battery(11, 2, seed=7)
+        path = tmp_path / "bad.json"
+        save_curvature_file(path, 11, [pts[0], pts[1], pts[0]])
+        with pytest.raises(InputFormatError, match=r"points\[2\] repeats label"):
+            load_curvature_file(path)
+
     def test_non_integer_n(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 11.0, "points": []}))
