@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -137,8 +138,9 @@ def _map_points(points, worker, quarantined: dict) -> dict:
 
 
 def _solve_point(cfg: RunConfig, point):
+    """The corrector from the Richardson profile on the configured grid."""
     return solve_vq(point, grid=cfg.grid(), tol_solver=cfg.tol_solver,
-                    richardson=cfg.richardson)
+                    richardson=True)
 
 
 def _coefficients(cfg: RunConfig, points, quarantined: dict) -> dict:
@@ -405,8 +407,8 @@ def cmd_phi(cfg: RunConfig, args) -> int:
 # reduce / family
 
 
-def _read_coefficients_csv(path: Path) -> dict:
-    """phi by label from a coefficients CSV."""
+def _read_coefficients_csv(path: Path, n: int) -> dict:
+    """phi by label from a coefficients CSV of dimension n."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != energy_csv_header():
@@ -419,6 +421,9 @@ def _read_coefficients_csv(path: Path) -> dict:
         if len(parts) != len(names):
             raise InputFormatError(f"{path}: malformed row {line!r}")
         rec = dict(zip(names, parts))
+        if rec["n"] != str(n):
+            raise InputFormatError(
+                f"{path}: row {rec['label']!r} has n={rec['n']}, config n={n}")
         try:
             phis[rec["label"]] = float(rec["phi"])
         except ValueError:
@@ -456,7 +461,7 @@ def _reduce_from_cfg(cfg: RunConfig, args) -> dict:
     coeff_path = Path(args.coefficients or Path(cfg.out_dir) / "coefficients.csv")
     # a named file is read as given, so a missing one fails (exit 4)
     if args.coefficients or coeff_path.exists():
-        phis = _read_coefficients_csv(coeff_path)
+        phis = _read_coefficients_csv(coeff_path, cfg.n)
     else:
         results = _coefficients(cfg, valid, quarantined)
         _write_coefficients(coeff_path, results)
@@ -584,6 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
     def ladder(text):
         return [float(x) for x in text.split(",")] if text else []
 
+    def nonnegative(text):
+        value = float(text)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite number >= 0")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="halfbubble",
         description="Verification pipeline for the half-space bubble "
@@ -608,8 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mc-samples", type=int, dest="mc_samples")
     parser.add_argument("--metric-seed", type=int, dest="metric_seed")
     parser.add_argument("--deg3-scale", type=float, dest="deg3_scale")
-    parser.add_argument("--richardson", action=argparse.BooleanOptionalAction,
-                        default=None)
     parser.add_argument("--phi-bound-coeff", type=float,
                         dest="phi_bound_coeff")
     parser.add_argument("--curvature", dest="curvature_file",
@@ -635,8 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated coordinates for the neighborhood")
     p_slope = sub.add_parser("residual-slope", help="residual norm ladder")
     p_slope.add_argument("--label", default="")
-    p_slope.add_argument("--eps", type=float, default=0.0)
-    p_slope.add_argument("--tie-eps", action="store_true", dest="tie_eps")
+    eps = p_slope.add_mutually_exclusive_group()
+    eps.add_argument("--eps", type=nonnegative, default=0.0,
+                     help="eps of the bound column eps*delta + delta^3")
+    eps.add_argument("--tie-eps", action="store_true", dest="tie_eps",
+                     help="eps = delta^3 per rung")
     p_slope.add_argument("--omit-corrector", action="store_true",
                          dest="omit_corrector")
     p_pipe = sub.add_parser("pipeline", help="end-to-end batch run")

@@ -22,14 +22,12 @@ from .geometry import check_dim
 _DEFAULT_EPS_LADDER = tuple(float(e) for e in np.geomspace(1e-4, 1e-1, 7))
 # value types by field annotation; n is left to check_dim, ladders to
 # _checked_ladder
-_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-          "bool": bool}
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 def _is_a(value, kind) -> bool:
-    """isinstance, except that a bool counts only as a bool."""
-    return isinstance(value, kind) and (kind is bool
-                                        or not isinstance(value, bool))
+    """isinstance, except that a bool counts as no kind of number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ class RunConfig:
     mc_samples: int = 60000
     metric_seed: int = 0
     deg3_scale: float = 5.0
-    richardson: bool = True
     phi_bound_coeff: float = 1.0
     curvature_file: str = ""
     out_dir: str = "out"

@@ -21,10 +21,12 @@ depend on S at all; it is solved once per (n, grid) and cached, and the
 corrector for any admissible pattern is psi * Y by linearity.
 
 Discretization: the quarter plane is mapped to a rectangle by
-t = Lt tau/(1-tau), r = Lr sigma/(1-sigma); uniform grid, second-order
-centered stencils inside, one-sided 3-point second-order rows on the
-boundaries, sparse LU solve, and an inverse-power probe of the smallest
-singular value as a conditioning gate.  The probe iterates on A^T A from a
+t = L tau/(1-tau), r = L sigma/(1-sigma) with L = _MAP_SCALE; uniform grid,
+second-order centered stencils inside, one-sided 3-point second-order rows
+on the boundaries, sparse LU solve, and an inverse-power probe of the
+smallest singular value as a conditioning gate.  The Richardson profile
+combines the solves at N and 2N cells to fourth order on the N-cell nodes;
+the command line always solves that way.  The probe iterates on A^T A from a
 fixed random start and stops once one step moves its estimate by at most
 1e-6 relative, or after 25 steps; SolveDiagnostics.probe_steps reports the
 count, and a count of 25 means the probe did not converge.
@@ -54,7 +56,6 @@ __all__ = [
     "Profile2D",
     "SolveDiagnostics",
     "solve_profile",
-    "richardson_profile",
     "CorrectorSolution",
     "solve_vq",
     "eval_v",
@@ -130,6 +131,10 @@ def eval_source(point: CurvaturePoint, t, z) -> np.ndarray:
 # Reduced profile solve
 
 
+# scale L of the compactifying map x = L s/(1-s), the same in t and in r
+_MAP_SCALE = 4.0
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Mapped-rectangle grid for the reduced solve."""
@@ -137,14 +142,12 @@ class GridConfig:
     n_r: int = 96
     t_max: float = 40.0
     r_max: float = 40.0
-    map_scale_t: float = 4.0
-    map_scale_r: float = 4.0
 
     def __post_init__(self):
         if self.n_t < 8 or self.n_r < 8:
             raise DomainError("grid needs at least 8 cells per direction")
-        if self.t_max <= self.map_scale_t or self.r_max <= self.map_scale_r:
-            raise DomainError("domain caps must exceed the map scales")
+        if self.t_max <= _MAP_SCALE or self.r_max <= _MAP_SCALE:
+            raise DomainError("domain caps must exceed the map scale")
 
     def refined(self, factor: int = 2) -> "GridConfig":
         return replace(self, n_t=self.n_t * factor, n_r=self.n_r * factor)
@@ -179,11 +182,11 @@ class Profile2D:
 
     @property
     def t_nodes(self) -> np.ndarray:
-        return _stretch(self.tau, self.grid.map_scale_t)[0]
+        return _stretch(self.tau, _MAP_SCALE)[0]
 
     @property
     def r_nodes(self) -> np.ndarray:
-        return _stretch(self.sigma, self.grid.map_scale_r)[0]
+        return _stretch(self.sigma, _MAP_SCALE)[0]
 
     def _partial(self, tau, sigma, dx: int = 0, dy: int = 0) -> np.ndarray:
         """One spline partial in the computational coordinates.  A column
@@ -206,12 +209,11 @@ class Profile2D:
         t and r broadcast; a column t (N, 1) with a row r (1, M) is
         evaluated on their tensor grid in one spline pass per partial.
         """
-        Lt, Lr = self.grid.map_scale_t, self.grid.map_scale_r
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
-        tau, sigma = _compress(t, Lt), _compress(r, Lr)
-        _, tp, tpp = _stretch(tau, Lt)
-        _, rp, rpp = _stretch(sigma, Lr)
+        tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
+        _, tp, tpp = _stretch(tau, _MAP_SCALE)
+        _, rp, rpp = _stretch(sigma, _MAP_SCALE)
         s10 = self._partial(tau, sigma, 1, 0)
         s01 = self._partial(tau, sigma, 0, 1)
         return (self._partial(tau, sigma),
@@ -247,14 +249,13 @@ class Profile2D:
         if cached is not None:
             return cached
         n = self.n
-        Lt, Lr = self.grid.map_scale_t, self.grid.map_scale_r
 
         def F(tau, sigma):
-            t, tp, _ = _stretch(tau, Lt)
-            r = _stretch(sigma, Lr)[0]
-            # dt/dtau * dr/dsigma, grouped as (dt/dtau * Lr) / (1 - sigma)^2
+            t, tp, _ = _stretch(tau, _MAP_SCALE)
+            r = _stretch(sigma, _MAP_SCALE)[0]
+            # dt/dtau * dr/dsigma, grouped as (dt/dtau * L) / (1 - sigma)^2
             # so that the pairing keeps its rounding
-            jac = tp * Lr / (1.0 - sigma) ** 2
+            jac = tp * _MAP_SCALE / (1.0 - sigma) ** 2
             psi = self._partial(tau, sigma)
             return psi * source_radial(n, t, r) * r ** (n - 2) * jac
 
@@ -286,13 +287,12 @@ def _compress(x, L):
 def _assemble(n: int, grid: GridConfig):
     """Sparse system (row-equilibrated) for the reduced profile."""
     Nt, Nr = grid.n_t, grid.n_r
-    Lt, Lr = grid.map_scale_t, grid.map_scale_r
-    tau = np.linspace(0.0, _compress(grid.t_max, Lt), Nt + 1)
-    sigma = np.linspace(0.0, _compress(grid.r_max, Lr), Nr + 1)
+    tau = np.linspace(0.0, _compress(grid.t_max, _MAP_SCALE), Nt + 1)
+    sigma = np.linspace(0.0, _compress(grid.r_max, _MAP_SCALE), Nr + 1)
     ht = tau[1] - tau[0]
     hs = sigma[1] - sigma[0]
-    t, tp, tpp = _stretch(tau, Lt)
-    r, rp, rpp = _stretch(sigma, Lr)
+    t, tp, tpp = _stretch(tau, _MAP_SCALE)
+    r, rp, rpp = _stretch(sigma, _MAP_SCALE)
 
     NJ = Nr + 1
     size = (Nt + 1) * NJ
@@ -406,29 +406,21 @@ def _solve_profile_impl(n: int, grid: GridConfig, tol_solver: float) -> tuple:
     return profile, diag
 
 
-_solve_profile_cached = lru_cache(maxsize=16)(_solve_profile_impl)
+def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Fourth-order limit of two second-order solutions on the same nodes,
+    fine from the grid with half the spacing of coarse."""
+    return fine + (fine - coarse) / 3.0
 
 
-def solve_profile(n: int, grid: GridConfig | None = None,
-                  tol_solver: float = 1e-8) -> tuple[Profile2D, SolveDiagnostics]:
-    """Solve the reduced quarter-plane problem; cached per (n, grid).
-
-    The profile is pattern-independent: the same psi serves every curvature
-    point at this dimension.
-    """
-    if grid is None:
-        grid = GridConfig()
-    return _solve_profile_cached(n, grid, tol_solver)
-
-
-@lru_cache(maxsize=8)
-def _richardson_cached(n: int, grid: GridConfig, tol_solver: float):
+@lru_cache(maxsize=24)
+def _solve_profile_cached(n: int, grid: GridConfig, tol_solver: float,
+                          richardson: bool) -> tuple:
     coarse, diag_c = _solve_profile_impl(n, grid, tol_solver)
+    if not richardson:
+        return coarse, diag_c
     fine, diag_f = _solve_profile_impl(n, grid.refined(2), tol_solver)
-    psi_f = fine.psi[::2, ::2]
-    psi_star = psi_f + (psi_f - coarse.psi) / 3.0
     profile = Profile2D(n=n, grid=grid, tau=coarse.tau, sigma=coarse.sigma,
-                        psi=psi_star)
+                        psi=_richardson(coarse.psi, fine.psi[::2, ::2]))
     diag = SolveDiagnostics(discrete_residual=max(diag_c.discrete_residual,
                                                   diag_f.discrete_residual),
                             sigma_min=min(diag_c.sigma_min, diag_f.sigma_min),
@@ -439,14 +431,19 @@ def _richardson_cached(n: int, grid: GridConfig, tol_solver: float):
     return profile, diag
 
 
-def richardson_profile(n: int, grid: GridConfig | None = None,
-                       tol_solver: float = 1e-8) -> tuple[Profile2D, SolveDiagnostics]:
-    """Richardson-extrapolated profile (solves at N and 2N, combines to
-    fourth order on the coarse nodes).  Used by the slope experiments where
-    the discretization error would otherwise set the floor."""
+def solve_profile(n: int, grid: GridConfig | None = None,
+                  tol_solver: float = 1e-8,
+                  richardson: bool = False) -> tuple[Profile2D, SolveDiagnostics]:
+    """Solve the reduced quarter-plane problem; cached per argument set.
+
+    The profile is pattern-independent: the same psi serves every curvature
+    point at this dimension.  richardson combines the solves at N and 2N
+    cells to fourth order on the N-cell nodes; the diagnostics take the
+    worse of the two solves.
+    """
     if grid is None:
         grid = GridConfig()
-    return _richardson_cached(n, grid, tol_solver)
+    return _solve_profile_cached(n, grid, tol_solver, richardson)
 
 
 def self_convergence(n: int, grid: GridConfig | None = None) -> dict:
@@ -463,7 +460,7 @@ def self_convergence(n: int, grid: GridConfig | None = None) -> dict:
     p4, _ = solve_profile(n, grid.refined(4))
     fine_on_coarse = p4.psi[::4, ::4]
     mid_on_coarse = p2.psi[::2, ::2]
-    limit = fine_on_coarse + (fine_on_coarse - mid_on_coarse) / 3.0
+    limit = _richardson(mid_on_coarse, fine_on_coarse)
     inner = (slice(1, -1), slice(1, -1))
     e1 = float(np.max(np.abs(p1.psi[inner] - limit[inner])))
     e2 = float(np.max(np.abs(mid_on_coarse[inner] - limit[inner])))
@@ -482,6 +479,7 @@ class CorrectorSolution:
     pattern: HarmonicPattern
     profile: Profile2D
     diagnostics: SolveDiagnostics
+    richardson: bool = False    # profile is the Richardson profile
 
     def pairing(self) -> float:
         """Half-space integral of v * Laplacian(v) = -<Y^2> * source overlap.
@@ -499,10 +497,10 @@ def solve_vq(point: CurvaturePoint, grid: GridConfig | None = None,
     term that cancels pointwise, so only the pattern of S survives; the
     radial factor is source_radial.
     """
-    solver = richardson_profile if richardson else solve_profile
-    profile, diag = solver(point.n, grid, tol_solver)
+    profile, diag = solve_profile(point.n, grid, tol_solver, richardson)
     return CorrectorSolution(point=point, pattern=HarmonicPattern(point.n, point.S),
-                             profile=profile, diagnostics=diag)
+                             profile=profile, diagnostics=diag,
+                             richardson=richardson)
 
 
 def eval_v(sol: CorrectorSolution, t, z) -> np.ndarray:
@@ -667,8 +665,8 @@ def verify_corrector(sol: CorrectorSolution, n_samples: int = 400, seed: int = 0
     The angular mean of the degree-2 pattern determines the boundary
     integral of U^{n/(n-2)} v: once the mean vanishes (traceless S) the
     integral is exactly zero, so it is asserted through the mean rather
-    than quadrature.  with_far_field re-solves on a domain with doubled
-    caps and reports the relative pairing shift.
+    than quadrature.  with_far_field re-solves sol's kind of profile on a
+    domain with doubled caps and reports the relative pairing shift.
     """
     n = sol.point.n
     profile = sol.profile
@@ -681,8 +679,8 @@ def verify_corrector(sol: CorrectorSolution, n_samples: int = 400, seed: int = 0
     if with_far_field:
         big = replace(profile.grid, t_max=2.0 * profile.grid.t_max,
                       r_max=2.0 * profile.grid.r_max)
-        pairing_big = -sol.pattern.mean_square() * solve_profile(
-            n, big, tol_solver)[0].source_overlap()
+        pairing_big = solve_vq(sol.point, big, tol_solver,
+                               sol.richardson).pairing()
         base = sol.pairing()
         shift = (pairing_big - base) / max(abs(base), 1e-300)
     return VerificationReport(

@@ -196,7 +196,8 @@ def family_table(fam: BlowUpFamily, eps_ladder,
         if not 0.0 < eps < 1.0:
             raise DomainError(f"eps must lie in (0, 1), got {eps}")
         delta = fam.lambda0 * eps ** (1.0 / 3.0)
-        # reciprocal form keeps peak * delta^((n-2)/2) at 1 to the last bit
+        # peak * delta^((n-2)/2) is 1 only up to rounding: for about one
+        # random lambda0 in seven the product is an ulp off 1.0
         peak = 1.0 / delta ** ((fam.n - 2.0) / 2.0)
         rows.append(FamilyRow(eps=eps, delta=delta, peak=peak,
                               phi_bound=phi_bound_coeff * eps))

@@ -106,8 +106,9 @@ class TestRunConfig:
             {"metric_seed": 1.5},
             {"tol_solver": True},
             {"deg3_scale": "5"},
-            {"richardson": "no"},
-            {"richardson": 1},
+            # removed field: every solve is the Richardson pair
+            {"richardson": True},
+            {"richardson": False},
             {"weyl_denominator": 96},
             {"curvature_file": 0},
             {"delta_ladder": ["x"]},
@@ -117,7 +118,7 @@ class TestRunConfig:
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises((ValidationFailure, DomainError, InputFormatError)):
-            RunConfig(**kwargs)
+            RunConfig.from_dict(kwargs)
 
     def test_integral_dimension_stored_as_int(self):
         cfg = RunConfig.from_json('{"n": 12.0}')
@@ -501,6 +502,26 @@ class TestExitCodes:
         assert cli.main(["--config", str(cfg), "--out-dir", str(out),
                          "moments"]) == 2
         assert not out.exists()
+
+    def test_coefficients_of_another_dimension_is_exit_2(self, tmp_path):
+        assert run(tmp_path / "n12", "--n", "12", "phi") == 0
+        out = tmp_path / "n11"
+        code = run(out, "reduce", "--coefficients",
+                   str(tmp_path / "n12" / "coefficients.csv"))
+        assert code == 2
+        assert not (out / "reduction.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--eps", "0.01", "--tie-eps"], ["--tie-eps", "--eps", "-1"],
+         ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"]],
+        ids=["with-tie-eps", "tie-eps-first", "negative", "nan", "inf"],
+    )
+    def test_bad_eps_is_exit_2_before_solving(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path / "out", "residual-slope", "--omit-corrector", *argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_non_numeric_ladder_flag_is_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,6 @@ from halfbubble.corrector import (
     eval_source,
     eval_v,
     eval_v_derivatives,
-    richardson_profile,
     self_convergence,
     solve_profile,
     solve_vq,
@@ -140,7 +139,7 @@ def assemble_by_loop(n, grid):
     """Node-by-node reference for corrector._assemble: dense matrix and
     right-hand side before row equilibration."""
     Nt, Nr = grid.n_t, grid.n_r
-    Lt, Lr = grid.map_scale_t, grid.map_scale_r
+    Lt = Lr = corrector._MAP_SCALE
     tau = np.linspace(0.0, grid.t_max / (Lt + grid.t_max), Nt + 1)
     sigma = np.linspace(0.0, grid.r_max / (Lr + grid.r_max), Nr + 1)
     ht, hs = tau[1] - tau[0], sigma[1] - sigma[0]
@@ -229,6 +228,13 @@ class TestSolveProfile:
         p1, _ = solve_profile(11)
         p2, _ = solve_profile(11)
         assert p1 is p2
+        r1, _ = solve_profile(11, richardson=True)
+        r2, _ = solve_profile(11, richardson=True)
+        assert r1 is r2 and r1 is not p1
+        # the Richardson profile is the fourth-order combination of the
+        # plain solves at N and 2N cells
+        fine = solve_profile(11, GridConfig().refined(2))[0].psi[::2, ::2]
+        np.testing.assert_array_equal(r1.psi, fine + (fine - p1.psi) / 3.0)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -251,7 +257,7 @@ class TestSolveProfile:
 
     def test_richardson_closer_to_limit(self):
         grid = GridConfig(n_t=48, n_r=48)
-        rich, _ = richardson_profile(11, grid)
+        rich, _ = solve_profile(11, grid, richardson=True)
         plain, _ = solve_profile(11, grid)
         fine, _ = solve_profile(11, grid.refined(4))
         ref = fine.psi[::4, ::4]
@@ -313,7 +319,8 @@ class TestSigmaMinProbe:
         monkeypatch.setattr(corrector, "_sigma_min_probe", recording_probe)
         grid = GridConfig(n_t=48, n_r=48, t_max=40.0, r_max=40.0)
         # the uncached Richardson pair: one factorization per solve
-        _, diag = corrector._richardson_cached.__wrapped__(13, grid, 1e-8)
+        _, diag = corrector._solve_profile_cached.__wrapped__(13, grid, 1e-8,
+                                                              True)
         assert len(factors) == 2
         assert [lu for lu, _ in probes] == factors
         for lu, steps in probes:
@@ -332,7 +339,7 @@ def jet_by_dispatch(prof, t, r):
     """Reference for Profile2D.eval: the former one-derivative-per-call
     dispatch, each (dt, dr) mapping (t, r) again and evaluating its spline
     partials on its own."""
-    Lt, Lr = prof.grid.map_scale_t, prof.grid.map_scale_r
+    Lt = Lr = corrector._MAP_SCALE
 
     def one(dt, dr):
         tau = t / (Lt + t)
@@ -364,7 +371,7 @@ def overlap_by_meshgrid(prof, order=8):
     """Reference for Profile2D.source_overlap: the panel Gauss rule on a
     flattened meshgrid of its nodes, one scattered spline call."""
     n = prof.n
-    Lt, Lr = prof.grid.map_scale_t, prof.grid.map_scale_r
+    Lt = Lr = corrector._MAP_SCALE
     nodes, weights = np.polynomial.legendre.leggauss(order)
     mid = lambda e: 0.5 * (e[:-1] + e[1:])
     half = lambda e: 0.5 * (e[1:] - e[:-1])
@@ -390,8 +397,7 @@ JET_GRID = GridConfig(n_t=32, n_r=40, t_max=30.0, r_max=30.0)
                 ids=["n11", "n11-richardson", "n15", "n15-richardson"])
 def jet_profile(request):
     n, rich = request.param
-    solver = richardson_profile if rich else solve_profile
-    return solver(n, JET_GRID)[0]
+    return solve_profile(n, JET_GRID, richardson=rich)[0]
 
 
 class TestProfileJet:
@@ -535,6 +541,25 @@ class TestVerification:
         assert rep.boundary_orthogonality == 0.0
         assert abs(rep.far_field_shift) <= 1e-2
         assert rep.self_convergence_order >= 1.9
+
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_far_field_compares_like_with_like(self, n):
+        # the benchmark grid, h = 1/96 at t_max = 160, where the plain and
+        # the Richardson pairings differ by about 1e-2: the re-solve of the
+        # doubled domain has to be of the same kind as the solution
+        grid = GridConfig(96, 96, 160.0, 160.0)
+        point = generate_sample(n, seed=1)
+        rich = verify_corrector(solve_vq(point, grid, richardson=True),
+                                with_far_field=True)
+        assert abs(rich.far_field_shift) < 1e-3
+        # a plain solution still compares with a plain re-solve
+        plain = solve_vq(point, grid)
+        big = GridConfig(96, 96, 320.0, 320.0)
+        pairing_big = (-plain.pattern.mean_square()
+                       * solve_profile(n, big)[0].source_overlap())
+        base = plain.pairing()
+        rep = verify_corrector(plain, with_far_field=True)
+        assert rep.far_field_shift == (pairing_big - base) / abs(base)
 
     @pytest.mark.parametrize("n", [11, 13, 15])
     @pytest.mark.parametrize("seed", [1, 2])

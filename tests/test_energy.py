@@ -13,7 +13,8 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess
-from halfbubble.corrector import GridConfig, _compress, _stretch, solve_vq
+from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
+                                  solve_vq)
 from halfbubble.energy import (
     ReducedCoefficients,
     _angular_coefficients,
@@ -551,7 +552,7 @@ def _dense_v_derivatives(sol, t, z):
     Sz = z @ S
     p, p_t, p_r, p_tt, p_rr = sol.profile.eval(t, r)
     # the mixed partial, which Profile2D.eval does not return
-    Lt, Lr = sol.profile.grid.map_scale_t, sol.profile.grid.map_scale_r
+    Lt = Lr = _MAP_SCALE
     tau, sigma = _compress(t, Lt), _compress(r, Lr)
     p_tr = sol.profile._partial(tau, sigma, 1, 1) / (
         _stretch(tau, Lt)[1] * _stretch(sigma, Lr)[1])
