@@ -9,10 +9,10 @@ every subcommand quarantines a point that fails validation with the reason
 configured grid.  Flags mirror RunConfig fields; a JSON config file
 supplies defaults that flags override.  Exit codes: 0 success, 2
 input/domain/validation problem, 3 numeric budget exhausted, 4 filesystem
-error.  Outputs carry no timestamps and all floats are written with their
-shortest round-trip repr, so identical config and inputs produce
-byte-identical files.  Points are processed one after another and no
-environment variable is read.
+error.  Every artifact is written by _write_csv or _write_json here: no
+timestamps, and every float as its shortest round-trip repr, so identical
+config and inputs produce byte-identical files.  Points are processed one
+after another and no environment variable is read.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .energy import (
     WEYL_DENOMINATORS,
     compute_B,
     compute_phi,
-    energy_csv_header,
-    energy_csv_row,
     residual_slope,
     verify_A4_L2_L3_identity,
 )
@@ -64,26 +62,13 @@ from .reduction import (
 )
 
 
+COEFFICIENTS_HEADER = ("label,n,A,B,I2,I4,pairing,G2,G3,phi,"
+                       "slope_residual,slope_identity")
+FAMILY_COLUMNS = ("eps", "delta", "peak", "phi_bound")
+
+
 def _f(x) -> str:
     return repr(float(x))
-
-
-def _py(obj):
-    """Recursively convert numpy scalars and arrays for json.dumps."""
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        # bool subclasses int, so this branch must come first
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -93,7 +78,19 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(_py(payload), indent=2, sort_keys=True) + "\n")
+    # numpy floats are floats; arrays and other numpy scalars go via tolist()
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                 default=lambda obj: obj.tolist()) + "\n")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """header, then one line per row: str fields as they are, None blank,
+    any other field as its shortest round-trip float repr."""
+    lines = [header] + [
+        ",".join(x if isinstance(x, str) else "" if x is None else _f(x)
+                 for x in row)
+        for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +152,10 @@ def _coefficients(cfg: RunConfig, points, quarantined: dict) -> dict:
 
 def _write_coefficients(path: Path, results: dict, slopes=None) -> None:
     """coefficients.csv; slopes maps a label to (residual, identity)."""
-    lines = [energy_csv_header()]
-    for label, (_, coeffs) in results.items():
-        lines.append(energy_csv_row(
-            coeffs, *(slopes or {}).get(label, (None, None))))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, COEFFICIENTS_HEADER, (
+        (c.label, str(c.n), c.A, c.B, c.I2, c.I4, c.pairing, c.G2, c.G3,
+         c.phi, *(slopes or {}).get(label, (None, None)))
+        for label, (_, c) in results.items()))
 
 
 def _build_reduced_functional(cfg: RunConfig, points, phis: dict,
@@ -231,23 +227,20 @@ def _reduction(cfg: RunConfig, points, phis: dict, quarantined: dict,
 
 
 def _family_rows(cfg: RunConfig, fam) -> list:
-    return [{"eps": r.eps, "delta": r.delta, "peak": r.peak,
-             "phi_bound": r.phi_bound}
+    return [{key: getattr(r, key) for key in FAMILY_COLUMNS}
             for r in family_table(fam, cfg.eps_ladder,
                                   phi_bound_coeff=cfg.phi_bound_coeff)]
 
 
-def _family_csv_text(payload: dict) -> str:
-    lines = ["eps,delta,peak,phi_bound"]
-    for row in payload["family"]:
-        lines.append(",".join(_f(row[k])
-                              for k in ("eps", "delta", "peak", "phi_bound")))
-    return "\n".join(lines) + "\n"
+def _write_family(out: Path, payload: dict) -> None:
+    _write_csv(out / "family.csv", ",".join(FAMILY_COLUMNS),
+               ([row[key] for key in FAMILY_COLUMNS]
+                for row in payload["family"]))
 
 
 def _write_reduction(out: Path, payload: dict) -> None:
     _write_json(out / "reduction.json", payload)
-    _write_text(out / "family.csv", _family_csv_text(payload))
+    _write_family(out, payload)
 
 
 def _residual_ladder(cfg: RunConfig, point, sol, **options):
@@ -258,14 +251,13 @@ def _residual_ladder(cfg: RunConfig, point, sol, **options):
                          mc_samples=cfg.mc_samples, seed=cfg.seed,
                          metric_seed=cfg.metric_seed,
                          deg3_scale=cfg.deg3_scale, **options)
-    lines = ["delta,norm,std_error,eps,bound"]
     columns = [exp.extras.get(key) for key in
                ("std_errors", "eps_column", "bound_column")]
-    for k, d in enumerate(exp.deltas):
-        lines.append(",".join([_f(d), _f(exp.values[k])] + [
-            "" if col is None else _f(col[k]) for col in columns]))
-    name = f"residual_ladder_{point.label}.csv"
-    _write_text(Path(cfg.out_dir) / "plots" / name, "\n".join(lines) + "\n")
+    _write_csv(Path(cfg.out_dir) / "plots" / f"residual_ladder_{point.label}.csv",
+               "delta,norm,std_error,eps,bound",
+               ([d, exp.values[k]] + [None if col is None else col[k]
+                                      for col in columns]
+                for k, d in enumerate(exp.deltas)))
     return exp
 
 
@@ -282,10 +274,8 @@ def _slope_summary(exp) -> dict:
 # verify / moments
 
 
-def _moment_identity_suite(cfg: RunConfig, tol: float = 1e-6) -> dict:
-    n = cfg.n
-    table = MomentTable(n=n, tol=cfg.tol_quad)
-    table.load_standard()
+def _moment_identity_suite(table: MomentTable, tol: float = 1e-6) -> dict:
+    n = table.n
     I1, I2, I3 = table.named("I1"), table.named("I2"), table.named("I3")
     checks = {
         "I1_over_I2": {
@@ -324,7 +314,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         "kernel_boundary_max": bubble.kernel_boundary_max,
     }
 
-    suites["moments"] = _moment_identity_suite(cfg)
+    suites["moments"] = _moment_identity_suite(
+        MomentTable(n=cfg.n, tol=cfg.tol_quad))
 
     points, _, quarantined = _valid_points(cfg)
     suites["geometry"] = {"passed": not quarantined, "points": len(points),
@@ -360,11 +351,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_moments(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     table = MomentTable(n=cfg.n, tol=cfg.tol_quad)
     table.load_standard()
-    table.to_csv(out / "moments.csv")
-    _write_json(out / "moment_identities.json", _moment_identity_suite(cfg))
+    _write_csv(out / "moments.csv", "n,p,a,b,value,error",
+               ((str(cfg.n), p, str(a), str(b), v, e)
+                for p, a, b, v, e in table.rows()))
+    _write_json(out / "moment_identities.json", _moment_identity_suite(table))
     return 0
 
 
@@ -378,13 +370,14 @@ def cmd_solve_vq(cfg: RunConfig, args) -> int:
     solutions = _map_points(valid, lambda p: _solve_point(cfg, p), quarantined)
     for label, sol in solutions.items():
         grid = sol.profile.grid
-        out.mkdir(parents=True, exist_ok=True)
-        sol.profile.to_csv(out / f"{label}.csv")
+        t, r = np.meshgrid(sol.profile.t_nodes, sol.profile.r_nodes, indexing="ij")
+        _write_csv(out / f"{label}.csv", "t,r,psi",
+                   zip(t.ravel(), r.ravel(), sol.profile.psi.ravel()))
         _write_json(out / f"{label}.json", {
             "label": label,
             "n": sol.point.n,
             "residual": sol.diagnostics.discrete_residual,
-            "decay_exponent": sol.profile.far_field_exponent(),
+            "decay_exponent": sol.diagnostics.far_field_exponent,
             "pairing": sol.pairing(),
             "grid": {"n_t": grid.n_t, "n_r": grid.n_r,
                      "t_max": grid.t_max, "r_max": grid.r_max},
@@ -411,9 +404,9 @@ def _read_coefficients_csv(path: Path, n: int) -> dict:
     """phi by label from a coefficients CSV of dimension n."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != energy_csv_header():
+    if not lines or lines[0] != COEFFICIENTS_HEADER:
         raise InputFormatError(
-            f"{path}: expected header {energy_csv_header()!r}")
+            f"{path}: expected header {COEFFICIENTS_HEADER!r}")
     names = lines[0].split(",")
     phis = {}
     for line in lines[1:]:
@@ -496,7 +489,7 @@ def cmd_family(cfg: RunConfig, args) -> int:
             payload["family"] = _family_rows(cfg, fam)
     else:
         payload = _reduce_from_cfg(cfg, args)
-    _write_text(Path(cfg.out_dir) / "family.csv", _family_csv_text(payload))
+    _write_family(Path(cfg.out_dir), payload)
     return 0
 
 
@@ -548,20 +541,15 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
             slopes[selected] = (residual.slope, identity.slope)
             slopes_summary = {"identity": _slope_summary(identity),
                               "residual": _slope_summary(residual)}
-            id_lines = ["delta,value"]
-            for k, d in enumerate(identity.deltas):
-                id_lines.append(f"{_f(d)},{_f(identity.values[k])}")
-            _write_text(out / "plots" / f"identity_ladder_{selected}.csv",
-                        "\n".join(id_lines) + "\n")
+            _write_csv(out / "plots" / f"identity_ladder_{selected}.csv",
+                       "delta,value", zip(identity.deltas, identity.values))
             outputs += [f"plots/residual_ladder_{selected}.csv",
                         f"plots/identity_ladder_{selected}.csv"]
         lo, hi = payload["bracket"]
-        g_lines = ["label,lambda,G"]
-        for label in rf.labels:
-            if rf.admissible_mask()[rf.index_of(label)]:
-                g_lines += [f"{label},{_f(lam)},{_f(eval_G(rf, float(lam), label))}"
-                            for lam in np.linspace(lo, hi, 65)]
-        _write_text(out / "plots" / "G_curves.csv", "\n".join(g_lines) + "\n")
+        _write_csv(out / "plots" / "G_curves.csv", "label,lambda,G", (
+            (label, lam, eval_G(rf, float(lam), label))
+            for label in rf.labels if rf.admissible_mask()[rf.index_of(label)]
+            for lam in np.linspace(lo, hi, 65)))
         outputs.append("plots/G_curves.csv")
 
     _write_reduction(out, payload)
@@ -576,7 +564,9 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
         "error": error,
     })
     if error:
-        print(f"no admissible point: {error}", file=sys.stderr)
+        # the error from the reduced functional already names the failure
+        print("no admissible point: "
+              + error.removeprefix("no admissible point: "), file=sys.stderr)
         return 2
     return 0
 

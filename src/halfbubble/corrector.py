@@ -263,15 +263,6 @@ class Profile2D:
         object.__setattr__(self, "_overlap", val)
         return val
 
-    def to_csv(self, path) -> None:
-        t = self.t_nodes
-        r = self.r_nodes
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,r,psi\n")
-            for i in range(len(t)):
-                for j in range(len(r)):
-                    fh.write(f"{float(t[i])!r},{float(r[j])!r},{float(self.psi[i, j])!r}\n")
-
 
 def _stretch(s, L):
     """The compactifying map x = L s/(1-s) and its first two s-derivatives."""
@@ -686,7 +677,7 @@ def verify_corrector(sol: CorrectorSolution, n_samples: int = 400, seed: int = 0
     return VerificationReport(
         pde_residual=_pde_residual_offgrid(profile, n, n_samples, seed),
         boundary_residual=_bc_residual(profile, n, n_samples, seed + 1),
-        decay_exponent=profile.far_field_exponent(),
+        decay_exponent=sol.diagnostics.far_field_exponent,
         decay_target=4.0 - n,
         angular_mean=ang_mean,
         boundary_orthogonality=0.0 if abs(ang_mean) <= 1e-14 else float("nan"),

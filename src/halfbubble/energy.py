@@ -53,8 +53,6 @@ __all__ = [
     "cutoff_chi",
     "verify_A4_L2_L3_identity",
     "residual_slope",
-    "energy_csv_header",
-    "energy_csv_row",
 ]
 
 
@@ -167,24 +165,6 @@ def compute_phi(point: CurvaturePoint, sol: CorrectorSolution,
     return ReducedCoefficients(
         label=point.label, n=n, A=compute_A(n), B=compute_B(n), I2=I2, I4=I4,
         G2=G2, G3=G3, pairing=pairing, phi=phi)
-
-
-def energy_csv_header() -> str:
-    return "label,n,A,B,I2,I4,pairing,G2,G3,phi,slope_residual,slope_identity"
-
-
-def energy_csv_row(coeffs: ReducedCoefficients,
-                   slope_residual: float | None = None,
-                   slope_identity: float | None = None) -> str:
-    def fmt(x):
-        return "" if x is None else repr(float(x))
-
-    return ",".join([
-        coeffs.label, str(coeffs.n), repr(float(coeffs.A)),
-        repr(float(coeffs.B)), repr(float(coeffs.I2)), repr(float(coeffs.I4)),
-        repr(float(coeffs.pairing)), repr(float(coeffs.G2)),
-        repr(float(coeffs.G3)), repr(float(coeffs.phi)),
-        fmt(slope_residual), fmt(slope_identity)])
 
 
 # ---------------------------------------------------------------------------

@@ -427,12 +427,6 @@ class MomentTable:
             v, e = self._cache[key]
             yield key.p, key.a, key.b, v, e
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,p,a,b,value,error\n")
-            for p, a, b, v, e in self.rows():
-                fh.write(f"{self.n},{float(p)!r},{a},{b},{float(v)!r},{float(e)!r}\n")
-
 
 # ---------------------------------------------------------------------------
 # Monte Carlo on the half-space

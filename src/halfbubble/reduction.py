@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConstructionImpossibleError, DomainError, ValidationFailure
 
@@ -121,41 +120,6 @@ def critical_lambda(rf: ReducedFunctional, label: str) -> float:
         raise ConstructionImpossibleError(
             f"no critical lambda at {label!r}: gamma={g!r}, phi={p!r}")
     return (-rf.B * g / (4.0 * p)) ** (1.0 / 3.0)
-
-
-def _golden_section_lambda(rf: ReducedFunctional, label: str) -> float:
-    """Independent 1D optimizer route to the lambda-maximum.
-
-    A bounded scalar search locates the peak to about sqrt(eps); a sign
-    bisection on the central difference of G then pins it near 1e-11,
-    valid because dG/dlambda is strictly decreasing on lambda > 0.
-    """
-    i = rf.index_of(label)
-    g, p = float(rf.gamma[i]), float(rf.phi[i])
-
-    def G(lam):
-        return lam * g * rf.B + lam ** 4 * p
-
-    hi = 4.0 * max((rf.B * g / max(-p, 1e-300)) ** (1.0 / 3.0), 1.0)
-    res = minimize_scalar(lambda lam: -G(lam), bounds=(1e-12, hi),
-                          method="bounded", options={"xatol": 1e-13})
-    mid = float(res.x)
-    h = 3e-6 * mid
-    a, b = 0.99 * mid, 1.01 * mid
-
-    def dsign(lam):
-        return G(lam + h) - G(lam - h)
-
-    da, db = dsign(a), dsign(b)
-    if da <= 0.0 or db >= 0.0:
-        return mid
-    for _ in range(60):
-        c = 0.5 * (a + b)
-        if dsign(c) > 0.0:
-            a = c
-        else:
-            b = c
-    return 0.5 * (a + b)
 
 
 def find_blowup_point(rf: ReducedFunctional) -> BlowUpFamily:

@@ -280,7 +280,11 @@ class TestSharedStack:
             assert np.array_equal(lap[:, b - 1], _ref_kernel_laplacian(n, b, t, z))
             assert np.array_equal(bdry[:, b - 1], _ref_kernel_boundary_residual(n, b, z))
 
-    @pytest.mark.parametrize("n", [11, 15])
-    def test_report_matches_per_element_loop(self, n):
-        assert check_bubble_residual(n, n_points=1000, seed=1) \
-            == _ref_check_bubble_residual(n, 1000, 1)
+    @pytest.mark.parametrize("n, n_points", [
+        pytest.param(11, 1000, id="11"),
+        pytest.param(15, 1000, id="15"),
+        # blocks of 1000 and 500 points
+        pytest.param(13, 1500, id="13-1500")])
+    def test_report_matches_per_element_loop(self, n, n_points):
+        assert check_bubble_residual(n, n_points=n_points, seed=1) \
+            == _ref_check_bubble_residual(n, n_points, 1)

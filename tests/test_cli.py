@@ -19,8 +19,10 @@ import pytest
 from halfbubble import cli
 from halfbubble.config import RunConfig
 from halfbubble.corrector import solve_vq
+from halfbubble.energy import ReducedCoefficients
 from halfbubble.errors import DomainError, InputFormatError, ValidationFailure
 from halfbubble.geometry import CurvaturePoint, make_battery, save_curvature_file
+from halfbubble.quadrature import MomentKey, MomentTable
 
 # Coarse-but-honest settings shared by the subcommand tests.  h = 0.02
 # gives a 50 x 50 solver grid, enough for every pipeline stage to run
@@ -40,6 +42,60 @@ def artifacts(root):
     """Every file under root, keyed by its relative path."""
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def fast_config(*argv):
+    return cli.config_from_args(cli.build_parser().parse_args([*FAST, *argv]))
+
+
+def assert_float_cells(cells):
+    """Each cell is the shortest round-trip repr of its float."""
+    for cell in cells:
+        assert repr(float(cell)) == cell, cell
+
+
+# ----------------------------------------------------------------------
+# artifact writers
+
+
+class TestArtifactWriters:
+    def test_csv_fields(self, tmp_path):
+        path = tmp_path / "sub" / "t.csv"
+        cli._write_csv(path, "a,b,c,d,e", [
+            ("x", 0.1, None, np.float64(1e-300), 3),
+            ("y", -0.0, float("nan"), np.float32(0.5), 2.0 ** 60)])
+        assert path.read_bytes() == (b"a,b,c,d,e\n"
+                                     b"x,0.1,,1e-300,3.0\n"
+                                     b"y,-0.0,nan,0.5,1.152921504606847e+18\n")
+
+    def test_header_only_without_rows(self, tmp_path):
+        cli._write_csv(tmp_path / "t.csv", "eps,delta", [])
+        assert (tmp_path / "t.csv").read_bytes() == b"eps,delta\n"
+
+    def test_json_numpy_values(self, tmp_path):
+        cli._write_json(tmp_path / "t.json", {
+            "b": np.bool_(True), "a": np.float64(0.1), "i": np.int64(3),
+            "v": np.arange(2.0), "t": (np.float32(0.5), None)})
+        assert (tmp_path / "t.json").read_text() == (
+            '{\n  "a": 0.1,\n  "b": true,\n  "i": 3,\n'
+            '  "t": [\n    0.5,\n    null\n  ],\n'
+            '  "v": [\n    0.0,\n    1.0\n  ]\n}\n')
+
+    def test_coefficient_rows_with_and_without_slopes(self, tmp_path):
+        co = ReducedCoefficients(label="q7", n=11, A=1.5, B=2.5, I2=0.25,
+                                 I4=4.0, G2=-0.5, G3=0.75, pairing=-2e-5,
+                                 phi=-1e-5)
+        path = tmp_path / "coefficients.csv"
+        cli._write_coefficients(path, {"q7": (None, co)},
+                                {"q7": (3.01, 5.9)})
+        header, row = path.read_text().splitlines()
+        assert header == cli.COEFFICIENTS_HEADER
+        assert row.split(",") == ["q7", "11", "1.5", "2.5", "0.25", "4.0",
+                                  "-2e-05", "-0.5", "0.75", "-1e-05",
+                                  "3.01", "5.9"]
+        assert cli._read_coefficients_csv(path, 11) == {"q7": -1e-5}
+        cli._write_coefficients(path, {"q7": (None, co)})
+        assert path.read_text().splitlines()[1].endswith(",-1e-05,,")
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +220,20 @@ class TestMomentsCommand:
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"].values())
 
+    def test_rows_are_the_standard_moments(self, tmp_path):
+        assert run(tmp_path, "moments") == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "moments.csv").read_text().splitlines()[1:]]
+        table = MomentTable(n=11, tol=fast_config("moments").tol_quad)
+        table.load_standard()
+        assert len(rows) == 4
+        for (n, p, a, b, value, error), want in zip(rows, table.rows()):
+            assert n == "11" and a == str(want[1]) and b == str(want[2])
+            assert_float_cells([p, value, error])
+            assert MomentKey(float(p), int(a), int(b)) \
+                == MomentKey(*want[:3])
+            assert (float(value), float(error)) == want[3:]
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_starved_quadrature_budget_is_exit_3(self, tmp_path):
         code = cli.main(
@@ -222,6 +292,27 @@ class TestSolveAndPhi:
             assert side["residual"] < 1e-8
             assert side["pairing"] < 0
 
+    def test_profile_rows_in_node_order(self, tmp_path):
+        assert run(tmp_path, "solve-vq") == 0
+        cfg = fast_config("solve-vq")
+        point = make_battery(11, 5, 1)[0]
+        sol = cli._solve_point(cfg, point)
+        lines = (tmp_path / "profiles" / f"{point.label}.csv").read_text() \
+            .splitlines()
+        assert lines[0] == "t,r,psi"
+        cells = [line.split(",") for line in lines[1:]]
+        assert_float_cells(c for row in cells for c in row)
+        t, r, psi = sol.profile.t_nodes, sol.profile.r_nodes, sol.profile.psi
+        # t outer, r inner: row i * len(r) + j holds (t[i], r[j], psi[i, j])
+        table = np.array(cells, dtype=float).reshape(len(t), len(r), 3)
+        assert table[0, 0].tolist() == [0.0, 0.0, 0.0]
+        assert np.array_equal(table[..., 0], np.broadcast_to(t[:, None], psi.shape))
+        assert np.array_equal(table[..., 1], np.broadcast_to(r, psi.shape))
+        assert np.array_equal(table[..., 2], psi)
+        side = json.loads(
+            (tmp_path / "profiles" / f"{point.label}.json").read_text())
+        assert side["decay_exponent"] == sol.profile.far_field_exponent()
+
     def test_phi_outputs_are_negative_on_battery(self, tmp_path):
         assert run(tmp_path, "phi") == 0
         rows = (tmp_path / "coefficients.csv").read_text().splitlines()
@@ -230,6 +321,20 @@ class TestSolveAndPhi:
         phis = [float(r.split(",")[phi_col]) for r in rows[1:]]
         assert len(phis) == 5
         assert all(p < 0 for p in phis)
+
+    def test_coefficients_header_and_blank_slopes(self, tmp_path):
+        assert run(tmp_path, "phi") == 0
+        path = tmp_path / "coefficients.csv"
+        header, *rows = path.read_text().splitlines()
+        assert header == ("label,n,A,B,I2,I4,pairing,G2,G3,phi,"
+                          "slope_residual,slope_identity")
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == 12 and cells[1] == "11"
+            assert cells[10:] == ["", ""]
+            assert_float_cells(cells[2:10])
+        assert cli._read_coefficients_csv(path, 11) == {
+            row.split(",")[0]: float(row.split(",")[9]) for row in rows}
 
 
 # ----------------------------------------------------------------------
@@ -300,11 +405,26 @@ class TestPipeline:
             tmp_path / "out", "--curvature", str(path), "pipeline", "--skip-slopes"
         )
         assert code == 2
-        assert "no admissible point" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("no admissible point") == 1
         report = json.loads((tmp_path / "out" / "reduction.json").read_text())
         assert "error" in report
         family = (tmp_path / "out" / "family.csv").read_text().splitlines()
         assert family == ["eps,delta,peak,phi_bound"]
+
+    def test_every_point_quarantined_is_reported_once(self, tmp_path, capsys):
+        points = [dataclasses.replace(p, Wbar2=50.0 * p.Wbar2)
+                  for p in make_battery(11, 2, 1)]
+        path = tmp_path / "tampered.json"
+        save_curvature_file(path, 11, points)
+        code = run(tmp_path / "out", "--curvature", str(path), "pipeline",
+                   "--skip-slopes")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "no admissible point: every table row was quarantined\n")
+        report = json.loads(
+            (tmp_path / "out" / "pipeline_report.json").read_text())
+        assert report["error"] == (
+            "no admissible point: every table row was quarantined")
 
     def test_tampered_wbar2_is_quarantined(self, tmp_path):
         points = make_battery(11, 2, 1)

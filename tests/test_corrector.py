@@ -581,17 +581,3 @@ class TestVerification:
         overlaps = check_solvability(zero_pattern_point(11))
         np.testing.assert_array_equal(overlaps, 0.0)
 
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def test_profile_csv(tmp_path):
-    prof, _ = solve_profile(11, GridConfig(n_t=8, n_r=8, t_max=20, r_max=20))
-    path = tmp_path / "profile.csv"
-    prof.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,r,psi"
-    assert len(lines) == 1 + 9 * 9
-    t, r, psi = lines[1].split(",")
-    assert float(t) == 0.0 and float(r) == 0.0 and float(psi) == 0.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from halfbubble import cli
 from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess
 from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
                                   solve_vq)
@@ -32,8 +33,6 @@ from halfbubble.energy import (
     compute_G_terms,
     compute_phi,
     cutoff_chi,
-    energy_csv_header,
-    energy_csv_row,
     residual_slope,
     verify_A4_L2_L3_identity,
 )
@@ -714,26 +713,25 @@ class TestStructuredResidual:
 
 
 class TestCsvExport:
-    def test_header(self):
-        assert energy_csv_header() == ("label,n,A,B,I2,I4,pairing,G2,G3,phi,"
-                                       "slope_residual,slope_identity")
+    """The record behind each coefficients.csv row and the file the
+    command line writes from it."""
 
-    def test_row_roundtrip(self):
-        co = ReducedCoefficients(label="q7", n=11, A=1.5, B=2.5, I2=0.25,
-                                 I4=4.0, G2=-0.5, G3=0.75, pairing=-2e-5,
-                                 phi=-1e-5)
-        row = energy_csv_row(co, slope_residual=3.01, slope_identity=5.9)
-        parts = row.split(",")
-        assert parts[0] == "q7" and parts[1] == "11"
-        assert float(parts[2]) == 1.5 and float(parts[9]) == -1e-5
-        assert float(parts[10]) == 3.01 and float(parts[11]) == 5.9
+    def test_header(self, tmp_path):
+        path = tmp_path / "coefficients.csv"
+        cli._write_coefficients(path, {})
+        assert path.read_text().splitlines() == [
+            "label,n,A,B,I2,I4,pairing,G2,G3,phi,"
+            "slope_residual,slope_identity"]
 
-    def test_row_with_missing_slopes(self):
+    def test_row_with_missing_slopes(self, tmp_path):
         co = ReducedCoefficients(label="p", n=11, A=1.0, B=1.0, I2=1.0,
                                  I4=1.0, G2=0.0, G3=0.0, pairing=0.0,
                                  phi=0.0)
-        row = energy_csv_row(co)
+        path = tmp_path / "coefficients.csv"
+        cli._write_coefficients(path, {"p": (None, co)})
+        row = path.read_text().splitlines()[1]
         assert row.endswith(",,")
+        assert len(row.split(",")) == 12
 
     def test_record_rejects_bad_invariants(self):
         with pytest.raises(ValidationFailure):

@@ -340,19 +340,6 @@ class TestHalfSpaceMoments:
         assert table.named("I3") / table.named("I2") == pytest.approx(
             12.0 / ((n - 2) * (n + 1)), rel=1e-8)
 
-    def test_table_csv_roundtrip(self, tmp_path):
-        table = MomentTable(n=11, tol=1e-10)
-        table.load_standard()
-        path = tmp_path / "moments.csv"
-        table.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,p,a,b,value,error"
-        assert len(lines) == 5
-        for line in lines[1:]:
-            fields = line.split(",")
-            key = MomentKey(p=float(fields[1]), a=int(fields[2]), b=int(fields[3]))
-            assert float(fields[4]) == table.value(key)
-
     def test_half_line_moment_oracle(self):
         # integral r^c (1+r^2)^-p = 1/2 B((c+1)/2, p-(c+1)/2)
         for c, p in [(9.0, 9.0), (10.0, 11.0), (4.0, 6.5), (0.0, 2.0)]:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from halfbubble.errors import (
     ConstructionImpossibleError,
@@ -19,7 +20,6 @@ from halfbubble.reduction import (
     family_table,
     find_blowup_point,
     hessian_check,
-    _golden_section_lambda,
 )
 
 
@@ -27,6 +27,42 @@ def make_rf(labels, gamma, phi, B=2.0, n=11):
     return ReducedFunctional(n=n, B=B, labels=tuple(labels),
                              gamma=np.asarray(gamma, dtype=float),
                              phi=np.asarray(phi, dtype=float))
+
+
+def _golden_section_lambda(rf: ReducedFunctional, label: str) -> float:
+    """Independent 1D optimizer route to the lambda-maximum, the oracle for
+    the closed form of critical_lambda.
+
+    A bounded scalar search locates the peak to about sqrt(eps); a sign
+    bisection on the central difference of G then pins it near 1e-11,
+    valid because dG/dlambda is strictly decreasing on lambda > 0.
+    """
+    i = rf.index_of(label)
+    g, p = float(rf.gamma[i]), float(rf.phi[i])
+
+    def G(lam):
+        return lam * g * rf.B + lam ** 4 * p
+
+    hi = 4.0 * max((rf.B * g / max(-p, 1e-300)) ** (1.0 / 3.0), 1.0)
+    res = minimize_scalar(lambda lam: -G(lam), bounds=(1e-12, hi),
+                          method="bounded", options={"xatol": 1e-13})
+    mid = float(res.x)
+    h = 3e-6 * mid
+    a, b = 0.99 * mid, 1.01 * mid
+
+    def dsign(lam):
+        return G(lam + h) - G(lam - h)
+
+    da, db = dsign(a), dsign(b)
+    if da <= 0.0 or db >= 0.0:
+        return mid
+    for _ in range(60):
+        c = 0.5 * (a + b)
+        if dsign(c) > 0.0:
+            a = c
+        else:
+            b = c
+    return 0.5 * (a + b)
 
 
 RF1 = make_rf(["q0"], [1.0], [-1.0], B=2.0)
