@@ -59,6 +59,7 @@ from .reduction import (
     family_table,
     find_blowup_point,
     hessian_check,
+    neighborhood_coords,
 )
 
 
@@ -177,11 +178,6 @@ def _build_reduced_functional(cfg: RunConfig, points, phis: dict,
         if phi > 0.0:
             quarantined[label] = f"phi positive ({phi!r})"
             continue
-        if phi == 0.0:
-            quarantined[label] = "inadmissible: phi = 0"
-        if point.gamma <= 0.0:
-            quarantined.setdefault(
-                label, f"inadmissible: gamma = {point.gamma!r}")
         labels.append(label)
         gammas.append(point.gamma)
         phi_values.append(phi)
@@ -198,32 +194,17 @@ def _reduction(cfg: RunConfig, points, phis: dict, quarantined: dict,
     """The reduced functional and the reduction.json payload."""
     rf = _build_reduced_functional(cfg, points, phis, quarantined)
     fam = find_blowup_point(rf)
-    if neighborhood:
-        hess = hessian_check(rf, fam.lambda0, fam.q0, neighborhood,
-                             coords=coords)
-        hessian = {
-            "status": hess.status,
-            "classification": hess.classification,
-            "lambda_lambda_fd": hess.lambda_lambda_fd,
-            "lambda_lambda_closed": hess.lambda_lambda_closed,
-            "mixed_fd": hess.mixed_fd,
-            "q_second_fd": hess.q_second_fd,
-            "footnotes": list(hess.footnotes),
-        }
-    else:
-        hessian = {"status": "not-run", "classification": fam.stability}
-    return rf, {
-        "n": cfg.n,
-        "B": rf.B,
-        "lambda0": fam.lambda0,
-        "q0": fam.q0,
-        "bracket": list(fam.bracket),
-        "value": fam.value,
-        "stability": fam.stability,
-        "family": _family_rows(cfg, fam),
-        "hessian": hessian,
-        "quarantined": quarantined,
-    }
+    hessian = (dataclasses.asdict(hessian_check(
+        rf, fam.lambda0, fam.q0, neighborhood, coords=coords))
+        if neighborhood else
+        {"status": "not-run", "classification": fam.stability})
+    payload = {**dataclasses.asdict(fam), "B": rf.B,
+               "family": _family_rows(cfg, fam), "hessian": hessian,
+               "quarantined": quarantined}
+    inadmissible = rf.inadmissible()
+    if inadmissible:
+        payload["inadmissible"] = inadmissible
+    return rf, payload
 
 
 def _family_rows(cfg: RunConfig, fam) -> list:
@@ -370,9 +351,6 @@ def cmd_solve_vq(cfg: RunConfig, args) -> int:
     solutions = _map_points(valid, lambda p: _solve_point(cfg, p), quarantined)
     for label, sol in solutions.items():
         grid = sol.profile.grid
-        t, r = np.meshgrid(sol.profile.t_nodes, sol.profile.r_nodes, indexing="ij")
-        _write_csv(out / f"{label}.csv", "t,r,psi",
-                   zip(t.ravel(), r.ravel(), sol.profile.psi.ravel()))
         _write_json(out / f"{label}.json", {
             "label": label,
             "n": sol.point.n,
@@ -382,6 +360,12 @@ def cmd_solve_vq(cfg: RunConfig, args) -> int:
             "grid": {"n_t": grid.n_t, "n_r": grid.n_r,
                      "t_max": grid.t_max, "r_max": grid.r_max},
         })
+    if solutions:
+        # one profile per dimension: every point's corrector shares it
+        profile = next(iter(solutions.values())).profile
+        t, r = np.meshgrid(profile.t_nodes, profile.r_nodes, indexing="ij")
+        _write_csv(out / f"profile_n{cfg.n}.csv", "t,r,psi",
+                   zip(t.ravel(), r.ravel(), profile.psi.ravel()))
     _write_json(Path(cfg.out_dir) / "solve_report.json",
                 {"solved": sorted(solutions), "quarantined": quarantined})
     return 0
@@ -418,10 +402,13 @@ def _read_coefficients_csv(path: Path, n: int) -> dict:
             raise InputFormatError(
                 f"{path}: row {rec['label']!r} has n={rec['n']}, config n={n}")
         try:
-            phis[rec["label"]] = float(rec["phi"])
+            phi = float(rec["phi"])
         except ValueError:
+            phi = math.nan
+        if not math.isfinite(phi):
             raise InputFormatError(
-                f"{path}: phi {rec['phi']!r} is not a number") from None
+                f"{path}: phi {rec['phi']!r} is not a finite number")
+        phis[rec["label"]] = phi
     return phis
 
 
@@ -430,21 +417,16 @@ def _neighborhood(args, points) -> tuple:
     if not args.neighborhood:
         return None, None
     labels = args.neighborhood.split(",")
-    if len(labels) < 3:
-        raise DomainError("neighborhood must contain at least 3 labels")
     unknown = sorted(set(labels) - {p.label for p in points})
     if unknown:
         raise DomainError(f"neighborhood labels {unknown} are not points")
-    if not args.coords:
-        return labels, None
     try:
-        coords = np.asarray([float(x) for x in args.coords.split(",")])
+        coords = ([float(x) for x in args.coords.split(",")]
+                  if args.coords else None)
     except ValueError:
         raise InputFormatError(
             f"coords {args.coords!r} are not numbers") from None
-    if coords.shape != (len(labels),):
-        raise DomainError("coords must align with the neighborhood")
-    return labels, coords
+    return labels, neighborhood_coords(labels, coords)
 
 
 def _reduce_from_cfg(cfg: RunConfig, args) -> dict:
@@ -480,10 +462,8 @@ def cmd_family(cfg: RunConfig, args) -> int:
                 f"{report}: report has n={payload.get('n')}, config n={cfg.n}")
         if not payload.get("error"):
             try:
-                fam = BlowUpFamily(
-                    n=cfg.n, lambda0=payload["lambda0"], q0=payload["q0"],
-                    bracket=tuple(payload["bracket"]), value=payload["value"],
-                    stability=payload["stability"])
+                fam = BlowUpFamily(**{f.name: payload[f.name] for f in
+                                      dataclasses.fields(BlowUpFamily)})
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"{report}: malformed report ({exc!r})") from exc
             payload["family"] = _family_rows(cfg, fam)
@@ -548,7 +528,7 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
         lo, hi = payload["bracket"]
         _write_csv(out / "plots" / "G_curves.csv", "label,lambda,G", (
             (label, lam, eval_G(rf, float(lam), label))
-            for label in rf.labels if rf.admissible_mask()[rf.index_of(label)]
+            for label, ok in zip(rf.labels, rf.admissible_mask()) if ok
             for lam in np.linspace(lo, hi, 65)))
         outputs.append("plots/G_curves.csv")
 
@@ -564,9 +544,7 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
         "error": error,
     })
     if error:
-        # the error from the reduced functional already names the failure
-        print("no admissible point: "
-              + error.removeprefix("no admissible point: "), file=sys.stderr)
+        print(error, file=sys.stderr)
         return 2
     return 0
 

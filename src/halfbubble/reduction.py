@@ -25,6 +25,7 @@ __all__ = [
     "find_blowup_point",
     "family_table",
     "hessian_check",
+    "neighborhood_coords",
 ]
 
 
@@ -66,6 +67,14 @@ class ReducedFunctional:
 
     def admissible_mask(self) -> np.ndarray:
         return (self.gamma > 0) & (self.phi < 0)
+
+    def inadmissible(self) -> dict:
+        """By label, why each row outside admissible_mask() cannot carry
+        the family: G(., q) has no positive maximum in lambda there."""
+        return {label: f"phi = {float(p)!r}" if not p < 0
+                else f"gamma = {float(g)!r}"
+                for label, g, p, ok in zip(self.labels, self.gamma, self.phi,
+                                           self.admissible_mask()) if not ok}
 
 
 @dataclass(frozen=True)
@@ -115,11 +124,10 @@ def critical_lambda(rf: ReducedFunctional, label: str) -> float:
     positive maximum and the construction fails at q.
     """
     i = rf.index_of(label)
-    g, p = float(rf.gamma[i]), float(rf.phi[i])
-    if p >= 0 or g <= 0:
+    if not rf.admissible_mask()[i]:
         raise ConstructionImpossibleError(
-            f"no critical lambda at {label!r}: gamma={g!r}, phi={p!r}")
-    return (-rf.B * g / (4.0 * p)) ** (1.0 / 3.0)
+            f"no critical lambda at {label!r}: {rf.inadmissible()[label]}")
+    return (-rf.B * rf.gamma[i] / (4.0 * rf.phi[i])) ** (1.0 / 3.0)
 
 
 def find_blowup_point(rf: ReducedFunctional) -> BlowUpFamily:
@@ -130,9 +138,8 @@ def find_blowup_point(rf: ReducedFunctional) -> BlowUpFamily:
     """
     mask = rf.admissible_mask()
     if not mask.any():
-        raise ConstructionImpossibleError(
-            "no admissible table point: construction impossible "
-            "(every gamma <= 0 or phi >= 0)")
+        raise ConstructionImpossibleError("no admissible point: " + "; ".join(
+            f"{label}: {why}" for label, why in rf.inadmissible().items()))
     idx = np.flatnonzero(mask)
     lams = np.array([critical_lambda(rf, rf.labels[i]) for i in idx])
     values = 0.75 * rf.B * rf.gamma[idx] * lams
@@ -198,30 +205,41 @@ _FOOTNOTES = (
 )
 
 
+def neighborhood_coords(labels, coords=None) -> np.ndarray:
+    """1D coordinates of a neighborhood path: equal spacing by default,
+    else finite and strictly monotone, increasing or decreasing alike."""
+    if len(labels) < 3:
+        raise DomainError("neighborhood must contain at least 3 labels")
+    if coords is None:
+        return np.arange(len(labels), dtype=float)
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (len(labels),):
+        raise DomainError("coords must align with the neighborhood")
+    steps = np.diff(coords)
+    if not (np.isfinite(coords).all()
+            and ((steps > 0).all() or (steps < 0).all())):
+        raise DomainError(
+            f"coords {coords.tolist()} must be finite and strictly monotone")
+    return coords
+
+
 def hessian_check(rf: ReducedFunctional, lambda0: float, q0: str,
                   neighborhood, coords=None,
                   rel_step: float = 1e-3) -> HessianReport:
     """Finite-difference 2x2 Hessian on (lambda, q) at the family point.
 
     neighborhood is an ordered sequence of labels along a 1D path through
-    the sample table; coords optionally supplies their 1D coordinates
-    (defaults to equal spacing).  The lambda-lambda entry is compared with
-    its closed form 12 lambda0^2 phi; the mixed entry is reported (zero
+    the sample table; coords optionally supplies their 1D coordinates, as
+    neighborhood_coords checks them.  The lambda-lambda entry is compared
+    with its closed form 12 lambda0^2 phi; the mixed entry is reported (zero
     only when gamma and phi are both stationary at q0); the q-entry
     classifies the discrete concavity.  q0 on the path boundary leaves no
     room for central differences: status "inconclusive".
     """
     labels = list(neighborhood)
-    if len(labels) < 3:
-        raise DomainError("neighborhood must contain at least 3 labels")
+    coords = neighborhood_coords(labels, coords)
     if q0 not in labels:
         raise DomainError(f"q0 {q0!r} not in the supplied neighborhood")
-    if coords is None:
-        coords = np.arange(len(labels), dtype=float)
-    else:
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (len(labels),):
-            raise DomainError("coords must align with the neighborhood")
     i0 = rf.index_of(q0)
     phi0 = float(rf.phi[i0])
     h = rel_step * lambda0

@@ -283,12 +283,16 @@ class TestSolveAndPhi:
         assert run(tmp_path, "solve-vq") == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["quarantined"] == {}
+        # one profile CSV for the dimension, one JSON sidecar per point
+        assert sorted(p.name for p in (tmp_path / "profiles").iterdir()) == \
+            sorted(["profile_n11.csv"]
+                   + [f"{label}.json" for label in report["solved"]])
+        csv = tmp_path / "profiles" / "profile_n11.csv"
+        assert csv.read_text().splitlines()[0] == "t,r,psi"
         for label in report["solved"]:
-            csv = tmp_path / "profiles" / f"{label}.csv"
             side = json.loads(
                 (tmp_path / "profiles" / f"{label}.json").read_text()
             )
-            assert csv.read_text().splitlines()[0] == "t,r,psi"
             assert side["residual"] < 1e-8
             assert side["pairing"] < 0
 
@@ -297,7 +301,7 @@ class TestSolveAndPhi:
         cfg = fast_config("solve-vq")
         point = make_battery(11, 5, 1)[0]
         sol = cli._solve_point(cfg, point)
-        lines = (tmp_path / "profiles" / f"{point.label}.csv").read_text() \
+        lines = (tmp_path / "profiles" / "profile_n11.csv").read_text() \
             .splitlines()
         assert lines[0] == "t,r,psi"
         cells = [line.split(",") for line in lines[1:]]
@@ -405,7 +409,9 @@ class TestPipeline:
             tmp_path / "out", "--curvature", str(path), "pipeline", "--skip-slopes"
         )
         assert code == 2
-        assert capsys.readouterr().err.count("no admissible point") == 1
+        err = capsys.readouterr().err
+        assert err.count("no admissible point") == 1
+        assert "flat-00: phi = 0.0" in err
         report = json.loads((tmp_path / "out" / "reduction.json").read_text())
         assert "error" in report
         family = (tmp_path / "out" / "family.csv").read_text().splitlines()
@@ -425,6 +431,25 @@ class TestPipeline:
             (tmp_path / "out" / "pipeline_report.json").read_text())
         assert report["error"] == (
             "no admissible point: every table row was quarantined")
+
+    def test_inadmissible_point_is_kept_not_quarantined(self, tmp_path):
+        # gamma <= 0 leaves the point in the table without a lambda-maximum:
+        # reported as inadmissible, never as quarantined (dropped)
+        points = make_battery(11, 3, 1)
+        points[1] = dataclasses.replace(points[1], gamma=-0.5)
+        path = tmp_path / "negative-gamma.json"
+        save_curvature_file(path, 11, points)
+        out = tmp_path / "out"
+        assert run(out, "--curvature", str(path), "pipeline",
+                   "--skip-slopes") == 0
+        reduction = json.loads((out / "reduction.json").read_text())
+        report = json.loads((out / "pipeline_report.json").read_text())
+        assert reduction["inadmissible"] == {"battery-01": "gamma = -0.5"}
+        assert reduction["quarantined"] == report["quarantined"] == {}
+        assert reduction["q0"] == report["q0"] != "battery-01"
+        curves = (out / "plots" / "G_curves.csv").read_text().splitlines()
+        labels = {line.split(",")[0] for line in curves[1:]}
+        assert labels == {"battery-00", "battery-02"}
 
     def test_tampered_wbar2_is_quarantined(self, tmp_path):
         points = make_battery(11, 2, 1)
@@ -599,12 +624,13 @@ class TestExitCodes:
         assert not (tmp_path / "coefficients.csv").exists()
         assert not (tmp_path / "reduction.json").exists()
 
-    def test_non_numeric_phi_is_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("phi", ["abc", "nan", "inf", "-inf"])
+    def test_non_numeric_phi_is_exit_2(self, tmp_path, phi):
         coeffs = tmp_path / "coefficients.csv"
         assert run(tmp_path, "phi") == 0
         lines = coeffs.read_text().splitlines()
         parts = lines[1].split(",")
-        parts[lines[0].split(",").index("phi")] = "abc"
+        parts[lines[0].split(",").index("phi")] = phi
         lines[1] = ",".join(parts)
         coeffs.write_text("\n".join(lines) + "\n")
         assert run(tmp_path, "reduce") == 2
@@ -668,8 +694,13 @@ class TestExitCodes:
              "--coords", "0,1"],
             ["--neighborhood", "battery-00,battery-01,battery-02",
              "--coords", "a,b,c"],
+            ["--neighborhood", "battery-00,battery-01,battery-02",
+             "--coords", "0,nan,1"],
+            ["--neighborhood", "battery-00,battery-01,battery-02",
+             "--coords", "0,0,1"],
         ],
-        ids=["too-few", "unknown-label", "count-mismatch", "non-numeric"],
+        ids=["too-few", "unknown-label", "count-mismatch", "non-numeric",
+             "nan-coord", "repeated-coord"],
     )
     def test_bad_neighborhood_is_exit_2_before_solving(self, tmp_path, argv):
         assert run(tmp_path, "reduce", *argv) == 2

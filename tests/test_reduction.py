@@ -89,6 +89,16 @@ class TestReducedFunctionalType:
         rf = make_rf(["a"], [1.0], [0.0])
         assert not rf.admissible_mask().any()
 
+    def test_inadmissible_reasons(self):
+        rf = make_rf(["nan", "zero", "neg", "flat", "both", "good"],
+                     [1.0, 1.0, -0.5, 0.0, -1.0, 1.0],
+                     [np.nan, 0.0, -1.0, -1.0, 0.0, -1.0])
+        # plain float reprs, phi named first when both fail
+        assert rf.inadmissible() == {
+            "nan": "phi = nan", "zero": "phi = 0.0", "neg": "gamma = -0.5",
+            "flat": "gamma = 0.0", "both": "phi = 0.0"}
+        assert make_rf(["a"], [1.0], [-1.0]).inadmissible() == {}
+
 
 class TestEvalG:
     def test_frozen_value(self):
@@ -195,8 +205,10 @@ class TestFindBlowupPoint:
 
     def test_no_admissible_point(self):
         rf = make_rf(["a", "b"], [-1.0, 2.0], [-1.0, 0.0])
-        with pytest.raises(ConstructionImpossibleError):
+        with pytest.raises(ConstructionImpossibleError) as exc:
             find_blowup_point(rf)
+        assert str(exc.value) == \
+            "no admissible point: a: gamma = -1.0; b: phi = 0.0"
 
     def test_tie_broken_by_smallest_label(self):
         rf = make_rf(["zz", "aa"], [1.0, 1.0], [-1.0, -1.0])
@@ -352,6 +364,20 @@ class TestHessianCheck:
         rf, labels, xs = quadratic_gamma_table()
         with pytest.raises(DomainError):
             hessian_check(rf, 1.0, labels[1], labels[:2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "repeated", "backward"])
+    def test_coords_finite_and_strictly_monotone(self, bad):
+        rf, labels, xs = quadratic_gamma_table()
+        q0 = labels[len(labels) // 2]
+        lam0 = critical_lambda(rf, q0)
+        coords = xs.copy()
+        coords[len(labels) // 2 + 1] = bad
+        with pytest.raises(DomainError, match="strictly monotone"):
+            hessian_check(rf, lam0, q0, labels, coords=coords)
+        # the reversed path is the same neighborhood
+        rep = hessian_check(rf, lam0, q0, labels, coords=-xs)
+        assert rep.classification == "negative-definite"
 
     def test_saddle_detected_as_indefinite(self):
         rf, labels, xs = quadratic_gamma_table(a=-0.6)
