@@ -255,8 +255,8 @@ def _slope_summary(exp) -> dict:
 # verify / moments
 
 
-def _moment_identity_suite(table: MomentTable, tol: float = 1e-6) -> dict:
-    n = table.n
+def _moment_identity_suite(table: MomentTable) -> dict:
+    n, tol = table.n, 1e-6
     I1, I2, I3 = table.named("I1"), table.named("I2"), table.named("I3")
     checks = {
         "I1_over_I2": {
@@ -408,6 +408,8 @@ def _read_coefficients_csv(path: Path, n: int) -> dict:
         if not math.isfinite(phi):
             raise InputFormatError(
                 f"{path}: phi {rec['phi']!r} is not a finite number")
+        if rec["label"] in phis:
+            raise InputFormatError(f"{path}: repeated label {rec['label']!r}")
         phis[rec["label"]] = phi
     return phis
 

@@ -35,9 +35,10 @@ class RunConfig:
     """Everything a batch run needs, in one serializable record.
 
     h is the grid spacing of the mapped unit square; the solve uses
-    round(1/h) cells per direction.  An empty delta_ladder leaves each
-    slope experiment on its regime-specific default ladder; a given one
-    must already have the shape a slope fit needs.
+    round(1/h) cells per direction.  delta_ladder sets the residual-slope
+    ladder only (empty: its regime-specific default; a given one must
+    already have the shape a slope fit needs); the identity experiment
+    always runs on its fixed ladder.
     """
     n: int = 11
     seed: int = 1

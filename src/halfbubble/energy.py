@@ -84,7 +84,7 @@ class ReducedCoefficients:
             raise ValidationFailure(f"G3 must be nonnegative, got {self.G3}")
 
 
-def compute_A(n: int, tol: float = 1e-10) -> float:
+def compute_A(n: int) -> float:
     """Profile energy constant A, assembled from the gradient and boundary
     integrals.
 
@@ -93,8 +93,8 @@ def compute_A(n: int, tol: float = 1e-10) -> float:
     plane.  The two are tied by the divergence theorem (gradient integral =
     (n-2) * boundary integral), which the tests check via both routes.
     """
-    return (0.5 * compute_A_gradient(n, tol=tol)
-            - (n - 2.0) ** 2 / (2.0 * (n - 1.0)) * compute_A_boundary(n, tol=tol))
+    return (0.5 * compute_A_gradient(n)
+            - (n - 2.0) ** 2 / (2.0 * (n - 1.0)) * compute_A_boundary(n, tol=1e-10))
 
 
 def compute_A_gradient(n: int, tol: float = 1e-10) -> float:
@@ -109,22 +109,22 @@ def compute_A_boundary(n: int, tol: float = 1e-12) -> float:
     return sphere_area(n - 2) * radial
 
 
-def compute_B(n: int, tol: float = 1e-12) -> float:
+def compute_B(n: int) -> float:
     """Half of the boundary integral of U(0, z)^2."""
     if n < 5:
         raise DomainError("B integral needs n >= 5 for integrability")
-    radial, _ = half_line_moment(n - 2, n - 2, tol=tol)
+    radial, _ = half_line_moment(n - 2, n - 2)
     return 0.5 * sphere_area(n - 2) * radial
 
 
-def compute_G_terms(point: CurvaturePoint, I2: float | None = None,
-                    tol: float = 1e-10) -> tuple[float, float, float]:
+def compute_G_terms(point: CurvaturePoint,
+                    I2: float | None = None) -> tuple[float, float, float]:
     """(G1, G2, G3).  G1 vanishes identically; G2 carries the double
     contraction of the curvature-derivative block, G3 the squared second
     fundamental block."""
     n = point.n
     if I2 is None:
-        I2, _ = moment(n, MomentKey(n, 2, 4), tol=tol)
+        I2, _ = moment(n, MomentKey(n, 2, 4))
     G2 = (n - 2.0) ** 2 / (n * n - 1.0) * I2 * point.D2
     G3 = 6.0 * (n - 2.0) / (n * n - 1.0) * I2 * point.s_norm_sq()
     return 0.0, G2, G3
@@ -132,8 +132,7 @@ def compute_G_terms(point: CurvaturePoint, I2: float | None = None,
 
 def compute_phi(point: CurvaturePoint, sol: CorrectorSolution,
                 weyl_denominator: str = "96(n-1)^2",
-                tol_quad: float = 1e-10,
-                tol_phi: float = 1e-12) -> ReducedCoefficients:
+                tol_quad: float = 1e-10) -> ReducedCoefficients:
     """Assemble phi and the full coefficient record for one point.
 
     phi = pairing/2 + (n-2)(n-8)/(4(n^2-1)) * Rnnnn * I2
@@ -158,7 +157,7 @@ def compute_phi(point: CurvaturePoint, sol: CorrectorSolution,
     phi = (0.5 * pairing
            + (n - 2.0) * (n - 8.0) / (4.0 * (n * n - 1.0)) * point.Rnnnn * I2
            - (n - 2.0) / denom * point.Wbar2 * I4)
-    if phi > tol_phi * max(abs(pairing), abs(point.Rnnnn) * I2, 1.0):
+    if phi > 1e-12 * max(abs(pairing), abs(point.Rnnnn) * I2, 1.0):
         raise ValidationFailure(
             f"phi = {phi!r} > 0 for point {point.label}: invalid curvature "
             "data or corrector failure")
@@ -292,7 +291,7 @@ def _panel_edges(cap: float, count: int) -> np.ndarray:
 
 
 def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
-                    delta: float, panels: int = 40, order: int = 10) -> dict:
+                    delta: float) -> dict:
     """A4, L2, L3 at one delta, reduced to 1D/2D quadrature in bubble
     coordinates with the cutoff dressed in."""
     n = point.n
@@ -314,10 +313,10 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
         cubic = uc ** (p - 3.0) * vc ** 3 * w
         return quad, cubic
 
-    # every panel's Gauss nodes in one batch: 1D for the boundary line,
-    # their tensor grid for the 2D integrals
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(order)
-    edges = _panel_edges(cap, panels)
+    # the 10 Gauss nodes of each of 40 panels in one batch: 1D for the
+    # boundary line, their tensor grid for the 2D integrals
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(10)
+    edges = _panel_edges(cap, 40)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
     weights = (half[:, None] * x_weights).ravel()
@@ -365,22 +364,18 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
             "R2": R2, "R3": R3}
 
 
-def verify_A4_L2_L3_identity(point: CurvaturePoint, sol: CorrectorSolution,
-                             deltas=None, panels: int = 40, order: int = 10,
-                             c4_delta_max: float = 0.2) -> SlopeExperiment:
-    """Quartic-order energy identity on a delta-ladder.
+def verify_A4_L2_L3_identity(point: CurvaturePoint,
+                             sol: CorrectorSolution) -> SlopeExperiment:
+    """Quartic-order energy identity on the fixed delta-ladder
+    geomspace(0.5 * 10^-1.5, 0.5, 7).
 
     The sum of the boundary Taylor term, the metric cross term, and the
     corrector Dirichlet term equals half the corrector pairing at order
     delta^4; the remainder must decay with slope >= 4.5.  The fitted
     delta^4 coefficient of the sum is compared against half the pairing
-    (within 2%) and both are attached to extras.  The coefficient
-    regression only uses rungs with delta <= c4_delta_max: above that the
-    terms beyond the (delta^4, delta^6) basis contaminate the fit.
+    (within 2%) and both are attached to extras.
     """
-    if deltas is None:
-        deltas = np.geomspace(0.5 * 10.0 ** -1.5, 0.5, 7)
-    deltas = np.asarray(deltas, dtype=float)
+    deltas = np.geomspace(0.5 * 10.0 ** -1.5, 0.5, 7)
     pairing = sol.pairing()
     if np.all(point.S == 0.0):
         return SlopeExperiment(deltas=deltas, values=np.zeros_like(deltas),
@@ -397,7 +392,7 @@ def verify_A4_L2_L3_identity(point: CurvaturePoint, sol: CorrectorSolution,
     remainders = []
     ratio_max = 0.0
     for d in deltas:
-        terms = _identity_terms(point, sol, float(d), panels, order)
+        terms = _identity_terms(point, sol, float(d))
         total = terms["A4"] + terms["L2"] + terms["L3"]
         sums.append(total)
         remainders.append(total - 0.5 * d ** 4 * pairing)
@@ -405,12 +400,11 @@ def verify_A4_L2_L3_identity(point: CurvaturePoint, sol: CorrectorSolution,
     sums = np.asarray(sums)
     remainders = np.asarray(remainders)
     slope, intercept, band = _fit_loglog(deltas, remainders)
-    # regression for the delta^4 coefficient of the raw sum, on the
-    # asymptotic rungs, scaled by delta^4 so every rung counts equally
-    low = deltas <= c4_delta_max
-    if np.count_nonzero(low) < 3:
-        low = np.zeros(len(deltas), dtype=bool)
-        low[np.argsort(deltas)[:3]] = True
+    # regression for the delta^4 coefficient of the raw sum, on the 5
+    # asymptotic rungs delta <= 0.2 (above that the terms beyond the
+    # (delta^4, delta^6) basis contaminate the fit), scaled by delta^4 so
+    # every rung counts equally
+    low = deltas <= 0.2
     design = np.column_stack([np.ones(np.count_nonzero(low)),
                               deltas[low] ** 2])
     coef, *_ = np.linalg.lstsq(design, sums[low] / deltas[low] ** 4,
@@ -425,6 +419,11 @@ def verify_A4_L2_L3_identity(point: CurvaturePoint, sol: CorrectorSolution,
 
 # ---------------------------------------------------------------------------
 # Residual slope experiment
+
+
+# proposal scales of the residual and cancellation Monte Carlo (t, z)
+_MC_T_SCALE = 0.8
+_MC_Z_SCALE = 0.5
 
 
 def _cutoff_shell(n: int, delta: float, t_all: np.ndarray, z_all: np.ndarray):
@@ -521,8 +520,7 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
                    deltas=None, mc_samples: int = 100000, seed: int = 0,
                    include_v: bool = True, metric_seed: int = 0, deg3_scale: float = 5.0,
                    with_cancellation: bool = True,
-                   max_rel_error: float = 0.25,
-                   t_scale: float = 0.8, z_scale: float = 0.5) -> SlopeExperiment:
+                   max_rel_error: float = 0.25) -> SlopeExperiment:
     """Curved-Laplacian residual norm on a delta-ladder, with log-log fit.
 
     The norm is estimated by importance MC of the p-th power (p = 2n/(n+2))
@@ -571,7 +569,7 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
         F = _residual_integrand(point, sol, me, float(d), include_v)
         est = mc_halfspace(n, lambda t, z: np.abs(F(t, z)) ** p,
                            n_samples=mc_samples, seed=seed + k,
-                           t_scale=t_scale, z_scale=z_scale)
+                           t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
         norms[k] = est.mean ** (1.0 / p)
         errs[k] = abs(est.std_error / p * est.mean ** (1.0 / p - 1.0))
         if norms[k] > 0 and errs[k] > max_rel_error * norms[k]:
@@ -581,8 +579,7 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
                 norms[k], errs[k])
         if include_v and with_cancellation:
             csum, cv, cm = _cancellation_norms(point, sol, me, float(d), p,
-                                               mc_samples // 2, seed + 1000 + k,
-                                               t_scale, z_scale)
+                                               mc_samples // 2, seed + 1000 + k)
             cancel["sum"].append(csum)
             cancel["v_alone"].append(cv)
             cancel["metric_alone"].append(cm)
@@ -630,8 +627,7 @@ def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,
     return parts
 
 
-def _cancellation_norms(point, sol, me, delta, p, n_samples, seed,
-                        t_scale, z_scale):
+def _cancellation_norms(point, sol, me, delta, p, n_samples, seed):
     """L^p norms of the corrector's flat Laplacian, the metric quadratic
     term on the bubble, and their sum (chi-dressed), from one set of
     samples: (sum, corrector alone, metric alone)."""
@@ -642,5 +638,5 @@ def _cancellation_norms(point, sol, me, delta, p, n_samples, seed,
         return np.abs(np.stack([tv + tm, tv, tm])) ** p
 
     ests = mc_halfspace(point.n, powers, n_samples=n_samples, seed=seed,
-                        t_scale=t_scale, z_scale=z_scale)
+                        t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
     return tuple(est.mean ** (1.0 / p) for est in ests)

@@ -237,7 +237,7 @@ def _random_curvature_tensor(m: int, rng: np.random.Generator, norm: float) -> n
 
 
 def generate_sample(n: int, seed: int, scale: float = 1.0,
-                    gamma: float | None = None, label: str | None = None) -> CurvaturePoint:
+                    label: str | None = None) -> CurvaturePoint:
     """Random admissible curvature point (passes validate_curvature).
 
     Both tensor norms are set to scale exactly, so downstream magnitudes are
@@ -261,11 +261,11 @@ def generate_sample(n: int, seed: int, scale: float = 1.0,
         D2=float(rng.standard_normal()) * scale ** 2,
         Rnnnn=-2.0 * s2,
         Wbar2=float(np.sum(W * W)),
-        gamma=float(gamma) if gamma is not None else float(rng.uniform(0.5, 2.0)),
+        gamma=float(rng.uniform(0.5, 2.0)),
     )
 
 
-def make_battery(n: int, count: int, seed: int, scale: float = 1.0) -> list[CurvaturePoint]:
+def make_battery(n: int, count: int, seed: int) -> list[CurvaturePoint]:
     """Deterministic battery of admissible points, labels battery-00.."""
     if count < 1:
         raise DomainError(f"battery needs count >= 1, got {count}")
@@ -273,7 +273,7 @@ def make_battery(n: int, count: int, seed: int, scale: float = 1.0) -> list[Curv
     out = []
     for i, child in enumerate(root.spawn(count)):
         sub_seed = int(child.generate_state(1)[0])
-        out.append(generate_sample(n, sub_seed, scale=scale, label=f"battery-{i:02d}"))
+        out.append(generate_sample(n, sub_seed, label=f"battery-{i:02d}"))
     return out
 
 
@@ -606,9 +606,9 @@ def _inverse_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
     return g
 
 
-def metric_det(me: MetricExpansion, t, z, through_degree: int = 4) -> np.ndarray:
+def metric_det(me: MetricExpansion, t, z) -> np.ndarray:
     """det of the full inverse metric (the normal block contributes 1)."""
-    g = eval_metric_inverse(me, t, z, through_degree=through_degree)
+    g = eval_metric_inverse(me, t, z)
     return np.linalg.det(g)
 
 

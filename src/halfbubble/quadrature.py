@@ -315,8 +315,7 @@ def _tail_caps(n: int, key: MomentKey, tail_budget: float) -> tuple[float, float
     return T, R, tail
 
 
-def moment(n: int, key: MomentKey, tol: float = 1e-10,
-           max_cells: int = 40000) -> tuple[float, float]:
+def moment(n: int, key: MomentKey, tol: float = 1e-10) -> tuple[float, float]:
     """Half-space moment M(p, a, b) with relative error estimate <= tol.
 
     Returns (value, error_estimate); the estimate includes the analytic
@@ -343,13 +342,12 @@ def moment(n: int, key: MomentKey, tol: float = 1e-10,
     tau_cap = T / (1.0 + T)
     sigma_cap = R / (1.0 + R)
     value, err = integrate_rectangle(F, 0.0, tau_cap, 0.0, sigma_cap,
-                                     tol_abs=0.6 * target, max_cells=max_cells)
+                                     tol_abs=0.6 * target)
     value *= area
     err = area * err + area * tail
     if err > tol * abs(value) and abs(value) > 0:
         value2, err2 = integrate_rectangle(F, 0.0, tau_cap, 0.0, sigma_cap,
-                                           tol_abs=0.6 * tol * abs(value) / area,
-                                           max_cells=max_cells)
+                                           tol_abs=0.6 * tol * abs(value) / area)
         value = area * value2
         err = area * err2 + area * tail
         if err > tol * abs(value):
@@ -357,8 +355,7 @@ def moment(n: int, key: MomentKey, tol: float = 1e-10,
     return value, err
 
 
-def half_line_moment(c: float, p: float, tol: float = 1e-12,
-                     max_cells: int = 20000) -> tuple[float, float]:
+def half_line_moment(c: float, p: float, tol: float = 1e-12) -> tuple[float, float]:
     """Integral over r > 0 of r^c (1 + r^2)^(-p), with error estimate.
 
     Requires 2p > c + 1.  Tail beyond R is bounded by R^{c-2p+1}/(2p-c-1).
@@ -375,8 +372,7 @@ def half_line_moment(c: float, p: float, tol: float = 1e-12,
     e = 2.0 * p - c - 1.0
     R = max((e * 0.2 * tol * scale) ** (-1.0 / e), 8.0)
     tail = R ** (-e) / e
-    value, err = integrate_interval(F, 0.0, R / (1.0 + R), tol_abs=0.6 * tol * scale,
-                                    max_cells=max_cells)
+    value, err = integrate_interval(F, 0.0, R / (1.0 + R), tol_abs=0.6 * tol * scale)
     return value, err + tail
 
 
@@ -445,16 +441,16 @@ _MC_CHUNK = 1 << 18
 
 
 def mc_halfspace(n: int, integrand, n_samples: int, seed: int,
-                 t_scale: float = 1.0, z_scale: float = 1.0,
-                 nu: float = 3.0) -> MCEstimate | tuple[MCEstimate, ...]:
+                 t_scale: float = 1.0,
+                 z_scale: float = 1.0) -> MCEstimate | tuple[MCEstimate, ...]:
     """Monte Carlo estimate of integral over the half-space of integrand(t, z).
 
-    Proposal: t ~ half-Cauchy(t_scale), z ~ multivariate Student with nu
+    Proposal: t ~ half-Cauchy(t_scale), z ~ multivariate Student with nu = 3
     degrees of freedom and scale z_scale (heavy tails cover slowly decaying
     integrands).  integrand must be vectorized: (B,), (B, n-1) -> (B,), or
     -> (k, B) for k integrands on the same samples, in which case a tuple
     of k estimates is returned; each equals the estimate of its row alone.
-    Results are reproducible from (seed, n_samples, scales, nu) alone; the
+    Results are reproducible from (seed, n_samples, scales) alone; the
     internal chunk size is fixed so chunking never changes the stream.
     The variance is accumulated from centered per-chunk sums of squares
     (Chan et al. pairwise update), so it keeps its digits when the mean
@@ -467,6 +463,7 @@ def mc_halfspace(n: int, integrand, n_samples: int, seed: int,
     if n_samples <= 1:
         raise DomainError(f"need at least 2 samples, got {n_samples}")
     rng = np.random.default_rng(seed)
+    nu = 3.0
     log_norm = (lgamma(0.5 * (nu + d)) - lgamma(0.5 * nu)
                 - 0.5 * d * math.log(nu * math.pi) - d * math.log(z_scale))
     totals = sq_dev = None

@@ -190,10 +190,10 @@ class HessianReport:
     """Discrete 2x2 Hessian of G at (lambda0, q0) on a 1D q-neighborhood."""
     status: str                 # "ok" or "inconclusive"
     classification: str         # "negative-definite", "indefinite", ...
-    lambda_lambda_fd: float
+    lambda_lambda_fd: float | None
     lambda_lambda_closed: float
-    mixed_fd: float
-    q_second_fd: float
+    mixed_fd: float | None
+    q_second_fd: float | None
     footnotes: tuple = field(default_factory=tuple)
 
 
@@ -206,10 +206,12 @@ _FOOTNOTES = (
 
 
 def neighborhood_coords(labels, coords=None) -> np.ndarray:
-    """1D coordinates of a neighborhood path: equal spacing by default,
-    else finite and strictly monotone, increasing or decreasing alike."""
+    """1D coordinates of a path of at least 3 distinct labels: equal
+    spacing by default, else finite and strictly monotone, either way."""
     if len(labels) < 3:
         raise DomainError("neighborhood must contain at least 3 labels")
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"neighborhood {list(labels)} repeats a label")
     if coords is None:
         return np.arange(len(labels), dtype=float)
     coords = np.asarray(coords, dtype=float)
@@ -224,8 +226,7 @@ def neighborhood_coords(labels, coords=None) -> np.ndarray:
 
 
 def hessian_check(rf: ReducedFunctional, lambda0: float, q0: str,
-                  neighborhood, coords=None,
-                  rel_step: float = 1e-3) -> HessianReport:
+                  neighborhood, coords=None) -> HessianReport:
     """Finite-difference 2x2 Hessian on (lambda, q) at the family point.
 
     neighborhood is an ordered sequence of labels along a 1D path through
@@ -234,7 +235,8 @@ def hessian_check(rf: ReducedFunctional, lambda0: float, q0: str,
     with its closed form 12 lambda0^2 phi; the mixed entry is reported (zero
     only when gamma and phi are both stationary at q0); the q-entry
     classifies the discrete concavity.  q0 on the path boundary leaves no
-    room for central differences: status "inconclusive".
+    room for central differences: status "inconclusive", and the
+    finite-difference entries are None.
     """
     labels = list(neighborhood)
     coords = neighborhood_coords(labels, coords)
@@ -242,14 +244,14 @@ def hessian_check(rf: ReducedFunctional, lambda0: float, q0: str,
         raise DomainError(f"q0 {q0!r} not in the supplied neighborhood")
     i0 = rf.index_of(q0)
     phi0 = float(rf.phi[i0])
-    h = rel_step * lambda0
+    h = 1e-3 * lambda0
     closed = 12.0 * lambda0 ** 2 * phi0
     mid = labels.index(q0)
     if mid == 0 or mid == len(labels) - 1:
         return HessianReport(
             status="inconclusive", classification="inconclusive",
-            lambda_lambda_fd=float("nan"), lambda_lambda_closed=float(closed),
-            mixed_fd=float("nan"), q_second_fd=float("nan"),
+            lambda_lambda_fd=None, lambda_lambda_closed=float(closed),
+            mixed_fd=None, q_second_fd=None,
             footnotes=_FOOTNOTES)
 
     def G(lam, lab):

@@ -509,6 +509,30 @@ class TestPipeline:
             assert report["q0"] == pipe["q0"] == "battery-02"
             assert report["quarantined"] == pipe["quarantined"]
 
+    def test_every_json_artifact_is_strict_json(self, tmp_path):
+        # NaN or Infinity in any report breaks strict JSON readers
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        assert run(tmp_path, "pipeline", "--skip-slopes") == 0
+        assert run(tmp_path, "solve-vq") == 0
+        assert run(tmp_path, "moments") == 0
+        # the FAST grid fails the corrector checks, but the report is written
+        assert run(tmp_path, "verify") == 2
+        # q0 = battery-04 at the end of the path: an inconclusive Hessian
+        assert run(tmp_path, "reduce", "--neighborhood",
+                   "battery-04,battery-03,battery-00") == 0
+        names = sorted(p.relative_to(tmp_path).as_posix()
+                       for p in tmp_path.rglob("*.json"))
+        assert {"moment_identities.json", "pipeline_report.json",
+                "reduction.json", "solve_report.json",
+                "verify_report.json"} <= set(names)
+        for name in names:
+            json.loads((tmp_path / name).read_text(), parse_constant=reject)
+        hessian = json.loads((tmp_path / "reduction.json").read_text())["hessian"]
+        assert hessian["status"] == "inconclusive"
+        assert hessian["mixed_fd"] is None
+
     def test_dispatch_finds_replaced_command(self, tmp_path, monkeypatch):
         # a benchmark hook replaces cmd_pipeline by name; main must run it
         calls = []
@@ -649,6 +673,20 @@ class TestExitCodes:
                          "moments"]) == 2
         assert not out.exists()
 
+    def test_repeated_coefficient_label_is_exit_2(self, tmp_path):
+        # a second battery-04 row with another phi would otherwise win
+        # silently and move q0
+        coeffs = tmp_path / "coefficients.csv"
+        assert run(tmp_path, "phi") == 0
+        lines = coeffs.read_text().splitlines()
+        parts = next(line for line in lines
+                     if line.startswith("battery-04,")).split(",")
+        col = lines[0].split(",").index("phi")
+        parts[col] = repr(8.0 * float(parts[col]))
+        coeffs.write_text("\n".join([*lines, ",".join(parts)]) + "\n")
+        assert run(tmp_path, "reduce", "--coefficients", str(coeffs)) == 2
+        assert not (tmp_path / "reduction.json").exists()
+
     def test_coefficients_of_another_dimension_is_exit_2(self, tmp_path):
         assert run(tmp_path / "n12", "--n", "12", "phi") == 0
         out = tmp_path / "n11"
@@ -698,13 +736,15 @@ class TestExitCodes:
              "--coords", "0,nan,1"],
             ["--neighborhood", "battery-00,battery-01,battery-02",
              "--coords", "0,0,1"],
+            ["--neighborhood", "battery-03,battery-04,battery-03"],
         ],
         ids=["too-few", "unknown-label", "count-mismatch", "non-numeric",
-             "nan-coord", "repeated-coord"],
+             "nan-coord", "repeated-coord", "repeated-label"],
     )
     def test_bad_neighborhood_is_exit_2_before_solving(self, tmp_path, argv):
         assert run(tmp_path, "reduce", *argv) == 2
         assert not (tmp_path / "coefficients.csv").exists()
+        assert not (tmp_path / "reduction.json").exists()
 
     def test_curvature_dimension_mismatch_is_exit_2(self, tmp_path):
         k = 8

@@ -500,7 +500,7 @@ class TestResidualSlope:
                              n_samples=3000, seed=5, t_scale=0.8,
                              z_scale=0.5).mean ** (1.0 / p)
                 for pick in picks)
-            got = _cancellation_norms(point11, sol11_big, me, delta, p, 3000, 5, 0.8, 0.5)
+            got = _cancellation_norms(point11, sol11_big, me, delta, p, 3000, 5)
             assert got == want
 
     def test_zero_curvature_degenerate(self):

@@ -442,7 +442,7 @@ class TestMonteCarlo:
 
         n_samples = 2 * _MC_CHUNK + 12345
         est = mc_halfspace(n, f, n_samples=n_samples, seed=8, t_scale=t_scale,
-                           z_scale=z_scale, nu=nu)
+                           z_scale=z_scale)
         x = weighted(np.concatenate(seen))
         assert x.size == n_samples
         assert x.mean() / x.std() >= 1e6
