@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, RectBivariateSpline
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
@@ -203,6 +203,34 @@ class Profile2D:
         out = self._spline(x, y, dx=dx, dy=dy, grid=grid)
         return out.reshape(np.broadcast_shapes(tau.shape, sigma.shape))
 
+    def value(self, t, r) -> np.ndarray:
+        """psi alone at (t, r): the first entry of eval, from the same
+        spline call."""
+        t = np.asarray(t, dtype=float)
+        r = np.asarray(r, dtype=float)
+        return self._partial(_compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE))
+
+    def eval_grid(self, t, r) -> tuple:
+        """(psi, psi_t, psi_r) on the tensor grid of the 1-D arrays t and r,
+        each of shape (len(t), len(r)).
+
+        Per-axis B-spline basis matrices, values and first derivatives
+        from the spline's own knots, times its coefficient matrix: the
+        same spline as eval, at rounding level, without evaluating the
+        second partials.
+        """
+        tx, ty, c = self._spline.tck
+        kx, ky = self._spline.degrees
+        tau = _compress(np.asarray(t, dtype=float), _MAP_SCALE)
+        sigma = _compress(np.asarray(r, dtype=float), _MAP_SCALE)
+        bt = BSpline(tx, np.eye(len(tx) - kx - 1), kx)
+        br = BSpline(ty, np.eye(len(ty) - ky - 1), ky)
+        left = np.concatenate([bt(tau), bt(tau, nu=1)]) @ c.reshape(len(tx) - kx - 1, -1)
+        psi, s10 = np.split(left @ br(sigma).T, 2)
+        s01 = left[:len(tau)] @ br(sigma, nu=1).T
+        return (psi, s10 / _stretch(tau, _MAP_SCALE)[1][:, None],
+                s01 / _stretch(sigma, _MAP_SCALE)[1])
+
     def eval(self, t, r) -> tuple:
         """The jet (psi, psi_t, psi_r, psi_tt, psi_rr) at (t, r).
 
@@ -231,7 +259,7 @@ class Profile2D:
         """
         cap = min(self.grid.t_max, self.grid.r_max)
         rho = np.geomspace(cap / 5.0, cap / 1.2, 16)
-        vals = self.eval(rho / math.sqrt(2.0), rho / math.sqrt(2.0))[0]
+        vals = self.value(rho / math.sqrt(2.0), rho / math.sqrt(2.0))
         good = np.abs(vals) > 1e-300
         if good.sum() < 4:
             return float("nan")
@@ -498,7 +526,7 @@ def eval_v(sol: CorrectorSolution, t, z) -> np.ndarray:
     """Corrector values at (t, z)."""
     z = np.asarray(z, dtype=float)
     r = np.sqrt(np.sum(z * z, axis=-1))
-    return sol.profile.eval(t, r)[0] * sol.pattern.y_of_z(z)
+    return sol.profile.value(t, r) * sol.pattern.y_of_z(z)
 
 
 def eval_v_derivatives(sol: CorrectorSolution, t, z):

@@ -30,8 +30,7 @@ import numpy as np
 from .bubble import eval_U_jet
 from .corrector import CorrectorSolution, eval_v_derivatives
 from .errors import BudgetError, DomainError, ValidationFailure
-from .geometry import CurvaturePoint, MetricExpansion, eval_metric_inverse, \
-    metric_divergence, metric_expansion
+from .geometry import CurvaturePoint, MetricExpansion, metric_expansion, metric_invariants
 from .quadrature import (
     MomentKey,
     half_line_moment,
@@ -97,9 +96,9 @@ def compute_A(n: int) -> float:
             - (n - 2.0) ** 2 / (2.0 * (n - 1.0)) * compute_A_boundary(n, tol=1e-10))
 
 
-def compute_A_gradient(n: int, tol: float = 1e-10) -> float:
+def compute_A_gradient(n: int) -> float:
     """Half-space integral of |grad U|^2 via 2D quadrature."""
-    val, _ = moment(n, MomentKey(n - 1, 0, 0), tol=tol)
+    val, _ = moment(n, MomentKey(n - 1, 0, 0), tol=1e-10)
     return (n - 2.0) ** 2 * val
 
 
@@ -305,7 +304,7 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
     def boundary_parts(r):
         u = eval_U_jet(n, 0.0, r * r)[0]
         chi = cutoff_chi(delta * r)
-        psi = prof.eval(np.zeros_like(r), r)[0]
+        psi = prof.value(np.zeros_like(r), r)
         uc = u * chi
         vc = psi * chi
         w = r ** (n - 2)
@@ -331,17 +330,17 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
     # Taylor validity: the corrector perturbation must stay below half the
     # profile on the boundary support
     r_probe = np.geomspace(1e-2, cap, 200)
-    ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe)[0])
+    ratio = (delta ** 2 * np.abs(prof.value(np.zeros_like(r_probe), r_probe))
              * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
              / eval_U_jet(n, 0.0, r_probe * r_probe)[0])
     ratio_max = float(np.max(ratio))
 
-    # --- 2D integrals ---
+    # --- 2D integrals, on the tensor grid of a column t and a row r ---
     def bulk(t, r):
         chi, ct, cr = _chi_tr(t, r, delta)
         u, u_t, u1, *_ = eval_U_jet(n, t, r * r)
         u_r = u1 * r
-        psi, psi_t, psi_r, *_ = prof.eval(t, r)
+        psi, psi_t, psi_r = prof.eval_grid(t[:, 0], r[0])
         uc_r = u_r * chi + u * cr
         uc_t = u_t * chi + u * ct
         vc = psi * chi
@@ -477,11 +476,11 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
     span{z, Sz} and Hess_z W in span{I, S, z z^T, z (Sz)^T + (Sz) z^T},
     the coefficient of I being that of z and the coefficient of S that of
     Sz; F is lap W plus those coefficients times four invariants of g --
-    tr g, g : S, z.gz and z.g(Sz) + (Sz).gz (both orders, so g need not be
-    symmetric) -- and times div.z and div.Sz.  No n x n Hessian is formed.
+    tr g, g : S, z.gz and z.g(Sz) + (Sz).gz -- and times div.z and div.Sz,
+    all six from geometry.metric_invariants.  No n x n Hessian and no
+    per-sample g is formed.
     """
     n = point.n
-    m = n - 1
     S = sol.pattern.S
 
     def F(t_all, z_all):
@@ -492,23 +491,15 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
         jet = eval_U_jet(n, t, rr)
         zSz = 0.0
         if include_v:
-            Sz = z @ S
-            zSz = np.sum(z * Sz, axis=1)
+            zSz = np.sum(z * (z @ S), axis=1)
             jet = [f + delta * delta * h
                    for f, h in zip(jet, eval_v_derivatives(sol, t, z))]
         lap, k_I, k_S, k_zz, k_sym = _dress(jet, cut, t, rr, zSz)
 
-        g = eval_metric_inverse(me, delta * t, delta * z) - np.eye(m)
-        div = metric_divergence(me, delta * t, delta * z)
-        gz = np.matmul(g, z[:, :, None])[:, :, 0]
-        out = (lap + k_zz * np.sum(z * gz, axis=1)
-               + k_I * (np.trace(g, axis1=1, axis2=2)
-                        + delta * np.sum(div * z, axis=1)))
+        tr_g, g_S, zgz, zg_sym, div_z, div_Sz = metric_invariants(me, t, z, delta, S)
+        out = lap + k_zz * zgz + k_I * (tr_g + delta * div_z)
         if include_v:
-            gSz = np.matmul(g, Sz[:, :, None])[:, :, 0]
-            out += (k_S * (g.reshape(-1, m * m) @ S.ravel()
-                           + delta * np.sum(div * Sz, axis=1))
-                    + k_sym * np.sum(z * gSz + Sz * gz, axis=1))
+            out += k_S * (g_S + delta * div_Sz) + k_sym * zg_sym
         out_all[keep] = out
         return out_all
 
@@ -617,11 +608,9 @@ def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,
             lap_V = _dress(eval_v_derivatives(sol, t, z), cut, t, rr, zSz)[0]
             out[0, keep] = delta * delta * lap_V
             _, _, u1, _, u2, _, _ = eval_U_jet(n, t, rr)
-            g2 = eval_metric_inverse(me, delta * t, delta * z,
-                                     through_degree=2) - np.eye(n - 1)
-            zg2z = np.sum(z * np.matmul(g2, z[:, :, None])[:, :, 0], axis=1)
-            out[1, keep] = cut[0] * (u1 * np.trace(g2, axis1=1, axis2=2)
-                                     + u2 * zg2z)
+            tr_g2, _, zg2z, *_ = metric_invariants(me, t, z, delta, sol.pattern.S,
+                                                   through_degree=2)
+            out[1, keep] = cut[0] * (u1 * tr_g2 + u2 * zg2z)
         return out
 
     return parts

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from halfbubble import cli
+from halfbubble import cli, energy, geometry
 from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess
 from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
                                   solve_vq)
@@ -37,7 +37,7 @@ from halfbubble.energy import (
     verify_A4_L2_L3_identity,
 )
 from halfbubble.errors import BudgetError, DomainError, ValidationFailure
-from halfbubble.geometry import (eval_metric_inverse, generate_sample, metric_divergence,
+from halfbubble.geometry import (_inverse_terms, generate_sample, metric_divergence,
                                  metric_expansion)
 from halfbubble.quadrature import (
     MomentKey,
@@ -454,6 +454,30 @@ class TestIdentityExperiment:
             ratios.append(ref["ratio_max"])
         assert exp.extras["taylor_ratio_max"] == max(ratios)
 
+    @pytest.mark.parametrize("n", [11, 15])
+    def test_grid_jet_matches_spline_partials(self, n, sol11_big, sol15_far):
+        # eval_grid on the bulk nodes of the smallest and largest rung
+        # against one FITPACK partial each, mapped by the chain rule; the
+        # first node row and column (t, r -> 0) are also bounded on their
+        # own scale
+        prof = (sol11_big if n == 11 else sol15_far).profile
+        x_nodes, _ = np.polynomial.legendre.leggauss(10)
+        for delta in (0.5 * 10.0 ** -1.5, 0.5):
+            edges = _panel_edges(1.0 / delta, 40)
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+            nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
+            tau = _compress(nodes, _MAP_SCALE)[:, None]
+            sigma = _compress(nodes, _MAP_SCALE)[None, :]
+            want = (prof._partial(tau, sigma),
+                    prof._partial(tau, sigma, 1, 0) / _stretch(tau, _MAP_SCALE)[1],
+                    prof._partial(tau, sigma, 0, 1) / _stretch(sigma, _MAP_SCALE)[1])
+            for got, ref in zip(prof.eval_grid(nodes, nodes), want):
+                assert got.shape == ref.shape
+                err = np.abs(got - ref)
+                assert np.max(err) <= 1e-13 * np.max(np.abs(ref)), delta
+                assert np.max(err[0]) <= 1e-13 * np.max(np.abs(ref[0])), delta
+                assert np.max(err[:, 0]) <= 1e-13 * np.max(np.abs(ref[:, 0])), delta
+
     def test_zero_curvature_is_degenerate(self):
         pt = zero_curvature_point(11)
         sol = solve_vq(pt)
@@ -502,6 +526,20 @@ class TestResidualSlope:
                 for pick in picks)
             got = _cancellation_norms(point11, sol11_big, me, delta, p, 3000, 5)
             assert got == want
+
+    def test_ladder_builds_no_inverse_metric(self, point11, sol11_big, monkeypatch):
+        # the residual integrand and the cancellation parts read the
+        # expansion's invariants; neither evaluates the (B, m, m) matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-sample inverse metric evaluated")
+
+        monkeypatch.setattr(geometry, "eval_metric_inverse", refuse)
+        monkeypatch.setattr(geometry, "_inverse_terms", refuse)
+        monkeypatch.setattr(energy, "eval_metric_inverse", refuse, raising=False)
+        exp = residual_slope(point11, sol11_big, deltas=np.geomspace(0.02, 0.7, 5),
+                             mc_samples=2000, seed=1, max_rel_error=1.0)
+        assert np.all(exp.extras["norms"] > 0)
+        assert np.all(exp.extras["cancel_sum"] > 0)
 
     def test_zero_curvature_degenerate(self):
         pt = zero_curvature_point(11)
@@ -632,7 +670,8 @@ def _dense_residual_integrand(sol, me, delta, include_v):
             lap = lap + delta * delta * lap_V
             grad = grad + delta * delta * grad_V
             hess = hess + delta * delta * hess_V
-        Minv = eval_metric_inverse(me, delta * t, delta * z) - np.eye(m)
+        # g itself, not Minv - I: I + g - I would round g's diagonal to ulp(1)
+        Minv = _inverse_terms(me, delta * t, delta * z, 4)
         div = metric_divergence(me, delta * t, delta * z)
         out = lap + np.einsum("bij,bij->b", Minv, hess[:, :m, :m])
         out += delta * np.einsum("bj,bj->b", div, grad[:, :m])
@@ -656,7 +695,7 @@ def _dense_cancellation_parts(sol, me, delta):
         lap_V, _, _ = _dense_dressed(v, gv, hv, chi, grad_chi, lap_chi,
                                      hess_chi, np.einsum("bii->b", hv))
         out[0, keep] = delta * delta * lap_V
-        M2 = eval_metric_inverse(me, delta * t, delta * z, through_degree=2) - np.eye(m)
+        M2 = _inverse_terms(me, delta * t, delta * z, 2)
         out[1, keep] = chi * np.einsum("bij,bij->b", M2, eval_U_hess(n, t, z)[:, :m, :m])
         return out
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from halfbubble.errors import DomainError, InputFormatError
-from halfbubble.geometry import (_CHUNK, CurvaturePoint, check_dim, eval_metric_inverse,
-                                 generate_sample, load_curvature_file, make_battery,
-                                 metric_det, metric_divergence, metric_expansion,
-                                 save_curvature_file, validate_curvature,
-                                 weyl_norm_consistency, weyl_part)
+from halfbubble.geometry import (_CHUNK, CurvaturePoint, _inverse_terms, check_dim,
+                                 eval_metric_inverse, generate_sample, load_curvature_file,
+                                 make_battery, metric_det, metric_divergence,
+                                 metric_expansion, metric_invariants, save_curvature_file,
+                                 validate_curvature, weyl_norm_consistency, weyl_part)
 
 
 def fit_slope(x, y):
@@ -439,3 +439,38 @@ class TestMatrixProductPath:
             ref = _ref_metric_divergence(me, t, z)
             err = np.max(np.abs(got - ref))
             assert err <= 1e-13 * np.max(np.abs(ref)), (B, err)
+
+    @pytest.mark.parametrize("n", [11, 15])
+    @pytest.mark.parametrize("mode", ["gauge", "free", "zero"])
+    def test_invariants_match_contracted_expansion(self, n, mode):
+        # metric_invariants against g from _inverse_terms (not Minv - I,
+        # whose diagonal would carry the rounding of 1) and
+        # metric_divergence, both checked against the einsum reference
+        # above, contracted sample by sample; bounded against the sum of
+        # the magnitudes of the products each invariant adds up
+        p = generate_sample(n, seed=20 + n)
+        me = metric_expansion(p, seed=3, mode=mode, deg3_scale=5.0)
+        S = p.S
+        rng = np.random.default_rng(n)
+        delta = 0.5
+
+        def forms(g, S, z, Sz):
+            gz, gSz = np.matmul(g, np.stack([z, Sz], axis=2)).transpose(2, 0, 1)
+            return (np.trace(g, axis1=1, axis2=2), g.reshape(len(z), -1) @ S.ravel(),
+                    np.sum(z * gz, axis=1), np.sum(z * gSz + Sz * gz, axis=1))
+
+        for B in (1, _CHUNK + 37):
+            z = 0.6 * rng.standard_normal((B, p.m))
+            t = 0.8 * rng.random(B)
+            Sz = z @ S
+            for deg in (2, 3, 4):
+                g = _inverse_terms(me, delta * t, delta * z, deg)
+                got = metric_invariants(me, t, z, delta, S, through_degree=deg)
+                for i, (want, mag) in enumerate(zip(
+                        forms(g, S, z, Sz), forms(*map(np.abs, (g, S, z, Sz))))):
+                    err = np.max(np.abs(got[i] - want))
+                    assert err <= 1e-13 * np.max(mag), (B, deg, i, err)
+            div = metric_divergence(me, delta * t, delta * z)
+            for row, x in zip(got[4:], (z, Sz)):
+                err = np.max(np.abs(row - np.sum(div * x, axis=1)))
+                assert err <= 1e-13 * np.max(np.sum(np.abs(div * x), axis=1)), (B, err)
