@@ -496,7 +496,7 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
                    for f, h in zip(jet, eval_v_derivatives(sol, t, z))]
         lap, k_I, k_S, k_zz, k_sym = _dress(jet, cut, t, rr, zSz)
 
-        tr_g, g_S, zgz, zg_sym, div_z, div_Sz = metric_invariants(me, t, z, delta, S)
+        tr_g, g_S, zgz, zg_sym, div_z, div_Sz = metric_invariants(me, t, z, delta)
         out = lap + k_zz * zgz + k_I * (tr_g + delta * div_z)
         if include_v:
             out += k_S * (g_S + delta * div_Sz) + k_sym * zg_sym
@@ -608,8 +608,7 @@ def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,
             lap_V = _dress(eval_v_derivatives(sol, t, z), cut, t, rr, zSz)[0]
             out[0, keep] = delta * delta * lap_V
             _, _, u1, _, u2, _, _ = eval_U_jet(n, t, rr)
-            tr_g2, _, zg2z, *_ = metric_invariants(me, t, z, delta, sol.pattern.S,
-                                                   through_degree=2)
+            tr_g2, _, zg2z, *_ = metric_invariants(me, t, z, delta, through_degree=2)
             out[1, keep] = cut[0] * (u1 * tr_g2 + u2 * zg2z)
         return out
 

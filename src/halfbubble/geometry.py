@@ -372,9 +372,11 @@ class MetricExpansion:
     no matrix per sample.  Every matrix its invariants contract g with is
     symmetric, so it works on packed g: the M = m(m+1)/2 entries i <= j
     (the pairs in packed), the off-diagonal ones holding g_ij + g_ji.
-    inv_ops[d - 2] maps the monomial features of one sample, through
-    degree d, to packed g and the divergence in one product; the square
-    P P^T / 15 of the degree-2 block is contracted through P itself.
+    inv_ops[d] maps the monomial features of one sample, through degree
+    d, to packed g and the divergence in one product; the square P P^T / 15
+    of the degree-2 block is contracted through P itself.  Only the
+    truncations the residual ladder reads are built: d = 4 for the
+    integrand and d = 2 for the cancellation diagnostics.
     """
     point: CurvaturePoint
     mode: str
@@ -415,7 +417,7 @@ class MetricExpansion:
     # the low-rank q
     packed: np.ndarray = field(init=False, repr=False)     # (2, M) int
     cubic_packed: np.ndarray = field(init=False, repr=False)  # (2, C(m+2,3)) int
-    inv_ops: tuple = field(init=False, repr=False)         # (M + m, F_d)
+    inv_ops: dict = field(init=False, repr=False)          # d -> (M + m, F_d)
     P_op: np.ndarray = field(init=False, repr=False)       # (m^2, M)
     N_packed: np.ndarray = field(init=False, repr=False)   # (M, M)
     Q_packed: np.ndarray = field(init=False, repr=False)   # (len(lowrank), M)
@@ -430,15 +432,32 @@ class MetricExpansion:
         rs = 0.5 * (rs + rs.transpose(1, 0, 2, 3))
         K = self.T4 / 2.0 + rs / 3.0
         K = 0.5 * (K + K.transpose(0, 1, 3, 2))
+        # packed pairs i <= j ordered by j, then i: the pairs with j <= mu
+        # are the first (mu+1)(mu+2)/2, so v2p[:(mu+1)(mu+2)/2] w_mu are
+        # the cubic monomials whose largest slot is mu, listed by
+        # cubic_packed as (pair, mu) in order of mu and by cubic as
+        # (k, l, mu), k <= l <= mu
+        ju, iu = np.tril_indices(m)
+        firsts = (np.arange(m) + 1) * (np.arange(m) + 2) // 2
+        pair = np.concatenate([np.arange(c) for c in firsts])
+        last = np.repeat(np.arange(m), firsts)
+        for name, a in (("packed", np.stack([iu, ju])),
+                        ("cubic_packed", np.stack([pair, last])),
+                        ("cubic", np.stack([iu[pair], ju[pair], last]))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         # degree-3 spatial: every slot triple (k, l, mu) adds its entry to
         # the row of its sorted monomial
-        triples = np.sort(np.indices((m, m, m)).reshape(3, -1), axis=0)
-        cubic, row = np.unique(triples, axis=1, return_inverse=True)
-        R1_op = np.zeros((cubic.shape[1], mm))
-        np.add.at(R1_op, row.ravel(),
-                  self.R1.transpose(1, 3, 4, 0, 2).reshape(m * mm, mm) / 6.0)
-        cubic.setflags(write=False)
-        object.__setattr__(self, "cubic", cubic)
+        a, b, c = np.sort(np.indices((m, m, m)).reshape(3, -1), axis=0)
+        cubic_row = c * (c + 1) * (c + 2) // 6 + b * (b + 1) // 2 + a
+
+        def on_cubic(values):
+            # per slot triple (k, l, mu) -> rows of its cubic monomial
+            out = np.zeros((pair.size, values.shape[1]))
+            np.add.at(out, cubic_row, values)
+            return out
+
+        R1_op = on_cubic(self.R1.transpose(1, 3, 4, 0, 2).reshape(m * mm, mm) / 6.0)
         # degree-4 spatial divergence: the four slot-contractions of the
         # (1/15) product (two vanish by antisymmetry / Ricci-flatness but
         # are kept numerical) plus the trace rider's derivative
@@ -472,20 +491,6 @@ class MetricExpansion:
         for name, op in ops.items():
             object.__setattr__(self, name, _as_readonly(op))
 
-        # packed pairs i <= j ordered by j, then i: the pairs with j <= mu
-        # are the first (mu+1)(mu+2)/2, so v2p[:(mu+1)(mu+2)/2] w_mu are
-        # the cubic monomials whose largest slot is mu, listed by
-        # cubic_packed as (pair, mu) in order of mu
-        ju, iu = np.tril_indices(m)
-        firsts = (np.arange(m) + 1) * (np.arange(m) + 2) // 2
-        cubic_packed = np.stack([np.concatenate([np.arange(c) for c in firsts]),
-                                 np.repeat(np.arange(m), firsts)])
-        for name, a in (("packed", np.stack([iu, ju])), ("cubic_packed", cubic_packed)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        a, b, c = np.sort(np.indices((m, m, m)).reshape(3, -1), axis=0)
-        cubic_row = c * (c + 1) * (c + 2) // 6 + b * (b + 1) // 2 + a
-
         def pack_cols(op):
             # columns (i, j) of a full block -> packed columns i <= j
             op = np.asarray(op, dtype=float).reshape(-1, mm)
@@ -494,12 +499,6 @@ class MetricExpansion:
         def pack_rows(op):
             # rows (k, l) acting on v2 -> rows acting on v2p
             return pack_cols(op.reshape(mm, -1).T).T
-
-        def on_cubic(values):
-            # per slot triple (k, l, mu) -> rows of its cubic monomial
-            out = np.zeros((cubic_packed.shape[1], values.shape[1]))
-            np.add.at(out, cubic_row, values)
-            return out
 
         # feature blocks in evaluation order (see _invariant_terms) with
         # their degree e in (w, s) and their rows: a feature of degree e
@@ -512,9 +511,8 @@ class MetricExpansion:
             (1, np.zeros((m, M)), div2.T),                                          # w
             (2, pack_cols(pack_rows(self.R_op)) / 3.0, pack_rows(self.div3_op)),    # v2p
             (2, pack_cols(S), self.div_S1[None]),                                   # s^2
-            (3, pack_cols(on_cubic(self.R1.transpose(1, 3, 4, 0, 2).reshape(m * mm, mm)
-                                   / 6.0)),
-             on_cubic(div4.transpose(1, 2, 3, 0).reshape(m * mm, m))),              # cubic
+            (3, pack_cols(self.R1_op), on_cubic(div4.transpose(1, 2, 3, 0)
+                                                .reshape(m * mm, m))),              # cubic
             (3, pack_cols(self.S1_op), self.div_K_op),                              # w s^2
             (3, pack_cols(self.S1n) / 3.0, self.div_T3[None] / 3.0),                # s^3
             (3, np.zeros((len(lowrank_div), M)), lowrank_div),                      # q w
@@ -524,10 +522,10 @@ class MetricExpansion:
             (4, pack_cols(self.T3_op) / 3.0, np.zeros((m, m))),                     # w s^3
             (4, pack_cols(self.T5 + 8.0 * self.SS) / 12.0, np.zeros((1, m))),       # s^4
         ]
-        object.__setattr__(self, "inv_ops", tuple(
-            _as_readonly(np.concatenate([np.hstack([g, div * (e < degree)])
-                                         for e, g, div in blocks if e <= degree]).T)
-            for degree in (2, 3, 4)))
+        object.__setattr__(self, "inv_ops", {
+            degree: _as_readonly(np.concatenate([np.hstack([g, div * (e < degree)])
+                                                 for e, g, div in blocks if e <= degree]).T)
+            for degree in (2, 4)})
         ops = {
             "P_op": pack_rows(R.transpose(1, 3, 2, 0).reshape(mm, mm)).T,
             "N_packed": pack_rows(pack_rows(self.N_op).T).T,
@@ -689,47 +687,50 @@ def _inverse_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
     return g
 
 
-def metric_invariants(me: MetricExpansion, t, z, delta: float, S,
+def metric_invariants(me: MetricExpansion, t, z, delta: float,
                       through_degree: int = 4) -> np.ndarray:
     """What the residual integrand reads of g = Minv - I (the spatial
-    block, truncated at through_degree >= 2) and of its divergence, at
+    block, truncated at through_degree 2 or 4) and of its divergence, at
     y = (delta z, delta t), shape (6, B):
 
         tr g,  g : S,  z.gz,  z.g(Sz) + (Sz).gz,  div.z,  div.Sz
 
-    for a symmetric S.  The quadratic forms take z and Sz themselves, not
-    delta z.  No per-sample matrix is formed: see MetricExpansion.
+    with S the point's pattern matrix me.point.S.  The quadratic forms take
+    z and Sz themselves, not delta z.  No per-sample matrix is formed: see
+    MetricExpansion.
     """
+    if through_degree not in me.inv_ops:
+        raise DomainError(f"metric invariants are built through degree 2 or 4, "
+                          f"not {through_degree}")
     m = me.m
     t, z, _ = _batch(t, z, m)
-    S = np.asarray(S, dtype=float)
     out = np.empty((6, z.shape[0]))
     for s in range(0, z.shape[0], _CHUNK):
         out[:, s:s + _CHUNK] = _invariant_terms(me, t[s:s + _CHUNK], z[s:s + _CHUNK],
-                                                delta, S, through_degree)
+                                                delta, through_degree)
     return out
 
 
 def _invariant_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
-                     delta: float, S: np.ndarray, through_degree: int) -> np.ndarray:
+                     delta: float, through_degree: int) -> np.ndarray:
     # samples along the last axis, so every feature row is contiguous
     m = me.m
+    S = me.point.S
     iu, ju = me.packed
     zt = z.T.copy()
     w, s = delta * zt, delta * t
     s2 = s * s
     v2 = w[iu] * w[ju]
     features = [w, v2, s2[None]]
-    if through_degree >= 3:
+    if through_degree == 4:
         pair, last = me.cubic_packed
         s3 = s2 * s
         q = me.Q_packed @ v2
-        features += [v2[pair] * w[last], w * s2, s3[None],
-                     (q[:, None, :] * w[None]).reshape(-1, t.size)]
-    if through_degree >= 4:
         nc = np.einsum("qb,qb->b", me.N_packed @ v2, v2)
-        features += [nc[None], q * q, v2 * s2, w * s3, (s2 * s2)[None]]
-    gd = me.inv_ops[through_degree - 2] @ np.concatenate(features)
+        features += [v2[pair] * w[last], w * s2, s3[None],
+                     (q[:, None, :] * w[None]).reshape(-1, t.size),
+                     nc[None], q * q, v2 * s2, w * s3, (s2 * s2)[None]]
+    gd = me.inv_ops[through_degree] @ np.concatenate(features)
     g, div = gd[:iu.size], gd[iu.size:]
     Szt = S.T @ zt
     out = np.empty((6, t.size))
@@ -738,7 +739,7 @@ def _invariant_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
     out[3] = np.einsum("qb,qb->b", g, zt[iu] * Szt[ju] + Szt[iu] * zt[ju])
     out[4] = np.einsum("jb,jb->b", div, zt)
     out[5] = np.einsum("jb,jb->b", div, Szt)
-    if through_degree >= 4:
+    if through_degree == 4:
         # P P^T / 15 with P_ic = Rbar[i,k,c,l] w_k w_l: its trace, its
         # contraction with S and its quadratic forms, through P^T z, P^T Sz
         P = (me.P_op @ v2).reshape(m, m, -1)          # [c, i] = P_ic

@@ -463,9 +463,9 @@ class TestMatrixProductPath:
             z = 0.6 * rng.standard_normal((B, p.m))
             t = 0.8 * rng.random(B)
             Sz = z @ S
-            for deg in (2, 3, 4):
+            for deg in (2, 4):
                 g = _inverse_terms(me, delta * t, delta * z, deg)
-                got = metric_invariants(me, t, z, delta, S, through_degree=deg)
+                got = metric_invariants(me, t, z, delta, through_degree=deg)
                 for i, (want, mag) in enumerate(zip(
                         forms(g, S, z, Sz), forms(*map(np.abs, (g, S, z, Sz))))):
                     err = np.max(np.abs(got[i] - want))
@@ -474,3 +474,6 @@ class TestMatrixProductPath:
             for row, x in zip(got[4:], (z, Sz)):
                 err = np.max(np.abs(row - np.sum(div * x, axis=1)))
                 assert err <= 1e-13 * np.max(np.sum(np.abs(div * x), axis=1)), (B, err)
+        # only the truncations the residual ladder reads are built
+        with pytest.raises(DomainError, match="degree 2 or 4"):
+            metric_invariants(me, t, z, delta, through_degree=3)
