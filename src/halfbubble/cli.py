@@ -193,7 +193,7 @@ def _reduction(cfg: RunConfig, points, phis: dict, quarantined: dict,
                neighborhood=None, coords=None) -> tuple:
     """The reduced functional and the reduction.json payload."""
     rf = _build_reduced_functional(cfg, points, phis, quarantined)
-    fam = find_blowup_point(rf)
+    fam = find_blowup_point(rf, cfg.eps_ladder)
     hessian = (dataclasses.asdict(hessian_check(
         rf, fam.lambda0, fam.q0, neighborhood, coords=coords))
         if neighborhood else

@@ -18,8 +18,8 @@ from .corrector import GridConfig
 from .energy import WEYL_DENOMINATORS, check_slope_ladder
 from .errors import InputFormatError, ValidationFailure
 from .geometry import check_dim
+from .reduction import DEFAULT_EPS_LADDER
 
-_DEFAULT_EPS_LADDER = tuple(float(e) for e in np.geomspace(1e-4, 1e-1, 7))
 # value types by field annotation; n is left to check_dim, ladders to
 # _checked_ladder
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
@@ -49,7 +49,7 @@ class RunConfig:
     r_max: float = 160.0
     h: float = 1.0 / 192.0
     delta_ladder: tuple = ()
-    eps_ladder: tuple = _DEFAULT_EPS_LADDER
+    eps_ladder: tuple = DEFAULT_EPS_LADDER
     weyl_denominator: str = "96(n-1)^2"
     mc_samples: int = 60000
     metric_seed: int = 0

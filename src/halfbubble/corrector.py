@@ -30,6 +30,16 @@ the command line always solves that way.  The probe iterates on A^T A from a
 fixed random start and stops once one step moves its estimate by at most
 1e-6 relative, or after 25 steps; SolveDiagnostics.probe_steps reports the
 count, and a count of 25 means the probe did not converge.
+
+Interpolation: Profile2D carries the tensor quintic interpolant of psi in
+(tau, sigma), on FITPACK's knots for an interpolating spline (each end
+knot six times, interior knots at the nodes x[3:-3]), so one coefficient
+per node.  The coefficients come from two dense per-axis collocation
+solves, C = Bt^-1 psi Br^-T.  Three evaluation paths share them: the jet
+at scattered points from one basis pass per point (values and first two
+derivatives of the six nonzero B-splines per axis), psi alone the same
+way, and tensor grids as per-axis basis matrices times C.  Points past the
+last node are clamped to it, as FITPACK's evaluator does.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import BSpline, RectBivariateSpline
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
@@ -167,8 +176,13 @@ class Profile2D:
     """Reduced corrector profile psi on the mapped grid.
 
     psi[i, j] is the value at (tau[i], sigma[j]); t/r node arrays follow the
-    maps.  Interpolation is a quintic spline in the computational
-    coordinates with exact chain-rule derivatives.
+    maps.  Interpolation is the tensor quintic interpolant of psi in the
+    computational coordinates (knots from _quintic_knots, coefficients
+    C = Bt^-1 psi Br^-T from two collocation solves), with exact chain-rule
+    derivatives.  Callers pick the evaluation path: eval (the jet) and
+    value (psi alone) take scattered points, one basis pass per point;
+    eval_grid and source_overlap take a tensor grid, per-axis basis
+    matrices times C.  Points beyond the last node are clamped to it.
     """
     n: int
     grid: GridConfig
@@ -177,8 +191,11 @@ class Profile2D:
     psi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_spline", RectBivariateSpline(
-            self.tau, self.sigma, self.psi, kx=5, ky=5))
+        kt, ks = _quintic_knots(self.tau), _quintic_knots(self.sigma)
+        coef = np.linalg.solve(_basis_matrix(kt, self.tau)[0], self.psi)
+        coef = np.linalg.solve(_basis_matrix(ks, self.sigma)[0], coef.T).T
+        object.__setattr__(self, "_knots", (kt, ks))
+        object.__setattr__(self, "_coef", coef)
 
     @property
     def t_nodes(self) -> np.ndarray:
@@ -188,67 +205,71 @@ class Profile2D:
     def r_nodes(self) -> np.ndarray:
         return _stretch(self.sigma, _MAP_SCALE)[0]
 
-    def _partial(self, tau, sigma, dx: int = 0, dy: int = 0) -> np.ndarray:
-        """One spline partial in the computational coordinates.  A column
-        tau (N, 1) and an ascending row sigma (1, M) evaluate on their
-        tensor grid; any other shapes broadcast point by point."""
-        grid = (tau.ndim == sigma.ndim == 2 and tau.shape[1] == 1
-                and sigma.shape[0] == 1 and np.all(np.diff(tau[:, 0]) >= 0)
-                and np.all(np.diff(sigma[0]) >= 0))
-        if grid:
-            x, y = tau[:, 0], sigma[0]
-        else:
-            tau, sigma = np.broadcast_arrays(tau, sigma)
-            x, y = tau.ravel(), sigma.ravel()
-        out = self._spline(x, y, dx=dx, dy=dy, grid=grid)
-        return out.reshape(np.broadcast_shapes(tau.shape, sigma.shape))
+    def _scattered(self, tau, sigma, nu: int) -> list:
+        """Computational partials at the points (tau, sigma): [s00] for
+        nu = 0, [s00, s10, s01, s20, s02] for nu = 2."""
+        kt, ks = self._knots
+        it, bt = _basis_rows(kt, tau, nu)
+        ir, br = _basis_rows(ks, sigma, nu)
+        flat, stride = self._coef.ravel(), self._coef.shape[1]
+        base = it * stride + ir
+        # block[i][j] = C[it + i, ir + j] per point; the sums run
+        # elementwise, so a point's rounding does not depend on its batch
+        block = [[flat[base + (i * stride + j)] for j in range(_DEGREE + 1)]
+                 for i in range(_DEGREE + 1)]
+        cols = [[_dot(row, b) for row in block] for b in br]
+        pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))[:1 if nu == 0 else 5]
+        return [_dot(bt[dt], cols[dr]) for dt, dr in pairs]
 
     def value(self, t, r) -> np.ndarray:
-        """psi alone at (t, r): the first entry of eval, from the same
-        spline call."""
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        return self._partial(_compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE))
+        """psi alone at (t, r), which broadcast: eval's first entry."""
+        t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(r, dtype=float))
+        tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
+        return self._scattered(tau.ravel(), sigma.ravel(), 0)[0].reshape(t.shape)
+
+    def _on_grid(self, tau, sigma, first: bool = False) -> tuple:
+        """psi on the tensor grid of the 1-D tau and sigma, and with first
+        its two first computational partials."""
+        kt, ks = self._knots
+        bt = _basis_matrix(kt, tau, int(first))
+        br = _basis_matrix(ks, sigma, int(first))
+        left = np.concatenate(bt) @ self._coef
+        if not first:
+            return (left @ br[0].T,)
+        psi, s10 = np.split(left @ br[0].T, 2)
+        return psi, s10, left[:len(tau)] @ br[1].T
 
     def eval_grid(self, t, r) -> tuple:
         """(psi, psi_t, psi_r) on the tensor grid of the 1-D arrays t and r,
         each of shape (len(t), len(r)).
 
-        Per-axis B-spline basis matrices, values and first derivatives
-        from the spline's own knots, times its coefficient matrix: the
-        same spline as eval, at rounding level, without evaluating the
-        second partials.
+        Per-axis basis matrices, values and first derivatives, times the
+        coefficient matrix: the same interpolant as eval, at rounding
+        level, without evaluating the second partials.
         """
-        tx, ty, c = self._spline.tck
-        kx, ky = self._spline.degrees
         tau = _compress(np.asarray(t, dtype=float), _MAP_SCALE)
         sigma = _compress(np.asarray(r, dtype=float), _MAP_SCALE)
-        bt = BSpline(tx, np.eye(len(tx) - kx - 1), kx)
-        br = BSpline(ty, np.eye(len(ty) - ky - 1), ky)
-        left = np.concatenate([bt(tau), bt(tau, nu=1)]) @ c.reshape(len(tx) - kx - 1, -1)
-        psi, s10 = np.split(left @ br(sigma).T, 2)
-        s01 = left[:len(tau)] @ br(sigma, nu=1).T
+        psi, s10, s01 = self._on_grid(tau, sigma, first=True)
         return (psi, s10 / _stretch(tau, _MAP_SCALE)[1][:, None],
                 s01 / _stretch(sigma, _MAP_SCALE)[1])
 
     def eval(self, t, r) -> tuple:
-        """The jet (psi, psi_t, psi_r, psi_tt, psi_rr) at (t, r).
-
-        t and r broadcast; a column t (N, 1) with a row r (1, M) is
-        evaluated on their tensor grid in one spline pass per partial.
-        """
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
+        """The jet (psi, psi_t, psi_r, psi_tt, psi_rr) at (t, r), which
+        broadcast; one basis pass per point gives all five."""
+        t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(r, dtype=float))
         tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
         _, tp, tpp = _stretch(tau, _MAP_SCALE)
         _, rp, rpp = _stretch(sigma, _MAP_SCALE)
-        s10 = self._partial(tau, sigma, 1, 0)
-        s01 = self._partial(tau, sigma, 0, 1)
-        return (self._partial(tau, sigma),
+        s00, s10, s01, s20, s02 = (
+            s.reshape(t.shape)
+            for s in self._scattered(tau.ravel(), sigma.ravel(), 2))
+        return (s00,
                 s10 / tp,
                 s01 / rp,
-                self._partial(tau, sigma, 2, 0) / tp ** 2 - s10 * tpp / tp ** 3,
-                self._partial(tau, sigma, 0, 2) / rp ** 2 - s01 * rpp / rp ** 3)
+                s20 / tp ** 2 - s10 * tpp / tp ** 3,
+                s02 / rp ** 2 - s01 * rpp / rp ** 3)
 
     def far_field_exponent(self) -> float:
         """Fitted log-log decay exponent along the diagonal far field.
@@ -284,12 +305,86 @@ class Profile2D:
             # dt/dtau * dr/dsigma, grouped as (dt/dtau * L) / (1 - sigma)^2
             # so that the pairing keeps its rounding
             jac = tp * _MAP_SCALE / (1.0 - sigma) ** 2
-            psi = self._partial(tau, sigma)
+            psi = self._on_grid(tau[:, 0], sigma[0])[0]
             return psi * source_radial(n, t, r) * r ** (n - 2) * jac
 
         val = panel_gauss_2d(F, self.tau, self.sigma, order=8)
         object.__setattr__(self, "_overlap", val)
         return val
+
+
+# degree of the profile interpolant in each computational coordinate
+_DEGREE = 5
+
+
+def _quintic_knots(x: np.ndarray) -> np.ndarray:
+    """Knots of the quintic interpolant on the nodes x: each end knot six
+    times, interior knots at x[3:-3] (FITPACK's choice for s = 0), so
+    there is one coefficient per node."""
+    return np.concatenate([np.repeat(x[0], _DEGREE + 1), x[3:-3],
+                           np.repeat(x[-1], _DEGREE + 1)])
+
+
+def _basis_rows(knots: np.ndarray, x: np.ndarray, nu: int) -> tuple:
+    """Nonzero quintic B-splines and their first nu derivatives at x.
+
+    Returns the index of each point's first nonzero coefficient and, per
+    derivative order d <= nu, the list of the six arrays holding the d-th
+    derivatives of those B-splines at x.  x is clamped to the end knots.
+    The values come from the Cox-de Boor triangle (Piegl and Tiller, The
+    NURBS Book, A2.2), the derivatives from differences of the
+    lower-degree rows (de Boor, A Practical Guide to Splines, ch. X).
+    """
+    p = _DEGREE
+    x = np.clip(x, knots[p], knots[-p - 1])
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1,
+                   p, len(knots) - p - 2)
+    # knot[o] is the knot o places from each point's span start
+    knot = {o: knots[span + o] for o in range(1 - p, p + 1)}
+    left = [None] + [x - knot[1 - j] for j in range(1, p + 1)]
+    right = [None] + [knot[j] - x for j in range(1, p + 1)]
+    levels = [[np.ones_like(x)]]
+    for j in range(1, p + 1):
+        prev, row, saved = levels[-1], [], 0.0
+        for k in range(j):
+            temp = prev[k] / (right[k + 1] + left[j - k])
+            row.append(saved + right[k + 1] * temp)
+            saved = left[j - k] * temp
+        row.append(saved)
+        levels.append(row)
+    # B'_{i,q} = q (B_{i,q-1}/(t_{i+q}-t_i) - B_{i+1,q-1}/(t_{i+q+1}-t_{i+1}))
+    # on the nonzero rows: scale[q][k] is the k-th knot factor of degree q
+    scale = {q: [q / (knot[k] - knot[k - q]) for k in range(1, q + 1)]
+             for q in range(p - nu + 1, p + 1)}
+    out = [levels[p]]
+    for d in range(1, nu + 1):
+        row = levels[p - d]
+        for q in range(p - d + 1, p + 1):
+            w = [f * b for f, b in zip(scale[q], row)]
+            row = [-w[0]] + [w[k - 1] - w[k] for k in range(1, q)] + [w[q - 1]]
+        out.append(row)
+    return span - p, out
+
+
+def _dot(a: list, b: list) -> np.ndarray:
+    """sum_k a[k] * b[k] over two lists of arrays, left to right."""
+    acc = a[0] * b[0]
+    for u, v in zip(a[1:], b[1:]):
+        acc = acc + u * v
+    return acc
+
+
+def _basis_matrix(knots: np.ndarray, x: np.ndarray, nu: int = 0) -> list:
+    """Dense (len(x), number of coefficients) B-spline matrices at x, for
+    derivative orders 0..nu."""
+    first, rows = _basis_rows(knots, x, nu)
+    cols = first[:, None] + np.arange(_DEGREE + 1)
+    out = []
+    for row in rows:
+        mat = np.zeros((len(x), len(knots) - _DEGREE - 1))
+        np.put_along_axis(mat, cols, np.stack(row, axis=1), axis=1)
+        out.append(mat)
+    return out
 
 
 def _stretch(s, L):

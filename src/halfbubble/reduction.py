@@ -15,7 +15,12 @@ import numpy as np
 
 from .errors import ConstructionImpossibleError, DomainError, ValidationFailure
 
+DEFAULT_EPS_LADDER = tuple(float(e) for e in np.geomspace(1e-4, 1e-1, 7))
+# ulps find_blowup_point may move lambda0 up to make every family row exact
+_SNAP_ULPS = 1 << 16
+
 __all__ = [
+    "DEFAULT_EPS_LADDER",
     "ReducedFunctional",
     "BlowUpFamily",
     "FamilyRow",
@@ -130,11 +135,16 @@ def critical_lambda(rf: ReducedFunctional, label: str) -> float:
     return (-rf.B * rf.gamma[i] / (4.0 * rf.phi[i])) ** (1.0 / 3.0)
 
 
-def find_blowup_point(rf: ReducedFunctional) -> BlowUpFamily:
+def find_blowup_point(rf: ReducedFunctional,
+                      eps_ladder=DEFAULT_EPS_LADDER) -> BlowUpFamily:
     """Discrete argmax of q -> G(lambda*(q), q) = (3/4) B gamma(q) lambda*(q).
 
     Ties break to the lexicographically smallest label.  The bracket spans
-    (min lambda* / 2, 2 max lambda*) over admissible points.
+    (min lambda* / 2, 2 max lambda*) over admissible points.  lambda0 is
+    lambda*(q0) moved up to the nearest float at which every rung of
+    eps_ladder has an exact family row (_amplitude): at most about 2e-14
+    relative on the default ladder, where G is stationary.  value is the
+    closed form (3/4) B gamma(q0) lambda0 at that lambda0.
     """
     mask = rf.admissible_mask()
     if not mask.any():
@@ -149,9 +159,33 @@ def find_blowup_point(rf: ReducedFunctional) -> BlowUpFamily:
     q0 = candidates[0]
     k = int(np.where(idx == rf.index_of(q0))[0][0])
     bracket = (0.5 * float(lams.min()), 2.0 * float(lams.max()))
-    return BlowUpFamily(n=rf.n, lambda0=float(lams[k]), q0=q0,
-                        bracket=bracket, value=float(values[k]),
+    lambda0 = _exact_lambda0(rf.n, float(lams[k]), eps_ladder)
+    return BlowUpFamily(n=rf.n, lambda0=lambda0, q0=q0, bracket=bracket,
+                        value=0.75 * rf.B * float(rf.gamma[idx[k]]) * lambda0,
                         stability="discrete-argmax")
+
+
+def _amplitude(n: int, lambda0: float, eps: float) -> tuple:
+    """One family row's (delta, peak): delta = lambda0 eps^{1/3} and
+    peak = delta^{-(n-2)/2}, and whether peak * delta^{(n-2)/2} is exactly
+    1.0, which rounding decides afresh for every lambda0."""
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    half = (n - 2.0) / 2.0
+    delta = lambda0 * eps ** (1.0 / 3.0)
+    peak = 1.0 / delta ** half
+    return delta, peak, peak * delta ** half == 1.0
+
+
+def _exact_lambda0(n: int, lam: float, eps_ladder) -> float:
+    """The least float >= lam whose family rows are all exact."""
+    ladder = [float(eps) for eps in eps_ladder]
+    for _ in range(_SNAP_ULPS):
+        if all(_amplitude(n, lam, eps)[2] for eps in ladder):
+            return lam
+        lam = float(np.nextafter(lam, np.inf))
+    raise ValidationFailure(
+        f"no lambda0 within {_SNAP_ULPS} ulps makes every family row exact")
 
 
 def family_table(fam: BlowUpFamily, eps_ladder,
@@ -159,17 +193,14 @@ def family_table(fam: BlowUpFamily, eps_ladder,
     """Rows (eps, delta, peak, phi_bound) for the concentration ladder.
 
     delta = lambda0 eps^{1/3}; peak = delta^{-(n-2)/2}; the remainder
-    bound column is phi_bound_coeff * eps.
+    bound column is phi_bound_coeff * eps.  Given the ladder, fam's lambda0
+    from find_blowup_point makes peak * delta^{(n-2)/2} exactly 1.0 in
+    every row.
     """
     rows = []
     for eps in eps_ladder:
         eps = float(eps)
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"eps must lie in (0, 1), got {eps}")
-        delta = fam.lambda0 * eps ** (1.0 / 3.0)
-        # peak * delta^((n-2)/2) is 1 only up to rounding: for about one
-        # random lambda0 in seven the product is an ulp off 1.0
-        peak = 1.0 / delta ** ((fam.n - 2.0) / 2.0)
+        delta, peak, _ = _amplitude(fam.n, fam.lambda0, eps)
         rows.append(FamilyRow(eps=eps, delta=delta, peak=peak,
                               phi_bound=phi_bound_coeff * eps))
     deltas = [row.delta for row in rows]

@@ -358,6 +358,21 @@ class TestPipeline:
         ):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
 
+    def test_import_leaves_heavy_scipy_out(self):
+        # a fresh interpreter importing the CLI loads none of these
+        # subpackages: their import time is most of a run's set-up
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize",
+                 "scipy.spatial", "scipy.fft")
+        probe = ("import sys, halfbubble.cli; "
+                 f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == []
+
     def test_fresh_processes_are_byte_identical(self, tmp_path):
         # two new interpreters start from cold profile caches; this process
         # may already hold warm ones from earlier tests

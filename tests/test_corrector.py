@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 from scipy.sparse.linalg import splu
 
 from halfbubble.bubble import eval_U, eval_U_hess
@@ -335,10 +336,17 @@ class TestSigmaMinProbe:
             solve_profile(11, grid, tol_solver=2.0 * diag.sigma_min)
 
 
-def jet_by_dispatch(prof, t, r):
-    """Reference for Profile2D.eval: the former one-derivative-per-call
-    dispatch, each (dt, dr) mapping (t, r) again and evaluating its spline
-    partials on its own."""
+def fitpack_reference(prof):
+    """FITPACK's interpolating quintic on the profile's own nodes: the
+    reference for the in-house interpolant."""
+    return RectBivariateSpline(prof.tau, prof.sigma, prof.psi, kx=5, ky=5)
+
+
+def jet_by_dispatch(prof, t, r, spline=None):
+    """Reference for Profile2D.eval: one FITPACK partial per call on the
+    reference spline (or on spline), each (dt, dr) mapping (t, r) again,
+    joined by the chain rule."""
+    spline = fitpack_reference(prof) if spline is None else spline
     Lt = Lr = corrector._MAP_SCALE
 
     def one(dt, dr):
@@ -350,8 +358,8 @@ def jet_by_dispatch(prof, t, r):
         rpp = 2.0 * Lr / (1.0 - sigma) ** 3
 
         def s(dx, dy):
-            return prof._spline(tau.ravel(), sigma.ravel(), dx=dx, dy=dy,
-                                grid=False).reshape(tau.shape)
+            return spline(tau.ravel(), sigma.ravel(), dx=dx, dy=dy,
+                          grid=False).reshape(tau.shape)
 
         if dt == 0 and dr == 0:
             return s(0, 0)
@@ -369,7 +377,8 @@ def jet_by_dispatch(prof, t, r):
 
 def overlap_by_meshgrid(prof, order=8):
     """Reference for Profile2D.source_overlap: the panel Gauss rule on a
-    flattened meshgrid of its nodes, one scattered spline call."""
+    flattened meshgrid of its nodes, one scattered call of the reference
+    spline."""
     n = prof.n
     Lt = Lr = corrector._MAP_SCALE
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -384,9 +393,20 @@ def overlap_by_meshgrid(prof, order=8):
     t = Lt * tau / (1.0 - tau)
     r = Lr * sigma / (1.0 - sigma)
     jac = Lt / (1.0 - tau) ** 2 * Lr / (1.0 - sigma) ** 2
-    psi = prof._spline(tau, sigma, grid=False)
+    psi = fitpack_reference(prof)(tau, sigma, grid=False)
     vals = psi * source_radial(n, t, r) * r ** (n - 2) * jac
     return float(wx @ vals.reshape(X.shape) @ wy)
+
+
+def assert_rel_close(got, ref, rel=1e-13, where=None):
+    """max |got - ref| <= rel * max |ref| over all points, and over each
+    subset in where (a dict of index expressions) against the same scale."""
+    assert got.shape == ref.shape
+    scale = np.max(np.abs(ref))
+    err = np.abs(got - ref)
+    assert np.max(err) <= rel * scale
+    for name, mask in (where or {}).items():
+        assert np.max(err[mask]) <= rel * scale, name
 
 
 JET_GRID = GridConfig(n_t=32, n_r=40, t_max=30.0, r_max=30.0)
@@ -400,10 +420,47 @@ def jet_profile(request):
     return solve_profile(n, JET_GRID, richardson=rich)[0]
 
 
+# the benchmark grid: 96 cells on the default caps
+BENCH_GRID = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)
+
+
+@pytest.fixture(scope="module", params=[11, 15], ids=["n11", "n15"])
+def bench_profile(request):
+    return solve_profile(request.param, BENCH_GRID, richardson=True)[0]
+
+
+def reference_points(cap, seed=5):
+    """Scattered (t, r) on the boundary line t = 0, next to the axis
+    (r = 1e-9), in the interior and beyond the last node in t or in r,
+    with the masks of those four sets."""
+    rng = np.random.default_rng(seed)
+    inner = lambda k: 10.0 ** rng.uniform(-3, math.log10(cap) - 0.05, k)
+    t = np.concatenate([np.zeros(60), inner(60), inner(200),
+                        np.full(30, 3.0 * cap), inner(30)])
+    r = np.concatenate([inner(60), np.full(60, 1e-9), inner(200),
+                        inner(30), np.full(30, 1e3 * cap)])
+    sets = np.repeat(np.arange(4), [60, 60, 200, 60])
+    return t, r, {name: sets == k for k, name in
+                  enumerate(("boundary", "axis", "interior", "beyond"))}
+
+
 class TestProfileJet:
     # nodes, the axis, the boundary line and far-field points
     t_col = np.concatenate([[0.0, 1e-12, 1e-6], np.geomspace(1e-3, 29.0, 37)])
     r_row = np.concatenate([[0.0, 1e-12, 1e-6], np.geomspace(1e-3, 29.0, 41)])
+
+    def test_knots_and_coefficients_are_fitpacks(self, jet_profile):
+        tx, ty, c = fitpack_reference(jet_profile).tck
+        np.testing.assert_array_equal(jet_profile._knots[0], tx)
+        np.testing.assert_array_equal(jet_profile._knots[1], ty)
+        assert_rel_close(jet_profile._coef, c.reshape(jet_profile._coef.shape),
+                         rel=1e-14)
+
+    def test_interpolates_the_nodes(self, jet_profile):
+        T, R = np.meshgrid(jet_profile.t_nodes[:-1], jet_profile.r_nodes[:-1],
+                           indexing="ij")
+        psi = jet_profile.psi[:-1, :-1]
+        assert_rel_close(jet_profile.value(T, R), psi, rel=1e-14)
 
     def test_scattered_matches_dispatch(self, jet_profile):
         rng = np.random.default_rng(5)
@@ -415,11 +472,71 @@ class TestProfileJet:
         ref = jet_by_dispatch(jet_profile, t, r)
         assert len(got) == 5
         for g, w in zip(got, ref):
-            np.testing.assert_array_equal(g, w)
-        # 2-D inputs keep their shape
+            assert_rel_close(g, w, where={"axis": slice(0, 20),
+                                          "boundary": slice(25, 30)})
+        # 2-D inputs keep their shape, and each point its value
         for g, w in zip(jet_profile.eval(t.reshape(20, 11), r.reshape(20, 11)),
-                        ref):
+                        got):
             np.testing.assert_array_equal(g, w.reshape(20, 11))
+
+    def test_jet_and_value_match_fitpack(self, jet_profile):
+        t, r, where = reference_points(JET_GRID.t_max)
+        got = jet_profile.eval(t, r)
+        for g, w in zip(got, jet_by_dispatch(jet_profile, t, r)):
+            assert_rel_close(g, w, where=where)
+        np.testing.assert_array_equal(jet_profile.value(t, r), got[0])
+
+    def test_bench_grid_matches_fitpack_by_parts(self, bench_profile):
+        # on the benchmark grid FITPACK's own fit is about 9e-14 off the
+        # exact interpolant in psi_rr near the axis at n = 11, so the fit
+        # and the evaluation are held to FITPACK separately: the
+        # coefficients, and the jet from FITPACK's evaluator carrying
+        # this profile's coefficients
+        prof = bench_profile
+        spline = fitpack_reference(prof)
+        tx, ty, c = spline.tck
+        np.testing.assert_array_equal(prof._knots[0], tx)
+        np.testing.assert_array_equal(prof._knots[1], ty)
+        assert_rel_close(prof._coef, c.reshape(prof._coef.shape), rel=1e-14)
+        spline.tck = (tx, ty, prof._coef.ravel())
+        t, r, where = reference_points(BENCH_GRID.t_max)
+        got = prof.eval(t, r)
+        for g, w in zip(got, jet_by_dispatch(prof, t, r, spline)):
+            assert_rel_close(g, w, where=where)
+        np.testing.assert_array_equal(prof.value(t, r), got[0])
+
+    def test_clamped_beyond_last_node(self, jet_profile):
+        # FITPACK's evaluator clamps to the end knot: past the caps psi
+        # keeps its value at the last node, in t and in r alike
+        cap_t, cap_r = jet_profile.t_nodes[-1], jet_profile.r_nodes[-1]
+        x = np.geomspace(1e-3, 20.0, 9)
+        for far, near in (((1.5 * cap_t, x), (4.0 * cap_t, x)),
+                          ((x, 1.5 * cap_r), (x, 1e6))):
+            np.testing.assert_array_equal(jet_profile.value(*far),
+                                          jet_profile.value(*near))
+        assert_rel_close(jet_profile.value(2.0 * cap_t, x),
+                         jet_profile.value(cap_t, x))
+
+    def test_grid_matches_fitpack(self, jet_profile):
+        self.check_grid(jet_profile)
+
+    def test_bench_grid_path_matches_fitpack(self, bench_profile):
+        self.check_grid(bench_profile)
+
+    @staticmethod
+    def check_grid(prof):
+        cap = min(prof.grid.t_max, prof.grid.r_max)
+        x = np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, cap, 120),
+                            [2.0 * cap]])
+        spline = fitpack_reference(prof)
+        L = corrector._MAP_SCALE
+        s = x / (L + x)
+        ds = L / (1.0 - s) ** 2
+        want = (spline(s, s), spline(s, s, dx=1) / ds[:, None],
+                spline(s, s, dy=1) / ds)
+        for g, w in zip(prof.eval_grid(x, x), want):
+            assert_rel_close(g, w, where={"t = 0": (0, slice(None)),
+                                          "r = 1e-9": (slice(None), 1)})
 
     def test_tensor_grid_matches_scattered(self, jet_profile):
         T, R = np.meshgrid(self.t_col, self.r_row, indexing="ij")
@@ -428,8 +545,7 @@ class TestProfileJet:
         for g, f in zip(grid, flat):
             assert g.shape == T.shape
             np.testing.assert_array_equal(g, f)
-        # a descending column is not a tensor grid for the spline, yet
-        # still evaluates point by point to the same values
+        # a descending column evaluates point by point to the same values
         back = jet_profile.eval(self.t_col[::-1, None], self.r_row[None, :])
         for b, f in zip(back, flat):
             np.testing.assert_array_equal(b, f[::-1])
@@ -441,7 +557,12 @@ class TestProfileJet:
             np.testing.assert_array_equal(g, w)
 
     def test_source_overlap_matches_meshgrid(self, jet_profile):
-        assert jet_profile.source_overlap() == overlap_by_meshgrid(jet_profile)
+        assert jet_profile.source_overlap() == pytest.approx(
+            overlap_by_meshgrid(jet_profile), rel=1e-13, abs=0.0)
+
+    def test_bench_source_overlap_matches_meshgrid(self, bench_profile):
+        assert bench_profile.source_overlap() == pytest.approx(
+            overlap_by_meshgrid(bench_profile), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 from scipy.special import beta as beta_fn
 
 from halfbubble import cli, energy, geometry
@@ -48,6 +49,13 @@ from halfbubble.quadrature import (
 )
 
 DIMS = (11, 13, 15)
+
+
+def fitpack_spline(prof):
+    """FITPACK's interpolating quintic on the profile's nodes: the
+    reference for the profile's own interpolant and for the mixed partial,
+    which the profile does not evaluate."""
+    return RectBivariateSpline(prof.tau, prof.sigma, prof.psi, kx=5, ky=5)
 
 
 def zero_curvature_point(n):
@@ -457,10 +465,15 @@ class TestIdentityExperiment:
     @pytest.mark.parametrize("n", [11, 15])
     def test_grid_jet_matches_spline_partials(self, n, sol11_big, sol15_far):
         # eval_grid on the bulk nodes of the smallest and largest rung
-        # against one FITPACK partial each, mapped by the chain rule; the
-        # first node row and column (t, r -> 0) are also bounded on their
-        # own scale
+        # against one partial each from FITPACK's evaluator, mapped by the
+        # chain rule; the first node row and column (t, r -> 0) are also
+        # bounded on their own scale.  FITPACK evaluates this profile's
+        # own coefficients: near r = 0 any double-precision fit is good to
+        # about 1e-11 only on the column's own scale (the fits are held to
+        # each other in tests/test_corrector.py)
         prof = (sol11_big if n == 11 else sol15_far).profile
+        spline = fitpack_spline(prof)
+        spline.tck = (*spline.tck[:2], prof._coef.ravel())
         x_nodes, _ = np.polynomial.legendre.leggauss(10)
         for delta in (0.5 * 10.0 ** -1.5, 0.5):
             edges = _panel_edges(1.0 / delta, 40)
@@ -468,9 +481,10 @@ class TestIdentityExperiment:
             nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
             tau = _compress(nodes, _MAP_SCALE)[:, None]
             sigma = _compress(nodes, _MAP_SCALE)[None, :]
-            want = (prof._partial(tau, sigma),
-                    prof._partial(tau, sigma, 1, 0) / _stretch(tau, _MAP_SCALE)[1],
-                    prof._partial(tau, sigma, 0, 1) / _stretch(sigma, _MAP_SCALE)[1])
+            x, y = tau[:, 0], sigma[0]
+            want = (spline(x, y),
+                    spline(x, y, dx=1) / _stretch(tau, _MAP_SCALE)[1],
+                    spline(x, y, dy=1) / _stretch(sigma, _MAP_SCALE)[1])
             for got, ref in zip(prof.eval_grid(nodes, nodes), want):
                 assert got.shape == ref.shape
                 err = np.abs(got - ref)
@@ -588,10 +602,11 @@ def _dense_v_derivatives(sol, t, z):
     Y = sol.pattern.y_of_z(z)
     Sz = z @ S
     p, p_t, p_r, p_tt, p_rr = sol.profile.eval(t, r)
-    # the mixed partial, which Profile2D.eval does not return
+    # the mixed partial, which Profile2D.eval does not return, from
+    # FITPACK's quintic on the same nodes
     Lt = Lr = _MAP_SCALE
     tau, sigma = _compress(t, Lt), _compress(r, Lr)
-    p_tr = sol.profile._partial(tau, sigma, 1, 1) / (
+    p_tr = fitpack_spline(sol.profile)(tau, sigma, dx=1, dy=1, grid=False) / (
         _stretch(tau, Lt)[1] * _stretch(sigma, Lr)[1])
     dY = (2.0 * Sz - 2.0 * Y[:, None] * z) / r_safe[:, None] ** 2
     eye = np.eye(n - 1)

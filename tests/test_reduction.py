@@ -10,6 +10,7 @@ from halfbubble.errors import (
     ValidationFailure,
 )
 from halfbubble.reduction import (
+    DEFAULT_EPS_LADDER,
     BlowUpFamily,
     FamilyRow,
     ReducedFunctional,
@@ -19,6 +20,7 @@ from halfbubble.reduction import (
     find_blowup_point,
     hessian_check,
 )
+from halfbubble.reduction import _exact_lambda0
 
 
 def make_rf(labels, gamma, phi, B=2.0, n=11):
@@ -224,6 +226,51 @@ class TestFindBlowupPoint:
         fam = find_blowup_point(rf)
         lams = [critical_lambda(rf, lab) for lab in ("a", "b", "c")]
         assert fam.bracket == (0.5 * min(lams), 2.0 * max(lams))
+
+
+class TestExactFamilyRows:
+    @pytest.mark.parametrize("n", [11, 13, 15])
+    def test_random_functionals_give_exact_rows(self, n):
+        # criterion 7's three exact identities on every rung, for 2000
+        # random tables per dimension
+        rng = np.random.default_rng(n)
+        half = (n - 2.0) / 2.0
+        for k in range(2000):
+            size = int(rng.integers(1, 5))
+            rf = make_rf([f"q{i}" for i in range(size)],
+                         rng.uniform(0.1, 3.0, size),
+                         -rng.uniform(0.05, 2.0, size),
+                         B=float(rng.uniform(0.5, 4.0)), n=n)
+            fam = find_blowup_point(rf)
+            lam = critical_lambda(rf, fam.q0)
+            assert 0.0 <= fam.lambda0 - lam <= 1e-13 * lam, k
+            for row in family_table(fam, DEFAULT_EPS_LADDER):
+                assert row.delta == fam.lambda0 * row.eps ** (1.0 / 3.0), k
+                assert row.peak == 1.0 / row.delta ** half, k
+                assert row.peak * row.delta ** half == 1.0, (k, row.eps)
+
+    def test_snap_follows_the_given_ladder(self):
+        ladder = tuple(float(e) for e in np.geomspace(1e-6, 0.5, 25))
+        rng = np.random.default_rng(3)
+        for k in range(200):
+            rf = make_rf(["q"], [float(rng.uniform(0.1, 3.0))],
+                         [-float(rng.uniform(0.05, 2.0))], n=14)
+            fam = find_blowup_point(rf, ladder)
+            lam = critical_lambda(rf, "q")
+            assert 0.0 <= fam.lambda0 - lam <= 1e-12 * lam, k
+            assert fam.value == 0.75 * rf.B * rf.gamma[0] * fam.lambda0
+            for row in family_table(fam, ladder):
+                assert row.peak * row.delta ** 6.0 == 1.0, (k, row.eps)
+
+    def test_snap_keeps_an_exact_lambda(self):
+        # the snap is idempotent: an exact lambda0 stays where it is
+        lam = find_blowup_point(RF1).lambda0
+        assert _exact_lambda0(11, lam, DEFAULT_EPS_LADDER) == lam
+        assert _exact_lambda0(11, lam, ()) == lam
+
+    def test_snap_rejects_eps_outside_unit_interval(self):
+        with pytest.raises(DomainError):
+            find_blowup_point(RF1, [1e-3, 1.0])
 
 
 class TestFamilyTable:
