@@ -30,7 +30,10 @@ from .bubble import check_bubble_residual
 from .config import RunConfig
 from .corrector import solve_vq, verify_corrector, check_solvability
 from .energy import (
+    IDENTITY_DELTAS,
+    RESIDUAL_DELTAS,
     WEYL_DENOMINATORS,
+    check_ladder_domain,
     compute_B,
     compute_phi,
     residual_slope,
@@ -480,6 +483,9 @@ def cmd_family(cfg: RunConfig, args) -> int:
 
 
 def cmd_residual_slope(cfg: RunConfig, args) -> int:
+    if not args.omit_corrector:
+        # the ladder reads the corrector: its reach is checked before a solve
+        check_ladder_domain(cfg.delta_ladder or RESIDUAL_DELTAS, cfg.grid())
     points, _, quarantined = _valid_points(cfg)
     label = args.label or points[0].label
     if label in quarantined:
@@ -500,6 +506,10 @@ def cmd_residual_slope(cfg: RunConfig, args) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig, args) -> int:
+    if not args.skip_slopes:
+        # both ladders read the corrector: their reach is checked before a solve
+        check_ladder_domain(IDENTITY_DELTAS, cfg.grid())
+        check_ladder_domain(cfg.delta_ladder or RESIDUAL_DELTAS, cfg.grid())
     out = Path(cfg.out_dir)
     points, valid, quarantined = _valid_points(cfg)
     results = _coefficients(cfg, valid, quarantined)

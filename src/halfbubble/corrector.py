@@ -23,13 +23,15 @@ corrector for any admissible pattern is psi * Y by linearity.
 Discretization: the quarter plane is mapped to a rectangle by
 t = L tau/(1-tau), r = L sigma/(1-sigma) with L = _MAP_SCALE; uniform grid,
 second-order centered stencils inside, one-sided 3-point second-order rows
-on the boundaries, sparse LU solve, and an inverse-power probe of the
-smallest singular value as a conditioning gate.  The Richardson profile
-combines the solves at N and 2N cells to fourth order on the N-cell nodes;
-the command line always solves that way.  The probe iterates on A^T A from a
-fixed random start and stops once one step moves its estimate by at most
-1e-6 relative, or after 25 steps; SolveDiagnostics.probe_steps reports the
-count, and a count of 25 means the probe did not converge.
+on the boundaries, a sparse LU factor in geometric nested-dissection order
+(each separator line numbered after the two halves it splits), and an
+inverse-power probe of the smallest singular value as a conditioning gate.
+The Richardson profile combines the solves at N and 2N cells to fourth
+order on the N-cell nodes; the command line always solves that way.  The
+probe iterates on A^T A from a fixed random start and stops once one step
+moves its estimate by at most 1e-6 relative, or after 25 steps;
+SolveDiagnostics.probe_steps reports the count, and a count of 25 means the
+probe did not converge.
 
 Interpolation: Profile2D carries the tensor quintic interpolant of psi in
 (tau, sigma), on FITPACK's knots for an interpolating spline (each end
@@ -398,8 +400,53 @@ def _compress(x, L):
     return x / (L + x)
 
 
-def _assemble(n: int, grid: GridConfig):
-    """Sparse system (row-equilibrated) for the reduced profile."""
+# largest side of a nested-dissection leaf, in nodes: 4 and 8 factor and
+# solve within a few percent of each other from 97 to 385 nodes per side,
+# and 4 leaves the least fill (2.86 M against 3.10 M nonzeros at 193)
+_ND_LEAF = 4
+
+
+@lru_cache(maxsize=8)
+def _nested_dissection(n_i: int, n_j: int) -> tuple:
+    """Nested-dissection order of the n_i x n_j node grid (George 1973).
+
+    Each block is bisected across its longer side by one line of nodes,
+    which is numbered after the two halves; blocks of at most _ND_LEAF
+    nodes per side stay whole, row-major.  Returns (order, label): order[k]
+    is the row-major index of the k-th unknown and label[i, j] is the
+    position of node (i, j) in order.  Both are read-only.
+    """
+    parts = []
+
+    def visit(block):
+        h, w = block.shape
+        if max(h, w) <= _ND_LEAF:
+            parts.append(block.ravel())
+        elif h >= w:
+            visit(block[:h // 2])
+            visit(block[h // 2 + 1:])
+            parts.append(block[h // 2])
+        else:
+            visit(block[:, :w // 2])
+            visit(block[:, w // 2 + 1:])
+            parts.append(block[:, w // 2])
+
+    visit(np.arange(n_i * n_j).reshape(n_i, n_j))
+    order = np.concatenate(parts)
+    label = np.empty_like(order)
+    label[order] = np.arange(order.size)
+    label = label.reshape(n_i, n_j)
+    order.flags.writeable = label.flags.writeable = False
+    return order, label
+
+
+def _assemble(n: int, grid: GridConfig, label: np.ndarray | None = None):
+    """Sparse system (row-equilibrated) for the reduced profile.
+
+    label[i, j] numbers the unknown and the equation of node (i, j); the
+    default is row-major.  The rows, columns and right-hand side come out
+    in that numbering, so a reordered system is never permuted afterwards.
+    """
     Nt, Nr = grid.n_t, grid.n_r
     tau = np.linspace(0.0, _compress(grid.t_max, _MAP_SCALE), Nt + 1)
     sigma = np.linspace(0.0, _compress(grid.r_max, _MAP_SCALE), Nr + 1)
@@ -410,13 +457,15 @@ def _assemble(n: int, grid: GridConfig):
 
     NJ = Nr + 1
     size = (Nt + 1) * NJ
+    if label is None:
+        label = np.arange(size).reshape(Nt + 1, NJ)
     rows, cols, vals = [], [], []
 
     def add(i, j, di, dj, v):
         """Entries coupling node (i, j) to (i + di, j + dj); i, j, v broadcast."""
         i, j, v = np.broadcast_arrays(i, j, v)
-        rows.append((i * NJ + j).ravel())
-        cols.append(((i + di) * NJ + j + dj).ravel())
+        rows.append(label[i, j].ravel())
+        cols.append(label[i + di, j + dj].ravel())
         vals.append(v.ravel())
 
     # interior PDE rows
@@ -471,24 +520,29 @@ def _assemble(n: int, grid: GridConfig):
     # row equilibration
     scale = np.maximum(np.abs(M).max(axis=1).toarray().ravel(), 1e-300)
     M = diags(1.0 / scale) @ M
-    rhs = rhs.ravel() / scale
-    return M.tocsc(), rhs, tau, sigma
+    rhs_by_label = np.empty(size)
+    rhs_by_label[label] = rhs
+    return M.tocsc(), rhs_by_label / scale, tau, sigma
 
 
 _PROBE_RTOL = 1e-6
 _PROBE_MAX_STEPS = 25
 
 
-def _sigma_min_probe(lu, size: int) -> tuple[float, int]:
+def _sigma_min_probe(lu, order: np.ndarray) -> tuple[float, int]:
     """Smallest singular value via inverse power iteration on A^T A, and
     the steps taken.
 
-    Each step costs two solves with the factor.  The iteration stops once a
-    step changes the estimate of ||(A^T A)^-1|| by at most _PROBE_RTOL
-    relative; _PROBE_MAX_STEPS steps means it did not converge.
+    lu factors the system numbered by order (see _nested_dissection).  The
+    start vector is drawn in row-major node order and then reordered, so
+    the iterates are the row-major ones reordered and the step count does
+    not depend on the numbering.  Each step costs two solves with the
+    factor.  The iteration stops once a step changes the estimate of
+    ||(A^T A)^-1|| by at most _PROBE_RTOL relative; _PROBE_MAX_STEPS steps
+    means it did not converge.
     """
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(size)
+    v = rng.standard_normal(order.size)[order]
     v /= np.linalg.norm(v)
     lam = 0.0
     for step in range(1, _PROBE_MAX_STEPS + 1):
@@ -500,24 +554,27 @@ def _sigma_min_probe(lu, size: int) -> tuple[float, int]:
     return 1.0 / math.sqrt(lam), step
 
 
-def _solve_profile_impl(n: int, grid: GridConfig, tol_solver: float) -> tuple:
-    M, rhs, tau, sigma = _assemble(n, grid)
-    lu = splu(M)
+def _solve_nodes(n: int, grid: GridConfig, tol_solver: float) -> tuple:
+    """psi on the grid's nodes, the node axes tau and sigma, and the
+    solve's discrete residual, sigma_min and probe steps.
+
+    The system is assembled and factored in nested-dissection order
+    (SuperLU keeps that column order); psi is gathered back to the node
+    grid at the end.
+    """
+    order, label = _nested_dissection(grid.n_t + 1, grid.n_r + 1)
+    M, rhs, tau, sigma = _assemble(n, grid, label)
+    lu = splu(M, permc_spec="NATURAL")
     x = lu.solve(rhs)
     res = float(np.max(np.abs(M @ x - rhs)) / max(np.max(np.abs(rhs)), 1e-300))
-    smin, steps = _sigma_min_probe(lu, M.shape[0])
+    smin, steps = _sigma_min_probe(lu, order)
     if smin < tol_solver:
         raise SolverError(
             f"reduced solve ill-conditioned: sigma_min {smin:.3e} < {tol_solver:.3e}")
     if res > 1e-8:
         raise SolverError(
             f"discrete residual {res:.3e} too large; refine the grid")
-    psi = x.reshape(grid.n_t + 1, grid.n_r + 1)
-    profile = Profile2D(n=n, grid=grid, tau=tau, sigma=sigma, psi=psi)
-    diag = SolveDiagnostics(discrete_residual=res, sigma_min=smin,
-                            probe_steps=steps, n_nodes=M.shape[0],
-                            far_field_exponent=profile.far_field_exponent())
-    return profile, diag
+    return x[label], tau, sigma, res, smin, steps
 
 
 def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
@@ -529,18 +586,18 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=24)
 def _solve_profile_cached(n: int, grid: GridConfig, tol_solver: float,
                           richardson: bool) -> tuple:
-    coarse, diag_c = _solve_profile_impl(n, grid, tol_solver)
-    if not richardson:
-        return coarse, diag_c
-    fine, diag_f = _solve_profile_impl(n, grid.refined(2), tol_solver)
-    profile = Profile2D(n=n, grid=grid, tau=coarse.tau, sigma=coarse.sigma,
-                        psi=_richardson(coarse.psi, fine.psi[::2, ::2]))
-    diag = SolveDiagnostics(discrete_residual=max(diag_c.discrete_residual,
-                                                  diag_f.discrete_residual),
-                            sigma_min=min(diag_c.sigma_min, diag_f.sigma_min),
-                            probe_steps=max(diag_c.probe_steps,
-                                            diag_f.probe_steps),
-                            n_nodes=diag_f.n_nodes,
+    psi, tau, sigma, res, smin, steps = _solve_nodes(n, grid, tol_solver)
+    n_nodes = psi.size
+    if richardson:
+        # the fine half only feeds the combination: no interpolant of its own
+        fine, _, _, res_f, smin_f, steps_f = _solve_nodes(
+            n, grid.refined(2), tol_solver)
+        psi = _richardson(psi, fine[::2, ::2])
+        res, smin = max(res, res_f), min(smin, smin_f)
+        steps, n_nodes = max(steps, steps_f), fine.size
+    profile = Profile2D(n=n, grid=grid, tau=tau, sigma=sigma, psi=psi)
+    diag = SolveDiagnostics(discrete_residual=res, sigma_min=smin,
+                            probe_steps=steps, n_nodes=n_nodes,
                             far_field_exponent=profile.far_field_exponent())
     return profile, diag
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bubble import eval_U_jet
-from .corrector import CorrectorSolution, eval_v_derivatives
+from .corrector import CorrectorSolution, GridConfig, eval_v_derivatives
 from .errors import BudgetError, DomainError, ValidationFailure
 from .geometry import CurvaturePoint, MetricExpansion, metric_expansion, metric_invariants
 from .quadrature import (
@@ -44,6 +44,9 @@ __all__ = [
     "ReducedCoefficients",
     "SlopeExperiment",
     "WEYL_DENOMINATORS",
+    "IDENTITY_DELTAS",
+    "RESIDUAL_DELTAS",
+    "check_ladder_domain",
     "check_slope_ladder",
     "compute_A",
     "compute_B",
@@ -56,6 +59,12 @@ __all__ = [
 
 
 WEYL_DENOMINATORS = ("96(n-1)", "96(n-1)^2")
+
+# the quartic identity's fixed ladder, and the residual ladder's default
+# with the corrector and without it (see residual_slope)
+IDENTITY_DELTAS = tuple(np.geomspace(0.5 * 10.0 ** -1.5, 0.5, 7))
+RESIDUAL_DELTAS = tuple(np.geomspace(1e-2, 10.0 ** -0.5, 7))
+_RESIDUAL_DELTAS_NO_V = tuple(np.geomspace(1e-4, 10.0 ** -2.5, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +210,16 @@ def check_slope_ladder(deltas) -> None:
         raise DomainError("slope ladder needs at least 5 points")
     if d.max() / d.min() < 10.0 ** 1.5 * (1.0 - 1e-12):
         raise DomainError("slope ladder must span >= 1.5 decades")
+
+
+def check_ladder_domain(deltas, grid: GridConfig) -> None:
+    """Reject a ladder whose smallest rung reads the corrector profile past
+    the caps of grid: rung delta reaches rho = 1/delta."""
+    cap = 1.0 / float(np.min(deltas))
+    if cap > grid.t_max or cap > grid.r_max:
+        raise DomainError(
+            f"delta ladder needs the profile solved out to rho = {cap}, "
+            f"grid covers ({grid.t_max}, {grid.r_max})")
 
 
 def _fit_loglog(deltas, values, sigmas=None):
@@ -366,7 +385,7 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
 def verify_A4_L2_L3_identity(point: CurvaturePoint,
                              sol: CorrectorSolution) -> SlopeExperiment:
     """Quartic-order energy identity on the fixed delta-ladder
-    geomspace(0.5 * 10^-1.5, 0.5, 7).
+    IDENTITY_DELTAS = geomspace(0.5 * 10^-1.5, 0.5, 7).
 
     The sum of the boundary Taylor term, the metric cross term, and the
     corrector Dirichlet term equals half the corrector pairing at order
@@ -374,19 +393,14 @@ def verify_A4_L2_L3_identity(point: CurvaturePoint,
     delta^4 coefficient of the sum is compared against half the pairing
     (within 2%) and both are attached to extras.
     """
-    deltas = np.geomspace(0.5 * 10.0 ** -1.5, 0.5, 7)
+    deltas = np.asarray(IDENTITY_DELTAS)
     pairing = sol.pairing()
     if np.all(point.S == 0.0):
         return SlopeExperiment(deltas=deltas, values=np.zeros_like(deltas),
                                slope=float("nan"), intercept=float("nan"),
                                band=float("nan"), status="degenerate",
                                extras={"pairing": pairing})
-    cap = 1.0 / float(deltas.min())
-    grid = sol.profile.grid
-    if cap > grid.t_max or cap > grid.r_max:
-        raise DomainError(
-            f"delta ladder needs the profile solved out to rho = {cap}, "
-            f"grid covers ({grid.t_max}, {grid.r_max})")
+    check_ladder_domain(deltas, sol.profile.grid)
     sums = []
     remainders = []
     ratio_max = 0.0
@@ -534,10 +548,7 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
     n = point.n
     p = 2.0 * n / (n + 2.0)
     if deltas is None:
-        if include_v:
-            deltas = np.geomspace(1e-2, 10.0 ** -0.5, 7)
-        else:
-            deltas = np.geomspace(1e-4, 10.0 ** -2.5, 7)
+        deltas = RESIDUAL_DELTAS if include_v else _RESIDUAL_DELTAS_NO_V
     deltas = np.asarray(deltas, dtype=float)
     degenerate = np.all(point.S == 0.0) and np.all(point.Rbar == 0.0)
     if degenerate:
@@ -546,12 +557,7 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
                                band=float("nan"), status="degenerate",
                                extras={"reason": "zero curvature"})
     if include_v:
-        cap = 1.0 / float(deltas.min())
-        grid = sol.profile.grid
-        if cap > grid.t_max or cap > grid.r_max:
-            raise DomainError(
-                f"delta ladder needs the profile solved out to rho = {cap}, "
-                f"grid covers ({grid.t_max}, {grid.r_max})")
+        check_ladder_domain(deltas, sol.profile.grid)
     me = metric_expansion(point, seed=metric_seed, deg3_scale=deg3_scale)
     norms = np.empty(len(deltas))
     errs = np.empty(len(deltas))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfbubble import cli
+from halfbubble import cli, corrector
 from halfbubble.config import RunConfig
 from halfbubble.corrector import solve_vq
 from halfbubble.energy import ReducedCoefficients
@@ -721,6 +721,28 @@ class TestExitCodes:
             run(tmp_path / "out", "residual-slope", "--omit-corrector", *argv)
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--delta-ladder", "0.001,0.002,0.005,0.01,0.02,0.05", "pipeline"],
+         ["--delta-ladder", "0.001,0.002,0.005,0.01,0.02,0.05",
+          "residual-slope"],
+         ["--h", "0.0625", "--t-max", "40", "--r-max", "40", "pipeline"]],
+        ids=["pipeline-residual-ladder", "residual-slope",
+             "pipeline-identity-ladder"],
+    )
+    def test_ladder_past_the_grid_is_exit_2_before_solving(
+            self, tmp_path, monkeypatch, capsys, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the ladder check")
+
+        # splu for a fresh solve, solve_vq for a profile already cached
+        monkeypatch.setattr(corrector, "splu", no_solve)
+        monkeypatch.setattr(cli, "solve_vq", no_solve)
+        out = tmp_path / "out"
+        assert cli.main(["--n", "11", "--out-dir", str(out), *argv]) == 2
+        assert "needs the profile solved out to rho" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_numeric_ladder_flag_is_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

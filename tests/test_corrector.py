@@ -307,8 +307,8 @@ class TestSigmaMinProbe:
                 self.solves += 1
                 return self.lu.solve(*args, **kwargs)
 
-        def counting_splu(M):
-            factors.append(CountingLU(real_splu(M)))
+        def counting_splu(M, **kwargs):
+            factors.append(CountingLU(real_splu(M, **kwargs)))
             return factors[-1]
 
         def recording_probe(lu, size):
@@ -334,6 +334,67 @@ class TestSigmaMinProbe:
         _, diag = solve_profile(11, grid)
         with pytest.raises(SolverError, match="sigma_min"):
             solve_profile(11, grid, tol_solver=2.0 * diag.sigma_min)
+
+
+def check_dissection(label, i0, i1, j0, j1):
+    """The nodes of block [i0, i1) x [j0, j1) hold consecutive positions;
+    in a block wider than a leaf, one full line of nodes holds the last of
+    them, after the two blocks on either side, which pass the same check."""
+    pos = label[i0:i1, j0:j1]
+    first, last = int(pos.min()), int(pos.max())
+    assert last - first + 1 == pos.size
+    if max(i1 - i0, j1 - j0) <= corrector._ND_LEAF:
+        return
+    i, j = (int(k) for k in np.argwhere(label == last)[0])
+    row, col = label[i, j0:j1], label[i0:i1, j]
+    if row.min() == last - row.size + 1 and row.max() == last:
+        halves = [(i0, i, j0, j1), (i + 1, i1, j0, j1)]
+    else:
+        assert col.min() == last - col.size + 1 and col.max() == last
+        halves = [(i0, i1, j0, j), (i0, i1, j + 1, j1)]
+    for a0, a1, b0, b1 in halves:
+        assert a1 > a0 and b1 > b0
+        check_dissection(label, a0, a1, b0, b1)
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("shape", [(97, 97), (193, 193), (17, 23), (9, 40)])
+    def test_order_is_a_permutation_with_separators_last(self, shape):
+        order, label = corrector._nested_dissection(*shape)
+        np.testing.assert_array_equal(np.sort(order), np.arange(order.size))
+        np.testing.assert_array_equal(label.ravel()[order],
+                                      np.arange(order.size))
+        check_dissection(label, 0, shape[0], 0, shape[1])
+
+    def test_assembled_in_order_is_the_permuted_system(self):
+        grid = GridConfig(n_t=24, n_r=28, t_max=40.0, r_max=40.0)
+        M, rhs, _, _ = corrector._assemble(13, grid)
+        order, label = corrector._nested_dissection(25, 29)
+        M_nd, rhs_nd, _, _ = corrector._assemble(13, grid, label)
+        np.testing.assert_array_equal(M_nd.toarray(),
+                                      M.toarray()[order][:, order])
+        np.testing.assert_array_equal(rhs_nd, rhs[order])
+
+    @pytest.mark.parametrize("cells", [48, 96])
+    @pytest.mark.parametrize("n", [11, 15])
+    def test_profile_and_probe_match_colamd(self, n, cells):
+        grid = GridConfig(n_t=cells, n_r=cells, t_max=160.0, r_max=160.0)
+        M, rhs, _, _ = corrector._assemble(n, grid)
+        lu = splu(M)
+        ref = lu.solve(rhs).reshape(cells + 1, cells + 1)
+        smin, steps = corrector._sigma_min_probe(lu, np.arange(M.shape[0]))
+        prof, diag = solve_profile(n, grid)
+        assert np.max(np.abs(prof.psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert diag.sigma_min == pytest.approx(smin, rel=1e-6, abs=0.0)
+        # the start vector is drawn in node order: the same iteration
+        assert diag.probe_steps == steps
+
+    def test_fill_below_colamd(self):
+        grid = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)
+        M, _, _, _ = corrector._assemble(11, grid)
+        _, label = corrector._nested_dissection(97, 97)
+        M_nd, _, _, _ = corrector._assemble(11, grid, label)
+        assert splu(M_nd, permc_spec="NATURAL").nnz < splu(M).nnz
 
 
 def fitpack_reference(prof):
