@@ -24,14 +24,14 @@ Discretization: the quarter plane is mapped to a rectangle by
 t = L tau/(1-tau), r = L sigma/(1-sigma) with L = _MAP_SCALE; uniform grid,
 second-order centered stencils inside, one-sided 3-point second-order rows
 on the boundaries, a sparse LU factor in geometric nested-dissection order
-(each separator line numbered after the two halves it splits), and an
-inverse-power probe of the smallest singular value as a conditioning gate.
+(each separator line numbered after the two halves it splits), and a
+Lanczos probe of the smallest singular value as a conditioning gate.
 The Richardson profile combines the solves at N and 2N cells to fourth
 order on the N-cell nodes; the command line always solves that way.  The
-probe iterates on A^T A from a fixed random start and stops once one step
-moves its estimate by at most 1e-6 relative, or after 25 steps;
-SolveDiagnostics.probe_steps reports the count, and a count of 25 means the
-probe did not converge.
+probe runs Lanczos on (A^T A)^-1 from a fixed random start and stops once
+one step moves its estimate by at most 1e-6 relative;
+SolveDiagnostics.probe_steps reports the count, and a probe that has not
+stopped after 25 steps fails the solve.
 
 Interpolation: Profile2D carries the tensor quintic interpolant of psi in
 (tau, sigma), on FITPACK's knots for an interpolating spline (each end
@@ -529,29 +529,48 @@ _PROBE_RTOL = 1e-6
 _PROBE_MAX_STEPS = 25
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed without BLAS, so the bits do not depend on its threads."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _sigma_min_probe(lu, order: np.ndarray) -> tuple[float, int]:
-    """Smallest singular value via inverse power iteration on A^T A, and
-    the steps taken.
+    """Smallest singular value via Lanczos on (A^T A)^-1, and the steps
+    taken.
 
     lu factors the system numbered by order (see _nested_dissection).  The
     start vector is drawn in row-major node order and then reordered, so
     the iterates are the row-major ones reordered and the step count does
     not depend on the numbering.  Each step costs two solves with the
-    factor.  The iteration stops once a step changes the estimate of
-    ||(A^T A)^-1|| by at most _PROBE_RTOL relative; _PROBE_MAX_STEPS steps
-    means it did not converge.
+    factor and extends the three-term recurrence by one vector; the
+    estimate of ||(A^T A)^-1|| is the largest eigenvalue of the tridiagonal
+    matrix built so far, which approaches it from below.  The iteration
+    stops once a step changes the estimate by at most _PROBE_RTOL relative,
+    or on a zero off-diagonal (an exact invariant subspace).  A probe that
+    takes _PROBE_MAX_STEPS steps without stopping raises SolverError: its
+    sigma_min would be too large, and the gate could pass an ill-conditioned
+    factor.  Dot products avoid BLAS, so the estimate has the same bits for
+    any BLAS thread count.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(order.size)[order]
-    v /= np.linalg.norm(v)
-    lam = 0.0
+    v /= math.sqrt(_inner(v, v))
+    v_prev, alpha, beta, lam = None, [], [], 0.0
     for step in range(1, _PROBE_MAX_STEPS + 1):
         w = lu.solve(lu.solve(v, trans="N"), trans="T")
-        lam, prev = float(np.linalg.norm(w)), lam
-        v = w / lam
-        if abs(lam - prev) <= _PROBE_RTOL * lam:
-            break
-    return 1.0 / math.sqrt(lam), step
+        if v_prev is not None:
+            w -= beta[-1] * v_prev
+        alpha.append(_inner(v, w))
+        w -= alpha[-1] * v
+        T = np.diag(alpha) + np.diag(beta, -1) + np.diag(beta, 1)
+        lam, prev = float(np.linalg.eigvalsh(T)[-1]), lam
+        beta.append(math.sqrt(_inner(w, w)))
+        if abs(lam - prev) <= _PROBE_RTOL * lam or beta[-1] == 0.0:
+            return 1.0 / math.sqrt(lam), step
+        w /= beta[-1]
+        v_prev, v = v, w
+    raise SolverError(
+        f"sigma_min probe did not converge in {_PROBE_MAX_STEPS} steps")
 
 
 def _solve_nodes(n: int, grid: GridConfig, tol_solver: float) -> tuple:

@@ -1,7 +1,11 @@
 """Corrector tests: channel reduction, profile solve, verification."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,8 +315,8 @@ class TestSigmaMinProbe:
             factors.append(CountingLU(real_splu(M, **kwargs)))
             return factors[-1]
 
-        def recording_probe(lu, size):
-            smin, steps = real_probe(lu, size)
+        def recording_probe(lu, order):
+            smin, steps = real_probe(lu, order)
             probes.append((lu, steps))
             return smin, steps
 
@@ -328,6 +332,50 @@ class TestSigmaMinProbe:
             # one solve for the profile, two per probe step
             assert lu.solves == 1 + 2 * steps
         assert diag.probe_steps == max(steps for _, steps in probes)
+
+    @pytest.mark.parametrize("cells", [16, 24])
+    @pytest.mark.parametrize("n", [11, 13, 15])
+    def test_matches_dense_svd(self, n, cells):
+        grid = GridConfig(n_t=cells, n_r=cells, t_max=160.0, r_max=160.0)
+        M, _, _, _ = corrector._assemble(n, grid)
+        smin, _ = corrector._sigma_min_probe(splu(M), np.arange(M.shape[0]))
+        ref = np.linalg.svd(M.toarray(), compute_uv=False)[-1]
+        assert smin == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_benchmark_grid_n15_within_8_steps(self):
+        # inverse power iteration on A^T A took 17 steps on this factor
+        grid = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)
+        _, diag = solve_profile(15, grid)
+        assert diag.probe_steps <= 8
+
+    def test_unconverged_probe_raises(self, monkeypatch):
+        # an estimate short of ||(A^T A)^-1|| overstates sigma_min, so a
+        # probe out of steps fails the solve instead of passing the gate
+        monkeypatch.setattr(corrector, "_PROBE_MAX_STEPS", 2)
+        grid = GridConfig(n_t=48, n_r=48, t_max=160.0, r_max=160.0)
+        with pytest.raises(SolverError, match="did not converge in 2 steps"):
+            corrector._solve_profile_cached.__wrapped__(11, grid, 1e-8, False)
+
+    def test_same_bits_for_one_and_two_blas_threads(self):
+        # fresh interpreters, so OpenBLAS reads its thread count at start-up
+        src = str(Path(corrector.__file__).resolve().parents[1])
+        script = (
+            "from halfbubble.corrector import GridConfig, solve_profile\n"
+            "grid = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)\n"
+            "for n in (11, 15):\n"
+            "    _, d = solve_profile(n, grid, richardson=True)\n"
+            "    print(d.sigma_min.hex(), d.probe_steps)\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 check=True, capture_output=True, text=True,
+                                 timeout=300)
+            outputs.append(out.stdout.split())
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
 
     def test_tol_above_sigma_min_raises(self):
         grid = GridConfig(n_t=48, n_r=48, t_max=160.0, r_max=160.0)
