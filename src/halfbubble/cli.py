@@ -75,6 +75,15 @@ def _f(x) -> str:
     return repr(float(x))
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are an input error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -389,8 +398,8 @@ def cmd_phi(cfg: RunConfig, args) -> int:
 
 def _read_coefficients_csv(path: Path, n: int) -> dict:
     """phi by label from a coefficients CSV of dimension n."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = [line.strip() for line in _read_text(path).split("\n")
+             if line.strip()]
     if not lines or lines[0] != COEFFICIENTS_HEADER:
         raise InputFormatError(
             f"{path}: expected header {COEFFICIENTS_HEADER!r}")
@@ -460,8 +469,12 @@ def cmd_family(cfg: RunConfig, args) -> int:
     (header only if it carries an error), else of a fresh reduction."""
     report = Path(cfg.out_dir) / "reduction.json"
     if report.exists():
-        with open(report, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            payload = json.loads(_read_text(report))
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{report}: not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise InputFormatError(f"{report}: top level must be an object")
         if payload.get("n") != cfg.n:
             raise InputFormatError(
                 f"{report}: report has n={payload.get('n')}, config n={cfg.n}")
@@ -642,8 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     base = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = RunConfig.from_json(fh.read()).to_dict()
+        base = RunConfig.from_json(_read_text(args.config)).to_dict()
     for name in (f.name for f in dataclasses.fields(RunConfig)):
         if getattr(args, name, None) is not None:
             base[name] = getattr(args, name)

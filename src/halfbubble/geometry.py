@@ -39,6 +39,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import DomainError, InputFormatError
 
@@ -287,11 +288,12 @@ _POINT_FIELDS = {"label", "Rbar", "S", "D2", "Rnnnn", "Wbar2", "gamma"}
 
 def load_curvature_file(path) -> tuple[int, list[CurvaturePoint]]:
     """Read {"n": ..., "points": [...]}; unknown fields, an empty point
-    list and a repeated label are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
+    list and a repeated label are rejected.  The file is strict JSON: UTF-8
+    without a BOM, and no NaN, Infinity or number that overflows a double."""
+    with open(path, "rb") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = orjson.loads(fh.read())
+        except orjson.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputFormatError(f"{path}: top level must be an object")

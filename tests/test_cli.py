@@ -783,6 +783,37 @@ class TestExitCodes:
         assert not (tmp_path / "coefficients.csv").exists()
         assert not (tmp_path / "reduction.json").exists()
 
+    @pytest.mark.parametrize(
+        "name, content, argv",
+        [("cfg.json", b'{"n": 11\xff}', ["--config", "{path}", "moments"]),
+         ("coeffs.csv", b"label,n,phi\n\xff\n",
+          ["reduce", "--coefficients", "{path}"]),
+         ("reduction.json", b'{"n": 11,', ["family"]),
+         ("reduction.json", b"[11]", ["family"])],
+        ids=["config-not-utf8", "coefficients-not-utf8",
+             "reduction-not-json", "reduction-not-object"],
+    )
+    def test_malformed_input_file_is_exit_2(self, tmp_path, capsys, name,
+                                            content, argv):
+        path = tmp_path / name
+        path.write_bytes(content)
+        argv = [a.replace("{path}", str(path)) for a in argv]
+        assert run(tmp_path, *argv) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prefix", [b"\xef\xbb\xbf", b"\xff"],
+                             ids=["bom", "not-utf8"])
+    def test_curvature_file_not_strict_json_is_exit_2(self, tmp_path, capsys,
+                                                      prefix):
+        path = tmp_path / "pts.json"
+        save_curvature_file(path, 11, make_battery(11, 2, 1))
+        path.write_bytes(prefix + path.read_bytes())
+        out = tmp_path / "out"
+        assert run(out, "--curvature", str(path), "pipeline",
+                   "--skip-slopes") == 2
+        assert f"error: {path}: not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_curvature_dimension_mismatch_is_exit_2(self, tmp_path):
         k = 8
         point = CurvaturePoint(

@@ -196,6 +196,86 @@ class TestJsonInterchange:
         with pytest.raises(InputFormatError, match="integer"):
             load_curvature_file(path)
 
+    # json is the reference decoder: the loader must read the same bits
+
+    @pytest.mark.parametrize("n", range(11, 16))
+    def test_battery_bit_identical_to_json(self, tmp_path, n):
+        path = tmp_path / "pts.json"
+        save_curvature_file(path, n, make_battery(n, 2, seed=7))
+        ref = json.loads(path.read_text(encoding="utf-8"))
+        file_n, back = load_curvature_file(path)
+        assert file_n == ref["n"]
+        for rec, p in zip(ref["points"], back):
+            assert p.label == rec["label"]
+            for name in ("Rbar", "S"):
+                want = np.asarray(rec[name], dtype=float)
+                assert getattr(p, name).tobytes() == want.tobytes()
+            for name in ("D2", "Rnnnn", "Wbar2", "gamma"):
+                assert np.float64(getattr(p, name)).tobytes() == \
+                    np.float64(rec[name]).tobytes()
+
+    HARD_DECIMALS = [
+        "2.2250738585072011e-308",   # rounds down to the largest subnormal
+        "2.2250738585072012e-308",   # rounds up to the smallest normal
+        "4.9406564584124654e-324",   # the smallest subnormal
+        "2.4703282292062328e-324",   # just above half of it: rounds up
+        "2.4703282292062327e-324",   # just below: rounds to zero
+        "1.7976931348623157e308",
+        "9007199254740993",          # 2**53 + 1, halfway: rounds to even
+        "9007199254740993.0",
+        "0.30000000000000004",
+        "1.00000000000000011102230246251565404236316680908203125",  # halfway
+        "1.00000000000000011102230246251565404236316680908203126",
+        "-0.0",
+        "1e-400",
+        "123456789012345678901234567890e-29",
+    ]
+
+    @staticmethod
+    def one_point_file(path, literal):
+        """An n = 11 file with one point whose D2 and first Rbar entry are
+        the JSON number text literal; every other number is 0."""
+        m = 10
+        rbar = np.zeros((m,) * 4).tolist()
+        rbar[0][0][0][0] = "@"
+        data = {"n": 11, "points": [{
+            "label": "p", "Rbar": rbar, "S": np.zeros((m, m)).tolist(),
+            "D2": "@", "Rnnnn": 0.0, "Wbar2": 0.0, "gamma": 0.0}]}
+        path.write_text(json.dumps(data).replace('"@"', literal),
+                        encoding="utf-8")
+
+    @pytest.mark.parametrize("text", HARD_DECIMALS)
+    def test_hard_decimals_bit_identical_to_json(self, tmp_path, text):
+        path = tmp_path / "pts.json"
+        self.one_point_file(path, text)
+        want = np.float64(json.loads(text)).tobytes()
+        _, (back,) = load_curvature_file(path)
+        assert back.Rbar[0, 0, 0, 0].tobytes() == want
+        assert np.float64(back.D2).tobytes() == want
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        self.one_point_file(path, text)
+        json.loads(path.read_text(encoding="utf-8"))  # json itself accepts it
+        with pytest.raises(InputFormatError, match="not valid JSON"):
+            load_curvature_file(path)
+
+    def test_n_beyond_64_bits_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 123456789012345678901234567890, "points": []}')
+        with pytest.raises(InputFormatError, match="'n' must be an integer"):
+            load_curvature_file(path)
+
+    @pytest.mark.parametrize("prefix", [b"\xef\xbb\xbf", b"\xff"],
+                             ids=["bom", "not-utf8"])
+    def test_bom_and_invalid_utf8_rejected(self, tmp_path, prefix):
+        path = tmp_path / "bad.json"
+        save_curvature_file(path, 11, make_battery(11, 1, seed=7))
+        path.write_bytes(prefix + path.read_bytes())
+        with pytest.raises(InputFormatError, match="not valid JSON"):
+            load_curvature_file(path)
+
 
 class TestMetricExpansion:
     def direction(self, m, seed=0):
