@@ -655,7 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     base = {}
     if args.config:
-        base = RunConfig.from_json(_read_text(args.config)).to_dict()
+        text = _read_text(args.config)
+        try:
+            base = RunConfig.from_json(text).to_dict()
+        except (InputFormatError, DomainError, ValidationFailure) as exc:
+            raise type(exc)(f"{args.config}: {exc}") from exc
     for name in (f.name for f in dataclasses.fields(RunConfig)):
         if getattr(args, name, None) is not None:
             base[name] = getattr(args, name)

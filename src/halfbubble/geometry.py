@@ -57,10 +57,7 @@ __all__ = [
     "save_curvature_file",
     "MetricExpansion",
     "metric_expansion",
-    "eval_metric_inverse",
     "metric_invariants",
-    "metric_det",
-    "metric_divergence",
 ]
 
 _CHUNK = 8192
@@ -365,11 +362,6 @@ class MetricExpansion:
     keeps the curvature order (i, k, j, l, mu).  The generic quartic spatial
     part is low-rank: a[i,j] (y.Qy)^2 per entry of lowrank.
 
-    The *_op fields are built from the blocks once, in __post_init__: every
-    spatial contraction of eval_metric_inverse and metric_divergence is
-    then a matrix product of one operator with z (shape (B, m)) or
-    v2 = (z x z).reshape(B, m^2), whose column (k, l) holds z_k z_l.
-
     metric_invariants, which the Monte Carlo residual ladder reads, forms
     no matrix per sample.  Every matrix its invariants contract g with is
     symmetric, so it works on packed g: the M = m(m+1)/2 entries i <= j
@@ -390,29 +382,6 @@ class MetricExpansion:
     T5: np.ndarray          # (m,m)   y_n^4 second-derivative part
     Ncorr: np.ndarray       # (m,m,m,m) trace rider on delta_ij, quartic in y
     lowrank: tuple          # tuples (a, Q) adding a[i,j] (y.Qy)^2
-    # inverse metric: v2 @ R_op is Rbar y^2 as (B, (i,j)); v3 @ R1_op is
-    # R1[i,k,j,l,mu] z_k z_l z_mu, where v3 holds the cubic monomials
-    # z_k z_l z_mu with k <= l <= mu listed by the rows of cubic;
-    # v2 @ K_op is the mixed y_n^2 y_k y_l block; z @ S1_op and z @ T3_op
-    # the y_n^2 y and y_n^3 y blocks; v2 @ N_op dotted with v2 is the
-    # trace rider
-    R_op: np.ndarray = field(init=False, repr=False)       # (m^2, m^2)
-    cubic: np.ndarray = field(init=False, repr=False)      # (3, C(m+2,3)) int
-    R1_op: np.ndarray = field(init=False, repr=False)      # (C(m+2,3), m^2)
-    S1_op: np.ndarray = field(init=False, repr=False)      # (m, m^2)
-    T3_op: np.ndarray = field(init=False, repr=False)      # (m, m^2)
-    N_op: np.ndarray = field(init=False, repr=False)       # (m^2, m^2)
-    K_op: np.ndarray = field(init=False, repr=False)       # (m^2, m^2)
-    SS: np.ndarray = field(init=False, repr=False)         # (m, m) S @ S
-    # divergence: z @ div2_op, v2 @ div3_op and (v2 @ div4_op)(j,k) z_k
-    # are the degree-2, 3 and 4 spatial parts; z @ div_K_op carries the
-    # y_n^2 y block; div_S1 and div_T3 are the traces S1[i,j,i], T3[i,j,i]
-    div2_op: np.ndarray = field(init=False, repr=False)    # (m, m)
-    div3_op: np.ndarray = field(init=False, repr=False)    # (m^2, m)
-    div4_op: np.ndarray = field(init=False, repr=False)    # (m^2, m^2)
-    div_K_op: np.ndarray = field(init=False, repr=False)   # (m, m)
-    div_S1: np.ndarray = field(init=False, repr=False)     # (m,)
-    div_T3: np.ndarray = field(init=False, repr=False)     # (m,)
     # invariants, on the packed monomials v2p (w_k w_l for the pairs
     # k <= l of packed): P_op v2p is Rbar y^2 with row (c, i) holding
     # P_ic; v2p . (N_packed v2p) is the trace rider's nc and Q_packed v2p
@@ -437,19 +406,17 @@ class MetricExpansion:
         # packed pairs i <= j ordered by j, then i: the pairs with j <= mu
         # are the first (mu+1)(mu+2)/2, so v2p[:(mu+1)(mu+2)/2] w_mu are
         # the cubic monomials whose largest slot is mu, listed by
-        # cubic_packed as (pair, mu) in order of mu and by cubic as
-        # (k, l, mu), k <= l <= mu
+        # cubic_packed as (pair, mu) in order of mu
         ju, iu = np.tril_indices(m)
         firsts = (np.arange(m) + 1) * (np.arange(m) + 2) // 2
         pair = np.concatenate([np.arange(c) for c in firsts])
         last = np.repeat(np.arange(m), firsts)
         for name, a in (("packed", np.stack([iu, ju])),
-                        ("cubic_packed", np.stack([pair, last])),
-                        ("cubic", np.stack([iu[pair], ju[pair], last]))):
+                        ("cubic_packed", np.stack([pair, last]))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         # degree-3 spatial: every slot triple (k, l, mu) adds its entry to
-        # the row of its sorted monomial
+        # the row of its sorted monomial k <= l <= mu
         a, b, c = np.sort(np.indices((m, m, m)).reshape(3, -1), axis=0)
         cubic_row = c * (c + 1) * (c + 2) // 6 + b * (b + 1) // 2 + a
 
@@ -459,7 +426,6 @@ class MetricExpansion:
             np.add.at(out, cubic_row, values)
             return out
 
-        R1_op = on_cubic(self.R1.transpose(1, 3, 4, 0, 2).reshape(m * mm, mm) / 6.0)
         # degree-4 spatial divergence: the four slot-contractions of the
         # (1/15) product (two vanish by antisymmetry / Ricci-flatness but
         # are kept numerical) plus the trace rider's derivative
@@ -475,23 +441,6 @@ class MetricExpansion:
         # degree 2: both contractions are traces of Rbar (vanish for
         # admissible data; kept numerical so nothing is assumed)
         div2 = (np.einsum("iijl->jl", R) + np.einsum("ikji->jk", R)) / 3.0
-        ops = {
-            "R_op": R.transpose(1, 3, 0, 2).reshape(mm, mm),
-            "R1_op": R1_op,
-            "S1_op": self.S1.reshape(mm, m).T,
-            "T3_op": self.T3.reshape(mm, m).T,
-            "N_op": self.Ncorr.reshape(mm, mm),
-            "K_op": K.reshape(mm, mm).T,
-            "SS": S @ S,
-            "div2_op": div2.T,
-            "div3_op": div3.reshape(m, mm).T,
-            "div4_op": div4.transpose(2, 3, 0, 1).reshape(mm, mm),
-            "div_K_op": 2.0 * np.einsum("ijil->jl", K).T,
-            "div_S1": np.einsum("iji->j", self.S1),
-            "div_T3": np.einsum("iji->j", self.T3),
-        }
-        for name, op in ops.items():
-            object.__setattr__(self, name, _as_readonly(op))
 
         def pack_cols(op):
             # columns (i, j) of a full block -> packed columns i <= j
@@ -511,18 +460,21 @@ class MetricExpansion:
         lowrank_div = np.array([4.0 * Q @ a for a, Q in self.lowrank]).reshape(-1, m)
         blocks = [
             (1, np.zeros((m, M)), div2.T),                                          # w
-            (2, pack_cols(pack_rows(self.R_op)) / 3.0, pack_rows(self.div3_op)),    # v2p
-            (2, pack_cols(S), self.div_S1[None]),                                   # s^2
-            (3, pack_cols(self.R1_op), on_cubic(div4.transpose(1, 2, 3, 0)
-                                                .reshape(m * mm, m))),              # cubic
-            (3, pack_cols(self.S1_op), self.div_K_op),                              # w s^2
-            (3, pack_cols(self.S1n) / 3.0, self.div_T3[None] / 3.0),                # s^3
+            (2, pack_cols(pack_rows(R.transpose(1, 3, 0, 2).reshape(mm, mm))) / 3.0,
+             pack_rows(div3.reshape(m, mm).T)),                                     # v2p
+            (2, pack_cols(S), np.einsum("iji->j", self.S1)[None]),                  # s^2
+            (3, pack_cols(on_cubic(self.R1.transpose(1, 3, 4, 0, 2).reshape(m * mm, mm)
+                                   / 6.0)),
+             on_cubic(div4.transpose(1, 2, 3, 0).reshape(m * mm, m))),              # cubic
+            (3, pack_cols(self.S1.reshape(mm, m).T),
+             2.0 * np.einsum("ijil->jl", K).T),                                     # w s^2
+            (3, pack_cols(self.S1n) / 3.0, np.einsum("iji->j", self.T3)[None] / 3.0),  # s^3
             (3, np.zeros((len(lowrank_div), M)), lowrank_div),                      # q w
             (4, pack_cols(np.eye(m)) / m, np.zeros((1, m))),                        # nc
             (4, lowrank_g, np.zeros((len(lowrank_g), m))),                          # q^2
-            (4, pack_cols(pack_rows(self.K_op)), np.zeros((M, m))),                 # v2p s^2
-            (4, pack_cols(self.T3_op) / 3.0, np.zeros((m, m))),                     # w s^3
-            (4, pack_cols(self.T5 + 8.0 * self.SS) / 12.0, np.zeros((1, m))),       # s^4
+            (4, pack_cols(pack_rows(K.reshape(mm, mm).T)), np.zeros((M, m))),       # v2p s^2
+            (4, pack_cols(self.T3.reshape(mm, m).T) / 3.0, np.zeros((m, m))),       # w s^3
+            (4, pack_cols(self.T5 + 8.0 * (S @ S)) / 12.0, np.zeros((1, m))),       # s^4
         ]
         object.__setattr__(self, "inv_ops", {
             degree: _as_readonly(np.concatenate([np.hstack([g, div * (e < degree)])
@@ -530,7 +482,7 @@ class MetricExpansion:
             for degree in (2, 4)})
         ops = {
             "P_op": pack_rows(R.transpose(1, 3, 2, 0).reshape(mm, mm)).T,
-            "N_packed": pack_rows(pack_rows(self.N_op).T).T,
+            "N_packed": pack_rows(pack_rows(self.Ncorr.reshape(mm, mm)).T).T,
             "Q_packed": np.array([pack_cols(Q)[0] for _, Q in self.lowrank]).reshape(-1, M),
         }
         for name, op in ops.items():
@@ -621,72 +573,12 @@ def metric_expansion(point: CurvaturePoint, seed: int = 0, mode: str = "gauge",
 
 def _batch(t, z, m):
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
+    z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.shape[-1] != m:
         raise DomainError(f"z must have trailing dimension {m}, got {z.shape}")
     if t.shape[0] != z.shape[0]:
         t = np.broadcast_to(t, (z.shape[0],))
-    return t, z, single
-
-
-def _quadratic(z: np.ndarray) -> np.ndarray:
-    """v2 = (z x z).reshape(B, m^2): the monomials z_k z_l at column (k, l)."""
-    return (z[:, :, None] * z[:, None, :]).reshape(z.shape[0], -1)
-
-
-def eval_metric_inverse(me: MetricExpansion, t, z, through_degree: int = 4,
-                        check_pd: bool = False) -> np.ndarray:
-    """Spatial block of the inverse metric at y = (z, t), shape (..., m, m).
-
-    The normal row/column is exactly (0, ..., 0, 1) in this gauge and is not
-    returned.  With check_pd, raises DomainError if any evaluated matrix is
-    not positive definite with margin 1e-8.
-    """
-    m = me.m
-    t, z, single = _batch(t, z, m)
-    B = z.shape[0]
-    out = np.broadcast_to(np.eye(m), (B, m, m)).copy()
-    if through_degree >= 2:
-        # chunked so every (b, m^2) temporary stays bounded
-        for s in range(0, B, _CHUNK):
-            out[s:s + _CHUNK] += _inverse_terms(me, t[s:s + _CHUNK],
-                                                z[s:s + _CHUNK], through_degree)
-    if check_pd:
-        mineig = float(np.min(np.linalg.eigvalsh(out)))
-        if mineig < 1e-8:
-            raise DomainError(
-                f"inverse metric not positive definite (min eigenvalue {mineig:.3e})")
-    return out[0] if single else out
-
-
-def _inverse_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
-                   through_degree: int) -> np.ndarray:
-    """B2 + B3 + B4 (truncated at through_degree >= 2) on one chunk."""
-    b, m = z.shape
-    v2 = _quadratic(z)
-    t2 = (t * t)[:, None, None]
-    t3 = (t ** 3)[:, None, None]
-    P = (v2 @ me.R_op).reshape(b, m, m)                 # Rbar y^2
-    g = P / 3.0 + me.point.S * t2
-    if through_degree >= 3:
-        k, l, mu = me.cubic
-        g += ((z[:, k] * z[:, l] * z[:, mu]) @ me.R1_op).reshape(b, m, m)
-        g += (z @ me.S1_op).reshape(b, m, m) * t2
-        g += me.S1n * t3 / 3.0
-    if through_degree >= 4:
-        g += np.matmul(P, P.transpose(0, 2, 1)) / 15.0
-        nc = np.einsum("bq,bq->b", v2 @ me.N_op, v2)
-        g += (nc / m)[:, None, None] * np.eye(m)
-        for a, Q in me.lowrank:
-            q = v2 @ Q.ravel()
-            g += a * (q * q)[:, None, None]
-        g += (v2 @ me.K_op).reshape(b, m, m) * t2
-        g += (z @ me.T3_op).reshape(b, m, m) * t3 / 3.0
-        g += (me.T5 + 8.0 * me.SS) * (t ** 4)[:, None, None] / 12.0
-    return g
+    return t, z
 
 
 def metric_invariants(me: MetricExpansion, t, z, delta: float,
@@ -705,7 +597,7 @@ def metric_invariants(me: MetricExpansion, t, z, delta: float,
         raise DomainError(f"metric invariants are built through degree 2 or 4, "
                           f"not {through_degree}")
     m = me.m
-    t, z, _ = _batch(t, z, m)
+    t, z = _batch(t, z, m)
     out = np.empty((6, z.shape[0]))
     for s in range(0, z.shape[0], _CHUNK):
         out[:, s:s + _CHUNK] = _invariant_terms(me, t[s:s + _CHUNK], z[s:s + _CHUNK],
@@ -752,39 +644,3 @@ def _invariant_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
         out[2] += np.einsum("cb,cb->b", u, u) / 15.0
         out[3] += 2.0 * np.einsum("cb,cb->b", u, np.einsum("cib,ib->cb", P, Szt)) / 15.0
     return out
-
-
-def metric_det(me: MetricExpansion, t, z) -> np.ndarray:
-    """det of the full inverse metric (the normal block contributes 1)."""
-    g = eval_metric_inverse(me, t, z)
-    return np.linalg.det(g)
-
-
-def metric_divergence(me: MetricExpansion, t, z) -> np.ndarray:
-    """sum_i d(ginv[i,j])/d y_i, shape (..., m).
-
-    Drives the first-order term of the Laplace-Beltrami operator.  The
-    normal-direction block of ginv is constant in this gauge, so only
-    spatial derivatives contribute.
-    """
-    m = me.m
-    t, z, single = _batch(t, z, m)
-    B = z.shape[0]
-    out = np.empty((B, m))
-    for s in range(0, B, _CHUNK):
-        out[s:s + _CHUNK] = _divergence_terms(me, t[s:s + _CHUNK], z[s:s + _CHUNK])
-    return out[0] if single else out
-
-
-def _divergence_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    b, m = z.shape
-    v2 = _quadratic(z)
-    t2 = (t * t)[:, None]
-    d = z @ me.div2_op + v2 @ me.div3_op + me.div_S1 * t2
-    d += np.matmul((v2 @ me.div4_op).reshape(b, m, m), z[:, :, None])[:, :, 0]
-    for a, Q in me.lowrank:
-        q = v2 @ Q.ravel()
-        d += 4.0 * q[:, None] * ((z @ Q) @ a)
-    d += (z @ me.div_K_op) * t2
-    d += me.div_T3 * (t ** 3)[:, None] / 3.0
-    return d

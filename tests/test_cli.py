@@ -789,9 +789,13 @@ class TestExitCodes:
          ("coeffs.csv", b"label,n,phi\n\xff\n",
           ["reduce", "--coefficients", "{path}"]),
          ("reduction.json", b'{"n": 11,', ["family"]),
-         ("reduction.json", b"[11]", ["family"])],
+         ("reduction.json", b"[11]", ["family"]),
+         ("cfg.json", b'{ "n": 11,, }', ["--config", "{path}", "moments"]),
+         ("cfg.json", b"[1]", ["--config", "{path}", "moments"]),
+         ("cfg.json", b'{"nope": 1}', ["--config", "{path}", "moments"])],
         ids=["config-not-utf8", "coefficients-not-utf8",
-             "reduction-not-json", "reduction-not-object"],
+             "reduction-not-json", "reduction-not-object", "config-not-json",
+             "config-not-object", "config-unknown-field"],
     )
     def test_malformed_input_file_is_exit_2(self, tmp_path, capsys, name,
                                             content, argv):

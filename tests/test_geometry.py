@@ -7,15 +7,21 @@ import numpy as np
 import pytest
 
 from halfbubble.errors import DomainError, InputFormatError
-from halfbubble.geometry import (_CHUNK, CurvaturePoint, _inverse_terms, check_dim,
-                                 eval_metric_inverse, generate_sample, load_curvature_file,
-                                 make_battery, metric_det, metric_divergence,
-                                 metric_expansion, metric_invariants, save_curvature_file,
-                                 validate_curvature, weyl_norm_consistency, weyl_part)
+from halfbubble.geometry import (_CHUNK, CurvaturePoint, check_dim, generate_sample,
+                                 load_curvature_file, make_battery, metric_expansion,
+                                 metric_invariants, save_curvature_file, validate_curvature,
+                                 weyl_norm_consistency, weyl_part)
+from metric_reference import ref_metric_divergence, ref_metric_g, ref_metric_inverse
 
 
 def fit_slope(x, y):
     return float(np.polyfit(np.log(np.asarray(x)), np.log(np.abs(np.asarray(y))), 1)[0])
+
+
+def metric_det(me, t, z):
+    """det of the full inverse metric at one point (the normal block
+    contributes 1)."""
+    return float(np.linalg.det(ref_metric_inverse(me, t, z)[0]))
 
 
 class TestCheckDim:
@@ -278,6 +284,9 @@ class TestJsonInterchange:
 
 
 class TestMetricExpansion:
+    """The blocks metric_expansion builds, evaluated densely by the
+    reference in metric_reference."""
+
     def direction(self, m, seed=0):
         rng = np.random.default_rng(seed)
         z0 = rng.standard_normal(m)
@@ -288,8 +297,8 @@ class TestMetricExpansion:
     def test_identity_at_origin(self):
         p = generate_sample(11, seed=0)
         me = metric_expansion(p, seed=1)
-        g = eval_metric_inverse(me, 0.0, np.zeros(p.m))
-        assert np.array_equal(g, np.eye(p.m))
+        g = ref_metric_inverse(me, 0.0, np.zeros(p.m))
+        assert np.array_equal(g[0], np.eye(p.m))
 
     def test_block_parity(self):
         # degree-d block flips sign as (-1)^d under y -> -y
@@ -298,10 +307,10 @@ class TestMetricExpansion:
         z0, t0 = self.direction(p.m, 3)
         z0, t0 = 0.3 * z0, 0.3 * t0
         for deg in (2, 3, 4):
-            blk_plus = (eval_metric_inverse(me, t0, z0, through_degree=deg)
-                        - eval_metric_inverse(me, t0, z0, through_degree=deg - 1))
-            blk_minus = (eval_metric_inverse(me, -t0, -z0, through_degree=deg)
-                         - eval_metric_inverse(me, -t0, -z0, through_degree=deg - 1))
+            blk_plus = (ref_metric_inverse(me, t0, z0, through_degree=deg)
+                        - ref_metric_inverse(me, t0, z0, through_degree=deg - 1))
+            blk_minus = (ref_metric_inverse(me, -t0, -z0, through_degree=deg)
+                         - ref_metric_inverse(me, -t0, -z0, through_degree=deg - 1))
             sign = (-1.0) ** deg
             assert np.allclose(blk_minus, sign * blk_plus, atol=1e-14)
 
@@ -324,7 +333,7 @@ class TestMetricExpansion:
         me = metric_expansion(p, seed=4, mode=mode)
         z0, t0 = self.direction(p.m, 5)
         eps = np.geomspace(0.03, 0.3, 7)
-        vals = np.array([float(metric_det(me, e * t0, e * z0)) - 1.0 for e in eps])
+        vals = np.array([metric_det(me, e * t0, e * z0) - 1.0 for e in eps])
         slope = fit_slope(eps, vals)
         assert lo <= slope <= hi, f"mode={mode}: det slope {slope}"
 
@@ -337,7 +346,7 @@ class TestMetricExpansion:
         me = metric_expansion(bad, seed=5, mode="gauge")
         z0, t0 = self.direction(p.m, 6)
         eps = np.geomspace(0.01, 0.1, 7)
-        vals = np.array([float(metric_det(me, e * t0, e * z0)) - 1.0 for e in eps])
+        vals = np.array([metric_det(me, e * t0, e * z0) - 1.0 for e in eps])
         slope = fit_slope(eps, vals)
         assert 3.7 <= slope <= 4.3, f"det slope {slope}"
 
@@ -349,42 +358,16 @@ class TestMetricExpansion:
             rng = np.random.default_rng(7)
             z0 = 0.4 * rng.standard_normal(m)
             t0 = 0.3
-            got = metric_divergence(me, t0, z0)
+            got = ref_metric_divergence(me, t0, z0)[0]
             h = 1e-6
             fd = np.zeros(m)
             for i in range(m):
                 e = np.zeros(m)
                 e[i] = h
-                gp = eval_metric_inverse(me, t0, z0 + e)
-                gm = eval_metric_inverse(me, t0, z0 - e)
+                gp = ref_metric_inverse(me, t0, z0 + e)[0]
+                gm = ref_metric_inverse(me, t0, z0 - e)[0]
                 fd += (gp[i, :] - gm[i, :]) / (2 * h)
             assert np.allclose(got, fd, rtol=5e-7, atol=1e-9), mode
-
-    def test_pd_guard(self):
-        p = generate_sample(11, seed=6, scale=1.0)
-        me = metric_expansion(p, seed=7, mode="zero")
-        lam_min = float(np.min(np.linalg.eigvalsh(p.S)))
-        assert lam_min < 0
-        t_bad = np.sqrt(2.0 / abs(lam_min))
-        with pytest.raises(DomainError, match="positive definite"):
-            eval_metric_inverse(me, t_bad, np.zeros(p.m), through_degree=2, check_pd=True)
-        g = eval_metric_inverse(me, 0.05, np.zeros(p.m), through_degree=2, check_pd=True)
-        assert g.shape == (p.m, p.m)
-
-    def test_batch_matches_single(self):
-        p = generate_sample(11, seed=8)
-        me = metric_expansion(p, seed=9)
-        rng = np.random.default_rng(10)
-        z = 0.3 * rng.standard_normal((5, p.m))
-        t = 0.2 * np.abs(rng.standard_normal(5))
-        batch = eval_metric_inverse(me, t, z)
-        for i in range(5):
-            single = eval_metric_inverse(me, t[i], z[i])
-            assert np.allclose(batch[i], single, rtol=1e-14, atol=1e-16)
-        dbatch = metric_divergence(me, t, z)
-        for i in range(5):
-            assert np.allclose(dbatch[i], metric_divergence(me, t[i], z[i]),
-                               rtol=1e-13, atol=1e-16)
 
     def test_modes_exclusive(self):
         p = generate_sample(11, seed=9)
@@ -392,142 +375,19 @@ class TestMetricExpansion:
             metric_expansion(p, seed=0, mode="wild")
 
 
-# ---------------------------------------------------------------------------
-# Reference: the einsum evaluation of the metric expansion, term by term as
-# the blocks are written in the geometry module docstring, with the same
-# chunking.  The module evaluates the same terms as matrix products with
-# operators built once per expansion.
-
-
-def _ref_mixed_quartic_block(me):
-    R, S = me.point.Rbar, me.point.S
-    rs = np.einsum("iksl,sj->ijkl", R, S)
-    rs = 0.5 * (rs + rs.transpose(1, 0, 2, 3))
-    K = me.T4 / 2.0 + rs / 3.0
-    return 0.5 * (K + K.transpose(0, 1, 3, 2))
-
-
-def _ref_deg3_spatial(R1, z):
-    m = R1.shape[0]
-    B = z.shape[0]
-    R1r = np.ascontiguousarray(R1.transpose(0, 2, 1, 3, 4)).reshape(m * m, m, m * m)
-    out = np.empty((B, m, m))
-    for s in range(0, B, _CHUNK):
-        zz = z[s:s + _CHUNK]
-        v2 = (zz[:, :, None] * zz[:, None, :]).reshape(len(zz), m * m)
-        T = np.tensordot(v2, R1r, axes=([1], [2]))
-        out[s:s + _CHUNK] = np.einsum("bqk,bk->bq", T, zz).reshape(len(zz), m, m)
-    return out / 6.0
-
-
-def _ref_eval_metric_inverse(me, t, z, through_degree=4):
-    m = me.m
-    R, S = me.point.Rbar, me.point.S
-    B = z.shape[0]
-    out = np.broadcast_to(np.eye(m), (B, m, m)).copy()
-    t2 = (t * t)[:, None, None]
-    if through_degree >= 2:
-        P = np.einsum("ikjl,bk->bijl", R, z, optimize=True) if B <= _CHUNK else None
-        if P is not None:
-            out += np.einsum("bijl,bl->bij", P, z) / 3.0
-        else:
-            for s in range(0, B, _CHUNK):
-                zz = z[s:s + _CHUNK]
-                out[s:s + _CHUNK] += np.einsum("ikjl,bk,bl->bij", R, zz, zz,
-                                               optimize=True) / 3.0
-        out += S[None] * t2
-    if through_degree >= 3:
-        if me.R1.any():
-            out += _ref_deg3_spatial(me.R1, z)
-        if me.S1.any():
-            out += np.einsum("ijk,bk->bij", me.S1, z) * t2
-        if me.S1n.any():
-            out += me.S1n[None] * (t ** 3)[:, None, None] / 3.0
-    if through_degree >= 4:
-        for s in range(0, B, _CHUNK):
-            zz = z[s:s + _CHUNK]
-            Pq = np.einsum("iksl,bk,bl->bis", R, zz, zz, optimize=True)
-            out[s:s + _CHUNK] += np.einsum("bis,bjs->bij", Pq, Pq) / 15.0
-            nc = np.einsum("klmp,bk,bl,bm,bp->b", me.Ncorr, zz, zz, zz, zz, optimize=True)
-            out[s:s + _CHUNK] += (nc / m)[:, None, None] * np.eye(m)[None]
-        for a, Q in me.lowrank:
-            q = np.einsum("kl,bk,bl->b", Q, z, z)
-            out += a[None] * (q * q)[:, None, None]
-        K = _ref_mixed_quartic_block(me)
-        out += np.einsum("ijkl,bk,bl->bij", K, z, z, optimize=True) * t2
-        if me.T3.any():
-            out += np.einsum("ijk,bk->bij", me.T3, z) * (t ** 3)[:, None, None] / 3.0
-        out += (me.T5[None] + 8.0 * (S @ S)[None]) * (t ** 4)[:, None, None] / 12.0
-    return out
-
-
-def _ref_metric_divergence(me, t, z):
-    m = me.m
-    R = me.point.Rbar
-    t2 = (t * t)[:, None]
-    t3 = (t ** 3)[:, None]
-    c_a = np.einsum("iijl->jl", R) / 3.0
-    c_b = np.einsum("ikji->jk", R) / 3.0
-    out = np.einsum("jl,bl->bj", c_a + c_b, z)
-    if me.R1.any():
-        d1 = np.einsum("iijlm->jlm", me.R1)
-        d2 = np.einsum("ikjim->jkm", me.R1)
-        d3 = np.einsum("ikjli->jkl", me.R1)
-        out += (np.einsum("jlm,bl,bm->bj", d1, z, z, optimize=True)
-                + np.einsum("jkm,bk,bm->bj", d2, z, z, optimize=True)
-                + np.einsum("jkl,bk,bl->bj", d3, z, z, optimize=True)) / 6.0
-    if me.S1.any():
-        out += np.einsum("iji->j", me.S1)[None, :] * t2
-    c1 = np.einsum("iisl,jmsp->jlmp", R, R)
-    c2 = np.einsum("iksi,jmsp->jkmp", R, R)
-    c3 = np.einsum("iksl,jisp->jklp", R, R)
-    c4 = np.einsum("iksl,jmsi->jklm", R, R)
-    quad_div = (c1 + c2 + c3 + c4) / 15.0
-    out += np.einsum("jklp,bk,bl,bp->bj", quad_div, z, z, z, optimize=True)
-    if me.Ncorr.any():
-        out += 4.0 / m * np.einsum("jlmp,bl,bm,bp->bj", me.Ncorr, z, z, z, optimize=True)
-    for a, Q in me.lowrank:
-        q = np.einsum("kl,bk,bl->b", Q, z, z)
-        out += 4.0 * q[:, None] * np.einsum("ij,bi->bj", a, z @ Q)
-    K = _ref_mixed_quartic_block(me)
-    out += 2.0 * np.einsum("ijil,bl->bj", K, z) * t2
-    if me.T3.any():
-        out += np.einsum("iji->j", me.T3)[None, :] * t3 / 3.0
-    return out
-
-
 class TestMatrixProductPath:
-    """The operator-product evaluation against the einsum reference, on
-    batches below, at and across the chunk boundary."""
-
-    @pytest.mark.parametrize("n", [11, 15])
-    @pytest.mark.parametrize("mode", ["gauge", "free", "zero"])
-    def test_matches_einsum_reference(self, n, mode):
-        p = generate_sample(n, seed=20 + n)
-        me = metric_expansion(p, seed=3, mode=mode, deg3_scale=5.0)
-        rng = np.random.default_rng(n)
-        for B in (1, 100, _CHUNK + 37):
-            z = 0.3 * rng.standard_normal((B, p.m))
-            t = 0.4 * rng.random(B)
-            for deg in (2, 3, 4):
-                got = eval_metric_inverse(me, t, z, through_degree=deg)
-                ref = _ref_eval_metric_inverse(me, t, z, through_degree=deg)
-                tol = 1e-13 * np.max(np.abs(ref - np.eye(p.m)))
-                err = np.max(np.abs(got - ref))
-                assert err <= tol, (B, deg, err, tol)
-            got = metric_divergence(me, t, z)
-            ref = _ref_metric_divergence(me, t, z)
-            err = np.max(np.abs(got - ref))
-            assert err <= 1e-13 * np.max(np.abs(ref)), (B, err)
+    """The packed operator-product invariants against the dense reference,
+    on batches below and across the chunk boundary."""
 
     @pytest.mark.parametrize("n", [11, 15])
     @pytest.mark.parametrize("mode", ["gauge", "free", "zero"])
     def test_invariants_match_contracted_expansion(self, n, mode):
-        # metric_invariants against g from _inverse_terms (not Minv - I,
-        # whose diagonal would carry the rounding of 1) and
-        # metric_divergence, both checked against the einsum reference
-        # above, contracted sample by sample; bounded against the sum of
-        # the magnitudes of the products each invariant adds up
+        # metric_invariants against the reference g (not Minv - I, whose
+        # diagonal would carry the rounding of 1) and the reference
+        # divergence, which test_divergence_against_fd checks against
+        # finite differences of the reference inverse, contracted sample by
+        # sample; bounded against the sum of the magnitudes of the products
+        # each invariant adds up
         p = generate_sample(n, seed=20 + n)
         me = metric_expansion(p, seed=3, mode=mode, deg3_scale=5.0)
         S = p.S
@@ -544,13 +404,13 @@ class TestMatrixProductPath:
             t = 0.8 * rng.random(B)
             Sz = z @ S
             for deg in (2, 4):
-                g = _inverse_terms(me, delta * t, delta * z, deg)
+                g = ref_metric_g(me, delta * t, delta * z, deg)
                 got = metric_invariants(me, t, z, delta, through_degree=deg)
                 for i, (want, mag) in enumerate(zip(
                         forms(g, S, z, Sz), forms(*map(np.abs, (g, S, z, Sz))))):
                     err = np.max(np.abs(got[i] - want))
                     assert err <= 1e-13 * np.max(mag), (B, deg, i, err)
-            div = metric_divergence(me, delta * t, delta * z)
+            div = ref_metric_divergence(me, delta * t, delta * z)
             for row, x in zip(got[4:], (z, Sz)):
                 err = np.max(np.abs(row - np.sum(div * x, axis=1)))
                 assert err <= 1e-13 * np.max(np.sum(np.abs(div * x), axis=1)), (B, err)
