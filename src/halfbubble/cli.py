@@ -12,7 +12,9 @@ input/domain/validation problem, 3 numeric budget exhausted, 4 filesystem
 error.  Every artifact is written by _write_csv or _write_json here: no
 timestamps, and every float as its shortest round-trip repr, so identical
 config and inputs produce byte-identical files.  Points are processed one
-after another and no environment variable is read.
+after another and no environment variable is read; only `pipeline`'s two
+slope ladders overlap, the identity ladder on one worker thread beside the
+residual ladder, with errors and files as in serial order.
 """
 
 from __future__ import annotations
@@ -237,21 +239,41 @@ def _write_reduction(out: Path, payload: dict) -> None:
 
 
 def _residual_ladder(cfg: RunConfig, point, sol, **options):
-    """The residual slope experiment, its ladder written under plots/."""
-    exp = residual_slope(point, sol,
-                         deltas=(np.asarray(cfg.delta_ladder)
-                                 if cfg.delta_ladder else None),
-                         mc_samples=cfg.mc_samples, seed=cfg.seed,
-                         metric_seed=cfg.metric_seed,
-                         deg3_scale=cfg.deg3_scale, **options)
+    """The residual slope experiment on the configured ladder."""
+    return residual_slope(point, sol,
+                          deltas=(np.asarray(cfg.delta_ladder)
+                                  if cfg.delta_ladder else None),
+                          mc_samples=cfg.mc_samples, seed=cfg.seed,
+                          metric_seed=cfg.metric_seed,
+                          deg3_scale=cfg.deg3_scale, **options)
+
+
+def _write_residual_ladder(cfg: RunConfig, label: str, exp) -> None:
     columns = [exp.extras.get(key) for key in
                ("std_errors", "eps_column", "bound_column")]
-    _write_csv(Path(cfg.out_dir) / "plots" / f"residual_ladder_{point.label}.csv",
+    _write_csv(Path(cfg.out_dir) / "plots" / f"residual_ladder_{label}.csv",
                "delta,norm,std_error,eps,bound",
                ([d, exp.values[k]] + [None if col is None else col[k]
                                       for col in columns]
                 for k, d in enumerate(exp.deltas)))
-    return exp
+
+
+def _slope_ladders(cfg: RunConfig, point, sol) -> tuple:
+    """(identity, residual) experiments of one point.  The identity ladder
+    runs on a worker thread while this one runs the residual ladder; an
+    error is raised as in serial order, the identity ladder's first."""
+    # imported here, not with the module: loaded at start-up it raised the
+    # peak RSS of `pipeline --skip-slopes` sweeps by about 1 MB
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        identity = pool.submit(verify_A4_L2_L3_identity, point, sol)
+        try:
+            residual = _residual_ladder(cfg, point, sol)
+        except Exception:
+            identity.result()
+            raise
+        return identity.result(), residual
 
 
 def _slope_summary(exp) -> dict:
@@ -509,6 +531,7 @@ def cmd_residual_slope(cfg: RunConfig, args) -> int:
     exp = _residual_ladder(cfg, point, _solve_point(cfg, point),
                            eps=args.eps, tie_eps=args.tie_eps,
                            include_v=not args.omit_corrector)
+    _write_residual_ladder(cfg, label, exp)
     _write_json(Path(cfg.out_dir) / f"residual_slope_{label}.json",
                 _slope_summary(exp))
     return 0
@@ -541,8 +564,8 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
         if not args.skip_slopes:
             point = next(p for p in valid if p.label == selected)
             sol = results[selected][0]
-            identity = verify_A4_L2_L3_identity(point, sol)
-            residual = _residual_ladder(cfg, point, sol)
+            identity, residual = _slope_ladders(cfg, point, sol)
+            _write_residual_ladder(cfg, selected, residual)
             slopes[selected] = (residual.slope, identity.slope)
             slopes_summary = {"identity": _slope_summary(identity),
                               "residual": _slope_summary(residual)}

@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, lgamma
 
 import numpy as np
@@ -315,12 +316,14 @@ def _tail_caps(n: int, key: MomentKey, tail_budget: float) -> tuple[float, float
     return T, R, tail
 
 
+@lru_cache(maxsize=64)
 def moment(n: int, key: MomentKey, tol: float = 1e-10) -> tuple[float, float]:
     """Half-space moment M(p, a, b) with relative error estimate <= tol.
 
     Returns (value, error_estimate); the estimate includes the analytic
     truncation tails.  Raises DomainError for divergent keys and BudgetError
     (carrying the best estimate) when the cell budget is exhausted.
+    Memoized per argument set: a repeat returns the same bits.
     """
     if key.decay_margin(n) <= 0:
         raise DomainError(
@@ -355,10 +358,12 @@ def moment(n: int, key: MomentKey, tol: float = 1e-10) -> tuple[float, float]:
     return value, err
 
 
+@lru_cache(maxsize=64)
 def half_line_moment(c: float, p: float, tol: float = 1e-12) -> tuple[float, float]:
     """Integral over r > 0 of r^c (1 + r^2)^(-p), with error estimate.
 
     Requires 2p > c + 1.  Tail beyond R is bounded by R^{c-2p+1}/(2p-c-1).
+    Memoized per argument set, like moment.
     """
     if 2.0 * p <= c + 1.0:
         raise DomainError(f"half-line moment diverges: 2p={2 * p} <= c+1={c + 1}")

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ import pytest
 from halfbubble import cli, corrector
 from halfbubble.config import RunConfig
 from halfbubble.corrector import solve_vq
-from halfbubble.energy import ReducedCoefficients
-from halfbubble.errors import DomainError, InputFormatError, ValidationFailure
+from halfbubble.energy import RESIDUAL_DELTAS, ReducedCoefficients, SlopeExperiment
+from halfbubble.errors import DomainError, InputFormatError, SolverError, ValidationFailure
 from halfbubble.geometry import CurvaturePoint, make_battery, save_curvature_file
 from halfbubble.quadrature import MomentKey, MomentTable
 
@@ -583,6 +584,60 @@ class TestPipeline:
         # the reduction's own ladder gives back the file it wrote
         assert run(tmp_path, "family") == 0
         assert read(tmp_path / "family.csv") == written
+
+
+class TestSlopeLadderOverlap:
+    """pipeline runs the identity ladder on a worker thread beside the
+    residual ladder, and reports and writes what a serial run would: the
+    identity ladder's error first, and no ladder file from a run that
+    fails.  Each fake ladder fails or returns only once the other one has
+    got as far as the case needs, so the interleaving is fixed."""
+
+    # a coarse grid that reaches the residual ladder's rho = 100
+    ARGS = ["--seed", "1", "--h", "0.04", "--t-max", "100", "--r-max", "100"]
+
+    def run(self, out):
+        return cli.main([*self.ARGS, "--out-dir", str(out), "pipeline"])
+
+    def test_identity_error_reported_over_residual_error(
+            self, tmp_path, monkeypatch, capsys):
+        residual_failed = threading.Event()
+
+        def identity(point, sol):
+            assert residual_failed.wait(60)
+            raise SolverError("identity ladder failed")
+
+        def residual(point, sol, **options):
+            residual_failed.set()
+            raise ValidationFailure("residual ladder failed")
+
+        monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
+        monkeypatch.setattr(cli, "residual_slope", residual)
+        assert self.run(tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "identity ladder failed" in err
+        assert "residual ladder failed" not in err
+
+    def test_no_ladder_file_when_identity_fails(self, tmp_path, monkeypatch,
+                                                 capsys):
+        residual_done = threading.Event()
+
+        def identity(point, sol):
+            assert residual_done.wait(60)
+            raise ValidationFailure("identity ladder failed")
+
+        def residual(point, sol, **options):
+            deltas = np.asarray(RESIDUAL_DELTAS)
+            exp = SlopeExperiment(deltas=deltas, values=deltas ** 3, slope=3.0,
+                                  intercept=0.0, band=0.1)
+            residual_done.set()
+            return exp
+
+        monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
+        monkeypatch.setattr(cli, "residual_slope", residual)
+        assert self.run(tmp_path) == 2
+        assert "identity ladder failed" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,11 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.special import beta as beta_fn
 
 from halfbubble import cli
-from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess
+from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess, eval_U_jet
 from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
                                   solve_vq)
 from halfbubble.energy import (
+    IDENTITY_DELTAS,
     ReducedCoefficients,
     _angular_coefficients,
     _cancellation_norms,
@@ -426,6 +427,69 @@ def _ref_identity_terms(point, sol, delta, panels=40, order=10):
             totals += np.sum(vals * np.outer(x_weights, x_weights) * ht * hr, axis=(1, 2))
     return {"A4": A4, "L2": delta ** 4 * (totals[0] + totals[1]),
             "L3": 0.5 * delta ** 4 * totals[2], "ratio_max": float(np.max(ratio))}
+
+
+def _full_grid_chi_tr(t, r, delta):
+    """Reference for energy._chi_tr: the cutoff formula on every point."""
+    rho = np.sqrt(t * t + r * r)
+    rho_safe = np.maximum(rho, 1e-300)
+    s = delta * rho
+    c1 = cutoff_chi(s, 1) * delta
+    return cutoff_chi(s), c1 * t / rho_safe, c1 * r / rho_safe
+
+
+def _unblocked_bulk_totals(point, sol, delta):
+    """Reference for the bulk sums of energy._identity_terms: the whole
+    400 x 400 tensor grid in one array, with the full-grid cutoff, reduced
+    over r and then over t.  Returns (L2, L3)."""
+    n = point.n
+    prof = sol.profile
+    cY, cYY, cS2 = _angular_coefficients(point)
+    grad_moment = 4.0 * (cS2 - cYY)
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(10)
+    edges = _panel_edges(1.0 / delta, 40)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
+    weights = (half[:, None] * x_weights).ravel()
+    t, r = nodes[:, None], nodes[None, :]
+    chi, ct, cr = _full_grid_chi_tr(t, r, delta)
+    u, u_t, u1, *_ = eval_U_jet(n, t, r * r)
+    u_r = u1 * r
+    psi, psi_t, psi_r = prof.eval_grid(nodes, nodes)
+    uc_r = u_r * chi + u * cr
+    uc_t = u_t * chi + u * ct
+    vc = psi * chi
+    vc_t = psi_t * chi + psi * ct
+    vc_r = psi_r * chi + psi * cr
+    w = r ** (n - 2)
+    r_safe = np.maximum(r, 1e-300)
+    cross_S = t * t * uc_r * (cYY * vc_r + 2.0 * (cS2 - cYY) * vc / r_safe)
+    cross_flat = cY * (uc_t * vc_t + uc_r * vc_r)
+    dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + grad_moment * (vc / r_safe) ** 2
+    vals = np.stack([cross_S * w, cross_flat * w, dir_core * w])
+    totals = (vals @ weights) @ weights
+    return delta ** 4 * (totals[0] + totals[1]), 0.5 * delta ** 4 * totals[2]
+
+
+class TestBlockedKernels:
+    """The cache-sized identity blocks and the band-only cutoff against
+    their whole-grid forms, bit for bit."""
+
+    def test_blocked_terms_match_unblocked_bulk(self, point11, sol11_big):
+        for d in IDENTITY_DELTAS:
+            got = _identity_terms(point11, sol11_big, float(d))
+            assert (got["L2"], got["L3"]) == _unblocked_bulk_totals(
+                point11, sol11_big, float(d)), d
+
+    def test_band_cutoff_matches_full_grid_formula(self):
+        # nodes through the plateau, the band (1/2, 1), the join at 1 and
+        # beyond, with the origin and the axes included
+        nodes = np.concatenate([[0.0], np.geomspace(1e-3, 1.6, 301)])
+        for delta in (1.0, 0.5 * 10.0 ** -1.5):
+            t, r = nodes[:, None] / delta, nodes[None, :] / delta
+            for got, want in zip(_chi_tr(t, r, delta), _full_grid_chi_tr(t, r, delta)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), delta
 
 
 class TestIdentityExperiment:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from halfbubble.errors import DomainError, InputFormatError
-from halfbubble.geometry import (_CHUNK, CurvaturePoint, check_dim, generate_sample,
+from halfbubble.geometry import (_BLOCK, CurvaturePoint, check_dim, generate_sample,
                                  load_curvature_file, make_battery, metric_expansion,
                                  metric_invariants, save_curvature_file, validate_curvature,
                                  weyl_norm_consistency, weyl_part)
@@ -377,7 +377,7 @@ class TestMetricExpansion:
 
 class TestMatrixProductPath:
     """The packed operator-product invariants against the dense reference,
-    on batches below and across the chunk boundary."""
+    on batches below and across the block boundary."""
 
     @pytest.mark.parametrize("n", [11, 15])
     @pytest.mark.parametrize("mode", ["gauge", "free", "zero"])
@@ -399,7 +399,7 @@ class TestMatrixProductPath:
             return (np.trace(g, axis1=1, axis2=2), g.reshape(len(z), -1) @ S.ravel(),
                     np.sum(z * gz, axis=1), np.sum(z * gSz + Sz * gz, axis=1))
 
-        for B in (1, _CHUNK + 37):
+        for B in (1, 16 * _BLOCK + 37):
             z = 0.6 * rng.standard_normal((B, p.m))
             t = 0.8 * rng.random(B)
             Sz = z @ S
@@ -417,3 +417,23 @@ class TestMatrixProductPath:
         # only the truncations the residual ladder reads are built
         with pytest.raises(DomainError, match="degree 2 or 4"):
             metric_invariants(me, t, z, delta, through_degree=3)
+
+    @pytest.mark.parametrize("n", [11, 15])
+    @pytest.mark.parametrize("deg", [2, 4])
+    def test_sample_bits_independent_of_batch(self, n, deg):
+        # a sample's invariants have the same bits alone, inside an
+        # odd-size batch and inside a batch of more than two blocks, at
+        # offsets from the first to the last column of a block
+        p = generate_sample(n, seed=40 + n)
+        me = metric_expansion(p, seed=3, deg3_scale=5.0)
+        rng = np.random.default_rng(n + deg)
+        B = 2 * _BLOCK + 301
+        z = 0.6 * rng.standard_normal((B, p.m))
+        t = 0.8 * rng.random(B)
+        full = metric_invariants(me, t, z, 0.3, through_degree=deg)
+        lo, hi = 5, 5 + 777
+        odd = metric_invariants(me, t[lo:hi], z[lo:hi], 0.3, through_degree=deg)
+        assert np.array_equal(odd, full[:, lo:hi])
+        for i in (0, 7, _BLOCK - 1, _BLOCK + 200, B - 1):
+            alone = metric_invariants(me, t[i:i + 1], z[i:i + 1], 0.3, through_degree=deg)
+            assert np.array_equal(alone, full[:, i:i + 1]), i
