@@ -12,9 +12,9 @@ input/domain/validation problem, 3 numeric budget exhausted, 4 filesystem
 error.  Every artifact is written by _write_csv or _write_json here: no
 timestamps, and every float as its shortest round-trip repr, so identical
 config and inputs produce byte-identical files.  Points are processed one
-after another and no environment variable is read; only `pipeline`'s two
-slope ladders overlap, the identity ladder on one worker thread beside the
-residual ladder, with errors and files as in serial order.
+after another and no environment variable is read; only the slope ladders
+of `pipeline` and `residual-slope` run on worker threads, as tasks on one
+fixed two-worker pool, with values, errors and files as in serial order.
 """
 
 from __future__ import annotations
@@ -258,22 +258,37 @@ def _write_residual_ladder(cfg: RunConfig, label: str, exp) -> None:
                 for k, d in enumerate(exp.deltas)))
 
 
-def _slope_ladders(cfg: RunConfig, point, sol) -> tuple:
-    """(identity, residual) experiments of one point.  The identity ladder
-    runs on a worker thread while this one runs the residual ladder; an
-    error is raised as in serial order, the identity ladder's first."""
+def _slope_ladders(cfg: RunConfig, point, sol, with_identity: bool = True,
+                   **options) -> tuple:
+    """(identity, residual) experiments of one point; identity is None
+    without with_identity.  options go to the residual ladder.
+
+    One pool of two worker threads, made here and nowhere else, runs the
+    ladders' tasks: the identity ladder as one task, and each residual
+    rung's main and cancellation Monte Carlo estimates (see
+    energy.residual_slope), while this thread gathers them by index.  Two
+    workers fill the two cores the ladders were measured on; every task
+    draws from its own seed, so the values do not depend on which worker
+    runs it, and the count is fixed, with no flag or setting.  An error is
+    the one a serial run raises first, the identity ladder's before any
+    rung's, and it comes out only once every task has returned, so nothing
+    is written before then.
+    """
     # imported here, not with the module: loaded at start-up it raised the
     # peak RSS of `pipeline --skip-slopes` sweeps by about 1 MB
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        identity = pool.submit(verify_A4_L2_L3_identity, point, sol)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        identity = (pool.submit(verify_A4_L2_L3_identity, point, sol)
+                    if with_identity else None)
         try:
-            residual = _residual_ladder(cfg, point, sol)
+            residual = _residual_ladder(cfg, point, sol, submit=pool.submit,
+                                        **options)
         except Exception:
-            identity.result()
+            if identity is not None:
+                identity.result()
             raise
-        return identity.result(), residual
+        return None if identity is None else identity.result(), residual
 
 
 def _slope_summary(exp) -> dict:
@@ -528,9 +543,10 @@ def cmd_residual_slope(cfg: RunConfig, args) -> int:
     point = next((p for p in points if p.label == label), None)
     if point is None:
         raise DomainError(f"unknown point label {label!r}")
-    exp = _residual_ladder(cfg, point, _solve_point(cfg, point),
-                           eps=args.eps, tie_eps=args.tie_eps,
-                           include_v=not args.omit_corrector)
+    _, exp = _slope_ladders(cfg, point, _solve_point(cfg, point),
+                            with_identity=False, eps=args.eps,
+                            tie_eps=args.tie_eps,
+                            include_v=not args.omit_corrector)
     _write_residual_ladder(cfg, label, exp)
     _write_json(Path(cfg.out_dir) / f"residual_slope_{label}.json",
                 _slope_summary(exp))

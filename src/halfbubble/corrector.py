@@ -55,7 +55,7 @@ from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, SolverError
-from .geometry import CurvaturePoint
+from .geometry import CurvaturePoint, _inner
 from .quadrature import angular_moment, integrate_rectangle, panel_gauss_2d, \
     quadratic_sphere_moment, sphere_area
 
@@ -527,11 +527,6 @@ def _assemble(n: int, grid: GridConfig, label: np.ndarray | None = None):
 
 _PROBE_RTOL = 1e-6
 _PROBE_MAX_STEPS = 25
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b summed without BLAS, so the bits do not depend on its threads."""
-    return float(np.einsum("i,i->", a, b))
 
 
 def _sigma_min_probe(lu, order: np.ndarray) -> tuple[float, int]:

@@ -367,12 +367,12 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
              / eval_U_jet(n, 0.0, r_probe * r_probe)[0])
     ratio_max = float(np.max(ratio))
 
-    # --- 2D integrals, on the tensor grid of a column t and a row r ---
-    def bulk(t, r):
+    # --- 2D integrals, on the tensor grid of a column t and a row r, with
+    # psi and its first partials on that grid ---
+    def bulk(t, r, psi, psi_t, psi_r):
         chi, ct, cr = _chi_tr(t, r, delta)
         u, u_t, u1, *_ = eval_U_jet(n, t, r * r)
         u_r = u1 * r
-        psi, psi_t, psi_r = prof.eval_grid(t[:, 0], r[0])
         uc_r = u_r * chi + u * cr
         uc_t = u_t * chi + u * ct
         vc = psi * chi
@@ -387,12 +387,15 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
         dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + grad_moment * (vc / r_safe) ** 2
         return np.stack([cross_S * w, cross_flat * w, dir_core * w])
 
-    # the r-sums of _BULK_ROWS t-rows at a time, so a block's arrays stay
-    # in cache; the same sums as reducing the whole grid at once
+    # psi on the whole node grid, each axis basis built once; then the
+    # r-sums of _BULK_ROWS t-rows at a time, so a block's arrays stay in
+    # cache; the same sums as reducing the whole grid at once
+    psi_grid = prof.eval_grid(nodes, nodes)
     rows = np.empty((3, nodes.size))
     for s in range(0, nodes.size, _BULK_ROWS):
-        rows[:, s:s + _BULK_ROWS] = bulk(nodes[s:s + _BULK_ROWS, None],
-                                         nodes[None, :]) @ weights
+        block = slice(s, s + _BULK_ROWS)
+        rows[:, block] = bulk(nodes[block, None], nodes[None, :],
+                              *(a[block] for a in psi_grid)) @ weights
     totals = rows @ weights
     L2 = delta ** 4 * (totals[0] + totals[1])
     L3 = 0.5 * delta ** 4 * totals[2]
@@ -538,12 +541,23 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
     return F
 
 
+class _Inline:
+    """A task run in this thread when its result is asked for: the future
+    residual_slope gathers when no pool's submit is given."""
+
+    def __init__(self, fn, *args):
+        self._fn, self._args = fn, args
+
+    def result(self):
+        return self._fn(*self._args)
+
+
 def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
                    eps: float = 0.0, tie_eps: bool = False,
                    deltas=None, mc_samples: int = 100000, seed: int = 0,
                    include_v: bool = True, metric_seed: int = 0, deg3_scale: float = 5.0,
                    with_cancellation: bool = True,
-                   max_rel_error: float = 0.25) -> SlopeExperiment:
+                   max_rel_error: float = 0.25, submit=None) -> SlopeExperiment:
     """Curved-Laplacian residual norm on a delta-ladder, with log-log fit.
 
     The norm is estimated by importance MC of the p-th power (p = 2n/(n+2))
@@ -562,6 +576,14 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
     quadratic term is what remains and the ladder sits below.  The low
     ladder is available precisely because this variant never touches the
     corrector spline, whose solve domain caps 1/delta otherwise.
+
+    Each rung's main estimate and its cancellation estimate are
+    independent tasks with seeds of their own, handed to submit(fn, *args),
+    which returns a future (a ThreadPoolExecutor's submit); without it each
+    task runs in this thread when its result is gathered.  Results are
+    gathered by index, rung by rung and each main estimate before its
+    cancellation estimate, so the values and the first error raised are
+    those of a serial run.
     """
     n = point.n
     p = 2.0 * n / (n + 2.0)
@@ -577,27 +599,29 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
     if include_v:
         check_ladder_domain(deltas, sol.profile.grid)
     me = metric_expansion(point, seed=metric_seed, deg3_scale=deg3_scale)
+    with_cancellation = include_v and with_cancellation
+    submit = submit or _Inline
+    tasks = []
+    for k, d in enumerate(deltas):
+        tasks.append((submit(_residual_estimate, point, sol, me, float(d), p,
+                             include_v, mc_samples, seed + k),
+                      submit(_cancellation_norms, point, sol, me, float(d), p,
+                             mc_samples // 2, seed + 1000 + k)
+                      if with_cancellation else None))
     norms = np.empty(len(deltas))
     errs = np.empty(len(deltas))
-    cancel = {"sum": [], "v_alone": [], "metric_alone": []}
-    for k, d in enumerate(deltas):
-        F = _residual_integrand(point, sol, me, float(d), include_v)
-        est = mc_halfspace(n, lambda t, z: np.abs(F(t, z)) ** p,
-                           n_samples=mc_samples, seed=seed + k,
-                           t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
+    cancel = []
+    for k, (main, cancellation) in enumerate(tasks):
+        est = main.result()
         norms[k] = est.mean ** (1.0 / p)
         errs[k] = abs(est.std_error / p * est.mean ** (1.0 / p - 1.0))
         if norms[k] > 0 and errs[k] > max_rel_error * norms[k]:
             raise BudgetError(
-                f"MC variance too high at delta={d!r}: norm {norms[k]!r} "
+                f"MC variance too high at delta={deltas[k]!r}: norm {norms[k]!r} "
                 f"+- {errs[k]!r} from {mc_samples} samples; raise mc_samples",
                 norms[k], errs[k])
-        if include_v and with_cancellation:
-            csum, cv, cm = _cancellation_norms(point, sol, me, float(d), p,
-                                               mc_samples // 2, seed + 1000 + k)
-            cancel["sum"].append(csum)
-            cancel["v_alone"].append(cv)
-            cancel["metric_alone"].append(cm)
+        if cancellation is not None:
+            cancel.append(cancellation.result())
     slope, intercept, band = _fit_loglog(deltas, norms, sigmas=errs)
     eps_column = deltas ** 3 if tie_eps else np.full_like(deltas, eps)
     extras = {
@@ -605,16 +629,22 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
         "eps_column": eps_column,
         "bound_column": eps_column * deltas + deltas ** 3,
     }
-    if include_v and with_cancellation:
-        for key, vals in cancel.items():
+    if with_cancellation:
+        for key, vals in zip(("sum", "v_alone", "metric_alone"), zip(*cancel)):
             extras["cancel_" + key] = np.asarray(vals)
-        extras["cancel_slope_sum"] = _fit_loglog(deltas, cancel["sum"])[0]
-        extras["cancel_slope_v"] = _fit_loglog(deltas, cancel["v_alone"])[0]
-        extras["cancel_slope_metric"] = _fit_loglog(
-            deltas, cancel["metric_alone"])[0]
+        for key, vals in zip(("sum", "v", "metric"), zip(*cancel)):
+            extras["cancel_slope_" + key] = _fit_loglog(deltas, vals)[0]
     return SlopeExperiment(deltas=deltas, values=norms, slope=slope,
                            intercept=intercept, band=band, status="ok",
                            extras=extras)
+
+
+def _residual_estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+    """MC estimate of the integral of |F|^p, F the residual integrand."""
+    F = _residual_integrand(point, sol, me, delta, include_v)
+    return mc_halfspace(point.n, lambda t, z: np.abs(F(t, z)) ** p,
+                        n_samples=n_samples, seed=seed,
+                        t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
 
 
 def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,16 @@ __all__ = [
 # cache
 _BLOCK = 512
 
+# the feature count of the invariant operators is zero-padded to a
+# multiple of _DEPTH_STEP.  OpenBLAS sums a product's K terms in blocks of
+# its depth Q (256 on Haswell, 384 on Skylake-X) while more than 2Q are
+# left, and cuts a rest R, Q < R < 2Q, at (R + 1) // 2 in its threaded
+# driver but at R / 2 rounded up to the kernel's row unroll (at most 16)
+# in its one-thread driver.  With K a multiple of 32, so is R, and the two
+# cuts agree: the bits do not depend on the BLAS thread count, as they did
+# unpadded at n = 12..14.
+_DEPTH_STEP = 32
+
 
 def check_dim(n: int) -> int:
     """Gate on the ambient dimension: the blow-up construction and the
@@ -89,6 +100,19 @@ def _sym2(A: np.ndarray) -> np.ndarray:
 def _traceless(A: np.ndarray) -> np.ndarray:
     m = A.shape[0]
     return A - np.trace(A) / m * np.eye(m)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed without BLAS, so the bits do not depend on its threads."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a, without BLAS: np.linalg.norm takes a BLAS dot,
+    whose bits depend on the BLAS thread count once a has more than 10^4
+    entries, as the m^4 curvature tensors have from n = 12 on."""
+    a = np.ravel(a)
+    return math.sqrt(_inner(a, a))
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -169,21 +193,21 @@ def validate_curvature(point: CurvaturePoint, tol: float = 1e-12) -> CurvatureRe
     involved (or to 1 when everything vanishes), so tol is relative.
     """
     R, S = point.Rbar, point.S
-    nR = max(float(np.linalg.norm(R.ravel())), 1e-30)
-    nS = max(float(np.linalg.norm(S.ravel())), 1e-30)
+    nR = max(_norm(R), 1e-30)
+    nS = max(_norm(S), 1e-30)
     checks = []
 
     def add(name, violation, scale):
         checks.append(IdentityCheck(name, float(violation) / max(scale, 1e-30), tol))
 
-    add("rbar_antisym_ik", np.linalg.norm((R + R.transpose(1, 0, 2, 3)).ravel()), nR)
-    add("rbar_antisym_jl", np.linalg.norm((R + R.transpose(0, 1, 3, 2)).ravel()), nR)
-    add("rbar_pair_symmetry", np.linalg.norm((R - R.transpose(2, 3, 0, 1)).ravel()), nR)
+    add("rbar_antisym_ik", _norm(R + R.transpose(1, 0, 2, 3)), nR)
+    add("rbar_antisym_jl", _norm(R + R.transpose(0, 1, 3, 2)), nR)
+    add("rbar_pair_symmetry", _norm(R - R.transpose(2, 3, 0, 1)), nR)
     # first Bianchi with slots (i,k,j,l) read as Riemann (a,b,c,d)
     bianchi = R + R.transpose(0, 2, 3, 1) + R.transpose(0, 3, 1, 2)
-    add("rbar_first_bianchi", np.linalg.norm(bianchi.ravel()), nR)
-    add("rbar_ricci_trace", np.linalg.norm(np.einsum("ikil->kl", R).ravel()), nR)
-    add("s_symmetric", np.linalg.norm((S - S.T).ravel()), nS)
+    add("rbar_first_bianchi", _norm(bianchi), nR)
+    add("rbar_ricci_trace", _norm(np.einsum("ikil->kl", R)), nR)
+    add("s_symmetric", _norm(S - S.T), nS)
     add("s_traceless", abs(np.trace(S)), nS)
     s2 = point.s_norm_sq()
     rn = point.Rnnnn
@@ -233,7 +257,7 @@ def _random_curvature_tensor(m: int, rng: np.random.Generator, norm: float) -> n
         k = _sym2(rng.standard_normal((m, m)))
         T += _kulkarni_nomizu(h, k)
     W = weyl_part(T)
-    cur = float(np.linalg.norm(W.ravel()))
+    cur = _norm(W)
     if cur == 0.0:
         raise DomainError("degenerate random draw produced a zero Weyl tensor")
     return W * (norm / cur)
@@ -253,7 +277,7 @@ def generate_sample(n: int, seed: int, scale: float = 1.0,
     rng = np.random.default_rng(seed)
     Rbar = _random_curvature_tensor(m, rng, scale)
     S = _traceless(_sym2(rng.standard_normal((m, m))))
-    S *= scale / float(np.linalg.norm(S.ravel()))
+    S *= scale / _norm(S)
     s2 = float(np.sum(S * S))
     W = weyl_part(Rbar)
     return CurvaturePoint(
@@ -371,10 +395,11 @@ class MetricExpansion:
     symmetric, so it works on packed g: the M = m(m+1)/2 entries i <= j
     (the pairs in packed), the off-diagonal ones holding g_ij + g_ji.
     inv_ops[d] maps the monomial features of one sample, through degree
-    d, to packed g and the divergence in one product; the square P P^T / 15
-    of the degree-2 block is contracted through P itself.  Only the
-    truncations the residual ladder reads are built: d = 4 for the
-    integrand and d = 2 for the cancellation diagnostics.
+    d and zero-padded (see _DEPTH_STEP), to packed g and the divergence in
+    one product; the square P P^T / 15 of the degree-2 block is contracted
+    through P itself.  Only the truncations the residual ladder reads are
+    built: d = 4 for the integrand and d = 2 for the cancellation
+    diagnostics.
     """
     point: CurvaturePoint
     mode: str
@@ -392,7 +417,7 @@ class MetricExpansion:
     # the low-rank q
     packed: np.ndarray = field(init=False, repr=False)     # (2, M) int
     cubic_packed: np.ndarray = field(init=False, repr=False)  # (2, C(m+2,3)) int
-    inv_ops: dict = field(init=False, repr=False)          # d -> (M + m, F_d)
+    inv_ops: dict = field(init=False, repr=False)          # d -> (M + m, F_d padded)
     P_op: np.ndarray = field(init=False, repr=False)       # (m^2, M)
     N_packed: np.ndarray = field(init=False, repr=False)   # (M, M)
     Q_packed: np.ndarray = field(init=False, repr=False)   # (len(lowrank), M)
@@ -480,9 +505,16 @@ class MetricExpansion:
             (4, pack_cols(self.T3.reshape(mm, m).T) / 3.0, np.zeros((m, m))),       # w s^3
             (4, pack_cols(self.T5 + 8.0 * (S @ S)) / 12.0, np.zeros((1, m))),       # s^4
         ]
+
+        def features_to_ops(rows):
+            # zero feature rows up to a multiple of _DEPTH_STEP, transposed
+            pad = np.zeros((-len(rows) % _DEPTH_STEP, rows.shape[1]))
+            return _as_readonly(np.concatenate([rows, pad]).T)
+
         object.__setattr__(self, "inv_ops", {
-            degree: _as_readonly(np.concatenate([np.hstack([g, div * (e < degree)])
-                                                 for e, g, div in blocks if e <= degree]).T)
+            degree: features_to_ops(np.concatenate([
+                np.hstack([g, div * (e < degree)])
+                for e, g, div in blocks if e <= degree]))
             for degree in (2, 4)})
         ops = {
             "P_op": pack_rows(R.transpose(1, 3, 2, 0).reshape(mm, mm)).T,
@@ -637,7 +669,12 @@ def _invariant_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
         features += [v2[pair] * w[last], w * s2, s3[None],
                      (q[:, None, :] * w[None]).reshape(-1, t.size),
                      nc[None], q * q, v2 * s2, w * s3, (s2 * s2)[None]]
-    gd = me.inv_ops[through_degree] @ np.concatenate(features)
+    ops = me.inv_ops[through_degree]
+    F = np.empty((ops.shape[1], t.size))
+    rows = sum(len(f) for f in features)
+    np.concatenate(features, out=F[:rows])
+    F[rows:] = 0.0
+    gd = ops @ F
     g, div = gd[:iu.size], gd[iu.size:]
     Szt = S.T @ zt
     out = np.empty((6, t.size))

@@ -6,24 +6,27 @@ file stays cheap.  Determinism is checked at the byte level: repeated
 runs with the same flags must produce identical files.
 """
 
+import concurrent.futures
 import dataclasses
 import json
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from halfbubble import cli, corrector
+from halfbubble import cli, corrector, energy
 from halfbubble.config import RunConfig
 from halfbubble.corrector import solve_vq
-from halfbubble.energy import RESIDUAL_DELTAS, ReducedCoefficients, SlopeExperiment
+from halfbubble.energy import (IDENTITY_DELTAS, RESIDUAL_DELTAS, ReducedCoefficients,
+                               SlopeExperiment)
 from halfbubble.errors import DomainError, InputFormatError, SolverError, ValidationFailure
 from halfbubble.geometry import CurvaturePoint, make_battery, save_curvature_file
-from halfbubble.quadrature import MomentKey, MomentTable
+from halfbubble.quadrature import MCEstimate, MomentKey, MomentTable
 
 # Coarse-but-honest settings shared by the subcommand tests.  h = 0.02
 # gives a 50 x 50 solver grid, enough for every pipeline stage to run
@@ -586,18 +589,52 @@ class TestPipeline:
         assert read(tmp_path / "family.csv") == written
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every thread pool the program makes."""
+    made, pool = [], concurrent.futures.ThreadPoolExecutor
+
+    def record(max_workers):
+        made.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", record)
+    return made
+
+
+def healthy_estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+    return MCEstimate(mean=1.0, std_error=1e-3, n_samples=n_samples, seed=seed)
+
+
+def rung(delta):
+    return int(np.argmin(np.abs(np.asarray(RESIDUAL_DELTAS) - delta)))
+
+
 class TestSlopeLadderOverlap:
-    """pipeline runs the identity ladder on a worker thread beside the
-    residual ladder, and reports and writes what a serial run would: the
-    identity ladder's error first, and no ladder file from a run that
-    fails.  Each fake ladder fails or returns only once the other one has
-    got as far as the case needs, so the interleaving is fixed."""
+    """pipeline runs the slope ladders as tasks on one two-worker pool --
+    the identity ladder, and each residual rung's main and cancellation
+    estimates -- and reports and writes what a serial run would: the
+    identity ladder's error first, then the rungs' in ladder order, each
+    main estimate before its cancellation estimate; an error only once
+    every task has returned; and no ladder file from a run that fails.
+    Each fake task fails or returns only once the others have got as far
+    as the case needs, so the interleaving is fixed."""
 
     # a coarse grid that reaches the residual ladder's rho = 100
     ARGS = ["--seed", "1", "--h", "0.04", "--t-max", "100", "--r-max", "100"]
 
     def run(self, out):
         return cli.main([*self.ARGS, "--out-dir", str(out), "pipeline"])
+
+    def fake_ladder_tasks(self, monkeypatch, estimate=healthy_estimate,
+                          cancellation=lambda *args: (1.0, 1.0, 1.0)):
+        identity = SlopeExperiment(deltas=np.asarray(IDENTITY_DELTAS),
+                                   values=np.asarray(IDENTITY_DELTAS) ** 5,
+                                   slope=5.0, intercept=0.0, band=0.1)
+        monkeypatch.setattr(cli, "verify_A4_L2_L3_identity",
+                            lambda point, sol: identity)
+        monkeypatch.setattr(energy, "_residual_estimate", estimate)
+        monkeypatch.setattr(energy, "_cancellation_norms", cancellation)
 
     def test_identity_error_reported_over_residual_error(
             self, tmp_path, monkeypatch, capsys):
@@ -617,6 +654,97 @@ class TestSlopeLadderOverlap:
         err = capsys.readouterr().err
         assert "identity ladder failed" in err
         assert "residual ladder failed" not in err
+
+    def test_identity_error_reported_over_rung_error(
+            self, tmp_path, monkeypatch, capsys):
+        # the real residual ladder, whose last rung fails before the
+        # identity ladder does
+        rung_failed = threading.Event()
+
+        def identity(point, sol):
+            assert rung_failed.wait(60)
+            raise SolverError("identity ladder failed")
+
+        def estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+            if rung(delta) == len(RESIDUAL_DELTAS) - 1:
+                rung_failed.set()
+                raise ValidationFailure("rung failed")
+            return healthy_estimate(point, sol, me, delta, p, include_v,
+                                    n_samples, seed)
+
+        self.fake_ladder_tasks(monkeypatch, estimate)
+        monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
+        assert self.run(tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "identity ladder failed" in err
+        assert "rung failed" not in err
+        assert not list(tmp_path.rglob("*_ladder_*.csv"))
+
+    def test_rung_error_reported_over_next_rung_error(
+            self, tmp_path, monkeypatch, capsys):
+        next_failed = threading.Event()
+
+        def estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+            k = rung(delta)
+            if k == 3:
+                next_failed.set()
+                raise SolverError("rung 3 failed")
+            if k == 2:
+                assert next_failed.wait(60)
+                raise ValidationFailure("rung 2 failed")
+            return healthy_estimate(point, sol, me, delta, p, include_v,
+                                    n_samples, seed)
+
+        self.fake_ladder_tasks(monkeypatch, estimate)
+        assert self.run(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "rung 2 failed" in err
+        assert "rung 3 failed" not in err
+        assert not list(tmp_path.rglob("*_ladder_*.csv"))
+
+    def test_budget_error_reported_over_cancellation_error(
+            self, tmp_path, monkeypatch, capsys):
+        cancellation_failed = threading.Event()
+
+        def estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+            if rung(delta) == 1:
+                assert cancellation_failed.wait(60)
+                # relative error about 6 against the 0.25 gate
+                return MCEstimate(mean=1.0, std_error=10.0,
+                                  n_samples=n_samples, seed=seed)
+            return healthy_estimate(point, sol, me, delta, p, include_v,
+                                    n_samples, seed)
+
+        def cancellation(point, sol, me, delta, p, n_samples, seed):
+            if rung(delta) == 1:
+                cancellation_failed.set()
+                raise ValidationFailure("cancellation failed")
+            return 1.0, 1.0, 1.0
+
+        self.fake_ladder_tasks(monkeypatch, estimate, cancellation)
+        assert self.run(tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "MC variance too high" in err
+        assert "cancellation failed" not in err
+        assert not list(tmp_path.rglob("*_ladder_*.csv"))
+
+    def test_error_raised_once_every_task_has_returned(
+            self, tmp_path, monkeypatch, pools):
+        returned = []
+
+        def estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+            if rung(delta) == 0:
+                raise ValidationFailure("rung 0 failed")
+            time.sleep(0.02)
+            returned.append(rung(delta))
+            return healthy_estimate(point, sol, me, delta, p, include_v,
+                                    n_samples, seed)
+
+        self.fake_ladder_tasks(monkeypatch, estimate)
+        assert self.run(tmp_path) == 2
+        assert sorted(returned) == list(range(1, len(RESIDUAL_DELTAS)))
+        assert pools == [2]
+        assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
     def test_no_ladder_file_when_identity_fails(self, tmp_path, monkeypatch,
                                                  capsys):
@@ -639,12 +767,43 @@ class TestSlopeLadderOverlap:
         assert "identity ladder failed" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
+    def test_ladders_written_when_every_task_succeeds(self, tmp_path,
+                                                      monkeypatch, pools):
+        self.fake_ladder_tasks(monkeypatch)
+        assert self.run(tmp_path) == 0
+        assert pools == [2]
+        assert len(list(tmp_path.rglob("*_ladder_*.csv"))) == 2
+
 
 # ----------------------------------------------------------------------
 # residual-slope
 
 
 class TestResidualSlopeCommand:
+    def test_runs_on_the_two_worker_pool(self, tmp_path, monkeypatch, pools):
+        # every rung's estimate runs on one of the pool's two workers, and
+        # the files are those of the inline ladder, byte for byte
+        threads, estimate = [], energy._residual_estimate
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return estimate(*args)
+
+        monkeypatch.setattr(energy, "_residual_estimate", recorded)
+        argv = ("--mc-samples", "2000", "residual-slope", "--omit-corrector")
+        assert run(tmp_path / "pooled", *argv) == 0
+        assert pools == [2]
+        assert len(threads) == len(energy._RESIDUAL_DELTAS_NO_V)
+        assert threading.main_thread() not in threads
+        assert len(set(threads)) <= 2
+
+        def inline(cfg, point, sol, with_identity=True, **options):
+            return None, cli._residual_ladder(cfg, point, sol, **options)
+
+        monkeypatch.setattr(cli, "_slope_ladders", inline)
+        assert run(tmp_path / "inline", *argv) == 0
+        assert artifacts(tmp_path / "pooled") == artifacts(tmp_path / "inline")
+
     def test_omit_corrector_ladder_outputs(self, tmp_path):
         code = run(
             tmp_path,

@@ -7,19 +7,22 @@ big-domain corrector solutions.
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import beta as beta_fn
 
-from halfbubble import cli
+from halfbubble import cli, corrector
 from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess, eval_U_jet
 from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
                                   solve_vq)
 from halfbubble.energy import (
     IDENTITY_DELTAS,
     ReducedCoefficients,
+    _BULK_ROWS,
     _angular_coefficients,
     _cancellation_norms,
     _cancellation_parts,
@@ -556,6 +559,36 @@ class TestIdentityExperiment:
                 assert np.max(err[0]) <= 1e-13 * np.max(np.abs(ref[0])), delta
                 assert np.max(err[:, 0]) <= 1e-13 * np.max(np.abs(ref[:, 0])), delta
 
+    def test_each_axis_basis_built_once_per_rung(self, point11, sol11_big,
+                                                 monkeypatch):
+        # psi is evaluated once on each rung's whole 400 x 400 node grid:
+        # one basis matrix per axis and rung, none per block of t-rows
+        sol11_big.pairing()
+        built, basis_matrix = [], corrector._basis_matrix
+
+        def counted(knots, x, nu=0):
+            built.append(len(x))
+            return basis_matrix(knots, x, nu)
+
+        monkeypatch.setattr(corrector, "_basis_matrix", counted)
+        verify_A4_L2_L3_identity(point11, sol11_big)
+        assert built == [400] * (2 * len(IDENTITY_DELTAS))
+
+    @pytest.mark.parametrize("delta", [0.5 * 10.0 ** -1.5, 0.5])
+    def test_whole_grid_psi_equals_its_row_blocks(self, sol11_big, delta):
+        # slicing the whole-grid evaluation gives each block of t-rows the
+        # bits its own evaluation gave
+        x_nodes, _ = np.polynomial.legendre.leggauss(10)
+        edges = _panel_edges(1.0 / delta, 40)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
+        prof = sol11_big.profile
+        whole = prof.eval_grid(nodes, nodes)
+        for s in range(0, nodes.size, _BULK_ROWS):
+            block = prof.eval_grid(nodes[s:s + _BULK_ROWS], nodes)
+            for got, want in zip(whole, block):
+                assert np.array_equal(got[s:s + _BULK_ROWS], want), s
+
     def test_zero_curvature_is_degenerate(self):
         pt = zero_curvature_point(11)
         sol = solve_vq(pt)
@@ -612,6 +645,32 @@ class TestResidualSlope:
                              mc_samples=2000, seed=1, max_rel_error=1.0)
         assert np.all(exp.extras["norms"] > 0)
         assert np.all(exp.extras["cancel_sum"] > 0)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pooled_values_equal_inline_values(self, point11, sol11_big,
+                                               workers):
+        # every estimate draws from its own seed and shares only read-only
+        # data, so on a pool -- the program's two workers, or more than the
+        # cores with the interpreter switching threads often -- the ladder
+        # has the bits of the inline run
+        kwargs = dict(deltas=np.geomspace(0.02, 0.7, 5), mc_samples=2000,
+                      seed=1, max_rel_error=1.0)
+        inline = residual_slope(point11, sol11_big, **kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                pooled = residual_slope(point11, sol11_big,
+                                        submit=pool.submit, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.extras.keys() == inline.extras.keys()
+        for key, want in inline.extras.items():
+            assert np.asarray(pooled.extras[key]).tobytes() == \
+                np.asarray(want).tobytes(), key
+        assert pooled.values.tobytes() == inline.values.tobytes()
+        assert (pooled.slope, pooled.intercept, pooled.band) == \
+            (inline.slope, inline.intercept, inline.band)
 
     def test_zero_curvature_degenerate(self):
         pt = zero_curvature_point(11)

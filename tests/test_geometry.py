@@ -2,10 +2,15 @@
 interchange, and the metric expansion (gauge traces, parity, divergence)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from halfbubble import geometry
 from halfbubble.errors import DomainError, InputFormatError
 from halfbubble.geometry import (_BLOCK, CurvaturePoint, check_dim, generate_sample,
                                  load_curvature_file, make_battery, metric_expansion,
@@ -437,3 +442,59 @@ class TestMatrixProductPath:
         for i in (0, 7, _BLOCK - 1, _BLOCK + 200, B - 1):
             alone = metric_invariants(me, t[i:i + 1], z[i:i + 1], 0.3, through_degree=deg)
             assert np.array_equal(alone, full[:, i:i + 1]), i
+
+
+# hashes make_battery(n, 5, seed) for n = 11..15 and seeds 1..3, and the
+# degree-4 and degree-2 metric_invariants of each battery's first point on
+# fixed samples
+_THREAD_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from halfbubble.geometry import make_battery, metric_expansion, metric_invariants
+for n in range(11, 16):
+    for seed in (1, 2, 3):
+        points = make_battery(n, 5, seed)
+        h = hashlib.sha256()
+        for p in points:
+            for x in (p.Rbar, p.S, p.D2, p.Rnnnn, p.Wbar2, p.gamma):
+                h.update(np.asarray(x, dtype=float).tobytes())
+        me = metric_expansion(points[0], seed=0, deg3_scale=5.0)
+        rng = np.random.default_rng(seed)
+        t, z = np.abs(rng.standard_normal(700)), rng.standard_normal((700, n - 1))
+        inv = h.copy()
+        for deg in (4, 2):
+            inv.update(metric_invariants(me, t, z, 0.05, through_degree=deg).tobytes())
+        print(n, seed, h.hexdigest(), inv.hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_thread_hashes():
+    """The script's output under one and under two BLAS threads, each in a
+    fresh interpreter, so OpenBLAS reads its thread count at start-up."""
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = subprocess.run([sys.executable, "-c", _THREAD_HASH_SCRIPT],
+                             env=env, check=True, capture_output=True,
+                             text=True, timeout=300)
+        outputs.append([line.split() for line in out.stdout.splitlines()])
+    return outputs
+
+
+class TestBlasThreadCount:
+    """Generated data and the invariant kernel have the same bits for one
+    and two BLAS threads, at every supported n."""
+
+    def test_battery_same_bits_for_one_and_two_threads(self, blas_thread_hashes):
+        one, two = ([row[:3] for row in rows] for rows in blas_thread_hashes)
+        assert len(one) == 15
+        assert one == two
+
+    def test_invariants_same_bits_for_one_and_two_threads(self, blas_thread_hashes):
+        one, two = ([row[:2] + row[3:] for row in rows]
+                    for rows in blas_thread_hashes)
+        assert one == two
