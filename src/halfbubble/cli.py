@@ -13,8 +13,9 @@ error.  Every artifact is written by _write_csv or _write_json here: no
 timestamps, and every float as its shortest round-trip repr, so identical
 config and inputs produce byte-identical files.  Points are processed one
 after another and no environment variable is read; only the slope ladders
-of `pipeline` and `residual-slope` run on worker threads, as tasks on one
-fixed two-worker pool, with values, errors and files as in serial order.
+of `pipeline` and `residual-slope` run on worker threads, as one ordered
+list of jobs on one fixed two-worker pool, with values, errors and files
+as in serial order; a failing rung cancels the jobs not yet started.
 """
 
 from __future__ import annotations
@@ -238,16 +239,6 @@ def _write_reduction(out: Path, payload: dict) -> None:
     _write_family(out, payload)
 
 
-def _residual_ladder(cfg: RunConfig, point, sol, **options):
-    """The residual slope experiment on the configured ladder."""
-    return residual_slope(point, sol,
-                          deltas=(np.asarray(cfg.delta_ladder)
-                                  if cfg.delta_ladder else None),
-                          mc_samples=cfg.mc_samples, seed=cfg.seed,
-                          metric_seed=cfg.metric_seed,
-                          deg3_scale=cfg.deg3_scale, **options)
-
-
 def _write_residual_ladder(cfg: RunConfig, label: str, exp) -> None:
     columns = [exp.extras.get(key) for key in
                ("std_errors", "eps_column", "bound_column")]
@@ -260,19 +251,20 @@ def _write_residual_ladder(cfg: RunConfig, label: str, exp) -> None:
 
 def _slope_ladders(cfg: RunConfig, point, sol, with_identity: bool = True,
                    **options) -> tuple:
-    """(identity, residual) experiments of one point; identity is None
-    without with_identity.  options go to the residual ladder.
+    """(identity, residual) experiments of one point on the configured
+    ladders; identity is None without with_identity.  options go to the
+    residual ladder, which runs on the bubble alone when sol is None.
 
     One pool of two worker threads, made here and nowhere else, runs the
-    ladders' tasks: the identity ladder as one task, and each residual
-    rung's main and cancellation Monte Carlo estimates (see
-    energy.residual_slope), while this thread gathers them by index.  Two
-    workers fill the two cores the ladders were measured on; every task
-    draws from its own seed, so the values do not depend on which worker
-    runs it, and the count is fixed, with no flag or setting.  An error is
-    the one a serial run raises first, the identity ladder's before any
-    rung's, and it comes out only once every task has returned, so nothing
-    is written before then.
+    identity ladder as one job and then the residual ladder's jobs, each
+    rung's main and cancellation Monte Carlo estimates, through its map
+    (see energy.residual_slope).  Two workers fill the two cores the
+    ladders were measured on; every job draws from its own seed, so the
+    values do not depend on which worker runs it, and the count is fixed,
+    with no flag or setting.  A failing rung cancels the residual jobs not
+    yet started.  The error raised is the one a serial run raises first:
+    the identity ladder's error replaces any rung's, and it comes out once
+    the identity ladder has returned, so nothing is written before then.
     """
     # imported here, not with the module: loaded at start-up it raised the
     # peak RSS of `pipeline --skip-slopes` sweeps by about 1 MB
@@ -282,13 +274,15 @@ def _slope_ladders(cfg: RunConfig, point, sol, with_identity: bool = True,
         identity = (pool.submit(verify_A4_L2_L3_identity, point, sol)
                     if with_identity else None)
         try:
-            residual = _residual_ladder(cfg, point, sol, submit=pool.submit,
-                                        **options)
-        except Exception:
+            residual = residual_slope(
+                point, sol, deltas=cfg.delta_ladder or None,
+                mc_samples=cfg.mc_samples, seed=cfg.seed,
+                metric_seed=cfg.metric_seed, deg3_scale=cfg.deg3_scale,
+                map=pool.map, **options)
+        finally:
             if identity is not None:
-                identity.result()
-            raise
-        return None if identity is None else identity.result(), residual
+                identity = identity.result()
+        return identity, residual
 
 
 def _slope_summary(exp) -> dict:
@@ -543,10 +537,10 @@ def cmd_residual_slope(cfg: RunConfig, args) -> int:
     point = next((p for p in points if p.label == label), None)
     if point is None:
         raise DomainError(f"unknown point label {label!r}")
-    _, exp = _slope_ladders(cfg, point, _solve_point(cfg, point),
-                            with_identity=False, eps=args.eps,
-                            tie_eps=args.tie_eps,
-                            include_v=not args.omit_corrector)
+    # the bubble-alone ladder never reads a corrector, so none is solved
+    sol = None if args.omit_corrector else _solve_point(cfg, point)
+    _, exp = _slope_ladders(cfg, point, sol, with_identity=False,
+                            eps=args.eps, tie_eps=args.tie_eps)
     _write_residual_ladder(cfg, label, exp)
     _write_json(Path(cfg.out_dir) / f"residual_slope_{label}.json",
                 _slope_summary(exp))
@@ -676,14 +670,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coords", default="",
                        help="comma-separated coordinates for the neighborhood")
     p_slope = sub.add_parser("residual-slope", help="residual norm ladder")
-    p_slope.add_argument("--label", default="")
+    p_slope.add_argument("--label", default="",
+                         help="point to run (default the first point)")
     eps = p_slope.add_mutually_exclusive_group()
     eps.add_argument("--eps", type=nonnegative, default=0.0,
                      help="eps of the bound column eps*delta + delta^3")
     eps.add_argument("--tie-eps", action="store_true", dest="tie_eps",
                      help="eps = delta^3 per rung")
     p_slope.add_argument("--omit-corrector", action="store_true",
-                         dest="omit_corrector")
+                         dest="omit_corrector",
+                         help="residual of the bubble alone, on its own "
+                              "lower default ladder; no corrector is solved")
     p_pipe = sub.add_parser("pipeline", help="end-to-end batch run")
     p_pipe.add_argument("--skip-slopes", action="store_true",
                         dest="skip_slopes",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .quadrature import (
     half_line_moment,
     mc_halfspace,
     moment,
+    panel_gauss_nodes,
     quadratic_sphere_moment,
     sphere_area,
 )
@@ -346,11 +348,7 @@ def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
 
     # the 10 Gauss nodes of each of 40 panels in one batch: 1D for the
     # boundary line, their tensor grid for the 2D integrals
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(10)
-    edges = _panel_edges(cap, 40)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
-    weights = (half[:, None] * x_weights).ravel()
+    nodes, weights = panel_gauss_nodes(_panel_edges(cap, 40), 10)
     quad, cubic = boundary_parts(nodes)
     R2 = float(np.sum(weights * quad))
     R3 = float(np.sum(weights * cubic))
@@ -494,11 +492,11 @@ def _dress(jet, cut, t, rr, zSz):
             chi * e + b * c1)
 
 
-def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
-                        me: MetricExpansion, delta: float,
-                        include_v: bool = True):
+def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution | None,
+                        me: MetricExpansion, delta: float):
     """Pointwise residual F(x) of the curved Laplacian on the dressed
-    bubble (plus corrector), in bubble coordinates.
+    bubble plus corrector, in bubble coordinates; on the bubble alone when
+    sol is None.
 
     The delta-prefactors of the L^{2n/(n+2)} norm cancel exactly in these
     coordinates, so the norm of F is the reported residual norm.  With
@@ -516,7 +514,6 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
     per-sample g is formed.
     """
     n = point.n
-    S = sol.pattern.S
 
     def F(t_all, z_all):
         out_all = np.zeros(t_all.shape[0])
@@ -525,15 +522,15 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
             return out_all
         jet = eval_U_jet(n, t, rr)
         zSz = 0.0
-        if include_v:
-            zSz = np.sum(z * (z @ S), axis=1)
+        if sol is not None:
+            zSz = np.sum(z * (z @ sol.pattern.S), axis=1)
             jet = [f + delta * delta * h
                    for f, h in zip(jet, eval_v_derivatives(sol, t, z))]
         lap, k_I, k_S, k_zz, k_sym = _dress(jet, cut, t, rr, zSz)
 
         tr_g, g_S, zgz, zg_sym, div_z, div_Sz = metric_invariants(me, t, z, delta)
         out = lap + k_zz * zgz + k_I * (tr_g + delta * div_z)
-        if include_v:
+        if sol is not None:
             out += k_S * (g_S + delta * div_Sz) + k_sym * zg_sym
         out_all[keep] = out
         return out_all
@@ -541,54 +538,46 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution,
     return F
 
 
-class _Inline:
-    """A task run in this thread when its result is asked for: the future
-    residual_slope gathers when no pool's submit is given."""
-
-    def __init__(self, fn, *args):
-        self._fn, self._args = fn, args
-
-    def result(self):
-        return self._fn(*self._args)
-
-
-def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
+def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
                    eps: float = 0.0, tie_eps: bool = False,
                    deltas=None, mc_samples: int = 100000, seed: int = 0,
-                   include_v: bool = True, metric_seed: int = 0, deg3_scale: float = 5.0,
+                   metric_seed: int = 0, deg3_scale: float = 5.0,
                    with_cancellation: bool = True,
-                   max_rel_error: float = 0.25, submit=None) -> SlopeExperiment:
+                   max_rel_error: float = 0.25, map=map) -> SlopeExperiment:
     """Curved-Laplacian residual norm on a delta-ladder, with log-log fit.
 
-    The norm is estimated by importance MC of the p-th power (p = 2n/(n+2))
-    and converted by the delta method.  eps affects only the reported
-    combined bound column eps*delta + delta^3; with tie_eps the column uses
-    eps = delta^3 per rung so both contributions are visible.  extras also
-    carries the per-rung norms, their standard errors, and the cancellation
-    diagnostics (the corrector's flat Laplacian against the metric
-    quadratic term must decay about one order faster than either term
-    alone).
+    The residual is that of the dressed bubble plus the corrector of sol,
+    or of the bubble alone when sol is None.  The norm is estimated by
+    importance MC of the p-th power (p = 2n/(n+2)) and converted by the
+    delta method.  eps affects only the reported combined bound column
+    eps*delta + delta^3; with tie_eps the column uses eps = delta^3 per
+    rung so both contributions are visible.  extras also carries the
+    per-rung norms, their standard errors, and, with the corrector, the
+    cancellation diagnostics (the corrector's flat Laplacian against the
+    metric quadratic term must decay about one order faster than either
+    term alone).
 
     Each power law is read inside its dominance window, so the default
-    ladder depends on include_v: with the corrector the cubic jets set the
+    ladder depends on sol: with the corrector the cubic jets set the
     decay and the ladder sits above the quadratic/cubic crossover (about
     delta = 0.008 at the default deg3_scale); without it the uncancelled
     quadratic term is what remains and the ladder sits below.  The low
-    ladder is available precisely because this variant never touches the
-    corrector spline, whose solve domain caps 1/delta otherwise.
+    ladder is available precisely because the bubble alone never touches
+    the corrector spline, whose solve domain caps 1/delta otherwise.
 
-    Each rung's main estimate and its cancellation estimate are
-    independent tasks with seeds of their own, handed to submit(fn, *args),
-    which returns a future (a ThreadPoolExecutor's submit); without it each
-    task runs in this thread when its result is gathered.  Results are
-    gathered by index, rung by rung and each main estimate before its
-    cancellation estimate, so the values and the first error raised are
-    those of a serial run.
+    The ladder is one ordered list of independent jobs, each drawing from
+    a seed of its own: rung by rung, the main estimate, which raises
+    BudgetError when its standard error exceeds max_rel_error of its norm,
+    then the cancellation estimate.  map(fn, jobs) runs them and yields
+    their results in that order.  The builtin map runs each job in this
+    thread as its result is read; a ThreadPoolExecutor's map submits them
+    all at once and cancels the jobs not yet started once a result raises.
+    Either way the values and the error raised are those of a serial run.
     """
     n = point.n
     p = 2.0 * n / (n + 2.0)
     if deltas is None:
-        deltas = RESIDUAL_DELTAS if include_v else _RESIDUAL_DELTAS_NO_V
+        deltas = _RESIDUAL_DELTAS_NO_V if sol is None else RESIDUAL_DELTAS
     deltas = np.asarray(deltas, dtype=float)
     degenerate = np.all(point.S == 0.0) and np.all(point.Rbar == 0.0)
     if degenerate:
@@ -596,32 +585,21 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
                                slope=float("nan"), intercept=float("nan"),
                                band=float("nan"), status="degenerate",
                                extras={"reason": "zero curvature"})
-    if include_v:
+    if sol is not None:
         check_ladder_domain(deltas, sol.profile.grid)
     me = metric_expansion(point, seed=metric_seed, deg3_scale=deg3_scale)
-    with_cancellation = include_v and with_cancellation
-    submit = submit or _Inline
-    tasks = []
+    with_cancellation = with_cancellation and sol is not None
+    jobs = []
     for k, d in enumerate(deltas):
-        tasks.append((submit(_residual_estimate, point, sol, me, float(d), p,
-                             include_v, mc_samples, seed + k),
-                      submit(_cancellation_norms, point, sol, me, float(d), p,
-                             mc_samples // 2, seed + 1000 + k)
-                      if with_cancellation else None))
-    norms = np.empty(len(deltas))
-    errs = np.empty(len(deltas))
-    cancel = []
-    for k, (main, cancellation) in enumerate(tasks):
-        est = main.result()
-        norms[k] = est.mean ** (1.0 / p)
-        errs[k] = abs(est.std_error / p * est.mean ** (1.0 / p - 1.0))
-        if norms[k] > 0 and errs[k] > max_rel_error * norms[k]:
-            raise BudgetError(
-                f"MC variance too high at delta={deltas[k]!r}: norm {norms[k]!r} "
-                f"+- {errs[k]!r} from {mc_samples} samples; raise mc_samples",
-                norms[k], errs[k])
-        if cancellation is not None:
-            cancel.append(cancellation.result())
+        jobs.append(partial(_residual_norm, point, sol, me, float(d), p,
+                            mc_samples, seed + k, max_rel_error))
+        if with_cancellation:
+            jobs.append(partial(_cancellation_norms, point, sol, me, float(d),
+                                p, mc_samples // 2, seed + 1000 + k))
+    results = list(map(lambda job: job(), jobs))
+    if with_cancellation:
+        results, cancel = results[::2], results[1::2]
+    norms, errs = (np.asarray(column) for column in zip(*results))
     slope, intercept, band = _fit_loglog(deltas, norms, sigmas=errs)
     eps_column = deltas ** 3 if tie_eps else np.full_like(deltas, eps)
     extras = {
@@ -639,12 +617,23 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution,
                            extras=extras)
 
 
-def _residual_estimate(point, sol, me, delta, p, include_v, n_samples, seed):
-    """MC estimate of the integral of |F|^p, F the residual integrand."""
-    F = _residual_integrand(point, sol, me, delta, include_v)
-    return mc_halfspace(point.n, lambda t, z: np.abs(F(t, z)) ** p,
-                        n_samples=n_samples, seed=seed,
-                        t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
+def _residual_norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
+    """The residual norm at one rung and its standard error: an MC
+    estimate of the integral of |F|^p, F the residual integrand, taken to
+    the power 1/p by the delta method.  BudgetError when the error exceeds
+    max_rel_error of the norm."""
+    F = _residual_integrand(point, sol, me, delta)
+    est = mc_halfspace(point.n, lambda t, z: np.abs(F(t, z)) ** p,
+                       n_samples=n_samples, seed=seed,
+                       t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
+    norm = float(est.mean ** (1.0 / p))
+    err = float(abs(est.std_error / p * est.mean ** (1.0 / p - 1.0)))
+    if norm > 0 and err > max_rel_error * norm:
+        raise BudgetError(
+            f"MC variance too high at delta={delta!r}: norm {norm!r} "
+            f"+- {err!r} from {n_samples} samples; raise mc_samples",
+            norm, err)
+    return norm, err
 
 
 def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,

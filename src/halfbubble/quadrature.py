@@ -43,6 +43,7 @@ __all__ = [
     "integrate_rectangle",
     "integrate_interval",
     "panel_gauss_2d",
+    "panel_gauss_nodes",
 ]
 
 
@@ -260,16 +261,19 @@ def panel_gauss_2d(F, x_edges: np.ndarray, y_edges: np.ndarray, order: int = 12)
     adaptivity is unnecessary; F receives a column of x nodes and a row of
     y nodes and returns its values on their tensor grid.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    xm = 0.5 * (x_edges[:-1] + x_edges[1:])
-    xh = 0.5 * (x_edges[1:] - x_edges[:-1])
-    ym = 0.5 * (y_edges[:-1] + y_edges[1:])
-    yh = 0.5 * (y_edges[1:] - y_edges[:-1])
-    xs = (xm[:, None] + xh[:, None] * nodes[None, :]).ravel()  # (Px*order,)
-    ys = (ym[:, None] + yh[:, None] * nodes[None, :]).ravel()
-    wx = (xh[:, None] * weights[None, :]).ravel()
-    wy = (yh[:, None] * weights[None, :]).ravel()
+    xs, wx = panel_gauss_nodes(x_edges, order)
+    ys, wy = panel_gauss_nodes(y_edges, order)
     return float(wx @ F(xs[:, None], ys[None, :]) @ wy)
+
+
+def panel_gauss_nodes(edges: np.ndarray, order: int):
+    """Nodes and weights of composite Gauss-Legendre quadrature with order
+    nodes on each panel between consecutive edges, panel by panel."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * nodes).ravel(),
+            (half[:, None] * weights).ravel())
 
 
 # ---------------------------------------------------------------------------

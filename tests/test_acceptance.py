@@ -230,8 +230,7 @@ def test_criterion_6_expansion_slopes(point11, sol_big):
     t0 = time.time()
     identity = verify_A4_L2_L3_identity(point11, sol_big)
     with_v = residual_slope(point11, sol_big, mc_samples=60000, seed=0)
-    no_v = residual_slope(point11, sol_big, mc_samples=40000, seed=0,
-                          include_v=False)
+    no_v = residual_slope(point11, mc_samples=40000, seed=0)
     elapsed = time.time() - t0
     failures = []
     if identity.slope < 4.5:

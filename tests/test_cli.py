@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from halfbubble.energy import (IDENTITY_DELTAS, RESIDUAL_DELTAS, ReducedCoeffici
                                SlopeExperiment)
 from halfbubble.errors import DomainError, InputFormatError, SolverError, ValidationFailure
 from halfbubble.geometry import CurvaturePoint, make_battery, save_curvature_file
-from halfbubble.quadrature import MCEstimate, MomentKey, MomentTable
+from halfbubble.quadrature import MomentKey, MomentTable
 
 # Coarse-but-honest settings shared by the subcommand tests.  h = 0.02
 # gives a 50 x 50 solver grid, enough for every pipeline stage to run
@@ -602,8 +601,8 @@ def pools(monkeypatch):
     return made
 
 
-def healthy_estimate(point, sol, me, delta, p, include_v, n_samples, seed):
-    return MCEstimate(mean=1.0, std_error=1e-3, n_samples=n_samples, seed=seed)
+def healthy_norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
+    return 1.0, 1e-3
 
 
 def rung(delta):
@@ -611,13 +610,13 @@ def rung(delta):
 
 
 class TestSlopeLadderOverlap:
-    """pipeline runs the slope ladders as tasks on one two-worker pool --
+    """pipeline runs the slope ladders as jobs on one two-worker pool --
     the identity ladder, and each residual rung's main and cancellation
     estimates -- and reports and writes what a serial run would: the
     identity ladder's error first, then the rungs' in ladder order, each
-    main estimate before its cancellation estimate; an error only once
-    every task has returned; and no ladder file from a run that fails.
-    Each fake task fails or returns only once the others have got as far
+    main estimate before its cancellation estimate; no job still queued
+    when a rung fails runs; and no ladder file from a run that fails.
+    Each fake job fails or returns only once the others have got as far
     as the case needs, so the interleaving is fixed."""
 
     # a coarse grid that reaches the residual ladder's rho = 100
@@ -626,14 +625,14 @@ class TestSlopeLadderOverlap:
     def run(self, out):
         return cli.main([*self.ARGS, "--out-dir", str(out), "pipeline"])
 
-    def fake_ladder_tasks(self, monkeypatch, estimate=healthy_estimate,
-                          cancellation=lambda *args: (1.0, 1.0, 1.0)):
+    def fake_ladder_jobs(self, monkeypatch, norm=healthy_norm,
+                         cancellation=lambda *args: (1.0, 1.0, 1.0)):
         identity = SlopeExperiment(deltas=np.asarray(IDENTITY_DELTAS),
                                    values=np.asarray(IDENTITY_DELTAS) ** 5,
                                    slope=5.0, intercept=0.0, band=0.1)
         monkeypatch.setattr(cli, "verify_A4_L2_L3_identity",
                             lambda point, sol: identity)
-        monkeypatch.setattr(energy, "_residual_estimate", estimate)
+        monkeypatch.setattr(energy, "_residual_norm", norm)
         monkeypatch.setattr(energy, "_cancellation_norms", cancellation)
 
     def test_identity_error_reported_over_residual_error(
@@ -665,14 +664,14 @@ class TestSlopeLadderOverlap:
             assert rung_failed.wait(60)
             raise SolverError("identity ladder failed")
 
-        def estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+        def norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
             if rung(delta) == len(RESIDUAL_DELTAS) - 1:
                 rung_failed.set()
                 raise ValidationFailure("rung failed")
-            return healthy_estimate(point, sol, me, delta, p, include_v,
-                                    n_samples, seed)
+            return healthy_norm(point, sol, me, delta, p, n_samples, seed,
+                                max_rel_error)
 
-        self.fake_ladder_tasks(monkeypatch, estimate)
+        self.fake_ladder_jobs(monkeypatch, norm)
         monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
         assert self.run(tmp_path) == 3
         err = capsys.readouterr().err
@@ -684,7 +683,7 @@ class TestSlopeLadderOverlap:
             self, tmp_path, monkeypatch, capsys):
         next_failed = threading.Event()
 
-        def estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+        def norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
             k = rung(delta)
             if k == 3:
                 next_failed.set()
@@ -692,10 +691,10 @@ class TestSlopeLadderOverlap:
             if k == 2:
                 assert next_failed.wait(60)
                 raise ValidationFailure("rung 2 failed")
-            return healthy_estimate(point, sol, me, delta, p, include_v,
-                                    n_samples, seed)
+            return healthy_norm(point, sol, me, delta, p, n_samples, seed,
+                                max_rel_error)
 
-        self.fake_ladder_tasks(monkeypatch, estimate)
+        self.fake_ladder_jobs(monkeypatch, norm)
         assert self.run(tmp_path) == 2
         err = capsys.readouterr().err
         assert "rung 2 failed" in err
@@ -705,15 +704,15 @@ class TestSlopeLadderOverlap:
     def test_budget_error_reported_over_cancellation_error(
             self, tmp_path, monkeypatch, capsys):
         cancellation_failed = threading.Event()
+        real = energy._residual_norm
 
-        def estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+        def norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
             if rung(delta) == 1:
                 assert cancellation_failed.wait(60)
-                # relative error about 6 against the 0.25 gate
-                return MCEstimate(mean=1.0, std_error=10.0,
-                                  n_samples=n_samples, seed=seed)
-            return healthy_estimate(point, sol, me, delta, p, include_v,
-                                    n_samples, seed)
+                # the real estimate, with no error allowed
+                return real(point, sol, me, delta, p, 500, seed, 0.0)
+            return healthy_norm(point, sol, me, delta, p, n_samples, seed,
+                                max_rel_error)
 
         def cancellation(point, sol, me, delta, p, n_samples, seed):
             if rung(delta) == 1:
@@ -721,28 +720,51 @@ class TestSlopeLadderOverlap:
                 raise ValidationFailure("cancellation failed")
             return 1.0, 1.0, 1.0
 
-        self.fake_ladder_tasks(monkeypatch, estimate, cancellation)
+        self.fake_ladder_jobs(monkeypatch, norm, cancellation)
         assert self.run(tmp_path) == 3
         err = capsys.readouterr().err
         assert "MC variance too high" in err
         assert "cancellation failed" not in err
         assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
-    def test_error_raised_once_every_task_has_returned(
+    def test_queued_jobs_never_run_after_a_rung_fails(
             self, tmp_path, monkeypatch, pools):
-        returned = []
+        # the identity ladder holds one worker until the residual ladder
+        # has returned, and rung 0's cancellation estimate, the job the
+        # worker freed by rung 0's failure may take next, holds the other;
+        # so every later rung's jobs are still queued when rung 0 fails
+        ran, returned = [], threading.Event()
+        residual_slope = cli.residual_slope
 
-        def estimate(point, sol, me, delta, p, include_v, n_samples, seed):
+        def residual(*args, **options):
+            try:
+                return residual_slope(*args, **options)
+            finally:
+                returned.set()
+
+        def identity(point, sol):
+            assert returned.wait(60)
+            deltas = np.asarray(IDENTITY_DELTAS)
+            return SlopeExperiment(deltas=deltas, values=deltas ** 5,
+                                   slope=5.0, intercept=0.0, band=0.1)
+
+        def norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
+            ran.append(rung(delta))
             if rung(delta) == 0:
                 raise ValidationFailure("rung 0 failed")
-            time.sleep(0.02)
-            returned.append(rung(delta))
-            return healthy_estimate(point, sol, me, delta, p, include_v,
-                                    n_samples, seed)
+            return healthy_norm(point, sol, me, delta, p, n_samples, seed,
+                                max_rel_error)
 
-        self.fake_ladder_tasks(monkeypatch, estimate)
+        def cancellation(point, sol, me, delta, p, n_samples, seed):
+            ran.append(rung(delta))
+            assert returned.wait(60)
+            return 1.0, 1.0, 1.0
+
+        self.fake_ladder_jobs(monkeypatch, norm, cancellation)
+        monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
+        monkeypatch.setattr(cli, "residual_slope", residual)
         assert self.run(tmp_path) == 2
-        assert sorted(returned) == list(range(1, len(RESIDUAL_DELTAS)))
+        assert ran and set(ran) == {0}
         assert pools == [2]
         assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
@@ -769,7 +791,7 @@ class TestSlopeLadderOverlap:
 
     def test_ladders_written_when_every_task_succeeds(self, tmp_path,
                                                       monkeypatch, pools):
-        self.fake_ladder_tasks(monkeypatch)
+        self.fake_ladder_jobs(monkeypatch)
         assert self.run(tmp_path) == 0
         assert pools == [2]
         assert len(list(tmp_path.rglob("*_ladder_*.csv"))) == 2
@@ -783,13 +805,13 @@ class TestResidualSlopeCommand:
     def test_runs_on_the_two_worker_pool(self, tmp_path, monkeypatch, pools):
         # every rung's estimate runs on one of the pool's two workers, and
         # the files are those of the inline ladder, byte for byte
-        threads, estimate = [], energy._residual_estimate
+        threads, norm = [], energy._residual_norm
 
         def recorded(*args):
             threads.append(threading.current_thread())
-            return estimate(*args)
+            return norm(*args)
 
-        monkeypatch.setattr(energy, "_residual_estimate", recorded)
+        monkeypatch.setattr(energy, "_residual_norm", recorded)
         argv = ("--mc-samples", "2000", "residual-slope", "--omit-corrector")
         assert run(tmp_path / "pooled", *argv) == 0
         assert pools == [2]
@@ -797,14 +819,24 @@ class TestResidualSlopeCommand:
         assert threading.main_thread() not in threads
         assert len(set(threads)) <= 2
 
-        def inline(cfg, point, sol, with_identity=True, **options):
-            return None, cli._residual_ladder(cfg, point, sol, **options)
+        residual_slope = cli.residual_slope
 
-        monkeypatch.setattr(cli, "_slope_ladders", inline)
+        def inline(*args, map, **options):
+            return residual_slope(*args, **options)
+
+        monkeypatch.setattr(cli, "residual_slope", inline)
         assert run(tmp_path / "inline", *argv) == 0
         assert artifacts(tmp_path / "pooled") == artifacts(tmp_path / "inline")
 
-    def test_omit_corrector_ladder_outputs(self, tmp_path):
+    def test_omit_corrector_ladder_outputs(self, tmp_path, monkeypatch):
+        # the bubble-alone ladder reads no corrector, so none is factored
+        factors, splu = [], corrector.splu
+
+        def counted(*args, **options):
+            factors.append(args[0].shape)
+            return splu(*args, **options)
+
+        monkeypatch.setattr(corrector, "splu", counted)
         code = run(
             tmp_path,
             "--mc-samples",
@@ -813,6 +845,7 @@ class TestResidualSlopeCommand:
             "--omit-corrector",
         )
         assert code == 0
+        assert factors == []
         ladder = (tmp_path / "plots" / "residual_ladder_battery-00.csv")
         assert ladder.read_text().splitlines()[0] == "delta,norm,std_error,eps,bound"
         summary = json.loads(

@@ -609,8 +609,8 @@ class TestResidualSlope:
         assert 2.7 <= exp.slope <= 3.3
 
     def test_v_omission_degrades_slope_to_two(self, point11, sol11_big):
-        exp = residual_slope(point11, sol11_big, mc_samples=40000, seed=0,
-                             include_v=False, with_cancellation=False)
+        exp = residual_slope(point11, mc_samples=40000, seed=0,
+                             with_cancellation=False)
         assert abs(exp.slope - 2.0) <= 0.3
 
     def test_cancellation_one_order_faster(self, point11, sol11_big):
@@ -660,8 +660,8 @@ class TestResidualSlope:
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                pooled = residual_slope(point11, sol11_big,
-                                        submit=pool.submit, **kwargs)
+                pooled = residual_slope(point11, sol11_big, map=pool.map,
+                                        **kwargs)
         finally:
             sys.setswitchinterval(interval)
         assert pooled.extras.keys() == inline.extras.keys()
@@ -683,6 +683,18 @@ class TestResidualSlope:
             residual_slope(point11, sol11_big, mc_samples=1500, seed=0,
                            deltas=np.geomspace(0.015, 0.5, 5),
                            max_rel_error=0.05, with_cancellation=False)
+
+    def test_budget_error_message_prints_plain_numbers(self, point11,
+                                                       sol11_big):
+        # no error is allowed, so the first rung fails
+        with pytest.raises(BudgetError) as info:
+            residual_slope(point11, sol11_big, mc_samples=1500, seed=0,
+                           deltas=[0.015, 0.03, 0.06, 0.12, 0.5],
+                           max_rel_error=0.0, with_cancellation=False)
+        exc = info.value
+        assert str(exc) == (
+            f"MC variance too high at delta=0.015: norm {exc.best_estimate!r} "
+            f"+- {exc.error_estimate!r} from 1500 samples; raise mc_samples")
 
     def test_bound_column_combines_eps_and_delta_cubed(self, point11,
                                                        sol11_big):
@@ -862,7 +874,8 @@ class TestStructuredResidual:
         t, z = _proposal_samples(sol.point.n, 4000, seed=11)
         for delta in self.RUNGS:
             want, mag = _dense_residual_integrand(sol, me, delta, include_v)(t, z)
-            got = _residual_integrand(sol.point, sol, me, delta, include_v)(t, z)
+            got = _residual_integrand(sol.point, sol if include_v else None,
+                                      me, delta)(t, z)
             assert np.count_nonzero(want) > 1000
             # 1e-13 of max|F|, plus a floor of ~9 ulp of the terms F sums:
             # with the corrector in the zero mode F is 1e-4 of its terms on
