@@ -6,8 +6,9 @@ stage chain: points (curvature file or generated battery) -> curvature
 validation -> solve and coefficients -> reduction -> artifact writers.  So
 every subcommand quarantines a point that fails validation with the reason
 `pipeline` gives, and `verify` checks the configured points on the
-configured grid.  Flags mirror RunConfig fields; a JSON config file
-supplies defaults that flags override.  Exit codes: 0 success, 2
+configured grid, with the convergence order of that grid's own solves.
+Flags mirror RunConfig fields; a JSON config file supplies defaults that
+flags override.  Exit codes: 0 success, 2
 input/domain/validation problem, 3 numeric budget exhausted, 4 filesystem
 error.  Every artifact is written by _write_csv or _write_json here: no
 timestamps, and every float as its shortest round-trip repr, so identical
@@ -326,6 +327,7 @@ def _moment_identity_suite(table: MomentTable) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    cfg.grid().halved()  # verify's convergence check needs it: fail early
     suites = {}
 
     bubble = check_bubble_residual(cfg.n, n_points=10000, seed=cfg.seed)
@@ -351,9 +353,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     suites["solvability"] = {"passed": overlap_max <= 1e-8,
                              "overlap_max": overlap_max, "tol": 1e-8}
 
-    report = verify_corrector(_solve_point(cfg, points[0]), n_samples=400,
-                              seed=cfg.seed, with_convergence=True,
-                              with_far_field=True, tol_solver=cfg.tol_solver)
+    report = verify_corrector(_solve_point(cfg, points[0]), seed=cfg.seed,
+                              tol_solver=cfg.tol_solver, tol_quad=cfg.tol_quad)
     suites["corrector"] = {
         "passed": report.passed(tol_sym=cfg.tol_sym),
         "pde_residual": report.pde_residual,

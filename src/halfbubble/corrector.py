@@ -17,8 +17,8 @@ the reduced quarter-plane problem
     (t d/dt + r d/dr) psi = (4-n) psi   far away,
 
 whose far field follows the source-driven rate rho^(4-n).  psi does not
-depend on S at all; it is solved once per (n, grid) and cached, and the
-corrector for any admissible pattern is psi * Y by linearity.
+depend on S at all; it is solved once per (n, grid) and cached (node solves
+too, for verify), and the corrector for any pattern is psi * Y by linearity.
 
 Discretization: the quarter plane is mapped to a rectangle by
 t = L tau/(1-tau), r = L sigma/(1-sigma) with L = _MAP_SCALE; uniform grid,
@@ -163,6 +163,13 @@ class GridConfig:
     def refined(self, factor: int = 2) -> "GridConfig":
         return replace(self, n_t=self.n_t * factor, n_r=self.n_r * factor)
 
+    def halved(self) -> "GridConfig":
+        """Half the cells (every second node); needs even counts >= 16."""
+        if any(c % 2 or c < 16 for c in (self.n_t, self.n_r)):
+            raise DomainError(f"grid of {self.n_t} x {self.n_r} cells has no half "
+                              "grid: verify needs even counts of at least 16")
+        return replace(self, n_t=self.n_t // 2, n_r=self.n_r // 2)
+
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
@@ -296,9 +303,8 @@ class Profile2D:
 
         Pattern-independent core of the Dirichlet pairing; memoized.
         """
-        cached = getattr(self, "_overlap", None)
-        if cached is not None:
-            return cached
+        if hasattr(self, "_overlap"):
+            return self._overlap
         n = self.n
 
         def F(tau, sigma):
@@ -568,9 +574,13 @@ def _sigma_min_probe(lu, order: np.ndarray) -> tuple[float, int]:
         f"sigma_min probe did not converge in {_PROBE_MAX_STEPS} steps")
 
 
+# 3: verify's convergence study reads the run's Richardson pair and its half
+# grid; more would keep finished solves alive and raise a sweep's peak RSS
+@lru_cache(maxsize=3)
 def _solve_nodes(n: int, grid: GridConfig, tol_solver: float) -> tuple:
     """psi on the grid's nodes, the node axes tau and sigma, and the
-    solve's discrete residual, sigma_min and probe steps.
+    solve's discrete residual, sigma_min and probe steps; memoized, with
+    read-only arrays.
 
     The system is assembled and factored in nested-dissection order
     (SuperLU keeps that column order); psi is gathered back to the node
@@ -588,7 +598,9 @@ def _solve_nodes(n: int, grid: GridConfig, tol_solver: float) -> tuple:
     if res > 1e-8:
         raise SolverError(
             f"discrete residual {res:.3e} too large; refine the grid")
-    return x[label], tau, sigma, res, smin, steps
+    psi = x[label]
+    psi.flags.writeable = tau.flags.writeable = sigma.flags.writeable = False
+    return psi, tau, sigma, res, smin, steps
 
 
 def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
@@ -616,7 +628,7 @@ def _solve_profile_cached(n: int, grid: GridConfig, tol_solver: float,
     return profile, diag
 
 
-def solve_profile(n: int, grid: GridConfig | None = None,
+def solve_profile(n: int, grid: GridConfig = GridConfig(),
                   tol_solver: float = 1e-8,
                   richardson: bool = False) -> tuple[Profile2D, SolveDiagnostics]:
     """Solve the reduced quarter-plane problem; cached per argument set.
@@ -626,28 +638,25 @@ def solve_profile(n: int, grid: GridConfig | None = None,
     cells to fourth order on the N-cell nodes; the diagnostics take the
     worse of the two solves.
     """
-    if grid is None:
-        grid = GridConfig()
     return _solve_profile_cached(n, grid, tol_solver, richardson)
 
 
-def self_convergence(n: int) -> dict:
-    """Observed order from solves at N = 48, 2N, 4N cells against the
-    Richardson limit.
+def self_convergence(n: int, grid: GridConfig = GridConfig(),
+                     tol_solver: float = 1e-8) -> dict:
+    """Observed order from plain solves at grid.halved(), grid and
+    grid.refined(2) against the Richardson limit.
 
-    The limit is extrapolated from the two finer grids; interior-node errors
-    of the two coarser solves against it should shrink by about 4 per
-    refinement for a second-order scheme.
+    The limit is extrapolated from the two finer solves; interior-node
+    errors of the two coarser ones against it should shrink by about 4 per
+    refinement for a second-order scheme.  Node solves are memoized: after
+    a Richardson solve on grid only the half grid is new.
     """
-    grid = GridConfig(n_t=48, n_r=48)
-    p1, _ = solve_profile(n, grid)
-    p2, _ = solve_profile(n, grid.refined(2))
-    p4, _ = solve_profile(n, grid.refined(4))
-    fine_on_coarse = p4.psi[::4, ::4]
-    mid_on_coarse = p2.psi[::2, ::2]
+    coarse = _solve_nodes(n, grid.halved(), tol_solver)[0]
+    mid_on_coarse = _solve_nodes(n, grid, tol_solver)[0][::2, ::2]
+    fine_on_coarse = _solve_nodes(n, grid.refined(2), tol_solver)[0][::4, ::4]
     limit = _richardson(mid_on_coarse, fine_on_coarse)
     inner = (slice(1, -1), slice(1, -1))
-    e1 = float(np.max(np.abs(p1.psi[inner] - limit[inner])))
+    e1 = float(np.max(np.abs(coarse[inner] - limit[inner])))
     e2 = float(np.max(np.abs(mid_on_coarse[inner] - limit[inner])))
     order = math.log2(e1 / e2) if e2 > 0 else float("inf")
     return {"order": order, "coarse_error": e1, "fine_error": e2}
@@ -674,7 +683,7 @@ class CorrectorSolution:
         return -self.pattern.mean_square() * self.profile.source_overlap()
 
 
-def solve_vq(point: CurvaturePoint, grid: GridConfig | None = None,
+def solve_vq(point: CurvaturePoint, grid: GridConfig = GridConfig(),
              tol_solver: float = 1e-8, richardson: bool = False) -> CorrectorSolution:
     """Corrector for one curvature point; reuses the cached profile.
 
@@ -731,6 +740,8 @@ def eval_v_derivatives(sol: CorrectorSolution, t, z):
 # largest distance of a fitted far-field exponent from its target 4 - n
 _DECAY_WINDOW = 0.5
 
+_RESIDUAL_SAMPLES = 400   # off-grid points of each residual check
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -740,7 +751,7 @@ class VerificationReport:
     exactly zero once the angular mean of the pattern vanishes, so the
     report carries the measured angular mean alongside the exact zero.
     far_field_shift is the relative change of the pairing when the domain
-    caps double (None when the check was not requested).
+    caps double.
     """
     pde_residual: float
     boundary_residual: float
@@ -750,31 +761,28 @@ class VerificationReport:
     boundary_orthogonality: float
     pairing: float
     kernel_overlaps: np.ndarray
-    self_convergence_order: float | None
-    far_field_shift: float | None
+    self_convergence_order: float
+    far_field_shift: float
 
     def passed(self, tol_sym: float = 1e-14) -> bool:
         scale = max(abs(self.pairing), 1e-300)
-        ok = (self.pde_residual <= 2e-2
-              and self.boundary_residual <= 5e-2
-              and abs(self.decay_exponent - self.decay_target) <= _DECAY_WINDOW
-              and abs(self.angular_mean) <= tol_sym
-              and self.boundary_orthogonality == 0.0
-              and self.pairing <= 1e-8 * scale
-              and np.max(np.abs(self.kernel_overlaps)) <= 1e-8)
-        if self.self_convergence_order is not None:
-            ok = ok and self.self_convergence_order >= 1.9
-        if self.far_field_shift is not None:
-            ok = ok and abs(self.far_field_shift) <= 1e-2
-        return ok
+        return bool(self.pde_residual <= 2e-2
+                    and self.boundary_residual <= 5e-2
+                    and abs(self.decay_exponent - self.decay_target) <= _DECAY_WINDOW
+                    and abs(self.angular_mean) <= tol_sym
+                    and self.boundary_orthogonality == 0.0
+                    and self.pairing <= 1e-8 * scale
+                    and np.max(np.abs(self.kernel_overlaps)) <= 1e-8
+                    and self.self_convergence_order >= 1.9
+                    and abs(self.far_field_shift) <= 1e-2)
 
 
-def _pde_residual_offgrid(profile: Profile2D, n: int, n_samples: int, seed: int) -> float:
+def _pde_residual_offgrid(profile: Profile2D, n: int, seed: int) -> float:
     """Relative interior residual of the reduced equation at off-grid points."""
     rng = np.random.default_rng(seed)
     cap = min(profile.grid.t_max, profile.grid.r_max) / 3.0
-    t = 10.0 ** rng.uniform(-1.0, math.log10(cap), n_samples)
-    r = 10.0 ** rng.uniform(-1.0, math.log10(cap), n_samples)
+    t = 10.0 ** rng.uniform(-1.0, math.log10(cap), _RESIDUAL_SAMPLES)
+    r = 10.0 ** rng.uniform(-1.0, math.log10(cap), _RESIDUAL_SAMPLES)
     psi, _, psi_r, psi_tt, psi_rr = profile.eval(t, r)
     lhs = (psi_tt + psi_rr + (n - 2.0) / r * psi_r
            - 2.0 * (n - 1.0) / r ** 2 * psi)
@@ -784,9 +792,10 @@ def _pde_residual_offgrid(profile: Profile2D, n: int, n_samples: int, seed: int)
     return float(np.max(np.abs(lhs + src) / np.maximum(scale, 1e-300)))
 
 
-def _bc_residual(profile: Profile2D, n: int, n_samples: int, seed: int) -> float:
+def _bc_residual(profile: Profile2D, n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    r = 10.0 ** rng.uniform(-1.0, math.log10(profile.grid.r_max / 3.0), n_samples)
+    r = 10.0 ** rng.uniform(-1.0, math.log10(profile.grid.r_max / 3.0),
+                            _RESIDUAL_SAMPLES)
     psi, psi_t, *_ = profile.eval(np.zeros_like(r), r)
     lhs = psi_t + n / (1.0 + r ** 2) * psi
     scale = np.abs(psi_t) + n / (1.0 + r ** 2) * np.abs(psi)
@@ -831,11 +840,8 @@ def check_solvability(point: CurvaturePoint, tol_quad: float = 1e-9) -> np.ndarr
             for j in range(m):
                 if S[i, j] == 0.0:
                     continue
-                expo = np.zeros(m, dtype=int)
-                expo[i] += 1
-                expo[j] += 1
-                expo[b] += 1
-                ang += S[i, j] * angular_moment(n, tuple(expo))
+                expo = tuple(np.bincount([i, j, b], minlength=m))
+                ang += S[i, j] * angular_moment(n, expo)
         out[b] = ang * rad_translation
     # dilation: angular factor trace(S) * omega/(n-1)
     ang_n = float(np.trace(S)) * sphere_area(n - 2) / (n - 1.0)
@@ -843,42 +849,36 @@ def check_solvability(point: CurvaturePoint, tol_quad: float = 1e-9) -> np.ndarr
     return out
 
 
-def verify_corrector(sol: CorrectorSolution, n_samples: int = 400, seed: int = 0,
-                     with_convergence: bool = False,
-                     with_far_field: bool = False,
-                     tol_solver: float = 1e-8) -> VerificationReport:
-    """Full verification suite for one corrector solution.
+def verify_corrector(sol: CorrectorSolution, seed: int = 0,
+                     tol_solver: float = 1e-8,
+                     tol_quad: float = 1e-9) -> VerificationReport:
+    """Full verification suite for one corrector solution on its grid.
 
     The angular mean of the degree-2 pattern determines the boundary
     integral of U^{n/(n-2)} v: once the mean vanishes (traceless S) the
     integral is exactly zero, so it is asserted through the mean rather
-    than quadrature.  with_far_field re-solves sol's kind of profile on a
-    domain with doubled caps and reports the relative pairing shift.
+    than quadrature.  The order is self_convergence on sol's grid, run
+    while sol's node solves are memoized; the far-field check then
+    re-solves sol's kind of profile with doubled caps.
     """
     n = sol.point.n
     profile = sol.profile
-    conv = None
-    if with_convergence:
-        conv = self_convergence(n)["order"]
+    conv = self_convergence(n, profile.grid, tol_solver)["order"]
     # angular mean of Y over the sphere: trace(S)/(n-1) * area
     ang_mean = float(np.trace(sol.pattern.S)) / (n - 1.0) * sphere_area(n - 2)
-    shift = None
-    if with_far_field:
-        big = replace(profile.grid, t_max=2.0 * profile.grid.t_max,
-                      r_max=2.0 * profile.grid.r_max)
-        pairing_big = solve_vq(sol.point, big, tol_solver,
-                               sol.richardson).pairing()
-        base = sol.pairing()
-        shift = (pairing_big - base) / max(abs(base), 1e-300)
+    big = replace(profile.grid, t_max=2.0 * profile.grid.t_max,
+                  r_max=2.0 * profile.grid.r_max)
+    pairing_big = solve_vq(sol.point, big, tol_solver, sol.richardson).pairing()
+    base = sol.pairing()
     return VerificationReport(
-        pde_residual=_pde_residual_offgrid(profile, n, n_samples, seed),
-        boundary_residual=_bc_residual(profile, n, n_samples, seed + 1),
+        pde_residual=_pde_residual_offgrid(profile, n, seed),
+        boundary_residual=_bc_residual(profile, n, seed + 1),
         decay_exponent=sol.diagnostics.far_field_exponent,
         decay_target=4.0 - n,
         angular_mean=ang_mean,
         boundary_orthogonality=0.0 if abs(ang_mean) <= 1e-14 else float("nan"),
-        pairing=sol.pairing(),
-        kernel_overlaps=check_solvability(sol.point),
+        pairing=base,
+        kernel_overlaps=check_solvability(sol.point, tol_quad),
         self_convergence_order=conv,
-        far_field_shift=shift,
+        far_field_shift=(pairing_big - base) / max(abs(base), 1e-300),
     )

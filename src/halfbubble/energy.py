@@ -542,7 +542,6 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
                    eps: float = 0.0, tie_eps: bool = False,
                    deltas=None, mc_samples: int = 100000, seed: int = 0,
                    metric_seed: int = 0, deg3_scale: float = 5.0,
-                   with_cancellation: bool = True,
                    max_rel_error: float = 0.25, map=map) -> SlopeExperiment:
     """Curved-Laplacian residual norm on a delta-ladder, with log-log fit.
 
@@ -588,16 +587,15 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
     if sol is not None:
         check_ladder_domain(deltas, sol.profile.grid)
     me = metric_expansion(point, seed=metric_seed, deg3_scale=deg3_scale)
-    with_cancellation = with_cancellation and sol is not None
     jobs = []
     for k, d in enumerate(deltas):
         jobs.append(partial(_residual_norm, point, sol, me, float(d), p,
                             mc_samples, seed + k, max_rel_error))
-        if with_cancellation:
+        if sol is not None:
             jobs.append(partial(_cancellation_norms, point, sol, me, float(d),
                                 p, mc_samples // 2, seed + 1000 + k))
     results = list(map(lambda job: job(), jobs))
-    if with_cancellation:
+    if sol is not None:
         results, cancel = results[::2], results[1::2]
     norms, errs = (np.asarray(column) for column in zip(*results))
     slope, intercept, band = _fit_loglog(deltas, norms, sigmas=errs)
@@ -607,7 +605,7 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
         "eps_column": eps_column,
         "bound_column": eps_column * deltas + deltas ** 3,
     }
-    if with_cancellation:
+    if sol is not None:
         for key, vals in zip(("sum", "v_alone", "metric_alone"), zip(*cancel)):
             extras["cancel_" + key] = np.asarray(vals)
         for key, vals in zip(("sum", "v", "metric"), zip(*cancel)):

@@ -139,8 +139,7 @@ def test_criterion_3_solvability_overlaps(battery20):
 def test_criterion_4_corrector_properties(point11, battery20):
     t0 = time.time()
     conv = self_convergence(11)
-    rep = verify_corrector(solve_vq(point11), n_samples=400, seed=1,
-                           with_convergence=True, with_far_field=True)
+    rep = verify_corrector(solve_vq(point11), seed=1)
     signs_ok = all(solve_vq(p).pairing() <= 0.0 for p in battery20)
     elapsed = time.time() - t0
     failures = []

@@ -276,6 +276,56 @@ class TestVerifyCommand:
         }
         assert all(s["passed"] for s in report["suites"].values())
 
+    def test_default_grid_reuses_the_run_solves(self, tmp_path, monkeypatch):
+        # the Richardson pair (193^2 and 385^2 unknowns), the half grid of
+        # the convergence study (97^2) and the far-field pair on doubled caps
+        corrector._solve_nodes.cache_clear()
+        corrector._solve_profile_cached.cache_clear()
+        sizes, real_splu = [], corrector.splu
+
+        def counting_splu(M, **kwargs):
+            sizes.append(M.shape[0])
+            return real_splu(M, **kwargs)
+
+        monkeypatch.setattr(corrector, "splu", counting_splu)
+        assert cli.main(["--seed", "1", "--out-dir", str(tmp_path),
+                         "verify"]) == 0
+        assert sorted(sizes) == [97 ** 2, 193 ** 2, 193 ** 2, 385 ** 2,
+                                 385 ** 2]
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        cfg = RunConfig()
+        study = corrector.self_convergence(cfg.n, cfg.grid(), cfg.tol_solver)
+        assert report["suites"]["corrector"]["self_convergence_order"] == \
+            study["order"]
+
+    def test_every_overlap_check_uses_tol_quad(self, tmp_path, monkeypatch):
+        tols, real = [], corrector.check_solvability
+
+        def spy(point, tol_quad=1e-9):
+            tols.append(tol_quad)
+            return real(point, tol_quad)
+
+        monkeypatch.setattr(cli, "check_solvability", spy)
+        monkeypatch.setattr(corrector, "check_solvability", spy)
+        run(tmp_path, "--tol-quad", "1e-7", "verify")
+        # the solvability suite's five points, then the corrector suite's
+        assert tols == [1e-7] * 6
+
+    @pytest.mark.parametrize("h,cells", [("0.010526315789473684", 95),
+                                         ("0.125", 8)])
+    def test_grid_without_half_grid_is_exit_2_before_solving(
+            self, tmp_path, monkeypatch, capsys, h, cells):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid check")
+
+        monkeypatch.setattr(corrector, "splu", no_solve)
+        monkeypatch.setattr(cli, "solve_vq", no_solve)
+        out = tmp_path / "out"
+        assert cli.main(["--h", h, "--out-dir", str(out), "verify"]) == 2
+        assert f"grid of {cells} x {cells} cells has no half grid" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 # ----------------------------------------------------------------------
 # solve-vq / phi

@@ -260,6 +260,53 @@ class TestSolveProfile:
         study = self_convergence(11)
         assert study["order"] >= 1.9
 
+    def test_default_study_is_the_fixed_triple(self):
+        # reference: plain profiles at 48, 96 and 192 cells on t_max = 40
+        grid = GridConfig(n_t=48, n_r=48, t_max=40.0, r_max=40.0)
+        coarse = solve_profile(11, grid)[0].psi
+        mid = solve_profile(11, grid.refined(2))[0].psi[::2, ::2]
+        fine = solve_profile(11, grid.refined(4))[0].psi[::4, ::4]
+        limit = fine + (fine - mid) / 3.0
+        inner = (slice(1, -1), slice(1, -1))
+        e1 = float(np.max(np.abs(coarse[inner] - limit[inner])))
+        e2 = float(np.max(np.abs(mid[inner] - limit[inner])))
+        want = {"order": math.log2(e1 / e2), "coarse_error": e1,
+                "fine_error": e2}
+        assert self_convergence(11) == want
+        assert self_convergence(11, GridConfig(), 1e-8) == want
+
+    def test_halved_grid(self):
+        assert GridConfig().halved() == GridConfig(n_t=48, n_r=48)
+        grid = GridConfig(n_t=16, n_r=32, t_max=160.0, r_max=80.0)
+        assert grid.halved() == GridConfig(8, 16, 160.0, 80.0)
+        for n_t, n_r in ((95, 96), (96, 95), (14, 16), (8, 8)):
+            with pytest.raises(DomainError, match=f"{n_t} x {n_r} cells"):
+                GridConfig(n_t=n_t, n_r=n_r).halved()
+
+    def test_node_solves_memoized_read_only(self):
+        grid = GridConfig(n_t=32, n_r=32, t_max=160.0, r_max=160.0)
+        first = corrector._solve_nodes(11, grid, 1e-8)
+        assert corrector._solve_nodes(11, grid, 1e-8) is first
+        for arr in first[:3]:
+            assert not arr.flags.writeable
+
+    def test_study_on_a_richardson_grid_adds_the_half_solve(self,
+                                                            monkeypatch):
+        # the Richardson pair leaves its N and 2N node solves memoized, so
+        # the study of its grid factors only the N/2 system
+        grid = GridConfig(n_t=40, n_r=40, t_max=160.0, r_max=160.0)
+        corrector._solve_nodes.cache_clear()
+        corrector._solve_profile_cached.__wrapped__(13, grid, 1e-8, True)
+        sizes, real_splu = [], corrector.splu
+
+        def counting_splu(M, **kwargs):
+            sizes.append(M.shape[0])
+            return real_splu(M, **kwargs)
+
+        monkeypatch.setattr(corrector, "splu", counting_splu)
+        self_convergence(13, grid)
+        assert sizes == [21 * 21]
+
     def test_richardson_closer_to_limit(self):
         grid = GridConfig(n_t=48, n_r=48)
         rich, _ = solve_profile(11, grid, richardson=True)
@@ -324,6 +371,7 @@ class TestSigmaMinProbe:
         monkeypatch.setattr(corrector, "_sigma_min_probe", recording_probe)
         grid = GridConfig(n_t=48, n_r=48, t_max=40.0, r_max=40.0)
         # the uncached Richardson pair: one factorization per solve
+        corrector._solve_nodes.cache_clear()
         _, diag = corrector._solve_profile_cached.__wrapped__(13, grid, 1e-8,
                                                               True)
         assert len(factors) == 2
@@ -353,6 +401,7 @@ class TestSigmaMinProbe:
         # probe out of steps fails the solve instead of passing the gate
         monkeypatch.setattr(corrector, "_PROBE_MAX_STEPS", 2)
         grid = GridConfig(n_t=48, n_r=48, t_max=160.0, r_max=160.0)
+        corrector._solve_nodes.cache_clear()
         with pytest.raises(SolverError, match="did not converge in 2 steps"):
             corrector._solve_profile_cached.__wrapped__(11, grid, 1e-8, False)
 
@@ -763,7 +812,7 @@ class TestCorrectorField:
 class TestVerification:
     def test_full_report_n11(self):
         sol = solve_vq(generate_sample(11, seed=3))
-        rep = verify_corrector(sol, with_convergence=True, with_far_field=True)
+        rep = verify_corrector(sol)
         assert rep.passed()
         assert rep.pairing < 0.0
         assert abs(rep.decay_exponent - (-7.0)) <= 0.5
@@ -779,8 +828,7 @@ class TestVerification:
         # doubled domain has to be of the same kind as the solution
         grid = GridConfig(96, 96, 160.0, 160.0)
         point = generate_sample(n, seed=1)
-        rich = verify_corrector(solve_vq(point, grid, richardson=True),
-                                with_far_field=True)
+        rich = verify_corrector(solve_vq(point, grid, richardson=True))
         assert abs(rich.far_field_shift) < 1e-3
         # a plain solution still compares with a plain re-solve
         plain = solve_vq(point, grid)
@@ -788,7 +836,7 @@ class TestVerification:
         pairing_big = (-plain.pattern.mean_square()
                        * solve_profile(n, big)[0].source_overlap())
         base = plain.pairing()
-        rep = verify_corrector(plain, with_far_field=True)
+        rep = verify_corrector(plain)
         assert rep.far_field_shift == (pairing_big - base) / abs(base)
 
     @pytest.mark.parametrize("n", [11, 13, 15])

@@ -603,19 +603,16 @@ class TestIdentityExperiment:
 
 class TestResidualSlope:
     def test_slope_in_window(self, point11, sol11_big):
-        exp = residual_slope(point11, sol11_big, mc_samples=60000, seed=0,
-                             with_cancellation=False)
+        exp = residual_slope(point11, sol11_big, mc_samples=60000, seed=0)
         assert exp.status == "ok"
         assert 2.7 <= exp.slope <= 3.3
 
     def test_v_omission_degrades_slope_to_two(self, point11, sol11_big):
-        exp = residual_slope(point11, mc_samples=40000, seed=0,
-                             with_cancellation=False)
+        exp = residual_slope(point11, mc_samples=40000, seed=0)
         assert abs(exp.slope - 2.0) <= 0.3
 
     def test_cancellation_one_order_faster(self, point11, sol11_big):
-        exp = residual_slope(point11, sol11_big, mc_samples=40000, seed=0,
-                             with_cancellation=True)
+        exp = residual_slope(point11, sol11_big, mc_samples=40000, seed=0)
         fast = exp.extras["cancel_slope_sum"]
         each = max(exp.extras["cancel_slope_v"],
                    exp.extras["cancel_slope_metric"])
@@ -682,7 +679,7 @@ class TestResidualSlope:
         with pytest.raises(BudgetError):
             residual_slope(point11, sol11_big, mc_samples=1500, seed=0,
                            deltas=np.geomspace(0.015, 0.5, 5),
-                           max_rel_error=0.05, with_cancellation=False)
+                           max_rel_error=0.05)
 
     def test_budget_error_message_prints_plain_numbers(self, point11,
                                                        sol11_big):
@@ -690,7 +687,7 @@ class TestResidualSlope:
         with pytest.raises(BudgetError) as info:
             residual_slope(point11, sol11_big, mc_samples=1500, seed=0,
                            deltas=[0.015, 0.03, 0.06, 0.12, 0.5],
-                           max_rel_error=0.0, with_cancellation=False)
+                           max_rel_error=0.0)
         exc = info.value
         assert str(exc) == (
             f"MC variance too high at delta=0.015: norm {exc.best_estimate!r} "
@@ -700,14 +697,13 @@ class TestResidualSlope:
                                                        sol11_big):
         deltas = np.geomspace(0.02, 0.7, 5)
         exp = residual_slope(point11, sol11_big, eps=0.1, deltas=deltas,
-                             mc_samples=4000, seed=1, max_rel_error=1.0,
-                             with_cancellation=False)
+                             mc_samples=4000, seed=1, max_rel_error=1.0)
         assert np.allclose(exp.extras["eps_column"], 0.1)
         assert np.allclose(exp.extras["bound_column"],
                            0.1 * deltas + deltas ** 3)
         tied = residual_slope(point11, sol11_big, eps=0.1, tie_eps=True,
                               deltas=deltas, mc_samples=4000, seed=1,
-                              max_rel_error=1.0, with_cancellation=False)
+                              max_rel_error=1.0)
         assert np.allclose(tied.extras["eps_column"], deltas ** 3)
         assert np.allclose(tied.extras["bound_column"],
                            deltas ** 4 + deltas ** 3)
