@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -20,8 +21,8 @@ from .errors import InputFormatError, ValidationFailure
 from .geometry import check_dim
 from .reduction import DEFAULT_EPS_LADDER
 
-# value types by field annotation; n is left to check_dim, ladders to
-# _checked_ladder
+# value types by field annotation, every float finite and every int
+# nonnegative; n is left to check_dim, ladders to _checked_ladder
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
@@ -65,6 +66,11 @@ class RunConfig:
             if kind and not _is_a(value, kind):
                 raise ValidationFailure(
                     f"{f.name} must be {f.type}, got {value!r}")
+            if kind is numbers.Real and not math.isfinite(value):
+                raise ValidationFailure(f"{f.name} must be finite, got {value!r}")
+            if kind is numbers.Integral and value < 0:
+                raise ValidationFailure(
+                    f"{f.name} must be nonnegative, got {value!r}")
         for name in ("tol_quad", "tol_sym", "tol_solver"):
             if not getattr(self, name) > 0.0:
                 raise ValidationFailure(f"{name} must be positive")

@@ -19,6 +19,9 @@ the reduced quarter-plane problem
 whose far field follows the source-driven rate rho^(4-n).  psi does not
 depend on S at all; it is solved once per (n, grid) and cached (node solves
 too, for verify), and the corrector for any pattern is psi * Y by linearity.
+S is data of the curvature point: every reader takes it from the point,
+and curvature validation (symmetric, traceless, at the relative tolerance
+--tol-sym) is the one check on it.
 
 Discretization: the quarter plane is mapped to a rectangle by
 t = L tau/(1-tau), r = L sigma/(1-sigma) with L = _MAP_SCALE; uniform grid,
@@ -60,7 +63,6 @@ from .quadrature import angular_moment, integrate_rectangle, panel_gauss_2d, \
     quadratic_sphere_moment, sphere_area
 
 __all__ = [
-    "HarmonicPattern",
     "source_radial",
     "eval_source",
     "GridConfig",
@@ -69,7 +71,6 @@ __all__ = [
     "solve_profile",
     "CorrectorSolution",
     "solve_vq",
-    "eval_v",
     "eval_v_derivatives",
     "VerificationReport",
     "verify_corrector",
@@ -82,42 +83,13 @@ __all__ = [
 # Angular channel
 
 
-@dataclass(frozen=True)
-class HarmonicPattern:
-    """Quadratic spherical-harmonic pattern Y(theta) = theta . S theta.
-
-    S symmetric traceless makes Y an eigenfunction of the sphere Laplacian
-    on S^{n-2} with eigenvalue 2(n-1) (degree-2 channel).
-    """
-    n: int
-    S: np.ndarray
-
-    def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        m = self.n - 1
-        if S.shape != (m, m):
-            raise DomainError(f"pattern matrix must be {(m, m)}, got {S.shape}")
-        if np.linalg.norm(S - S.T) > 1e-12 * max(np.linalg.norm(S), 1e-30):
-            raise DomainError("pattern matrix must be symmetric")
-        if abs(np.trace(S)) > 1e-12 * max(np.linalg.norm(S), 1e-30):
-            raise DomainError("pattern matrix must be traceless")
-        object.__setattr__(self, "S", S)
-
-    @property
-    def eigenvalue(self) -> float:
-        """Sphere-Laplacian eigenvalue of the degree-2 channel."""
-        return 2.0 * (self.n - 1.0)
-
-    def y_of_z(self, z: np.ndarray) -> np.ndarray:
-        """Y at directions z/|z| (0 at the axis, where the channel vanishes)."""
-        z = np.asarray(z, dtype=float)
-        rr = np.sum(z * z, axis=-1)
-        num = np.einsum("...i,ij,...j->...", z, self.S, z)
-        return np.where(rr > 0, num / np.where(rr > 0, rr, 1.0), 0.0)
-
-    def mean_square(self) -> float:
-        """Integral of Y^2 over the unit sphere S^{n-2}."""
-        return quadratic_sphere_moment(self.S, 2)
+def _y_of_z(S: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The pattern Y = theta . S theta at directions theta = z/|z| (0 at
+    the axis, where the channel vanishes)."""
+    z = np.asarray(z, dtype=float)
+    rr = np.sum(z * z, axis=-1)
+    num = np.einsum("...i,ij,...j->...", z, S, z)
+    return np.where(rr > 0, num / np.where(rr > 0, rr, 1.0), 0.0)
 
 
 def source_radial(n: int, t, r) -> np.ndarray:
@@ -176,7 +148,6 @@ class SolveDiagnostics:
     discrete_residual: float
     sigma_min: float
     probe_steps: int
-    n_nodes: int
     far_field_exponent: float
 
 
@@ -613,17 +584,16 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
 def _solve_profile_cached(n: int, grid: GridConfig, tol_solver: float,
                           richardson: bool) -> tuple:
     psi, tau, sigma, res, smin, steps = _solve_nodes(n, grid, tol_solver)
-    n_nodes = psi.size
     if richardson:
         # the fine half only feeds the combination: no interpolant of its own
         fine, _, _, res_f, smin_f, steps_f = _solve_nodes(
             n, grid.refined(2), tol_solver)
         psi = _richardson(psi, fine[::2, ::2])
         res, smin = max(res, res_f), min(smin, smin_f)
-        steps, n_nodes = max(steps, steps_f), fine.size
+        steps = max(steps, steps_f)
     profile = Profile2D(n=n, grid=grid, tau=tau, sigma=sigma, psi=psi)
     diag = SolveDiagnostics(discrete_residual=res, sigma_min=smin,
-                            probe_steps=steps, n_nodes=n_nodes,
+                            probe_steps=steps,
                             far_field_exponent=profile.far_field_exponent())
     return profile, diag
 
@@ -668,9 +638,9 @@ def self_convergence(n: int, grid: GridConfig = GridConfig(),
 
 @dataclass(frozen=True)
 class CorrectorSolution:
-    """Profile plus angular pattern: v(t, z) = psi(t, r) Y(theta)."""
+    """v(t, z) = psi(t, r) Y(theta), Y = theta . S theta, with S read from
+    point; S is checked by curvature validation only, not here."""
     point: CurvaturePoint
-    pattern: HarmonicPattern
     profile: Profile2D
     diagnostics: SolveDiagnostics
     richardson: bool = False    # profile is the Richardson profile
@@ -680,7 +650,8 @@ class CorrectorSolution:
 
         Nonpositive for the solved corrector.
         """
-        return -self.pattern.mean_square() * self.profile.source_overlap()
+        return (-quadratic_sphere_moment(self.point.S, 2)
+                * self.profile.source_overlap())
 
 
 def solve_vq(point: CurvaturePoint, grid: GridConfig = GridConfig(),
@@ -692,16 +663,8 @@ def solve_vq(point: CurvaturePoint, grid: GridConfig = GridConfig(),
     radial factor is source_radial.
     """
     profile, diag = solve_profile(point.n, grid, tol_solver, richardson)
-    return CorrectorSolution(point=point, pattern=HarmonicPattern(point.n, point.S),
-                             profile=profile, diagnostics=diag,
+    return CorrectorSolution(point=point, profile=profile, diagnostics=diag,
                              richardson=richardson)
-
-
-def eval_v(sol: CorrectorSolution, t, z) -> np.ndarray:
-    """Corrector values at (t, z)."""
-    z = np.asarray(z, dtype=float)
-    r = np.sqrt(np.sum(z * z, axis=-1))
-    return sol.profile.value(t, r) * sol.pattern.y_of_z(z)
 
 
 def eval_v_derivatives(sol: CorrectorSolution, t, z):
@@ -709,16 +672,16 @@ def eval_v_derivatives(sol: CorrectorSolution, t, z):
 
     v = psi(t, r) Y depends on z only through r^2 and z.Sz, so its spatial
     gradient is a z + b Sz and its spatial Hessian is
-    a I + b S + c z z^T + e (z (Sz)^T + (Sz) z^T), with S the pattern
-    matrix; v_t is the t-derivative and lap the full Laplacian (spatial
-    trace plus v_tt).  Every array has the shape of t.
+    a I + b S + c z z^T + e (z (Sz)^T + (Sz) z^T), with S the point's
+    pattern matrix; v_t is the t-derivative and lap the full Laplacian
+    (spatial trace plus v_tt).  Every array has the shape of t.
     """
-    S = sol.pattern.S
+    S = sol.point.S
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     r = np.sqrt(np.sum(z * z, axis=-1))
     r_safe = np.maximum(r, 1e-9)
-    Y = sol.pattern.y_of_z(z)
+    Y = _y_of_z(S, z)
     p, p_t, p_r, p_tt, p_rr = sol.profile.eval(t, r)
     ir = 1.0 / r_safe
     ir2 = ir * ir
@@ -865,7 +828,7 @@ def verify_corrector(sol: CorrectorSolution, seed: int = 0,
     profile = sol.profile
     conv = self_convergence(n, profile.grid, tol_solver)["order"]
     # angular mean of Y over the sphere: trace(S)/(n-1) * area
-    ang_mean = float(np.trace(sol.pattern.S)) / (n - 1.0) * sphere_area(n - 2)
+    ang_mean = float(np.trace(sol.point.S)) / (n - 1.0) * sphere_area(n - 2)
     big = replace(profile.grid, t_max=2.0 * profile.grid.t_max,
                   r_max=2.0 * profile.grid.r_max)
     pairing_big = solve_vq(sol.point, big, tol_solver, sol.richardson).pairing()

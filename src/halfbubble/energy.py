@@ -523,7 +523,7 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution | None,
         jet = eval_U_jet(n, t, rr)
         zSz = 0.0
         if sol is not None:
-            zSz = np.sum(z * (z @ sol.pattern.S), axis=1)
+            zSz = np.sum(z * (z @ sol.point.S), axis=1)
             jet = [f + delta * delta * h
                    for f, h in zip(jet, eval_v_derivatives(sol, t, z))]
         lap, k_I, k_S, k_zz, k_sym = _dress(jet, cut, t, rr, zSz)
@@ -645,7 +645,7 @@ def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,
         out = np.zeros((2, t_all.shape[0]))
         keep, t, z, rr, cut = _cutoff_shell(n, delta, t_all, z_all)
         if keep.any():
-            zSz = np.sum(z * (z @ sol.pattern.S), axis=1)
+            zSz = np.sum(z * (z @ sol.point.S), axis=1)
             lap_V = _dress(eval_v_derivatives(sol, t, z), cut, t, rr, zSz)[0]
             out[0, keep] = delta * delta * lap_V
             _, _, u1, _, u2, _, _ = eval_U_jet(n, t, rr)

@@ -402,7 +402,6 @@ class MetricExpansion:
     diagnostics.
     """
     point: CurvaturePoint
-    mode: str
     R1: np.ndarray          # (m,m,m,m,m) degree-3 spatial
     S1: np.ndarray          # (m,m,m) y_n^2 y_k block
     S1n: np.ndarray         # (m,m)   y_n^3 block
@@ -603,7 +602,7 @@ def metric_expansion(point: CurvaturePoint, seed: int = 0, mode: str = "gauge",
         low_tr = sum(float(np.trace(a)) * np.einsum("kl,mp->klmp", Q, Q)
                      for a, Q in lowrank) if lowrank else 0.0
         Ncorr = _sym4(needed - quad_tr - low_tr)
-    return MetricExpansion(point=point, mode=mode, R1=R1, S1=S1, S1n=S1n,
+    return MetricExpansion(point=point, R1=R1, S1=S1, S1n=S1n,
                            T4=T4, T3=T3, T5=T5, Ncorr=Ncorr, lowrank=lowrank)
 
 

@@ -442,8 +442,6 @@ class MCEstimate:
     """Importance-sampling estimate of a half-space integral."""
     mean: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 _MC_CHUNK = 1 << 18
@@ -509,7 +507,6 @@ def mc_halfspace(n: int, integrand, n_samples: int, seed: int,
         done += B
     ests = tuple(
         MCEstimate(mean=total / n_samples,
-                   std_error=math.sqrt(dev / n_samples / (n_samples - 1)),
-                   n_samples=n_samples, seed=seed)
+                   std_error=math.sqrt(dev / n_samples / (n_samples - 1)))
         for total, dev in zip(totals, sq_dev))
     return ests if vals.ndim == 2 else ests[0]

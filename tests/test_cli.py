@@ -51,6 +51,13 @@ def fast_config(*argv):
     return cli.config_from_args(cli.build_parser().parse_args([*FAST, *argv]))
 
 
+def with_trace(point, rel):
+    """point with rel * |S| added to the trace of S, spread over the
+    diagonal; only s_traceless notices a small rel."""
+    S = point.S + rel * np.linalg.norm(point.S) / point.m * np.eye(point.m)
+    return dataclasses.replace(point, S=S)
+
+
 def assert_float_cells(cells):
     """Each cell is the shortest round-trip repr of its float."""
     for cell in cells:
@@ -311,6 +318,20 @@ class TestVerifyCommand:
         # the solvability suite's five points, then the corrector suite's
         assert tols == [1e-7] * 6
 
+    def test_quarantined_first_point_fails_the_geometry_suite(self, tmp_path):
+        # the corrector suite still checks points[0], which validation failed
+        points = make_battery(11, 2, 1)
+        points[0] = with_trace(points[0], 1e-10)
+        path = tmp_path / "pts.json"
+        save_curvature_file(path, 11, points)
+        out = tmp_path / "out"
+        assert run(out, "--curvature", str(path), "verify") == 2
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["passed"] is False
+        assert report["suites"]["geometry"] == {
+            "passed": False, "points": 2,
+            "quarantined": {"battery-00": "curvature validation: s_traceless"}}
+
     @pytest.mark.parametrize("h,cells", [("0.010526315789473684", 95),
                                          ("0.125", 8)])
     def test_grid_without_half_grid_is_exit_2_before_solving(
@@ -378,6 +399,25 @@ class TestSolveAndPhi:
         phis = [float(r.split(",")[phi_col]) for r in rows[1:]]
         assert len(phis) == 5
         assert all(p < 0 for p in phis)
+
+    def test_tol_sym_alone_gates_the_pattern_trace(self, tmp_path):
+        points = make_battery(11, 2, 1)
+        points[1] = with_trace(points[1], 1e-10)
+        path = tmp_path / "pts.json"
+        save_curvature_file(path, 11, points)
+        strict, loose = tmp_path / "strict", tmp_path / "loose"
+        assert run(strict, "--curvature", str(path), "phi") == 0
+        report = json.loads((strict / "phi_report.json").read_text())
+        assert report["quarantined"] == {
+            "battery-01": "curvature validation: s_traceless"}
+        assert run(loose, "--curvature", str(path), "--tol-sym", "1e-8",
+                   "phi") == 0
+        report = json.loads((loose / "phi_report.json").read_text())
+        assert report == {"computed": ["battery-00", "battery-01"],
+                          "quarantined": {}}
+        labels = [row.split(",")[0] for row in
+                  (loose / "coefficients.csv").read_text().splitlines()[1:]]
+        assert labels == ["battery-00", "battery-01"]
 
     def test_coefficients_header_and_blank_slopes(self, tmp_path):
         assert run(tmp_path, "phi") == 0
@@ -1113,6 +1153,38 @@ class TestExitCodes:
         assert run(out, "--curvature", str(path), "pipeline",
                    "--skip-slopes") == 2
         assert f"error: {path}: not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--t-max", "inf", "phi"], ["--t-max", "nan", "phi"],
+         ["--r-max", "inf", "phi"], ["--tol-solver", "inf", "phi"],
+         ["--seed", "-1", "phi"],
+         ["--metric-seed", "-3", "residual-slope", "--omit-corrector"],
+         ["--phi-bound-coeff", "nan", "family"],
+         ["--deg3-scale", "nan", "residual-slope", "--omit-corrector"],
+         ["--config", "{nan}", "phi"], ["--config", "{inf}", "phi"]],
+        ids=["t-max-inf", "t-max-nan", "r-max-inf", "tol-solver-inf",
+             "negative-seed", "negative-metric-seed", "phi-bound-coeff-nan",
+             "deg3-scale-nan", "config-nan", "config-infinity"],
+    )
+    def test_non_finite_or_negative_setting_is_exit_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the config check")
+
+        monkeypatch.setattr(corrector, "splu", no_work)
+        monkeypatch.setattr(cli, "solve_vq", no_work)
+        monkeypatch.setattr(cli, "make_battery", no_work)
+        # json.loads reads NaN and Infinity, so a config file can carry them
+        for name, text in (("nan", '{"r_max": NaN}'),
+                           ("inf", '{"deg3_scale": Infinity}')):
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [a.format(nan=tmp_path / "nan.json", inf=tmp_path / "inf.json")
+                for a in argv]
+        out = tmp_path / "out"
+        assert cli.main(["--out-dir", str(out), *argv]) == 2
+        assert "must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_curvature_dimension_mismatch_is_exit_2(self, tmp_path):

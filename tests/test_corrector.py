@@ -17,10 +17,8 @@ from halfbubble import corrector
 from halfbubble.corrector import (
     CorrectorSolution,
     GridConfig,
-    HarmonicPattern,
     check_solvability,
     eval_source,
-    eval_v,
     eval_v_derivatives,
     self_convergence,
     solve_profile,
@@ -34,7 +32,7 @@ from halfbubble.geometry import (
     generate_sample,
     metric_expansion,
 )
-from halfbubble.quadrature import sphere_area
+from halfbubble.quadrature import quadratic_sphere_moment, sphere_area
 from metric_reference import ref_metric_g
 
 
@@ -56,37 +54,25 @@ def zero_pattern_point(n):
 
 
 class TestHarmonicPattern:
-    def test_eigenvalue(self):
-        pat = HarmonicPattern(n=11, S=random_traceless(10, 1))
-        assert pat.eigenvalue == 20.0
-
-    def test_rejects_asymmetric(self):
-        S = np.zeros((10, 10))
-        S[0, 1] = 1.0
-        with pytest.raises(DomainError):
-            HarmonicPattern(n=11, S=S)
-
-    def test_rejects_trace(self):
-        with pytest.raises(DomainError):
-            HarmonicPattern(n=11, S=np.eye(10))
+    """The degree-2 pattern Y(theta) = theta . S theta and its mean square
+    <Y^2>, quadratic_sphere_moment(S, 2)."""
 
     def test_y_scale_invariant(self):
-        pat = HarmonicPattern(n=11, S=random_traceless(10, 2))
+        S = random_traceless(10, 2)
         z = np.random.default_rng(0).standard_normal((20, 10))
-        np.testing.assert_allclose(pat.y_of_z(z), pat.y_of_z(3.7 * z), rtol=1e-13)
+        y = corrector._y_of_z
+        np.testing.assert_allclose(y(S, z), y(S, 3.7 * z), rtol=1e-13)
 
     def test_mean_square_closed_form(self):
         # <Y^2> over S^{n-2} = area * 2|S|^2 / ((n-1)(n+1))
         for n in (11, 13):
             S = random_traceless(n - 1, n)
-            pat = HarmonicPattern(n=n, S=S)
             expected = sphere_area(n - 2) * 2.0 * np.sum(S * S) / ((n - 1) * (n + 1))
-            assert pat.mean_square() == pytest.approx(expected, rel=1e-12)
+            assert quadratic_sphere_moment(S, 2) == pytest.approx(expected, rel=1e-12)
 
     def test_mean_square_vs_sphere_mc(self):
         n = 11
         S = random_traceless(n - 1, 5)
-        pat = HarmonicPattern(n=n, S=S)
         rng = np.random.default_rng(99)
         g = rng.standard_normal((200000, n - 1))
         theta = g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -94,15 +80,10 @@ class TestHarmonicPattern:
         area = sphere_area(n - 2)
         est = area * y2.mean()
         se = area * y2.std(ddof=1) / math.sqrt(len(y2))
-        assert abs(est - pat.mean_square()) < 3.0 * se
+        assert abs(est - quadratic_sphere_moment(S, 2)) < 3.0 * se
 
 
 class TestReduction:
-    def test_pattern_matches_point(self):
-        pt = generate_sample(11, seed=4)
-        pat = solve_vq(pt).pattern
-        np.testing.assert_array_equal(pat.S, pt.S)
-
     def test_source_radial_frozen(self):
         # t = r = 1: Q = 5, value = 99 * 5^{-13/2}
         assert source_radial(11, 1.0, 1.0) == pytest.approx(99.0 * 5.0 ** -6.5, rel=1e-14)
@@ -218,7 +199,6 @@ class TestSolveProfile:
         _, diag = solve_profile(11)
         assert diag.discrete_residual <= 1e-8
         assert diag.sigma_min >= 1e-6
-        assert diag.n_nodes == 97 * 97
 
     def test_axis_column_zero(self):
         prof, _ = solve_profile(11)
@@ -733,7 +713,7 @@ class TestCorrectorField:
         rng = np.random.default_rng(0)
         t = rng.uniform(0, 5, 30)
         z = rng.standard_normal((30, 10))
-        assert np.max(np.abs(eval_v(sol, t, z))) == 0.0
+        assert np.max(np.abs(eval_v_derivatives(sol, t, z)[0])) == 0.0
         assert sol.pairing() == 0.0
 
     def test_linearity_in_pattern(self):
@@ -744,8 +724,8 @@ class TestCorrectorField:
         rng = np.random.default_rng(1)
         t = rng.uniform(0, 5, 30)
         z = rng.standard_normal((30, 10)) * 2
-        v1 = eval_v(s1, t, z)
-        v2 = eval_v(s2, t, z)
+        v1 = eval_v_derivatives(s1, t, z)[0]
+        v2 = eval_v_derivatives(s2, t, z)[0]
         np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-12)
         assert s2.pairing() == pytest.approx(4.0 * s1.pairing(), rel=1e-12)
 
@@ -756,7 +736,7 @@ class TestCorrectorField:
 
     def test_derivatives_match_fd(self):
         sol = solve_vq(generate_sample(11, seed=3))
-        S = sol.pattern.S
+        S = sol.point.S
         rng = np.random.default_rng(5)
         t = rng.uniform(0.5, 3.0, 6)
         z = rng.standard_normal((6, 10)) * 1.5
@@ -766,8 +746,7 @@ class TestCorrectorField:
             v, v_t, a, b, *_ = eval_v_derivatives(sol, t, z)
             return np.column_stack([a[:, None] * z + b[:, None] * (z @ S), v_t])
 
-        val, _, a, b, c, e, lap = eval_v_derivatives(sol, t, z)
-        np.testing.assert_allclose(val, eval_v(sol, t, z), rtol=1e-12)
+        _, _, a, b, c, e, lap = eval_v_derivatives(sol, t, z)
         grad = gradient(t, z)
         Sz = z @ S
         hess = (a[:, None, None] * np.eye(10) + b[:, None, None] * S
@@ -780,8 +759,8 @@ class TestCorrectorField:
             dz = np.zeros(10)
             if k < 10:
                 dz[k] = h
-            vp = eval_v(sol, t + dt, z + dz)
-            vm = eval_v(sol, t - dt, z - dz)
+            vp = eval_v_derivatives(sol, t + dt, z + dz)[0]
+            vm = eval_v_derivatives(sol, t - dt, z - dz)[0]
             fd = (vp - vm) / (2 * h)
             np.testing.assert_allclose(grad[:, k], fd, rtol=5e-5, atol=1e-10)
             fd2 = (gradient(t + dt, z + dz) - gradient(t - dt, z - dz)) / (2 * h)
@@ -833,7 +812,7 @@ class TestVerification:
         # a plain solution still compares with a plain re-solve
         plain = solve_vq(point, grid)
         big = GridConfig(96, 96, 320.0, 320.0)
-        pairing_big = (-plain.pattern.mean_square()
+        pairing_big = (-quadratic_sphere_moment(point.S, 2)
                        * solve_profile(n, big)[0].source_overlap())
         base = plain.pairing()
         rep = verify_corrector(plain)

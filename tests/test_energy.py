@@ -18,7 +18,7 @@ from scipy.special import beta as beta_fn
 from halfbubble import cli, corrector
 from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess, eval_U_jet
 from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
-                                  solve_vq)
+                                  _y_of_z, solve_vq)
 from halfbubble.energy import (
     IDENTITY_DELTAS,
     ReducedCoefficients,
@@ -719,12 +719,12 @@ def _dense_v_derivatives(sol, t, z):
     """(value, gradient, Hessian) of the corrector, derivative slots ordered
     (z_1..z_{n-1}, t)."""
     n = sol.point.n
-    S = sol.pattern.S
+    S = sol.point.S
     B = z.shape[0]
     r = np.sqrt(np.sum(z * z, axis=-1))
     r_safe = np.maximum(r, 1e-9)
     theta = z / r_safe[:, None]
-    Y = sol.pattern.y_of_z(z)
+    Y = _y_of_z(S, z)
     Sz = z @ S
     p, p_t, p_r, p_tt, p_rr = sol.profile.eval(t, r)
     # the mixed partial, which Profile2D.eval does not return, from
