@@ -31,6 +31,7 @@ from halfbubble.geometry import (
     CurvaturePoint,
     generate_sample,
     metric_expansion,
+    validate_curvature,
 )
 from halfbubble.quadrature import quadratic_sphere_moment, sphere_area
 from metric_reference import ref_metric_g
@@ -56,6 +57,25 @@ def zero_pattern_point(n):
 class TestHarmonicPattern:
     """The degree-2 pattern Y(theta) = theta . S theta and its mean square
     <Y^2>, quadratic_sphere_moment(S, 2)."""
+
+    def test_rejects_asymmetric(self):
+        # S is checked once, by validate_curvature at --tol-sym
+        S = np.zeros((10, 10))
+        S[0, 1] = 1.0
+        point = replace(generate_sample(11, seed=0), S=S)
+        failures = [c.name for c in validate_curvature(point).failures()]
+        assert "s_symmetric" in failures
+
+    def test_rejects_trace(self):
+        point = replace(generate_sample(11, seed=0), S=np.eye(10))
+        failures = [c.name for c in validate_curvature(point).failures()]
+        assert "s_traceless" in failures
+        # a trace of 1e-10 |S| fails the default tolerance, passes a looser one
+        base = generate_sample(11, seed=0)
+        S = base.S + 1e-10 * np.linalg.norm(base.S) / base.m * np.eye(base.m)
+        point = replace(base, S=S)
+        assert not validate_curvature(point, tol=1e-12).passed
+        assert validate_curvature(point, tol=1e-8).passed
 
     def test_y_scale_invariant(self):
         S = random_traceless(10, 2)
