@@ -458,41 +458,41 @@ def _read_coefficients_csv(path: Path, n: int) -> dict:
     return phis
 
 
-def _neighborhood(args, points) -> tuple:
+def _neighborhood(points, neighborhood: str, coords: str) -> tuple:
     """--neighborhood labels and --coords, checked before any solve."""
-    if not args.neighborhood:
+    if not neighborhood:
         return None, None
-    labels = args.neighborhood.split(",")
+    labels = neighborhood.split(",")
     unknown = sorted(set(labels) - {p.label for p in points})
     if unknown:
         raise DomainError(f"neighborhood labels {unknown} are not points")
     try:
-        coords = ([float(x) for x in args.coords.split(",")]
-                  if args.coords else None)
+        values = [float(x) for x in coords.split(",")] if coords else None
     except ValueError:
-        raise InputFormatError(
-            f"coords {args.coords!r} are not numbers") from None
-    return labels, neighborhood_coords(labels, coords)
+        raise InputFormatError(f"coords {coords!r} are not numbers") from None
+    return labels, neighborhood_coords(labels, values)
 
 
-def _reduce_from_cfg(cfg: RunConfig, args) -> dict:
+def _reduce_from_cfg(cfg: RunConfig, coefficients: str = "",
+                     neighborhood: str = "", coords: str = "") -> dict:
     """reduction.json payload from the coefficients CSV, computed if absent."""
     points, valid, quarantined = _valid_points(cfg)
-    neighborhood, coords = _neighborhood(args, points)
-    coeff_path = Path(args.coefficients or Path(cfg.out_dir) / "coefficients.csv")
+    labels, values = _neighborhood(points, neighborhood, coords)
+    coeff_path = Path(coefficients or Path(cfg.out_dir) / "coefficients.csv")
     # a named file is read as given, so a missing one fails (exit 4)
-    if args.coefficients or coeff_path.exists():
+    if coefficients or coeff_path.exists():
         phis = _read_coefficients_csv(coeff_path, cfg.n)
     else:
         results = _coefficients(cfg, valid, quarantined)
         _write_coefficients(coeff_path, results)
         phis = {label: float(c.phi) for label, (_, c) in results.items()}
     return _reduction(cfg, valid, phis, quarantined,
-                      neighborhood=neighborhood, coords=coords)[1]
+                      neighborhood=labels, coords=values)[1]
 
 
 def cmd_reduce(cfg: RunConfig, args) -> int:
-    _write_reduction(Path(cfg.out_dir), _reduce_from_cfg(cfg, args))
+    _write_reduction(Path(cfg.out_dir), _reduce_from_cfg(
+        cfg, args.coefficients, args.neighborhood, args.coords))
     return 0
 
 
@@ -518,7 +518,7 @@ def cmd_family(cfg: RunConfig, args) -> int:
                 raise InputFormatError(f"{report}: malformed report ({exc!r})") from exc
             payload["family"] = _family_rows(cfg, fam)
     else:
-        payload = _reduce_from_cfg(cfg, args)
+        payload = _reduce_from_cfg(cfg)
     _write_family(Path(cfg.out_dir), payload)
     return 0
 
@@ -661,15 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("solve-vq", help="corrector profiles per point")
     sub.add_parser("phi", help="reduced-energy coefficients per point")
     p_reduce = sub.add_parser("reduce", help="blow-up point selection")
-    p_family = sub.add_parser("family", help="concentration ladder CSV")
-    for p in (p_reduce, p_family):
-        p.add_argument("--coefficients", default="",
-                       help="coefficients CSV, which must exist (default "
-                            "<out-dir>/coefficients.csv, computed if absent)")
-        p.add_argument("--neighborhood", default="",
-                       help="comma-separated ordered labels around q0")
-        p.add_argument("--coords", default="",
-                       help="comma-separated coordinates for the neighborhood")
+    p_reduce.add_argument("--coefficients", default="",
+                          help="coefficients CSV, which must exist (default "
+                               "<out-dir>/coefficients.csv, computed if absent)")
+    p_reduce.add_argument("--neighborhood", default="",
+                          help="comma-separated ordered labels around q0")
+    p_reduce.add_argument("--coords", default="",
+                          help="comma-separated coordinates for the neighborhood")
+    sub.add_parser("family", help="concentration ladder CSV")
     p_slope = sub.add_parser("residual-slope", help="residual norm ladder")
     p_slope.add_argument("--label", default="",
                          help="point to run (default the first point)")

@@ -59,7 +59,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DomainError, SolverError
 from .geometry import CurvaturePoint, _inner
-from .quadrature import angular_moment, integrate_rectangle, panel_gauss_2d, \
+from .quadrature import angular_moment, integrate_rectangle, panel_gauss_nodes, \
     quadratic_sphere_moment, sphere_area
 
 __all__ = [
@@ -277,17 +277,17 @@ class Profile2D:
         if hasattr(self, "_overlap"):
             return self._overlap
         n = self.n
-
-        def F(tau, sigma):
-            t, tp, _ = _stretch(tau, _MAP_SCALE)
-            r = _stretch(sigma, _MAP_SCALE)[0]
-            # dt/dtau * dr/dsigma, grouped as (dt/dtau * L) / (1 - sigma)^2
-            # so that the pairing keeps its rounding
-            jac = tp * _MAP_SCALE / (1.0 - sigma) ** 2
-            psi = self._on_grid(tau[:, 0], sigma[0])[0]
-            return psi * source_radial(n, t, r) * r ** (n - 2) * jac
-
-        val = panel_gauss_2d(F, self.tau, self.sigma, order=8)
+        # composite 8-point Gauss-Legendre on the panels between the nodes
+        tau, wt = panel_gauss_nodes(self.tau, 8)
+        sigma, ws = panel_gauss_nodes(self.sigma, 8)
+        t, tp, _ = _stretch(tau[:, None], _MAP_SCALE)
+        r = _stretch(sigma, _MAP_SCALE)[0]
+        # dt/dtau * dr/dsigma, grouped as (dt/dtau * L) / (1 - sigma)^2
+        # so that the pairing keeps its rounding
+        jac = tp * _MAP_SCALE / (1.0 - sigma) ** 2
+        psi = self._on_grid(tau, sigma)[0]
+        vals = psi * source_radial(n, t, r) * r ** (n - 2) * jac
+        val = float(wt @ vals @ ws)
         object.__setattr__(self, "_overlap", val)
         return val
 

@@ -34,6 +34,7 @@ from .errors import BudgetError, DomainError, ValidationFailure
 from .geometry import CurvaturePoint, MetricExpansion, metric_expansion, metric_invariants
 from .quadrature import (
     MomentKey,
+    MomentTable,
     half_line_moment,
     mc_halfspace,
     moment,
@@ -134,7 +135,7 @@ def compute_G_terms(point: CurvaturePoint,
     fundamental block."""
     n = point.n
     if I2 is None:
-        I2, _ = moment(n, MomentKey(n, 2, 4))
+        I2 = MomentTable(n).named("I2")
     G2 = (n - 2.0) ** 2 / (n * n - 1.0) * I2 * point.D2
     G3 = 6.0 * (n - 2.0) / (n * n - 1.0) * I2 * point.s_norm_sq()
     return 0.0, G2, G3
@@ -157,8 +158,8 @@ def compute_phi(point: CurvaturePoint, sol: CorrectorSolution,
     n = point.n
     if sol.point.n != n:
         raise DomainError("corrector solution dimension mismatch")
-    I2, _ = moment(n, MomentKey(n, 2, 4), tol=tol_quad)
-    I4, _ = moment(n, MomentKey(n - 2, 0, 2), tol=tol_quad)
+    table = MomentTable(n, tol=tol_quad)
+    I2, I4 = table.named("I2"), table.named("I4")
     _, G2, G3 = compute_G_terms(point, I2=I2)
     pairing = sol.pairing()
     denom = 96.0 * (n - 1.0)

@@ -25,11 +25,10 @@ The inverse-metric expansion around the point is
 
 The derivative tensors R1, S1, S1n, T4, T3, T5 and the generic quartic are
 not determined by the CurvaturePoint; they are generated synthetically from
-a seed.  In "gauge" mode their traces are solved so that
-det ginv = 1 + O(|y|^5) (normalized volume element); solving those traces
-forces trace(T5) = Rnnnn = -2 ||S||^2, the same identity the curvature
-validator enforces.  "free" mode skips the trace solving; "zero" mode drops
-all randomness and keeps only the trace-mandated parts.
+a seed.  Their traces are solved so that det ginv = 1 + O(|y|^5)
+(normalized volume element); solving those traces forces
+trace(T5) = Rnnnn = -2 ||S||^2, the same identity the curvature validator
+enforces.
 """
 
 from __future__ import annotations
@@ -388,7 +387,8 @@ class MetricExpansion:
 
     Dense blocks use slot order (i, j, monomial slots...) except R1 which
     keeps the curvature order (i, k, j, l, mu).  The generic quartic spatial
-    part is low-rank: a[i,j] (y.Qy)^2 per entry of lowrank.
+    part is low-rank: a[i,j] (y.Qy)^2 for the one pair lowrank = (a, Q),
+    with a traceless up to rounding (its trace still enters Ncorr).
 
     metric_invariants, which the Monte Carlo residual ladder reads, forms
     no matrix per sample.  Every matrix its invariants contract g with is
@@ -409,7 +409,7 @@ class MetricExpansion:
     T3: np.ndarray          # (m,m,m) y_n^3 y block
     T5: np.ndarray          # (m,m)   y_n^4 second-derivative part
     Ncorr: np.ndarray       # (m,m,m,m) trace rider on delta_ij, quartic in y
-    lowrank: tuple          # tuples (a, Q) adding a[i,j] (y.Qy)^2
+    lowrank: tuple          # (a, Q) adding a[i,j] (y.Qy)^2
     # invariants, on the packed monomials v2p (w_k w_l for the pairs
     # k <= l of packed): P_op v2p is Rbar y^2 with row (c, i) holding
     # P_ic; v2p . (N_packed v2p) is the trace rider's nc and Q_packed v2p
@@ -419,7 +419,7 @@ class MetricExpansion:
     inv_ops: dict = field(init=False, repr=False)          # d -> (M + m, F_d padded)
     P_op: np.ndarray = field(init=False, repr=False)       # (m^2, M)
     N_packed: np.ndarray = field(init=False, repr=False)   # (M, M)
-    Q_packed: np.ndarray = field(init=False, repr=False)   # (len(lowrank), M)
+    Q_packed: np.ndarray = field(init=False, repr=False)   # (1, M)
 
     def __post_init__(self):
         m = self.m
@@ -484,8 +484,7 @@ class MetricExpansion:
         # carries the degree-e part of packed g and the divergence of the
         # degree-(e + 1) part
         M = len(iu)
-        lowrank_g = np.array([pack_cols(a)[0] for a, _ in self.lowrank]).reshape(-1, M)
-        lowrank_div = np.array([4.0 * Q @ a for a, Q in self.lowrank]).reshape(-1, m)
+        a, Q = self.lowrank
         blocks = [
             (1, np.zeros((m, M)), div2.T),                                          # w
             (2, pack_cols(pack_rows(R.transpose(1, 3, 0, 2).reshape(mm, mm))) / 3.0,
@@ -497,9 +496,9 @@ class MetricExpansion:
             (3, pack_cols(self.S1.reshape(mm, m).T),
              2.0 * np.einsum("ijil->jl", K).T),                                     # w s^2
             (3, pack_cols(self.S1n) / 3.0, np.einsum("iji->j", self.T3)[None] / 3.0),  # s^3
-            (3, np.zeros((len(lowrank_div), M)), lowrank_div),                      # q w
+            (3, np.zeros((m, M)), 4.0 * Q @ a),                                     # q w
             (4, pack_cols(np.eye(m)) / m, np.zeros((1, m))),                        # nc
-            (4, lowrank_g, np.zeros((len(lowrank_g), m))),                          # q^2
+            (4, pack_cols(a), np.zeros((1, m))),                                    # q^2
             (4, pack_cols(pack_rows(K.reshape(mm, mm).T)), np.zeros((M, m))),       # v2p s^2
             (4, pack_cols(self.T3.reshape(mm, m).T) / 3.0, np.zeros((m, m))),       # w s^3
             (4, pack_cols(self.T5 + 8.0 * (S @ S)) / 12.0, np.zeros((1, m))),       # s^4
@@ -518,7 +517,7 @@ class MetricExpansion:
         ops = {
             "P_op": pack_rows(R.transpose(1, 3, 2, 0).reshape(mm, mm)).T,
             "N_packed": pack_rows(pack_rows(self.Ncorr.reshape(mm, mm)).T).T,
-            "Q_packed": np.array([pack_cols(Q)[0] for _, Q in self.lowrank]).reshape(-1, M),
+            "Q_packed": pack_cols(Q),
         }
         for name, op in ops.items():
             object.__setattr__(self, name, _as_readonly(op))
@@ -542,7 +541,7 @@ def _gauge_T4(m: int, X: np.ndarray, D2: float) -> np.ndarray:
     return X + (D2 - cur) / ((m * m + m) / 2.0 - 1.0) * E
 
 
-def metric_expansion(point: CurvaturePoint, seed: int = 0, mode: str = "gauge",
+def metric_expansion(point: CurvaturePoint, seed: int = 0,
                      deg3_scale: float = 1.0) -> MetricExpansion:
     """Build the degree-<=4 inverse-metric expansion at a curvature point.
 
@@ -551,59 +550,34 @@ def metric_expansion(point: CurvaturePoint, seed: int = 0, mode: str = "gauge",
     at unit tensor norm; slope experiments raise it so the cubic term is
     visible against the determined quartic content.
     """
-    if mode not in ("gauge", "free", "zero"):
-        raise DomainError(f"unknown metric expansion mode {mode!r}")
     m = point.m
     R = point.Rbar
     rng = np.random.default_rng(seed)
+    R1 = deg3_scale * np.stack(
+        [_random_curvature_tensor(m, rng, 1.0) for _ in range(m)], axis=-1)
+    S1 = deg3_scale * np.stack(
+        [_sym2(rng.standard_normal((m, m))) for _ in range(m)], axis=-1)
+    S1n = deg3_scale * _sym2(rng.standard_normal((m, m)))
+    T4raw = rng.standard_normal((m, m, m, m))
+    T3 = np.stack([_sym2(rng.standard_normal((m, m))) for _ in range(m)], axis=-1)
+    T5raw = _sym2(rng.standard_normal((m, m)))
+    a = _traceless(_sym2(rng.standard_normal((m, m))) / m)
+    Q = _sym2(rng.standard_normal((m, m))) / m
 
-    if mode == "zero":
-        R1 = np.zeros((m, m, m, m, m))
-        S1 = np.zeros((m, m, m))
-        S1n = np.zeros((m, m))
-        T4raw = np.zeros((m, m, m, m))
-        T3 = np.zeros((m, m, m))
-        T5raw = np.zeros((m, m))
-        lowrank = ()
-    else:
-        R1 = deg3_scale * np.stack(
-            [_random_curvature_tensor(m, rng, 1.0) for _ in range(m)], axis=-1)
-        S1 = deg3_scale * np.stack(
-            [_sym2(rng.standard_normal((m, m))) for _ in range(m)], axis=-1)
-        S1n = deg3_scale * _sym2(rng.standard_normal((m, m)))
-        T4raw = rng.standard_normal((m, m, m, m))
-        T3 = np.stack([_sym2(rng.standard_normal((m, m))) for _ in range(m)], axis=-1)
-        T5raw = _sym2(rng.standard_normal((m, m)))
-        a1 = _sym2(rng.standard_normal((m, m)))
-        Q1 = _sym2(rng.standard_normal((m, m)))
-        lowrank = ((a1 / m, Q1 / m),)
-
-    if mode in ("gauge", "zero"):
-        S1 = S1 - np.einsum("ij,k->ijk", np.eye(m) / m, np.einsum("iik->k", S1))
-        S1n = _traceless(S1n)
-        T4 = _gauge_T4(m, T4raw, point.D2)
-        T3 = T3 - np.einsum("ij,k->ijk", np.eye(m) / m, np.einsum("iik->k", T3))
-        T5 = T5raw + (point.Rnnnn - np.trace(T5raw)) / m * np.eye(m)
-        lowrank = tuple((_traceless(a), Q) for a, Q in lowrank)
-    else:
-        X = 0.5 * (T4raw + T4raw.transpose(1, 0, 2, 3))
-        X = 0.5 * (X + X.transpose(0, 1, 3, 2))
-        cur = float(np.einsum("ijij->", X))
-        T4 = X * (point.D2 / cur if cur != 0 else 1.0)
-        T5 = T5raw
-
-    if mode == "free":
-        Ncorr = np.zeros((m, m, m, m))
-    else:
-        # trace rider: tr_ij B4_spatial(y) must match the quartic-spatial
-        # part of (1/2) tr(B2(y)^2), i.e. (1/18) tr((Rbar y^2)^2)
-        needed = np.einsum("ikjl,jmip->klmp", R, R) / 18.0
-        quad_tr = np.einsum("iksl,imsp->klmp", R, R) / 15.0
-        low_tr = sum(float(np.trace(a)) * np.einsum("kl,mp->klmp", Q, Q)
-                     for a, Q in lowrank) if lowrank else 0.0
-        Ncorr = _sym4(needed - quad_tr - low_tr)
+    # the traces that det ginv = 1 + O(|y|^5) fixes
+    S1 = S1 - np.einsum("ij,k->ijk", np.eye(m) / m, np.einsum("iik->k", S1))
+    S1n = _traceless(S1n)
+    T4 = _gauge_T4(m, T4raw, point.D2)
+    T3 = T3 - np.einsum("ij,k->ijk", np.eye(m) / m, np.einsum("iik->k", T3))
+    T5 = T5raw + (point.Rnnnn - np.trace(T5raw)) / m * np.eye(m)
+    # trace rider: tr_ij B4_spatial(y) must match the quartic-spatial part
+    # of (1/2) tr(B2(y)^2), i.e. (1/18) tr((Rbar y^2)^2)
+    needed = np.einsum("ikjl,jmip->klmp", R, R) / 18.0
+    quad_tr = np.einsum("iksl,imsp->klmp", R, R) / 15.0
+    low_tr = float(np.trace(a)) * np.einsum("kl,mp->klmp", Q, Q)
+    Ncorr = _sym4(needed - quad_tr - low_tr)
     return MetricExpansion(point=point, R1=R1, S1=S1, S1n=S1n,
-                           T4=T4, T3=T3, T5=T5, Ncorr=Ncorr, lowrank=lowrank)
+                           T4=T4, T3=T3, T5=T5, Ncorr=Ncorr, lowrank=(a, Q))
 
 
 def _batch(t, z, m):
@@ -666,7 +640,7 @@ def _invariant_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
         q = me.Q_packed @ v2
         nc = np.einsum("qb,qb->b", me.N_packed @ v2, v2)
         features += [v2[pair] * w[last], w * s2, s3[None],
-                     (q[:, None, :] * w[None]).reshape(-1, t.size),
+                     q * w,
                      nc[None], q * q, v2 * s2, w * s3, (s2 * s2)[None]]
     ops = me.inv_ops[through_degree]
     F = np.empty((ops.shape[1], t.size))

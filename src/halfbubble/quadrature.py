@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lgamma
 
@@ -42,7 +42,6 @@ __all__ = [
     "mc_halfspace",
     "integrate_rectangle",
     "integrate_interval",
-    "panel_gauss_2d",
     "panel_gauss_nodes",
 ]
 
@@ -254,18 +253,6 @@ def integrate_interval(F, x0: float, x1: float, tol_abs: float,
     return _refine(lambda c: _eval_cells_1d(F, c), segs, tol_abs, max_cells)
 
 
-def panel_gauss_2d(F, x_edges: np.ndarray, y_edges: np.ndarray, order: int = 12) -> float:
-    """Composite tensor Gauss-Legendre quadrature on a fixed panel grid.
-
-    Used for smooth grid-aligned integrands (profile energies) where
-    adaptivity is unnecessary; F receives a column of x nodes and a row of
-    y nodes and returns its values on their tensor grid.
-    """
-    xs, wx = panel_gauss_nodes(x_edges, order)
-    ys, wy = panel_gauss_nodes(y_edges, order)
-    return float(wx @ F(xs[:, None], ys[None, :]) @ wy)
-
-
 def panel_gauss_nodes(edges: np.ndarray, order: int):
     """Nodes and weights of composite Gauss-Legendre quadrature with order
     nodes on each panel between consecutive edges, panel by panel."""
@@ -393,9 +380,10 @@ _STANDARD_KEYS: dict[str, callable] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentTable:
-    """Cache of half-space moments at fixed dimension.
+    """The named half-space moments at fixed dimension and tolerance, read
+    from the memoized moment.
 
     The named entries I1..I4 are the moment combinations used by the
     reduced-energy coefficients:
@@ -403,33 +391,22 @@ class MomentTable:
     """
     n: int
     tol: float = 1e-10
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def value(self, key: MomentKey) -> float:
-        return self._entry(key)[0]
-
-    def _entry(self, key: MomentKey) -> tuple[float, float]:
-        if key not in self._cache:
-            self._cache[key] = moment(self.n, key, tol=self.tol)
-        return self._cache[key]
 
     def named(self, name: str) -> float:
-        return self.value(self.named_key(name))
-
-    def named_key(self, name: str) -> MomentKey:
         try:
-            return _STANDARD_KEYS[name](self.n)
+            key = _STANDARD_KEYS[name](self.n)
         except KeyError:
             raise DomainError(f"unknown named moment {name!r}; have {sorted(_STANDARD_KEYS)}")
+        return moment(self.n, key, tol=self.tol)[0]
 
     def load_standard(self) -> None:
         for name in _STANDARD_KEYS:
             self.named(name)
 
     def rows(self):
-        """Sorted (p, a, b, value, error) rows of everything cached."""
-        for key in sorted(self._cache):
-            v, e = self._cache[key]
+        """Sorted (p, a, b, value, error) rows of the named moments."""
+        for key in sorted(k(self.n) for k in _STANDARD_KEYS.values()):
+            v, e = moment(self.n, key, tol=self.tol)
             yield key.p, key.a, key.b, v, e
 
 

@@ -74,9 +74,9 @@ def ref_metric_g(me, t, z, through_degree=4):
         g += np.einsum("bis,bjs->bij", P, P) / 15.0
         nc = np.einsum("bk,bk->b", _contract(me.Ncorr, z, 3), z)
         g += (nc / m)[:, None, None] * np.eye(m)
-        for a, Q in me.lowrank:
-            q = np.einsum("kl,bk,bl->b", Q, z, z)
-            g += a * (q * q)[:, None, None]
+        a, Q = me.lowrank
+        q = np.einsum("kl,bk,bl->b", Q, z, z)
+        g += a * (q * q)[:, None, None]
         g += _contract(_mixed_quartic_block(me), z, 2) * t2
         g += np.einsum("ijk,bk->bij", me.T3, z) * t3 / 3.0
         g += (me.T5 + 8.0 * (S @ S)) * (t ** 4)[:, None, None] / 12.0
@@ -108,9 +108,9 @@ def ref_metric_divergence(me, t, z):
     quad_div = (np.einsum("iisl,jmsp->jlmp", R, R) + np.einsum("iksi,jmsp->jkmp", R, R)
                 + np.einsum("iksl,jisp->jklp", R, R) + np.einsum("iksl,jmsi->jklm", R, R))
     out += _contract(quad_div, z, 3) / 15.0 + 4.0 / m * _contract(me.Ncorr, z, 3)
-    for a, Q in me.lowrank:
-        q = np.einsum("kl,bk,bl->b", Q, z, z)
-        out += 4.0 * q[:, None] * ((z @ Q) @ a)
+    a, Q = me.lowrank
+    q = np.einsum("kl,bk,bl->b", Q, z, z)
+    out += 4.0 * q[:, None] * ((z @ Q) @ a)
     K = _mixed_quartic_block(me)
     out += 2.0 * (z @ np.einsum("ijil->jl", K).T) * t2
     out += np.einsum("iji->j", me.T3) * (t ** 3)[:, None] / 3.0

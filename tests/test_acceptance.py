@@ -199,7 +199,7 @@ def test_criterion_5_energy_coefficients(point11, coeffs20):
     if dev3 > 3.0:
         failures.append(f"G3 off by {dev3:.2f} sigma")
 
-    T4 = metric_expansion(pt, seed=0, mode="gauge").T4.reshape(m * m, m * m)
+    T4 = metric_expansion(pt, seed=0).T4.reshape(m * m, m * m)
 
     def g2_integrand(t, z):
         Q = (1.0 + t) ** 2 + np.einsum("bi,bi->b", z, z)

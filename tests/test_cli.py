@@ -991,7 +991,7 @@ class TestExitCodes:
         code = cli.main(["--out-dir", str(wall / "sub"), "moments"])
         assert code == 4
 
-    @pytest.mark.parametrize("command", ["reduce", "family"])
+    @pytest.mark.parametrize("command", ["reduce"])
     def test_missing_coefficients_file_is_exit_4(self, tmp_path, command):
         missing = tmp_path / "no" / "such.csv"
         code = run(tmp_path, command, "--coefficients", str(missing))
@@ -999,6 +999,29 @@ class TestExitCodes:
         # failed on the named file, without recomputing phi in its place
         assert not (tmp_path / "coefficients.csv").exists()
         assert not (tmp_path / "reduction.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--coefficients", "no-such.csv"],
+         ["--neighborhood", "battery-00,battery-01,battery-02"],
+         ["--neighborhood", "battery-00,battery-01,battery-02",
+          "--coords", "0,1,2"]],
+        ids=["coefficients", "neighborhood", "coords"],
+    )
+    def test_family_flag_is_exit_2_before_any_work(self, tmp_path, monkeypatch,
+                                                    argv):
+        # family reads no coefficients file and computes no Hessian, so
+        # reduce's flags are usage errors there, not silently dropped
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the flags were parsed")
+
+        monkeypatch.setattr(corrector, "splu", no_work)
+        monkeypatch.setattr(cli, "solve_vq", no_work)
+        monkeypatch.setattr(cli, "make_battery", no_work)
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path / "out", "family", *argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("phi", ["abc", "nan", "inf", "-inf"])
     def test_non_numeric_phi_is_exit_2(self, tmp_path, phi):

@@ -113,7 +113,7 @@ class TestReduction:
         single-channel source: the curvature part cancels pointwise."""
         n = 11
         pt = generate_sample(n, seed=3)
-        me = metric_expansion(pt, mode="zero")
+        me = metric_expansion(pt)
         rng = np.random.default_rng(7)
         t = 10.0 ** rng.uniform(-1, 1, 40)
         z = rng.standard_normal((40, n - 1)) * 2.0
@@ -126,7 +126,7 @@ class TestReduction:
     def test_curvature_block_alone_cancels(self):
         n = 11
         pt = zero_pattern_point(n)
-        me = metric_expansion(pt, mode="zero")
+        me = metric_expansion(pt)
         rng = np.random.default_rng(8)
         t = 10.0 ** rng.uniform(-1, 1, 40)
         z = rng.standard_normal((40, n - 1)) * 2.0
