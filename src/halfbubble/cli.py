@@ -12,11 +12,9 @@ flags override.  Exit codes: 0 success, 2
 input/domain/validation problem, 3 numeric budget exhausted, 4 filesystem
 error.  Every artifact is written by _write_csv or _write_json here: no
 timestamps, and every float as its shortest round-trip repr, so identical
-config and inputs produce byte-identical files.  Points are processed one
-after another and no environment variable is read; only the slope ladders
-of `pipeline` and `residual-slope` run on worker threads, as one ordered
-list of jobs on one fixed two-worker pool, with values, errors and files
-as in serial order; a failing rung cancels the jobs not yet started.
+config and inputs produce byte-identical files.  Everything runs in the
+calling thread, points one after another, and no environment variable is
+read.
 """
 
 from __future__ import annotations
@@ -256,34 +254,15 @@ def _slope_ladders(cfg: RunConfig, point, sol, with_identity: bool = True,
     ladders; identity is None without with_identity.  options go to the
     residual ladder, which runs on the bubble alone when sol is None.
 
-    One pool of two worker threads, made here and nowhere else, runs the
-    identity ladder as one job and then the residual ladder's jobs, each
-    rung's main and cancellation Monte Carlo estimates, through its map
-    (see energy.residual_slope).  Two workers fill the two cores the
-    ladders were measured on; every job draws from its own seed, so the
-    values do not depend on which worker runs it, and the count is fixed,
-    with no flag or setting.  A failing rung cancels the residual jobs not
-    yet started.  The error raised is the one a serial run raises first:
-    the identity ladder's error replaces any rung's, and it comes out once
-    the identity ladder has returned, so nothing is written before then.
+    The identity ladder runs first, so its error is raised before the
+    residual ladder starts, and nothing is written before both return.
     """
-    # imported here, not with the module: loaded at start-up it raised the
-    # peak RSS of `pipeline --skip-slopes` sweeps by about 1 MB
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        identity = (pool.submit(verify_A4_L2_L3_identity, point, sol)
-                    if with_identity else None)
-        try:
-            residual = residual_slope(
-                point, sol, deltas=cfg.delta_ladder or None,
-                mc_samples=cfg.mc_samples, seed=cfg.seed,
-                metric_seed=cfg.metric_seed, deg3_scale=cfg.deg3_scale,
-                map=pool.map, **options)
-        finally:
-            if identity is not None:
-                identity = identity.result()
-        return identity, residual
+    identity = verify_A4_L2_L3_identity(point, sol) if with_identity else None
+    residual = residual_slope(
+        point, sol, deltas=cfg.delta_ladder or None,
+        mc_samples=cfg.mc_samples, seed=cfg.seed,
+        metric_seed=cfg.metric_seed, deg3_scale=cfg.deg3_scale, **options)
+    return identity, residual
 
 
 def _slope_summary(exp) -> dict:
@@ -362,6 +341,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         "decay_exponent": report.decay_exponent,
         "decay_target": report.decay_target,
         "self_convergence_order": report.self_convergence_order,
+        "self_convergence_coarse_error": report.self_convergence_coarse_error,
+        "self_convergence_fine_error": report.self_convergence_fine_error,
         "far_field_shift": report.far_field_shift,
         "pairing": report.pairing,
         "kernel_overlap_max": float(np.max(np.abs(report.kernel_overlaps))),

@@ -714,7 +714,8 @@ class VerificationReport:
     exactly zero once the angular mean of the pattern vanishes, so the
     report carries the measured angular mean alongside the exact zero.
     far_field_shift is the relative change of the pairing when the domain
-    caps double.
+    caps double.  The self_convergence_* fields are self_convergence's
+    order and errors; passed reads the order alone.
     """
     pde_residual: float
     boundary_residual: float
@@ -725,6 +726,8 @@ class VerificationReport:
     pairing: float
     kernel_overlaps: np.ndarray
     self_convergence_order: float
+    self_convergence_coarse_error: float
+    self_convergence_fine_error: float
     far_field_shift: float
 
     def passed(self, tol_sym: float = 1e-14) -> bool:
@@ -826,7 +829,7 @@ def verify_corrector(sol: CorrectorSolution, seed: int = 0,
     """
     n = sol.point.n
     profile = sol.profile
-    conv = self_convergence(n, profile.grid, tol_solver)["order"]
+    conv = self_convergence(n, profile.grid, tol_solver)
     # angular mean of Y over the sphere: trace(S)/(n-1) * area
     ang_mean = float(np.trace(sol.point.S)) / (n - 1.0) * sphere_area(n - 2)
     big = replace(profile.grid, t_max=2.0 * profile.grid.t_max,
@@ -842,6 +845,8 @@ def verify_corrector(sol: CorrectorSolution, seed: int = 0,
         boundary_orthogonality=0.0 if abs(ang_mean) <= 1e-14 else float("nan"),
         pairing=base,
         kernel_overlaps=check_solvability(sol.point, tol_quad),
-        self_convergence_order=conv,
+        self_convergence_order=conv["order"],
+        self_convergence_coarse_error=conv["coarse_error"],
+        self_convergence_fine_error=conv["fine_error"],
         far_field_shift=(pairing_big - base) / max(abs(base), 1e-300),
     )

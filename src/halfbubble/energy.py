@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -459,26 +458,24 @@ _MC_T_SCALE = 0.8
 _MC_Z_SCALE = 0.5
 
 
-def _cutoff_shell(n: int, delta: float, t_all: np.ndarray, z_all: np.ndarray):
-    """Samples inside the cutoff support rho < 1/delta (bubble coordinates)
-    and the cutoff's jets there.
+# samples per piece of the residual ladder's delta-free pass: whatever
+# the sample count, a piece's temporaries peak near 7 MB at n = 11 and
+# 11 MB at n = 15 (tracemalloc)
+_PIECE = 4096
 
-    Returns (keep, t, z, rr, cut): the mask over the input samples, the
-    kept samples with rr = |z|^2, and cut = (chi, c1, c2, lap_chi): chi(delta
-    rho), whose gradient is c1 x and Hessian c1 I + c2 x x^T at x = (z, t),
-    and its Laplacian.
+
+def _cutoff_jets(n: int, delta: float, rho: np.ndarray):
+    """chi(delta rho) in bubble coordinates and its jets at rho = |(z, t)|:
+    (chi, c1, c2, lap_chi), whose gradient is c1 x and Hessian
+    c1 I + c2 x x^T at x = (z, t).  All four vanish from delta rho = 1 on.
     """
-    rr_all = np.sum(z_all * z_all, axis=1)
-    keep = delta * np.sqrt(t_all * t_all + rr_all) < 1.0
-    t, z, rr = t_all[keep], z_all[keep], rr_all[keep]
-    rho = np.sqrt(rr + t * t)
     rho_safe = np.maximum(rho, 1e-8)
     s = delta * rho
     chi1 = cutoff_chi(s, 1) * delta
     chi2 = cutoff_chi(s, 2) * delta * delta
     c1 = chi1 / rho_safe
-    return keep, t, z, rr, (cutoff_chi(s), c1, (chi2 - c1) / (rho_safe * rho_safe),
-                            chi2 + chi1 * (n - 1.0) / rho_safe)
+    return (cutoff_chi(s), c1, (chi2 - c1) / (rho_safe * rho_safe),
+            chi2 + chi1 * (n - 1.0) / rho_safe)
 
 
 def _dress(jet, cut, t, rr, zSz):
@@ -493,11 +490,23 @@ def _dress(jet, cut, t, rr, zSz):
             chi * e + b * c1)
 
 
-def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution | None,
-                        me: MetricExpansion, delta: float):
-    """Pointwise residual F(x) of the curved Laplacian on the dressed
-    bubble plus corrector, in bubble coordinates; on the bubble alone when
-    sol is None.
+def _degree_sum(split, delta):
+    """sum_e delta^e split[e - 1] over the degrees split holds."""
+    return np.einsum("e,e...->...", delta ** np.arange(1.0, len(split) + 1.0),
+                     split)
+
+
+def _ladder_terms(point: CurvaturePoint, sol: CorrectorSolution | None,
+                  me: MetricExpansion, deltas, t_all, z_all) -> np.ndarray:
+    """Every rung's residual at the samples, from one evaluation of the
+    parts that do not depend on delta, shape (R, len(deltas), B).
+
+    Row 0 is the pointwise residual F of the curved Laplacian on the
+    dressed bubble plus corrector, in bubble coordinates; on the bubble
+    alone when sol is None, which gives R = 1.  With the corrector, rows
+    1..3 are the cancellation terms tv + tm, tv and tm: tv = delta^2
+    lap(chi v), the corrector's flat Laplacian, and tm = chi g2 : Hess_z U
+    = chi (u1 tr g2 + u2 z.g2 z), with g2 the degree-2 part of Minv - I.
 
     The delta-prefactors of the L^{2n/(n+2)} norm cancel exactly in these
     coordinates, so the norm of F is the reported residual norm.  With
@@ -513,37 +522,45 @@ def _residual_integrand(point: CurvaturePoint, sol: CorrectorSolution | None,
     tr g, g : S, z.gz and z.g(Sz) + (Sz).gz -- and times div.z and div.Sz,
     all six from geometry.metric_invariants.  No n x n Hessian and no
     per-sample g is formed.
+
+    The bubble jet, the corrector jet, z.Sz and the invariants' degree
+    split are evaluated once, on the samples inside the smallest rung's
+    cutoff support; each rung then applies its cutoff, which vanishes
+    outside its own support, and sums the split.  Every step acts sample
+    by sample, so a sample's bits do not depend on its batch.
     """
     n = point.n
-
-    def F(t_all, z_all):
-        out_all = np.zeros(t_all.shape[0])
-        keep, t, z, rr, cut = _cutoff_shell(n, delta, t_all, z_all)
-        if not keep.any():
-            return out_all
-        jet = eval_U_jet(n, t, rr)
-        zSz = 0.0
-        if sol is not None:
-            zSz = np.sum(z * (z @ sol.point.S), axis=1)
-            jet = [f + delta * delta * h
-                   for f, h in zip(jet, eval_v_derivatives(sol, t, z))]
+    out = np.zeros((1 if sol is None else 4, len(deltas), t_all.shape[0]))
+    rr_all = np.sum(z_all * z_all, axis=1)
+    rho_all = np.sqrt(t_all * t_all + rr_all)
+    reach = min(deltas) * rho_all < 1.0
+    if not reach.any():
+        return out
+    t, z, rr, rho = t_all[reach], z_all[reach], rr_all[reach], rho_all[reach]
+    zSz = np.sum(z * (z @ point.S), axis=1)
+    U = eval_U_jet(n, t, rr)
+    V = None if sol is None else eval_v_derivatives(sol, t, z)
+    split = metric_invariants(me, t, z)
+    for k, delta in enumerate(deltas):
+        cut = _cutoff_jets(n, delta, rho)
+        jet = U if V is None else [f + delta * delta * h for f, h in zip(U, V)]
         lap, k_I, k_S, k_zz, k_sym = _dress(jet, cut, t, rr, zSz)
-
-        tr_g, g_S, zgz, zg_sym, div_z, div_Sz = metric_invariants(me, t, z, delta)
-        out = lap + k_zz * zgz + k_I * (tr_g + delta * div_z)
-        if sol is not None:
-            out += k_S * (g_S + delta * div_Sz) + k_sym * zg_sym
-        out_all[keep] = out
-        return out_all
-
-    return F
+        tr_g, g_S, zgz, zg_sym, div_z, div_Sz = _degree_sum(split, delta)
+        out[0, k, reach] = (lap + k_zz * zgz + k_I * (tr_g + delta * div_z)
+                            + k_S * (g_S + delta * div_Sz) + k_sym * zg_sym)
+        if V is not None:
+            tv = delta * delta * _dress(V, cut, t, rr, zSz)[0]
+            tr_g2, zg2z = _degree_sum(split[:2, [0, 2]], delta)
+            tm = cut[0] * (U[2] * tr_g2 + U[4] * zg2z)
+            out[1:, k, reach] = tv + tm, tv, tm
+    return out
 
 
 def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
                    eps: float = 0.0, tie_eps: bool = False,
                    deltas=None, mc_samples: int = 100000, seed: int = 0,
                    metric_seed: int = 0, deg3_scale: float = 5.0,
-                   max_rel_error: float = 0.25, map=map) -> SlopeExperiment:
+                   max_rel_error: float = 0.25) -> SlopeExperiment:
     """Curved-Laplacian residual norm on a delta-ladder, with log-log fit.
 
     The residual is that of the dressed bubble plus the corrector of sol,
@@ -565,14 +582,12 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
     ladder is available precisely because the bubble alone never touches
     the corrector spline, whose solve domain caps 1/delta otherwise.
 
-    The ladder is one ordered list of independent jobs, each drawing from
-    a seed of its own: rung by rung, the main estimate, which raises
-    BudgetError when its standard error exceeds max_rel_error of its norm,
-    then the cancellation estimate.  map(fn, jobs) runs them and yields
-    their results in that order.  The builtin map runs each job in this
-    thread as its result is read; a ThreadPoolExecutor's map submits them
-    all at once and cancels the jobs not yet started once a result raises.
-    Either way the values and the error raised are those of a serial run.
+    Every rung reads one set of mc_samples samples drawn from seed: one
+    mc_halfspace call estimates the |F|^p of every rung and, with the
+    corrector, the three cancellation norms of every rung, as rows of one
+    integrand evaluated in pieces of _PIECE samples (see _ladder_terms).
+    The rungs' gates are then checked in ladder order: BudgetError names
+    the first rung whose standard error exceeds max_rel_error of its norm.
     """
     n = point.n
     p = 2.0 * n / (n + 2.0)
@@ -588,17 +603,29 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
     if sol is not None:
         check_ladder_domain(deltas, sol.profile.grid)
     me = metric_expansion(point, seed=metric_seed, deg3_scale=deg3_scale)
-    jobs = []
-    for k, d in enumerate(deltas):
-        jobs.append(partial(_residual_norm, point, sol, me, float(d), p,
-                            mc_samples, seed + k, max_rel_error))
-        if sol is not None:
-            jobs.append(partial(_cancellation_norms, point, sol, me, float(d),
-                                p, mc_samples // 2, seed + 1000 + k))
-    results = list(map(lambda job: job(), jobs))
-    if sol is not None:
-        results, cancel = results[::2], results[1::2]
-    norms, errs = (np.asarray(column) for column in zip(*results))
+
+    def powers(t_all, z_all):
+        rows = np.empty((1 if sol is None else 4, len(deltas), t_all.shape[0]))
+        for s in range(0, t_all.shape[0], _PIECE):
+            piece = slice(s, s + _PIECE)
+            rows[..., piece] = np.abs(_ladder_terms(
+                point, sol, me, deltas, t_all[piece], z_all[piece])) ** p
+        return rows.reshape(-1, t_all.shape[0])
+
+    ests = mc_halfspace(n, powers, n_samples=mc_samples, seed=seed,
+                        t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
+    norms, errs = [], []
+    for delta, est in zip(deltas, ests):
+        norm = float(est.mean ** (1.0 / p))
+        err = float(abs(est.std_error / p * est.mean ** (1.0 / p - 1.0)))
+        if norm > 0 and err > max_rel_error * norm:
+            raise BudgetError(
+                f"MC variance too high at delta={float(delta)!r}: norm "
+                f"{norm!r} +- {err!r} from {mc_samples} samples; raise "
+                "mc_samples", norm, err)
+        norms.append(norm)
+        errs.append(err)
+    norms, errs = np.asarray(norms), np.asarray(errs)
     slope, intercept, band = _fit_loglog(deltas, norms, sigmas=errs)
     eps_column = deltas ** 3 if tie_eps else np.full_like(deltas, eps)
     extras = {
@@ -607,66 +634,13 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
         "bound_column": eps_column * deltas + deltas ** 3,
     }
     if sol is not None:
-        for key, vals in zip(("sum", "v_alone", "metric_alone"), zip(*cancel)):
-            extras["cancel_" + key] = np.asarray(vals)
-        for key, vals in zip(("sum", "v", "metric"), zip(*cancel)):
+        K = len(deltas)
+        cancel = [np.asarray([est.mean ** (1.0 / p) for est in ests[K * i:K * (i + 1)]])
+                  for i in (1, 2, 3)]
+        for key, vals in zip(("sum", "v_alone", "metric_alone"), cancel):
+            extras["cancel_" + key] = vals
+        for key, vals in zip(("sum", "v", "metric"), cancel):
             extras["cancel_slope_" + key] = _fit_loglog(deltas, vals)[0]
     return SlopeExperiment(deltas=deltas, values=norms, slope=slope,
                            intercept=intercept, band=band, status="ok",
                            extras=extras)
-
-
-def _residual_norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
-    """The residual norm at one rung and its standard error: an MC
-    estimate of the integral of |F|^p, F the residual integrand, taken to
-    the power 1/p by the delta method.  BudgetError when the error exceeds
-    max_rel_error of the norm."""
-    F = _residual_integrand(point, sol, me, delta)
-    est = mc_halfspace(point.n, lambda t, z: np.abs(F(t, z)) ** p,
-                       n_samples=n_samples, seed=seed,
-                       t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
-    norm = float(est.mean ** (1.0 / p))
-    err = float(abs(est.std_error / p * est.mean ** (1.0 / p - 1.0)))
-    if norm > 0 and err > max_rel_error * norm:
-        raise BudgetError(
-            f"MC variance too high at delta={delta!r}: norm {norm!r} "
-            f"+- {err!r} from {n_samples} samples; raise mc_samples",
-            norm, err)
-    return norm, err
-
-
-def _cancellation_parts(sol: CorrectorSolution, me: MetricExpansion,
-                        delta: float):
-    """The two terms the cancellation diagnostics compare, as one (2, B)
-    integrand: delta^2 lap(chi v), and chi g2 : Hess_z U with g2 the
-    degree-2 part of Minv - I, which is chi (u1 tr g2 + u2 z.g2 z)."""
-    n = sol.point.n
-
-    def parts(t_all, z_all):
-        out = np.zeros((2, t_all.shape[0]))
-        keep, t, z, rr, cut = _cutoff_shell(n, delta, t_all, z_all)
-        if keep.any():
-            zSz = np.sum(z * (z @ sol.point.S), axis=1)
-            lap_V = _dress(eval_v_derivatives(sol, t, z), cut, t, rr, zSz)[0]
-            out[0, keep] = delta * delta * lap_V
-            _, _, u1, _, u2, _, _ = eval_U_jet(n, t, rr)
-            tr_g2, _, zg2z, *_ = metric_invariants(me, t, z, delta, through_degree=2)
-            out[1, keep] = cut[0] * (u1 * tr_g2 + u2 * zg2z)
-        return out
-
-    return parts
-
-
-def _cancellation_norms(point, sol, me, delta, p, n_samples, seed):
-    """L^p norms of the corrector's flat Laplacian, the metric quadratic
-    term on the bubble, and their sum (chi-dressed), from one set of
-    samples: (sum, corrector alone, metric alone)."""
-    parts = _cancellation_parts(sol, me, delta)
-
-    def powers(t_all, z_all):
-        tv, tm = parts(t_all, z_all)
-        return np.abs(np.stack([tv + tm, tv, tm])) ** p
-
-    ests = mc_halfspace(point.n, powers, n_samples=n_samples, seed=seed,
-                        t_scale=_MC_T_SCALE, z_scale=_MC_Z_SCALE)
-    return tuple(est.mean ** (1.0 / p) for est in ests)

@@ -62,14 +62,14 @@ __all__ = [
 
 # samples per metric_invariants block: a multiple of 8, so no block
 # leaves a ragged column edge for the BLAS kernels, and small enough that
-# a block's features (about 1.5 MB at n = 11, 3.4 MB at n = 15) stay in
-# cache
+# a block's largest feature array, the degree-3 one (about 1 MB at
+# n = 11, 2.5 MB at n = 15), stays in cache
 _BLOCK = 512
 
-# the feature count of the invariant operators is zero-padded to a
-# multiple of _DEPTH_STEP.  OpenBLAS sums a product's K terms in blocks of
-# its depth Q (256 on Haswell, 384 on Skylake-X) while more than 2Q are
-# left, and cuts a rest R, Q < R < 2Q, at (R + 1) // 2 in its threaded
+# the feature count of each degree's invariant operator is zero-padded
+# to a multiple of _DEPTH_STEP.  OpenBLAS sums a product's K terms in
+# blocks of its depth Q (256 on Haswell, 384 on Skylake-X) while more than
+# 2Q are left, and cuts a rest R, Q < R < 2Q, at (R + 1) // 2 in its threaded
 # driver but at R / 2 rounded up to the kernel's row unroll (at most 16)
 # in its one-thread driver.  With K a multiple of 32, so is R, and the two
 # cuts agree: the bits do not depend on the BLAS thread count, as they did
@@ -394,12 +394,11 @@ class MetricExpansion:
     no matrix per sample.  Every matrix its invariants contract g with is
     symmetric, so it works on packed g: the M = m(m+1)/2 entries i <= j
     (the pairs in packed), the off-diagonal ones holding g_ij + g_ji.
-    inv_ops[d] maps the monomial features of one sample, through degree
-    d and zero-padded (see _DEPTH_STEP), to packed g and the divergence in
-    one product; the square P P^T / 15 of the degree-2 block is contracted
-    through P itself.  Only the truncations the residual ladder reads are
-    built: d = 4 for the integrand and d = 2 for the cancellation
-    diagnostics.
+    inv_ops[e - 1] maps the degree-e monomial features of one sample,
+    zero-padded (see _DEPTH_STEP), to the degree-e part of packed g and
+    the divergence of the degree-(e + 1) part in one product, for
+    e = 1..4; the square P P^T / 15 of the degree-2 block, part of
+    degree 4, is contracted through P itself.
     """
     point: CurvaturePoint
     R1: np.ndarray          # (m,m,m,m,m) degree-3 spatial
@@ -416,7 +415,7 @@ class MetricExpansion:
     # the low-rank q
     packed: np.ndarray = field(init=False, repr=False)     # (2, M) int
     cubic_packed: np.ndarray = field(init=False, repr=False)  # (2, C(m+2,3)) int
-    inv_ops: dict = field(init=False, repr=False)          # d -> (M + m, F_d padded)
+    inv_ops: tuple = field(init=False, repr=False)         # e - 1 -> (M + m, F_e padded)
     P_op: np.ndarray = field(init=False, repr=False)       # (m^2, M)
     N_packed: np.ndarray = field(init=False, repr=False)   # (M, M)
     Q_packed: np.ndarray = field(init=False, repr=False)   # (1, M)
@@ -509,11 +508,10 @@ class MetricExpansion:
             pad = np.zeros((-len(rows) % _DEPTH_STEP, rows.shape[1]))
             return _as_readonly(np.concatenate([rows, pad]).T)
 
-        object.__setattr__(self, "inv_ops", {
-            degree: features_to_ops(np.concatenate([
-                np.hstack([g, div * (e < degree)])
-                for e, g, div in blocks if e <= degree]))
-            for degree in (2, 4)})
+        object.__setattr__(self, "inv_ops", tuple(
+            features_to_ops(np.concatenate([
+                np.hstack([g, div]) for e, g, div in blocks if e == degree]))
+            for degree in (1, 2, 3, 4)))
         ops = {
             "P_op": pack_rows(R.transpose(1, 3, 2, 0).reshape(mm, mm)).T,
             "N_packed": pack_rows(pack_rows(self.Ncorr.reshape(mm, mm)).T).T,
@@ -590,80 +588,80 @@ def _batch(t, z, m):
     return t, z
 
 
-def metric_invariants(me: MetricExpansion, t, z, delta: float,
-                      through_degree: int = 4) -> np.ndarray:
+def metric_invariants(me: MetricExpansion, t, z) -> np.ndarray:
     """What the residual integrand reads of g = Minv - I (the spatial
-    block, truncated at through_degree 2 or 4) and of its divergence, at
-    y = (delta z, delta t), shape (6, B):
+    block) and of its divergence, split by degree: I_e for e = 1..4,
+    shape (4, 6, B), such that at y = (delta z, delta t) the six values
 
         tr g,  g : S,  z.gz,  z.g(Sz) + (Sz).gz,  div.z,  div.Sz
 
-    with S the point's pattern matrix me.point.S.  The quadratic forms take
-    z and Sz themselves, not delta z.  No per-sample matrix is formed: see
-    MetricExpansion.
+    are sum_e delta^e I_e, and the same sum over e <= 2 gives them for the
+    degree-2 truncation of g.  S is the point's pattern matrix
+    me.point.S; the quadratic forms take z and Sz themselves, not delta z.
+    I_e carries the degree-e part of g and the divergence of the
+    degree-(e + 1) part, so the divergence rows sum to div(y).  No
+    per-sample matrix is formed: see MetricExpansion.
 
     The samples go through in blocks of _BLOCK, the last one zero-padded
     to full size and trimmed, so every BLAS call sees the same shape and a
     sample's bits do not depend on the batch it came in.
     """
-    if through_degree not in me.inv_ops:
-        raise DomainError(f"metric invariants are built through degree 2 or 4, "
-                          f"not {through_degree}")
     m = me.m
     t, z = _batch(t, z, m)
     size = z.shape[0]
-    out = np.empty((6, size))
+    out = np.empty((4, 6, size))
     for s in range(0, size, _BLOCK):
         k = min(_BLOCK, size - s)
         tb, zb = t[s:s + k], z[s:s + k]
         if k < _BLOCK:
             tb = np.concatenate([tb, np.zeros(_BLOCK - k)])
             zb = np.concatenate([zb, np.zeros((_BLOCK - k, m))])
-        out[:, s:s + k] = _invariant_terms(me, tb, zb, delta, through_degree)[:, :k]
+        out[..., s:s + k] = _invariant_terms(me, tb, zb)[..., :k]
     return out
 
 
-def _invariant_terms(me: MetricExpansion, t: np.ndarray, z: np.ndarray,
-                     delta: float, through_degree: int) -> np.ndarray:
-    # samples along the last axis, so every feature row is contiguous
+def _invariant_terms(me: MetricExpansion, t: np.ndarray,
+                     z: np.ndarray) -> np.ndarray:
+    # samples along the last axis, so every feature row is contiguous;
+    # the features are the monomials of (z, t), each degree in a product
+    # of its own
     m = me.m
     S = me.point.S
     iu, ju = me.packed
-    zt = z.T.copy()
-    w, s = delta * zt, delta * t
-    s2 = s * s
+    pair, last = me.cubic_packed
+    w = z.T.copy()
+    s2 = t * t
+    s3 = s2 * t
     v2 = w[iu] * w[ju]
-    features = [w, v2, s2[None]]
-    if through_degree == 4:
-        pair, last = me.cubic_packed
-        s3 = s2 * s
-        q = me.Q_packed @ v2
-        nc = np.einsum("qb,qb->b", me.N_packed @ v2, v2)
-        features += [v2[pair] * w[last], w * s2, s3[None],
-                     q * w,
-                     nc[None], q * q, v2 * s2, w * s3, (s2 * s2)[None]]
-    ops = me.inv_ops[through_degree]
-    F = np.empty((ops.shape[1], t.size))
-    rows = sum(len(f) for f in features)
-    np.concatenate(features, out=F[:rows])
-    F[rows:] = 0.0
-    gd = ops @ F
-    g, div = gd[:iu.size], gd[iu.size:]
-    Szt = S.T @ zt
-    out = np.empty((6, t.size))
-    out[:2] = np.stack([iu == ju, S[iu, ju]]) @ g
-    out[2] = np.einsum("qb,qb->b", g, zt[iu] * zt[ju])
-    out[3] = np.einsum("qb,qb->b", g, zt[iu] * Szt[ju] + Szt[iu] * zt[ju])
-    out[4] = np.einsum("jb,jb->b", div, zt)
-    out[5] = np.einsum("jb,jb->b", div, Szt)
-    if through_degree == 4:
-        # P P^T / 15 with P_ic = Rbar[i,k,c,l] w_k w_l: its trace, its
-        # contraction with S and its quadratic forms, through P^T z, P^T Sz
-        P = (me.P_op @ v2).reshape(m, m, -1)          # [c, i] = P_ic
-        SP = np.matmul(S.T, P)                         # [c, j] = (S^T P)_jc
-        u = np.einsum("cib,ib->cb", P, zt)
-        out[0] += np.einsum("cib,cib->b", P, P) / 15.0
-        out[1] += np.einsum("cib,cib->b", SP, P) / 15.0
-        out[2] += np.einsum("cb,cb->b", u, u) / 15.0
-        out[3] += 2.0 * np.einsum("cb,cb->b", u, np.einsum("cib,ib->cb", P, Szt)) / 15.0
+    q = me.Q_packed @ v2
+    nc = np.einsum("qb,qb->b", me.N_packed @ v2, v2)
+    features = ([w],
+                [v2, s2[None]],
+                [v2[pair] * w[last], w * s2, s3[None], q * w],
+                [nc[None], q * q, v2 * s2, w * s3, (s2 * s2)[None]])
+    gd = np.empty((4, iu.size + m, t.size))
+    for e, (ops, block) in enumerate(zip(me.inv_ops, features)):
+        F = np.empty((ops.shape[1], t.size))
+        rows = sum(len(f) for f in block)
+        np.concatenate(block, out=F[:rows])
+        F[rows:] = 0.0
+        np.matmul(ops, F, out=gd[e])
+    g, div = gd[:, :iu.size], gd[:, iu.size:]
+    Szt = S.T @ w
+    out = np.empty((4, 6, t.size))
+    out[:, :2] = np.matmul(np.stack([iu == ju, S[iu, ju]]), g)
+    out[:, 2] = np.einsum("eqb,qb->eb", g, v2)
+    out[:, 3] = np.einsum("eqb,qb->eb", g, w[iu] * Szt[ju] + Szt[iu] * w[ju])
+    out[:, 4] = np.einsum("ejb,jb->eb", div, w)
+    out[:, 5] = np.einsum("ejb,jb->eb", div, Szt)
+    # degree 4 also holds P P^T / 15 with P_ic = Rbar[i,k,c,l] z_k z_l:
+    # its trace, its contraction with S and its quadratic forms, through
+    # P^T z, P^T Sz
+    P = (me.P_op @ v2).reshape(m, m, -1)          # [c, i] = P_ic
+    SP = np.matmul(S.T, P)                         # [c, j] = (S^T P)_jc
+    u = np.einsum("cib,ib->cb", P, w)
+    out[3, 0] += np.einsum("cib,cib->b", P, P) / 15.0
+    out[3, 1] += np.einsum("cib,cib->b", SP, P) / 15.0
+    out[3, 2] += np.einsum("cb,cb->b", u, u) / 15.0
+    out[3, 3] += 2.0 * np.einsum("cb,cb->b", u, np.einsum("cib,ib->cb", P, Szt)) / 15.0
     return out

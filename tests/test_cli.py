@@ -6,13 +6,11 @@ file stays cheap.  Determinism is checked at the byte level: repeated
 runs with the same flags must produce identical files.
 """
 
-import concurrent.futures
 import dataclasses
 import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +23,7 @@ from halfbubble.energy import (IDENTITY_DELTAS, RESIDUAL_DELTAS, ReducedCoeffici
                                SlopeExperiment)
 from halfbubble.errors import DomainError, InputFormatError, SolverError, ValidationFailure
 from halfbubble.geometry import CurvaturePoint, make_battery, save_curvature_file
-from halfbubble.quadrature import MomentKey, MomentTable
+from halfbubble.quadrature import MCEstimate, MomentKey, MomentTable
 
 # Coarse-but-honest settings shared by the subcommand tests.  h = 0.02
 # gives a 50 x 50 solver grid, enough for every pipeline stage to run
@@ -304,6 +302,19 @@ class TestVerifyCommand:
         study = corrector.self_convergence(cfg.n, cfg.grid(), cfg.tol_solver)
         assert report["suites"]["corrector"]["self_convergence_order"] == \
             study["order"]
+
+    def test_report_carries_the_convergence_errors(self, tmp_path):
+        # the errors behind the order, as self_convergence gives them on
+        # the run's grid
+        run(tmp_path, "verify")
+        suite = json.loads(
+            (tmp_path / "verify_report.json").read_text())["suites"]["corrector"]
+        cfg = fast_config("verify")
+        study = corrector.self_convergence(cfg.n, cfg.grid(), cfg.tol_solver)
+        assert (suite["self_convergence_order"],
+                suite["self_convergence_coarse_error"],
+                suite["self_convergence_fine_error"]) == \
+            (study["order"], study["coarse_error"], study["fine_error"])
 
     def test_every_overlap_check_uses_tol_quad(self, tmp_path, monkeypatch):
         tols, real = [], corrector.check_solvability
@@ -678,36 +689,26 @@ class TestPipeline:
         assert read(tmp_path / "family.csv") == written
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The max_workers of every thread pool the program makes."""
-    made, pool = [], concurrent.futures.ThreadPoolExecutor
+def fake_estimates(failing=(), cancel_mean=1.0):
+    """An mc_halfspace stand-in for the residual ladder: every rung's main
+    estimate has mean 1 and a small error, except those of the rungs in
+    failing, whose error no budget allows; every cancellation estimate
+    has mean cancel_mean."""
+    def mc(n, integrand, n_samples, seed, **kwargs):
+        K = len(RESIDUAL_DELTAS)
+        return (tuple(MCEstimate(1.0, 10.0 if k in failing else 1e-3)
+                      for k in range(K))
+                + (MCEstimate(cancel_mean, 0.0),) * (3 * K))
 
-    def record(max_workers):
-        made.append(max_workers)
-        return pool(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", record)
-    return made
-
-
-def healthy_norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
-    return 1.0, 1e-3
-
-
-def rung(delta):
-    return int(np.argmin(np.abs(np.asarray(RESIDUAL_DELTAS) - delta)))
+    return mc
 
 
 class TestSlopeLadderOverlap:
-    """pipeline runs the slope ladders as jobs on one two-worker pool --
-    the identity ladder, and each residual rung's main and cancellation
-    estimates -- and reports and writes what a serial run would: the
-    identity ladder's error first, then the rungs' in ladder order, each
-    main estimate before its cancellation estimate; no job still queued
-    when a rung fails runs; and no ladder file from a run that fails.
-    Each fake job fails or returns only once the others have got as far
-    as the case needs, so the interleaving is fixed."""
+    """pipeline runs the slope ladders in the calling thread, the identity
+    ladder first, and reports and writes what that order implies: the
+    identity ladder's error first, then the rungs' budget errors in ladder
+    order, each before any cancellation fit; and no ladder file from a
+    run that fails."""
 
     # a coarse grid that reaches the residual ladder's rho = 100
     ARGS = ["--seed", "1", "--h", "0.04", "--t-max", "100", "--r-max", "100"]
@@ -715,26 +716,20 @@ class TestSlopeLadderOverlap:
     def run(self, out):
         return cli.main([*self.ARGS, "--out-dir", str(out), "pipeline"])
 
-    def fake_ladder_jobs(self, monkeypatch, norm=healthy_norm,
-                         cancellation=lambda *args: (1.0, 1.0, 1.0)):
+    def fake_ladders(self, monkeypatch, mc=fake_estimates()):
         identity = SlopeExperiment(deltas=np.asarray(IDENTITY_DELTAS),
                                    values=np.asarray(IDENTITY_DELTAS) ** 5,
                                    slope=5.0, intercept=0.0, band=0.1)
         monkeypatch.setattr(cli, "verify_A4_L2_L3_identity",
                             lambda point, sol: identity)
-        monkeypatch.setattr(energy, "_residual_norm", norm)
-        monkeypatch.setattr(energy, "_cancellation_norms", cancellation)
+        monkeypatch.setattr(energy, "mc_halfspace", mc)
 
     def test_identity_error_reported_over_residual_error(
             self, tmp_path, monkeypatch, capsys):
-        residual_failed = threading.Event()
-
         def identity(point, sol):
-            assert residual_failed.wait(60)
             raise SolverError("identity ladder failed")
 
         def residual(point, sol, **options):
-            residual_failed.set()
             raise ValidationFailure("residual ladder failed")
 
         monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
@@ -746,144 +741,64 @@ class TestSlopeLadderOverlap:
 
     def test_identity_error_reported_over_rung_error(
             self, tmp_path, monkeypatch, capsys):
-        # the real residual ladder, whose last rung fails before the
-        # identity ladder does
-        rung_failed = threading.Event()
-
+        # the real residual ladder, whose last rung would fail its budget
         def identity(point, sol):
-            assert rung_failed.wait(60)
             raise SolverError("identity ladder failed")
 
-        def norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
-            if rung(delta) == len(RESIDUAL_DELTAS) - 1:
-                rung_failed.set()
-                raise ValidationFailure("rung failed")
-            return healthy_norm(point, sol, me, delta, p, n_samples, seed,
-                                max_rel_error)
-
-        self.fake_ladder_jobs(monkeypatch, norm)
+        self.fake_ladders(monkeypatch,
+                          fake_estimates(failing={len(RESIDUAL_DELTAS) - 1}))
         monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
         assert self.run(tmp_path) == 3
         err = capsys.readouterr().err
         assert "identity ladder failed" in err
-        assert "rung failed" not in err
+        assert "MC variance too high" not in err
         assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
     def test_rung_error_reported_over_next_rung_error(
             self, tmp_path, monkeypatch, capsys):
-        next_failed = threading.Event()
-
-        def norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
-            k = rung(delta)
-            if k == 3:
-                next_failed.set()
-                raise SolverError("rung 3 failed")
-            if k == 2:
-                assert next_failed.wait(60)
-                raise ValidationFailure("rung 2 failed")
-            return healthy_norm(point, sol, me, delta, p, n_samples, seed,
-                                max_rel_error)
-
-        self.fake_ladder_jobs(monkeypatch, norm)
-        assert self.run(tmp_path) == 2
+        self.fake_ladders(monkeypatch, fake_estimates(failing={2, 3}))
+        assert self.run(tmp_path) == 3
         err = capsys.readouterr().err
-        assert "rung 2 failed" in err
-        assert "rung 3 failed" not in err
+        assert f"delta={float(RESIDUAL_DELTAS[2])!r}" in err
+        assert f"delta={float(RESIDUAL_DELTAS[3])!r}" not in err
         assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
     def test_budget_error_reported_over_cancellation_error(
             self, tmp_path, monkeypatch, capsys):
-        cancellation_failed = threading.Event()
-        real = energy._residual_norm
-
-        def norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
-            if rung(delta) == 1:
-                assert cancellation_failed.wait(60)
-                # the real estimate, with no error allowed
-                return real(point, sol, me, delta, p, 500, seed, 0.0)
-            return healthy_norm(point, sol, me, delta, p, n_samples, seed,
-                                max_rel_error)
-
-        def cancellation(point, sol, me, delta, p, n_samples, seed):
-            if rung(delta) == 1:
-                cancellation_failed.set()
-                raise ValidationFailure("cancellation failed")
-            return 1.0, 1.0, 1.0
-
-        self.fake_ladder_jobs(monkeypatch, norm, cancellation)
+        # zero cancellation norms fail their log-log fits, but only once
+        # every rung has passed its gate
+        self.fake_ladders(monkeypatch,
+                          fake_estimates(failing={1}, cancel_mean=0.0))
         assert self.run(tmp_path) == 3
         err = capsys.readouterr().err
-        assert "MC variance too high" in err
-        assert "cancellation failed" not in err
-        assert not list(tmp_path.rglob("*_ladder_*.csv"))
-
-    def test_queued_jobs_never_run_after_a_rung_fails(
-            self, tmp_path, monkeypatch, pools):
-        # the identity ladder holds one worker until the residual ladder
-        # has returned, and rung 0's cancellation estimate, the job the
-        # worker freed by rung 0's failure may take next, holds the other;
-        # so every later rung's jobs are still queued when rung 0 fails
-        ran, returned = [], threading.Event()
-        residual_slope = cli.residual_slope
-
-        def residual(*args, **options):
-            try:
-                return residual_slope(*args, **options)
-            finally:
-                returned.set()
-
-        def identity(point, sol):
-            assert returned.wait(60)
-            deltas = np.asarray(IDENTITY_DELTAS)
-            return SlopeExperiment(deltas=deltas, values=deltas ** 5,
-                                   slope=5.0, intercept=0.0, band=0.1)
-
-        def norm(point, sol, me, delta, p, n_samples, seed, max_rel_error):
-            ran.append(rung(delta))
-            if rung(delta) == 0:
-                raise ValidationFailure("rung 0 failed")
-            return healthy_norm(point, sol, me, delta, p, n_samples, seed,
-                                max_rel_error)
-
-        def cancellation(point, sol, me, delta, p, n_samples, seed):
-            ran.append(rung(delta))
-            assert returned.wait(60)
-            return 1.0, 1.0, 1.0
-
-        self.fake_ladder_jobs(monkeypatch, norm, cancellation)
-        monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
-        monkeypatch.setattr(cli, "residual_slope", residual)
-        assert self.run(tmp_path) == 2
-        assert ran and set(ran) == {0}
-        assert pools == [2]
+        assert f"MC variance too high at delta={float(RESIDUAL_DELTAS[1])!r}" in err
+        assert "log-log fit" not in err
         assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
     def test_no_ladder_file_when_identity_fails(self, tmp_path, monkeypatch,
                                                  capsys):
-        residual_done = threading.Event()
+        ran = []
 
         def identity(point, sol):
-            assert residual_done.wait(60)
             raise ValidationFailure("identity ladder failed")
 
         def residual(point, sol, **options):
+            ran.append(point.label)
             deltas = np.asarray(RESIDUAL_DELTAS)
-            exp = SlopeExperiment(deltas=deltas, values=deltas ** 3, slope=3.0,
-                                  intercept=0.0, band=0.1)
-            residual_done.set()
-            return exp
+            return SlopeExperiment(deltas=deltas, values=deltas ** 3,
+                                   slope=3.0, intercept=0.0, band=0.1)
 
         monkeypatch.setattr(cli, "verify_A4_L2_L3_identity", identity)
         monkeypatch.setattr(cli, "residual_slope", residual)
         assert self.run(tmp_path) == 2
         assert "identity ladder failed" in capsys.readouterr().err
+        assert ran == []
         assert not list(tmp_path.rglob("*_ladder_*.csv"))
 
     def test_ladders_written_when_every_task_succeeds(self, tmp_path,
-                                                      monkeypatch, pools):
-        self.fake_ladder_jobs(monkeypatch)
+                                                      monkeypatch):
+        self.fake_ladders(monkeypatch)
         assert self.run(tmp_path) == 0
-        assert pools == [2]
         assert len(list(tmp_path.rglob("*_ladder_*.csv"))) == 2
 
 
@@ -892,32 +807,6 @@ class TestSlopeLadderOverlap:
 
 
 class TestResidualSlopeCommand:
-    def test_runs_on_the_two_worker_pool(self, tmp_path, monkeypatch, pools):
-        # every rung's estimate runs on one of the pool's two workers, and
-        # the files are those of the inline ladder, byte for byte
-        threads, norm = [], energy._residual_norm
-
-        def recorded(*args):
-            threads.append(threading.current_thread())
-            return norm(*args)
-
-        monkeypatch.setattr(energy, "_residual_norm", recorded)
-        argv = ("--mc-samples", "2000", "residual-slope", "--omit-corrector")
-        assert run(tmp_path / "pooled", *argv) == 0
-        assert pools == [2]
-        assert len(threads) == len(energy._RESIDUAL_DELTAS_NO_V)
-        assert threading.main_thread() not in threads
-        assert len(set(threads)) <= 2
-
-        residual_slope = cli.residual_slope
-
-        def inline(*args, map, **options):
-            return residual_slope(*args, **options)
-
-        monkeypatch.setattr(cli, "residual_slope", inline)
-        assert run(tmp_path / "inline", *argv) == 0
-        assert artifacts(tmp_path / "pooled") == artifacts(tmp_path / "inline")
-
     def test_omit_corrector_ladder_outputs(self, tmp_path, monkeypatch):
         # the bubble-alone ladder reads no corrector, so none is factored
         factors, splu = [], corrector.splu

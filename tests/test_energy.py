@@ -7,15 +7,13 @@ big-domain corrector solutions.
 
 import dataclasses
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import beta as beta_fn
 
-from halfbubble import cli, corrector
+from halfbubble import cli, corrector, energy
 from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess, eval_U_jet
 from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
                                   _y_of_z, solve_vq)
@@ -24,12 +22,10 @@ from halfbubble.energy import (
     ReducedCoefficients,
     _BULK_ROWS,
     _angular_coefficients,
-    _cancellation_norms,
-    _cancellation_parts,
     _chi_tr,
     _identity_terms,
+    _ladder_terms,
     _panel_edges,
-    _residual_integrand,
     SlopeExperiment,
     compute_A,
     compute_A_boundary,
@@ -619,21 +615,46 @@ class TestResidualSlope:
         assert fast >= each + 0.8
 
     def test_cancellation_one_pass_matches_three(self, point11, sol11_big):
-        # the three diagnostics share one sample set; each norm is the one
-        # a pass of its own on the same seed gives, bit for bit
+        # every rung's main norm and its three cancellation norms share one
+        # sample set, read in pieces; each is the norm a pass of its own on
+        # the same seed gives, bit for bit, from a row of the ladder terms
+        # evaluated on each chunk whole
         n = 11
         p = 2.0 * n / (n + 2.0)
+        deltas = np.geomspace(0.02, 0.7, 5)
+        samples = energy._PIECE + 904
+        exp = residual_slope(point11, sol11_big, deltas=deltas,
+                             mc_samples=samples, seed=5, max_rel_error=1.0)
         me = metric_expansion(point11, seed=0, deg3_scale=5.0)
-        for delta in (0.01, 0.1):
-            parts = _cancellation_parts(sol11_big, me, delta)
-            picks = (lambda tv, tm: tv + tm, lambda tv, tm: tv, lambda tv, tm: tm)
-            want = tuple(
-                mc_halfspace(n, lambda t, z, pick=pick: np.abs(pick(*parts(t, z))) ** p,
-                             n_samples=3000, seed=5, t_scale=0.8,
-                             z_scale=0.5).mean ** (1.0 / p)
-                for pick in picks)
-            got = _cancellation_norms(point11, sol11_big, me, delta, p, 3000, 5)
-            assert got == want
+        for kind, key in enumerate(("norms", "cancel_sum", "cancel_v_alone",
+                                    "cancel_metric_alone")):
+            for k in (0, len(deltas) - 1):
+                want = mc_halfspace(
+                    n, lambda t, z: np.abs(_ladder_terms(
+                        point11, sol11_big, me, deltas, t, z)[kind, k]) ** p,
+                    n_samples=samples, seed=5, t_scale=0.8,
+                    z_scale=0.5).mean ** (1.0 / p)
+                assert exp.extras[key][k] == want, (key, k)
+
+    @pytest.mark.parametrize("with_corrector", [True, False])
+    def test_one_sample_set_for_the_ladder(self, point11, sol11_big,
+                                           monkeypatch, with_corrector):
+        # one residual_slope draws one sample set: one mc_halfspace call,
+        # whose rows are every rung's main estimate and, with the
+        # corrector, its three cancellation estimates
+        calls, real = [], energy.mc_halfspace
+
+        def counted(n, integrand, n_samples, seed, **kwargs):
+            ests = real(n, integrand, n_samples, seed, **kwargs)
+            calls.append((n_samples, seed, len(ests)))
+            return ests
+
+        monkeypatch.setattr(energy, "mc_halfspace", counted)
+        sol = sol11_big if with_corrector else None
+        deltas = np.geomspace(0.02, 0.7, 5)
+        residual_slope(point11, sol, deltas=deltas, mc_samples=2000, seed=1,
+                       max_rel_error=1.0)
+        assert calls == [(2000, 1, 5 * (4 if with_corrector else 1))]
 
     def test_ladder_norms_positive(self, point11, sol11_big):
         # every rung's residual norm and cancellation sum is a positive
@@ -642,32 +663,6 @@ class TestResidualSlope:
                              mc_samples=2000, seed=1, max_rel_error=1.0)
         assert np.all(exp.extras["norms"] > 0)
         assert np.all(exp.extras["cancel_sum"] > 0)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_pooled_values_equal_inline_values(self, point11, sol11_big,
-                                               workers):
-        # every estimate draws from its own seed and shares only read-only
-        # data, so on a pool -- the program's two workers, or more than the
-        # cores with the interpreter switching threads often -- the ladder
-        # has the bits of the inline run
-        kwargs = dict(deltas=np.geomspace(0.02, 0.7, 5), mc_samples=2000,
-                      seed=1, max_rel_error=1.0)
-        inline = residual_slope(point11, sol11_big, **kwargs)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pooled = residual_slope(point11, sol11_big, map=pool.map,
-                                        **kwargs)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pooled.extras.keys() == inline.extras.keys()
-        for key, want in inline.extras.items():
-            assert np.asarray(pooled.extras[key]).tobytes() == \
-                np.asarray(want).tobytes(), key
-        assert pooled.values.tobytes() == inline.values.tobytes()
-        assert (pooled.slope, pooled.intercept, pooled.band) == \
-            (inline.slope, inline.intercept, inline.band)
 
     def test_zero_curvature_degenerate(self):
         pt = zero_curvature_point(11)
@@ -865,12 +860,14 @@ class TestStructuredResidual:
 
     @pytest.mark.parametrize("include_v", [True, False])
     def test_integrand_matches_dense(self, sol, include_v):
+        # row 0 of the ladder terms, at every rung
         me = metric_expansion(sol.point, seed=0, deg3_scale=5.0)
         t, z = _proposal_samples(sol.point.n, 4000, seed=11)
-        for delta in self.RUNGS:
+        rows = _ladder_terms(sol.point, sol if include_v else None, me,
+                             self.RUNGS, t, z)
+        assert rows.shape == (4 if include_v else 1, len(self.RUNGS), 4000)
+        for got, delta in zip(rows[0], self.RUNGS):
             want, mag = _dense_residual_integrand(sol, me, delta, include_v)(t, z)
-            got = _residual_integrand(sol.point, sol if include_v else None,
-                                      me, delta)(t, z)
             assert np.count_nonzero(want) > 1000
             # 1e-13 of max|F|, plus a floor of ~9 ulp of the terms F sums,
             # for a rung where F cancels to a small fraction of its terms,
@@ -879,14 +876,18 @@ class TestStructuredResidual:
             assert np.all(np.abs(got - want) <= bound)
 
     def test_cancellation_parts_match_dense(self, sol):
+        # rows 2 and 3 of the ladder terms, at every rung, and row 1 their
+        # sum
         me = metric_expansion(sol.point, seed=0, deg3_scale=5.0)
         t, z = _proposal_samples(sol.point.n, 4000, seed=12)
-        for delta in self.RUNGS:
+        rows = _ladder_terms(sol.point, sol, me, self.RUNGS, t, z)
+        for k, delta in enumerate(self.RUNGS):
             want = _dense_cancellation_parts(sol, me, delta)(t, z)
-            got = _cancellation_parts(sol, me, delta)(t, z)
+            got = rows[2:, k]
             for row_got, row_want in zip(got, want):
                 assert np.max(np.abs(row_got - row_want)) \
                     <= 1e-13 * np.max(np.abs(row_want))
+            assert np.array_equal(rows[1, k], got[0] + got[1])
 
 
 class TestCsvExport:

@@ -23,6 +23,12 @@ def fit_slope(x, y):
     return float(np.polyfit(np.log(np.asarray(x)), np.log(np.abs(np.asarray(y))), 1)[0])
 
 
+def degree_sum(split, delta):
+    """sum_e delta^e split[e - 1]: metric_invariants' values at delta,
+    through the degrees split holds."""
+    return sum(delta ** e * block for e, block in enumerate(split, 1))
+
+
 def metric_det(me, t, z):
     """det of the full inverse metric at one point (the normal block
     contributes 1)."""
@@ -387,17 +393,18 @@ class TestMatrixProductPath:
 
     @pytest.mark.parametrize("n", [11, 15])
     def test_invariants_match_contracted_expansion(self, n):
-        # metric_invariants against the reference g (not Minv - I, whose
-        # diagonal would carry the rounding of 1) and the reference
-        # divergence, which test_divergence_against_fd checks against
-        # finite differences of the reference inverse, contracted sample by
-        # sample; bounded against the sum of the magnitudes of the products
-        # each invariant adds up
+        # the degree split of metric_invariants, summed at each delta,
+        # against the reference g (not Minv - I, whose diagonal would carry
+        # the rounding of 1) and the reference divergence, which
+        # test_divergence_against_fd checks against finite differences of
+        # the reference inverse, contracted sample by sample; and its
+        # degree-2 partial sum against the reference's degree-2 truncation.
+        # Bounded against the sum of the magnitudes of the products each
+        # invariant adds up
         p = generate_sample(n, seed=20 + n)
         me = metric_expansion(p, seed=3, deg3_scale=5.0)
         S = p.S
         rng = np.random.default_rng(n)
-        delta = 0.5
 
         def forms(g, S, z, Sz):
             gz, gSz = np.matmul(g, np.stack([z, Sz], axis=2)).transpose(2, 0, 1)
@@ -408,45 +415,52 @@ class TestMatrixProductPath:
             z = 0.6 * rng.standard_normal((B, p.m))
             t = 0.8 * rng.random(B)
             Sz = z @ S
-            for deg in (2, 4):
-                g = ref_metric_g(me, delta * t, delta * z, deg)
-                got = metric_invariants(me, t, z, delta, through_degree=deg)
-                for i, (want, mag) in enumerate(zip(
-                        forms(g, S, z, Sz), forms(*map(np.abs, (g, S, z, Sz))))):
-                    err = np.max(np.abs(got[i] - want))
-                    assert err <= 1e-13 * np.max(mag), (B, deg, i, err)
-            div = ref_metric_divergence(me, delta * t, delta * z)
-            for row, x in zip(got[4:], (z, Sz)):
-                err = np.max(np.abs(row - np.sum(div * x, axis=1)))
-                assert err <= 1e-13 * np.max(np.sum(np.abs(div * x), axis=1)), (B, err)
-        # only the truncations the residual ladder reads are built
-        with pytest.raises(DomainError, match="degree 2 or 4"):
-            metric_invariants(me, t, z, delta, through_degree=3)
+            split = metric_invariants(me, t, z)
+            assert split.shape == (4, 6, B)
+            for delta in (0.01, 0.5):
+                for deg in (2, 4):
+                    g = ref_metric_g(me, delta * t, delta * z, deg)
+                    got = degree_sum(split[:deg], delta)
+                    for i, (want, mag) in enumerate(zip(
+                            forms(g, S, z, Sz), forms(*map(np.abs, (g, S, z, Sz))))):
+                        err = np.max(np.abs(got[i] - want))
+                        assert err <= 1e-13 * np.max(mag), (B, delta, deg, i, err)
+                div = ref_metric_divergence(me, delta * t, delta * z)
+                for row, x in zip(got[4:], (z, Sz)):
+                    err = np.max(np.abs(row - np.sum(div * x, axis=1)))
+                    assert err <= 1e-13 * np.max(np.sum(np.abs(div * x), axis=1)), \
+                        (B, delta, err)
 
     @pytest.mark.parametrize("n", [11, 15])
-    @pytest.mark.parametrize("deg", [2, 4])
+    @pytest.mark.parametrize("deg", [2, 4, "split"])
     def test_sample_bits_independent_of_batch(self, n, deg):
-        # a sample's invariants have the same bits alone, inside an
-        # odd-size batch and inside a batch of more than two blocks, at
+        # a sample's degree split, and its sums through degree 2 and 4 as
+        # the residual ladder reads them, have the same bits alone, inside
+        # an odd-size batch and inside a batch of more than two blocks, at
         # offsets from the first to the last column of a block
         p = generate_sample(n, seed=40 + n)
         me = metric_expansion(p, seed=3, deg3_scale=5.0)
-        rng = np.random.default_rng(n + deg)
+        rng = np.random.default_rng(n + (0 if deg == "split" else deg))
         B = 2 * _BLOCK + 301
         z = 0.6 * rng.standard_normal((B, p.m))
         t = 0.8 * rng.random(B)
-        full = metric_invariants(me, t, z, 0.3, through_degree=deg)
+
+        def invariants(t, z):
+            split = metric_invariants(me, t, z)
+            return split if deg == "split" else degree_sum(split[:deg], 0.3)
+
+        full = invariants(t, z)
         lo, hi = 5, 5 + 777
-        odd = metric_invariants(me, t[lo:hi], z[lo:hi], 0.3, through_degree=deg)
-        assert np.array_equal(odd, full[:, lo:hi])
+        odd = invariants(t[lo:hi], z[lo:hi])
+        assert np.array_equal(odd, full[..., lo:hi])
         for i in (0, 7, _BLOCK - 1, _BLOCK + 200, B - 1):
-            alone = metric_invariants(me, t[i:i + 1], z[i:i + 1], 0.3, through_degree=deg)
-            assert np.array_equal(alone, full[:, i:i + 1]), i
+            alone = invariants(t[i:i + 1], z[i:i + 1])
+            assert np.array_equal(alone, full[..., i:i + 1]), i
 
 
 # hashes make_battery(n, 5, seed) for n = 11..15 and seeds 1..3, and the
-# degree-4 and degree-2 metric_invariants of each battery's first point on
-# fixed samples
+# degree split of metric_invariants of each battery's first point on fixed
+# samples
 _THREAD_HASH_SCRIPT = """
 import hashlib
 import numpy as np
@@ -462,8 +476,7 @@ for n in range(11, 16):
         rng = np.random.default_rng(seed)
         t, z = np.abs(rng.standard_normal(700)), rng.standard_normal((700, n - 1))
         inv = h.copy()
-        for deg in (4, 2):
-            inv.update(metric_invariants(me, t, z, 0.05, through_degree=deg).tobytes())
+        inv.update(metric_invariants(me, t, z).tobytes())
         print(n, seed, h.hexdigest(), inv.hexdigest())
 """
 
