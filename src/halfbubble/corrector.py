@@ -43,8 +43,9 @@ per node.  The coefficients come from two dense per-axis collocation
 solves, C = Bt^-1 psi Br^-T.  Three evaluation paths share them: the jet
 at scattered points from one basis pass per point (values and first two
 derivatives of the six nonzero B-splines per axis), psi alone the same
-way, and tensor grids as per-axis basis matrices times C.  Points past the
-last node are clamped to it, as FITPACK's evaluator does.
+way, and psi alone on a tensor grid (source_overlap's) as per-axis basis
+matrices times C.  Points past the last node are clamped to it, as
+FITPACK's evaluator does.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class Profile2D:
     C = Bt^-1 psi Br^-T from two collocation solves), with exact chain-rule
     derivatives.  Callers pick the evaluation path: eval (the jet) and
     value (psi alone) take scattered points, one basis pass per point;
-    eval_grid and source_overlap take a tensor grid, per-axis basis
-    matrices times C.  Points beyond the last node are clamped to it.
+    source_overlap reads psi on a tensor grid, per-axis basis matrices
+    times C.  Points beyond the last node are clamped to it.
     """
     n: int
     grid: GridConfig
@@ -208,31 +209,11 @@ class Profile2D:
         tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
         return self._scattered(tau.ravel(), sigma.ravel(), 0)[0].reshape(t.shape)
 
-    def _on_grid(self, tau, sigma, first: bool = False) -> tuple:
-        """psi on the tensor grid of the 1-D tau and sigma, and with first
-        its two first computational partials."""
+    def _on_grid(self, tau, sigma) -> np.ndarray:
+        """psi on the tensor grid of the 1-D tau and sigma."""
         kt, ks = self._knots
-        bt = _basis_matrix(kt, tau, int(first))
-        br = _basis_matrix(ks, sigma, int(first))
-        left = np.concatenate(bt) @ self._coef
-        if not first:
-            return (left @ br[0].T,)
-        psi, s10 = np.split(left @ br[0].T, 2)
-        return psi, s10, left[:len(tau)] @ br[1].T
-
-    def eval_grid(self, t, r) -> tuple:
-        """(psi, psi_t, psi_r) on the tensor grid of the 1-D arrays t and r,
-        each of shape (len(t), len(r)).
-
-        Per-axis basis matrices, values and first derivatives, times the
-        coefficient matrix: the same interpolant as eval, at rounding
-        level, without evaluating the second partials.
-        """
-        tau = _compress(np.asarray(t, dtype=float), _MAP_SCALE)
-        sigma = _compress(np.asarray(r, dtype=float), _MAP_SCALE)
-        psi, s10, s01 = self._on_grid(tau, sigma, first=True)
-        return (psi, s10 / _stretch(tau, _MAP_SCALE)[1][:, None],
-                s01 / _stretch(sigma, _MAP_SCALE)[1])
+        return (_basis_matrix(kt, tau)[0] @ self._coef
+                @ _basis_matrix(ks, sigma)[0].T)
 
     def eval(self, t, r) -> tuple:
         """The jet (psi, psi_t, psi_r, psi_tt, psi_rr) at (t, r), which
@@ -285,7 +266,7 @@ class Profile2D:
         # dt/dtau * dr/dsigma, grouped as (dt/dtau * L) / (1 - sigma)^2
         # so that the pairing keeps its rounding
         jac = tp * _MAP_SCALE / (1.0 - sigma) ** 2
-        psi = self._on_grid(tau, sigma)[0]
+        psi = self._on_grid(tau, sigma)
         vals = psi * source_radial(n, t, r) * r ** (n - 2) * jac
         val = float(wt @ vals @ ws)
         object.__setattr__(self, "_overlap", val)

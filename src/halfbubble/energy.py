@@ -272,24 +272,6 @@ def cutoff_chi(s, order: int = 0) -> np.ndarray:
     raise DomainError("cutoff derivatives supported up to order 2")
 
 
-def _chi_tr(t, r, delta):
-    """Cutoff in bubble coordinates (support rho <= 1/delta) and its exact
-    first (t, r) partial derivatives, for t, r >= 0, which broadcast.  On
-    delta rho <= 1/2 they are exactly 1, 0 and 0, so the blend is only
-    evaluated on the band delta rho > 1/2."""
-    t, r = np.broadcast_arrays(t, r)
-    rho = np.sqrt(t * t + r * r)
-    s = delta * rho
-    band = s > 0.5
-    chi, ct, cr = np.ones(s.shape), np.zeros(s.shape), np.zeros(s.shape)
-    s, rho = s[band], rho[band]
-    c1 = cutoff_chi(s, 1) * delta
-    chi[band] = cutoff_chi(s)
-    ct[band] = c1 * t[band] / rho
-    cr[band] = c1 * r[band] / rho
-    return chi, ct, cr
-
-
 def _angular_coefficients(point: CurvaturePoint):
     """Angular moments of the degree-2 channel, all computed from the data.
 
@@ -308,97 +290,116 @@ def _angular_coefficients(point: CurvaturePoint):
     return cY, cYY, cS2
 
 
-def _panel_edges(cap: float, count: int) -> np.ndarray:
-    """Panel edges on [0, cap], geometric away from a linear start."""
-    lead = cap / count / 4.0
-    return np.concatenate([[0.0], np.geomspace(lead, cap, count)])
-
-
 # ---------------------------------------------------------------------------
 # Identity experiment
 
 
-# t-rows of the identity grid per bulk block: 80 rows of 400 nodes keep a
-# block's arrays at 256 kB each
-_BULK_ROWS = 80
+# the identity ladder's one polar node set (t, r) = rho (cos theta, sin
+# theta): radial panels of _RADIAL_ORDER Gauss nodes between 0,
+# _RADIAL_PANELS geometric edges from the largest rung's cap / 160 to the
+# smallest rung's cap, and every rung's cutoff joins 1/(2 delta) and
+# 1/delta, where chi is only C^2; the angle on _ANGLE_PANELS panels of
+# _ANGLE_ORDER Gauss nodes on [0, pi/2]
+_RADIAL_PANELS = 40
+_RADIAL_ORDER = 10
+_ANGLE_PANELS = 4
+_ANGLE_ORDER = 16
 
 
-def _identity_terms(point: CurvaturePoint, sol: CorrectorSolution,
-                    delta: float) -> dict:
-    """A4, L2, L3 at one delta, reduced to 1D/2D quadrature in bubble
-    coordinates with the cutoff dressed in."""
+def _polar_nodes(deltas) -> tuple:
+    """(rho, w_rho, theta, w_theta): the identity ladder's radial and
+    angular Gauss nodes and weights for the rungs deltas."""
+    caps = 1.0 / np.asarray(deltas, dtype=float)
+    edges = np.unique(np.concatenate([
+        [0.0], np.geomspace(caps.min() / 160.0, caps.max(), _RADIAL_PANELS),
+        0.5 * caps, caps]))
+    rho, w_rho = panel_gauss_nodes(edges, _RADIAL_ORDER)
+    theta, w_theta = panel_gauss_nodes(
+        np.linspace(0.0, 0.5 * math.pi, _ANGLE_PANELS + 1), _ANGLE_ORDER)
+    return rho, w_rho, theta, w_theta
+
+
+def _bulk_pieces(point: CurvaturePoint, sol: CorrectorSolution, rho, theta,
+                 w_theta) -> np.ndarray:
+    """The delta-free pieces of the identity's three bulk integrands at the
+    radial nodes rho, reduced over theta, shape (3, 3, len(rho)).
+
+    The integrands are the S part and the flat part of the metric cross
+    term and the corrector Dirichlet core, on the dressed chi U and
+    chi psi.  The gradient of chi(delta rho) is c e with c = delta
+    chi'(delta rho) and e = (cos theta, sin theta), so each integrand is
+    chi^2, chi c and c^2 times a delta-free piece; pieces[k, j] is the
+    piece of integrand k at factor j, in the area element
+    rho drho dtheta times the sphere's r^(n-2).
+    """
+    n = point.n
+    s = n - 2.0
+    cY, cYY, cS2 = _angular_coefficients(point)
+    cos, sin = np.cos(theta), np.sin(theta)
+    t, r = rho[:, None] * cos, rho[:, None] * sin
+    Q = (1.0 + t) ** 2 + r * r
+    u = Q ** (-s / 2.0)
+    u1 = -s * u / Q
+    u_t, u_r = u1 * (1.0 + t), u1 * r
+    psi, psi_t, psi_r = sol.profile.eval(t, r)[:3]
+    # radial derivatives, and the bracket the S part pairs with U_r
+    u_rho, psi_rho = cos * u_t + sin * u_r, cos * psi_t + sin * psi_r
+    bracket = cYY * psi_r + 2.0 * (cS2 - cYY) * psi / r
+    tt = t * t
+    pieces = np.stack([
+        [tt * u_r * bracket, tt * sin * (cYY * u_r * psi + u * bracket),
+         cYY * tt * sin * sin * u * psi],
+        [cY * (u_t * psi_t + u_r * psi_r), cY * (u * psi_rho + psi * u_rho),
+         cY * u * psi],
+        [cYY * (psi_t * psi_t + psi_r * psi_r)
+         + 4.0 * (cS2 - cYY) * (psi / r) ** 2,
+         2.0 * cYY * psi * psi_rho, cYY * psi * psi]])
+    return np.einsum("kjia,ia,a->kji", pieces,
+                     r ** (n - 2) * rho[:, None], w_theta)
+
+
+def _identity_ladder(point: CurvaturePoint, sol: CorrectorSolution,
+                     deltas) -> dict:
+    """A4, L2, L3 and the Taylor ratio of every rung, as arrays over
+    deltas, from one evaluation of what does not depend on delta on the
+    polar nodes of _polar_nodes: the bulk pieces (see _bulk_pieces), and
+    on the boundary t = 0 the pieces u^(p-2) psi^2 and u^(p-3) psi^3 of
+    (chi u)^(p-2) (chi psi)^2 = chi^p u^(p-2) psi^2 and the cubic alike.
+    Each rung is then sums over the radial nodes of its chi and c."""
     n = point.n
     p = 2.0 * (n - 1.0) / (n - 2.0)
     prof = sol.profile
-    cY, cYY, cS2 = _angular_coefficients(point)
-    grad_moment = 4.0 * (cS2 - cYY)
-    cap = 1.0 / delta
-
-    # --- boundary Taylor term (t = 0 line) ---
-    def boundary_parts(r):
-        u = eval_U_jet(n, 0.0, r * r)[0]
-        chi = cutoff_chi(delta * r)
-        psi = prof.value(np.zeros_like(r), r)
-        uc = u * chi
-        vc = psi * chi
-        w = r ** (n - 2)
-        quad = uc ** (p - 2.0) * vc ** 2 * w
-        cubic = uc ** (p - 3.0) * vc ** 3 * w
-        return quad, cubic
-
-    # the 10 Gauss nodes of each of 40 panels in one batch: 1D for the
-    # boundary line, their tensor grid for the 2D integrals
-    nodes, weights = panel_gauss_nodes(_panel_edges(cap, 40), 10)
-    quad, cubic = boundary_parts(nodes)
-    R2 = float(np.sum(weights * quad))
-    R3 = float(np.sum(weights * cubic))
+    _, cYY, _ = _angular_coefficients(point)
     c_n = (n - 2.0) ** 2 / (2.0 * (n - 1.0))
     cY3 = quadratic_sphere_moment(point.S, 3)
-    A4 = -(c_n * p * (p - 1.0) / 2.0) * delta ** 4 * cYY * R2 \
-        - (c_n * p * (p - 1.0) * (p - 2.0) / 6.0) * delta ** 6 * cY3 * R3
-
-    # Taylor validity: the corrector perturbation must stay below half the
-    # profile on the boundary support
-    r_probe = np.geomspace(1e-2, cap, 200)
-    ratio = (delta ** 2 * np.abs(prof.value(np.zeros_like(r_probe), r_probe))
-             * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
-             / eval_U_jet(n, 0.0, r_probe * r_probe)[0])
-    ratio_max = float(np.max(ratio))
-
-    # --- 2D integrals, on the tensor grid of a column t and a row r, with
-    # psi and its first partials on that grid ---
-    def bulk(t, r, psi, psi_t, psi_r):
-        chi, ct, cr = _chi_tr(t, r, delta)
-        u, u_t, u1, *_ = eval_U_jet(n, t, r * r)
-        u_r = u1 * r
-        uc_r = u_r * chi + u * cr
-        uc_t = u_t * chi + u * ct
-        vc = psi * chi
-        vc_t = psi_t * chi + psi * ct
-        vc_r = psi_r * chi + psi * cr
-        w = r ** (n - 2)
-        r_safe = np.maximum(r, 1e-300)
-        # metric cross term: S part plus the flat part carried by <Y>
-        cross_S = t * t * uc_r * (cYY * vc_r + 2.0 * (cS2 - cYY) * vc / r_safe)
-        cross_flat = cY * (uc_t * vc_t + uc_r * vc_r)
-        # corrector Dirichlet energy
-        dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + grad_moment * (vc / r_safe) ** 2
-        return np.stack([cross_S * w, cross_flat * w, dir_core * w])
-
-    # psi on the whole node grid, each axis basis built once; then the
-    # r-sums of _BULK_ROWS t-rows at a time, so a block's arrays stay in
-    # cache; the same sums as reducing the whole grid at once
-    psi_grid = prof.eval_grid(nodes, nodes)
-    rows = np.empty((3, nodes.size))
-    for s in range(0, nodes.size, _BULK_ROWS):
-        block = slice(s, s + _BULK_ROWS)
-        rows[:, block] = bulk(nodes[block, None], nodes[None, :],
-                              *(a[block] for a in psi_grid)) @ weights
-    totals = rows @ weights
-    L2 = delta ** 4 * (totals[0] + totals[1])
-    L3 = 0.5 * delta ** 4 * totals[2]
-    return {"A4": A4, "L2": L2, "L3": L3, "ratio_max": ratio_max,
-            "R2": R2, "R3": R3}
+    s_max = max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
+    rho, w_rho, theta, w_theta = _polar_nodes(deltas)
+    bulk = _bulk_pieces(point, sol, rho, theta, w_theta)
+    u0 = (1.0 + rho * rho) ** (-(n - 2.0) / 2.0)
+    psi0 = prof.value(np.zeros_like(rho), rho)
+    w0 = w_rho * rho ** (n - 2)
+    quad = u0 ** (p - 2.0) * psi0 ** 2 * w0
+    cubic = u0 ** (p - 3.0) * psi0 ** 3 * w0
+    out = {key: [] for key in ("A4", "L2", "L3", "ratio_max")}
+    for delta in deltas:
+        chi = cutoff_chi(delta * rho)
+        c = cutoff_chi(delta * rho, 1) * delta
+        totals = np.einsum("kji,ji,i->k", bulk,
+                           np.stack([chi * chi, chi * c, c * c]), w_rho)
+        chi_p = chi ** p
+        R2, R3 = float(np.sum(chi_p * quad)), float(np.sum(chi_p * cubic))
+        out["A4"].append(
+            -(c_n * p * (p - 1.0) / 2.0) * delta ** 4 * cYY * R2
+            - (c_n * p * (p - 1.0) * (p - 2.0) / 6.0) * delta ** 6 * cY3 * R3)
+        out["L2"].append(delta ** 4 * (totals[0] + totals[1]))
+        out["L3"].append(0.5 * delta ** 4 * totals[2])
+        # Taylor validity: the corrector perturbation must stay below half
+        # the profile on the boundary support
+        r_probe = np.geomspace(1e-2, 1.0 / delta, 200)
+        ratio = (delta ** 2 * np.abs(prof.value(np.zeros_like(r_probe), r_probe))
+                 * s_max / eval_U_jet(n, 0.0, r_probe * r_probe)[0])
+        out["ratio_max"].append(float(np.max(ratio)))
+    return {key: np.asarray(vals) for key, vals in out.items()}
 
 
 def verify_A4_L2_L3_identity(point: CurvaturePoint,
@@ -411,6 +412,15 @@ def verify_A4_L2_L3_identity(point: CurvaturePoint,
     delta^4; the remainder must decay with slope >= 4.5.  The fitted
     delta^4 coefficient of the sum is compared against half the pairing
     (within 2%) and both are attached to extras.
+
+    Every rung is read off one node set in polar coordinates (t, r) =
+    rho (cos theta, sin theta): Gauss panels in rho whose edges include
+    each rung's cutoff joins 1/(2 delta) and 1/delta, times Gauss panels
+    in theta on [0, pi/2] (see _polar_nodes).  Only the cutoff depends on
+    delta, so the bubble, the profile jet and the integrands' delta-free
+    pieces are evaluated once and reduced over theta; each rung is a
+    radial sum of those pieces times chi^2, chi c and c^2 (c = delta
+    chi'), and chi^p on the boundary (see _identity_ladder).
     """
     deltas = np.asarray(IDENTITY_DELTAS)
     pairing = sol.pairing()
@@ -420,17 +430,10 @@ def verify_A4_L2_L3_identity(point: CurvaturePoint,
                                band=float("nan"), status="degenerate",
                                extras={"pairing": pairing})
     check_ladder_domain(deltas, sol.profile.grid)
-    sums = []
-    remainders = []
-    ratio_max = 0.0
-    for d in deltas:
-        terms = _identity_terms(point, sol, float(d))
-        total = terms["A4"] + terms["L2"] + terms["L3"]
-        sums.append(total)
-        remainders.append(total - 0.5 * d ** 4 * pairing)
-        ratio_max = max(ratio_max, terms["ratio_max"])
-    sums = np.asarray(sums)
-    remainders = np.asarray(remainders)
+    terms = _identity_ladder(point, sol, deltas)
+    sums = terms["A4"] + terms["L2"] + terms["L3"]
+    remainders = sums - 0.5 * deltas ** 4 * pairing
+    ratio_max = float(np.max(terms["ratio_max"]))
     slope, intercept, band = _fit_loglog(deltas, remainders)
     # regression for the delta^4 coefficient of the raw sum, on the 5
     # asymptotic rungs delta <= 0.2 (above that the terms beyond the

@@ -456,8 +456,8 @@ def mc_halfspace(n: int, integrand, n_samples: int, seed: int,
         B = min(_MC_CHUNK, n_samples - done)
         t = np.abs(rng.standard_cauchy(B)) * t_scale
         w = rng.chisquare(nu, B)
-        g = rng.standard_normal((B, d))
-        z = z_scale * g * np.sqrt(nu / w)[:, None]
+        z = z_scale * rng.standard_normal((B, d))
+        z *= np.sqrt(nu / w)[:, None]
         log_qt = math.log(2.0 / (math.pi * t_scale)) - np.log1p((t / t_scale) ** 2)
         zz = np.einsum("bi,bi->b", z, z)
         log_qz = log_norm - 0.5 * (nu + d) * np.log1p(zz / (nu * z_scale ** 2))
@@ -468,11 +468,14 @@ def mc_halfspace(n: int, integrand, n_samples: int, seed: int,
             k, i = np.unravel_index(np.argmax(bad), bad.shape)
             raise PoisonedEstimateError(
                 f"integrand returned {rows[k, i]!r} at t={t[i]!r}", t[i], z[i].copy())
-        wgt = rows * np.exp(-(log_qt + log_qz))
+        # each row is weighted in turn, so no weighted copy of all the
+        # rows is held; rows itself may be an array the integrand keeps
+        inv_q = np.exp(-(log_qt + log_qz))
         if totals is None:
-            totals = [0.0] * len(wgt)
-            sq_dev = [0.0] * len(wgt)
-        for k, row in enumerate(wgt):
+            totals = [0.0] * len(rows)
+            sq_dev = [0.0] * len(rows)
+        for k in range(len(rows)):
+            row = rows[k] * inv_q
             chunk_total = float(row.sum())
             chunk_mean = chunk_total / B
             chunk_sq_dev = float(np.sum((row - chunk_mean) ** 2))

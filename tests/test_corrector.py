@@ -683,18 +683,15 @@ class TestProfileJet:
 
     @staticmethod
     def check_grid(prof):
+        # the tensor-grid value path (source_overlap's) against FITPACK
         cap = min(prof.grid.t_max, prof.grid.r_max)
         x = np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, cap, 120),
                             [2.0 * cap]])
         spline = fitpack_reference(prof)
-        L = corrector._MAP_SCALE
-        s = x / (L + x)
-        ds = L / (1.0 - s) ** 2
-        want = (spline(s, s), spline(s, s, dx=1) / ds[:, None],
-                spline(s, s, dy=1) / ds)
-        for g, w in zip(prof.eval_grid(x, x), want):
-            assert_rel_close(g, w, where={"t = 0": (0, slice(None)),
-                                          "r = 1e-9": (slice(None), 1)})
+        s = x / (corrector._MAP_SCALE + x)
+        assert_rel_close(prof._on_grid(s, s), spline(s, s),
+                         where={"t = 0": (0, slice(None)),
+                                "r = 1e-9": (slice(None), 1)})
 
     def test_tensor_grid_matches_scattered(self, jet_profile):
         T, R = np.meshgrid(self.t_col, self.r_row, indexing="ij")

@@ -14,18 +14,14 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.special import beta as beta_fn
 
 from halfbubble import cli, corrector, energy
-from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess, eval_U_jet
+from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess
 from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
                                   _y_of_z, solve_vq)
 from halfbubble.energy import (
     IDENTITY_DELTAS,
     ReducedCoefficients,
-    _BULK_ROWS,
     _angular_coefficients,
-    _chi_tr,
-    _identity_terms,
     _ladder_terms,
-    _panel_edges,
     SlopeExperiment,
     compute_A,
     compute_A_boundary,
@@ -344,92 +340,15 @@ class TestSlopeExperimentType:
         assert exp.status == "degenerate"
 
 
-def _ref_identity_terms(point, sol, delta, panels=40, order=10):
-    """Reference for energy._identity_terms: the same quadrature summed
-    panel by panel (40 boundary panels, 40 x 40 bulk panels of 10 x 10
-    Gauss nodes each), with U and its (t, r) derivatives read from the
-    dense eval_U / eval_U_grad at z = r e_1."""
-    n = point.n
-
-    def on_axis(t, r):
-        t, r = np.broadcast_arrays(np.asarray(t, dtype=float), r)
-        z = np.zeros(r.shape + (n - 1,))
-        z[..., 0] = r
-        return t, z
-
-    def U_tr(t, r):
-        return eval_U(n, *on_axis(t, r))
-
-    def grad_tr(t, r):
-        grad = eval_U_grad(n, *on_axis(t, r))
-        return grad[..., n - 1], grad[..., 0]
-
-    p = 2.0 * (n - 1.0) / (n - 2.0)
-    prof = sol.profile
-    cY, cYY, cS2 = _angular_coefficients(point)
-    grad_moment = 4.0 * (cS2 - cYY)
-    cap = 1.0 / delta
-
-    def boundary_parts(r):
-        u = U_tr(0.0, r)
-        chi = cutoff_chi(delta * r)
-        psi = prof.eval(np.zeros_like(r), r)[0]
-        uc = u * chi
-        vc = psi * chi
-        w = r ** (n - 2)
-        return uc ** (p - 2.0) * vc ** 2 * w, uc ** (p - 3.0) * vc ** 3 * w
-
-    edges_r = _panel_edges(cap, panels)
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(order)
-    R2 = 0.0
-    R3 = 0.0
-    for a, b in zip(edges_r[:-1], edges_r[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        quad, cubic = boundary_parts(mid + half * x_nodes)
-        R2 += half * np.sum(x_weights * quad)
-        R3 += half * np.sum(x_weights * cubic)
-    c_n = (n - 2.0) ** 2 / (2.0 * (n - 1.0))
-    cY3 = quadratic_sphere_moment(point.S, 3)
-    A4 = -(c_n * p * (p - 1.0) / 2.0) * delta ** 4 * cYY * R2 \
-        - (c_n * p * (p - 1.0) * (p - 2.0) / 6.0) * delta ** 6 * cY3 * R3
-
-    r_probe = np.geomspace(1e-2, cap, 200)
-    ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe)[0])
-             * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
-             / U_tr(0.0, r_probe))
-
-    def bulk(t, r):
-        chi, ct, cr = _chi_tr(t, r, delta)
-        u = U_tr(t, r)
-        u_t, u_r = grad_tr(t, r)
-        psi, psi_t, psi_r, *_ = prof.eval(t, r)
-        uc_r = u_r * chi + u * cr
-        uc_t = u_t * chi + u * ct
-        vc = psi * chi
-        vc_t = psi_t * chi + psi * ct
-        vc_r = psi_r * chi + psi * cr
-        w = r ** (n - 2)
-        r_safe = np.maximum(r, 1e-300)
-        cross_S = t * t * uc_r * (cYY * vc_r + 2.0 * (cS2 - cYY) * vc / r_safe)
-        cross_flat = cY * (uc_t * vc_t + uc_r * vc_r)
-        dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + grad_moment * (vc / r_safe) ** 2
-        return np.stack([cross_S * w, cross_flat * w, dir_core * w])
-
-    totals = np.zeros(3)
-    for a, b in zip(edges_r[:-1], edges_r[1:]):
-        mt, ht = 0.5 * (a + b), 0.5 * (b - a)
-        tt = mt + ht * x_nodes
-        for c, d in zip(edges_r[:-1], edges_r[1:]):
-            mr, hr = 0.5 * (c + d), 0.5 * (d - c)
-            T, R = np.meshgrid(tt, mr + hr * x_nodes, indexing="ij")
-            vals = bulk(T.ravel(), R.ravel()).reshape(3, order, order)
-            totals += np.sum(vals * np.outer(x_weights, x_weights) * ht * hr, axis=(1, 2))
-    return {"A4": A4, "L2": delta ** 4 * (totals[0] + totals[1]),
-            "L3": 0.5 * delta ** 4 * totals[2], "ratio_max": float(np.max(ratio))}
+def _panel_edges(cap, count):
+    """Panel edges on [0, cap], geometric away from a linear start."""
+    lead = cap / count / 4.0
+    return np.concatenate([[0.0], np.geomspace(lead, cap, count)])
 
 
 def _full_grid_chi_tr(t, r, delta):
-    """Reference for energy._chi_tr: the cutoff formula on every point."""
+    """The cutoff chi(delta rho) and its (t, r) partials, the formula on
+    every point."""
     rho = np.sqrt(t * t + r * r)
     rho_safe = np.maximum(rho, 1e-300)
     s = delta * rho
@@ -437,58 +356,91 @@ def _full_grid_chi_tr(t, r, delta):
     return cutoff_chi(s), c1 * t / rho_safe, c1 * r / rho_safe
 
 
-def _unblocked_bulk_totals(point, sol, delta):
-    """Reference for the bulk sums of energy._identity_terms: the whole
-    400 x 400 tensor grid in one array, with the full-grid cutoff, reduced
-    over r and then over t.  Returns (L2, L3)."""
+def _dressed_bulk(point, prof, delta, t, r):
+    """The identity's three bulk integrands at (t, r), with the cutoff
+    dressed into U and psi and their (t, r) derivatives: the S and the
+    flat part of the metric cross term and the corrector Dirichlet core,
+    each times the sphere's r^(n-2).  U and its gradient are read from the
+    dense eval_U / eval_U_grad at z = r e_1."""
     n = point.n
-    prof = sol.profile
     cY, cYY, cS2 = _angular_coefficients(point)
-    grad_moment = 4.0 * (cS2 - cYY)
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(10)
-    edges = _panel_edges(1.0 / delta, 40)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
-    weights = (half[:, None] * x_weights).ravel()
-    t, r = nodes[:, None], nodes[None, :]
+    t, r = np.broadcast_arrays(t, r)
     chi, ct, cr = _full_grid_chi_tr(t, r, delta)
-    u, u_t, u1, *_ = eval_U_jet(n, t, r * r)
-    u_r = u1 * r
-    psi, psi_t, psi_r = prof.eval_grid(nodes, nodes)
+    u = eval_U(n, t, _on_axis(n, r))
+    grad = eval_U_grad(n, t, _on_axis(n, r))
+    u_t, u_r = grad[..., n - 1], grad[..., 0]
+    psi, psi_t, psi_r, *_ = prof.eval(t, r)
     uc_r = u_r * chi + u * cr
     uc_t = u_t * chi + u * ct
     vc = psi * chi
     vc_t = psi_t * chi + psi * ct
     vc_r = psi_r * chi + psi * cr
     w = r ** (n - 2)
-    r_safe = np.maximum(r, 1e-300)
-    cross_S = t * t * uc_r * (cYY * vc_r + 2.0 * (cS2 - cYY) * vc / r_safe)
+    cross_S = t * t * uc_r * (cYY * vc_r + 2.0 * (cS2 - cYY) * vc / r)
     cross_flat = cY * (uc_t * vc_t + uc_r * vc_r)
-    dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + grad_moment * (vc / r_safe) ** 2
-    vals = np.stack([cross_S * w, cross_flat * w, dir_core * w])
-    totals = (vals @ weights) @ weights
-    return delta ** 4 * (totals[0] + totals[1]), 0.5 * delta ** 4 * totals[2]
+    dir_core = cYY * (vc_t ** 2 + vc_r ** 2) + 4.0 * (cS2 - cYY) * (vc / r) ** 2
+    return np.stack([cross_S * w, cross_flat * w, dir_core * w])
 
 
-class TestBlockedKernels:
-    """The cache-sized identity blocks and the band-only cutoff against
-    their whole-grid forms, bit for bit."""
+def _boundary_parts(point, prof, delta, r):
+    """The boundary Taylor integrands (chi u)^(p-2) (chi psi)^2 r^(n-2)
+    and (chi u)^(p-3) (chi psi)^3 r^(n-2) on t = 0, at r inside the
+    cutoff's support."""
+    n = point.n
+    p = 2.0 * (n - 1.0) / (n - 2.0)
+    chi = cutoff_chi(delta * r)
+    uc = eval_U(n, np.zeros_like(r), _on_axis(n, r)) * chi
+    vc = prof.eval(np.zeros_like(r), r)[0] * chi
+    w = r ** (n - 2)
+    return uc ** (p - 2.0) * vc ** 2 * w, uc ** (p - 3.0) * vc ** 3 * w
 
-    def test_blocked_terms_match_unblocked_bulk(self, point11, sol11_big):
-        for d in IDENTITY_DELTAS:
-            got = _identity_terms(point11, sol11_big, float(d))
-            assert (got["L2"], got["L3"]) == _unblocked_bulk_totals(
-                point11, sol11_big, float(d)), d
 
-    def test_band_cutoff_matches_full_grid_formula(self):
-        # nodes through the plateau, the band (1/2, 1), the join at 1 and
-        # beyond, with the origin and the axes included
-        nodes = np.concatenate([[0.0], np.geomspace(1e-3, 1.6, 301)])
-        for delta in (1.0, 0.5 * 10.0 ** -1.5):
-            t, r = nodes[:, None] / delta, nodes[None, :] / delta
-            for got, want in zip(_chi_tr(t, r, delta), _full_grid_chi_tr(t, r, delta)):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), delta
+def _on_axis(n, r):
+    """z = r e_1 in R^(n-1)."""
+    z = np.zeros(np.shape(r) + (n - 1,))
+    z[..., 0] = r
+    return z
+
+
+def _A4(point, delta, R2, R3):
+    n = point.n
+    p = 2.0 * (n - 1.0) / (n - 2.0)
+    _, cYY, _ = _angular_coefficients(point)
+    c_n = (n - 2.0) ** 2 / (2.0 * (n - 1.0))
+    cY3 = quadratic_sphere_moment(point.S, 3)
+    return (-(c_n * p * (p - 1.0) / 2.0) * delta ** 4 * cYY * R2
+            - (c_n * p * (p - 1.0) * (p - 2.0) / 6.0) * delta ** 6 * cY3 * R3)
+
+
+def _ref_identity_terms(point, sol, delta, panels=40, order=10):
+    """Cartesian reference for the identity terms at one delta: 40
+    boundary panels on [0, 1/delta] and their 40 x 40 tensor panels, 10
+    Gauss nodes per panel and axis, a t-panel's row of r-panels at a
+    time, with U read from the dense eval_U at z = r e_1 and the Taylor
+    ratio from the jet's psi."""
+    n = point.n
+    prof = sol.profile
+    cap = 1.0 / delta
+    edges = _panel_edges(cap, panels)
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
+    weights = (half[:, None] * x_weights).ravel()
+    quad, cubic = _boundary_parts(point, prof, delta, nodes)
+    A4 = _A4(point, delta, np.sum(weights * quad), np.sum(weights * cubic))
+
+    r_probe = np.geomspace(1e-2, cap, 200)
+    ratio = (delta ** 2 * np.abs(prof.eval(np.zeros_like(r_probe), r_probe)[0])
+             * max(np.abs(np.linalg.eigvalsh(point.S)).max(), 1e-300)
+             / eval_U(n, np.zeros_like(r_probe), _on_axis(n, r_probe)))
+
+    totals = np.zeros(3)
+    for s in range(0, nodes.size, order):
+        t = nodes[s:s + order, None]
+        vals = _dressed_bulk(point, prof, delta, t, nodes[None, :])
+        totals += np.sum(vals * weights[s:s + order, None] * weights, axis=(1, 2))
+    return {"A4": A4, "L2": delta ** 4 * (totals[0] + totals[1]),
+            "L3": 0.5 * delta ** 4 * totals[2], "ratio_max": float(np.max(ratio))}
 
 
 class TestIdentityExperiment:
@@ -505,85 +457,105 @@ class TestIdentityExperiment:
         exp = verify_A4_L2_L3_identity(point11, sol11_big)
         assert exp.extras["taylor_ratio_max"] < 0.5
 
+    def test_one_pass_matches_rung_by_rung(self, point11, sol11_big):
+        # each rung's A4, L2 and L3 from the one pass equal today's dressed
+        # integrands evaluated rung by rung on the same polar nodes; the
+        # remainder cancels about 4 digits of the sum, so it is bounded
+        # against |sum|, not against itself
+        deltas = np.asarray(IDENTITY_DELTAS)
+        got = energy._identity_ladder(point11, sol11_big, deltas)
+        rho, w_rho, theta, w_theta = energy._polar_nodes(deltas)
+        t, r = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+        prof = sol11_big.profile
+        pairing = sol11_big.pairing()
+        for k, delta in enumerate(deltas):
+            vals = _dressed_bulk(point11, prof, delta, t, r)
+            totals = np.sum(vals * (w_rho * rho)[:, None] * w_theta, axis=(1, 2))
+            inside = delta * rho < 1.0
+            quad, cubic = _boundary_parts(point11, prof, delta, rho[inside])
+            want = {"A4": _A4(point11, delta, np.sum(w_rho[inside] * quad),
+                              np.sum(w_rho[inside] * cubic)),
+                    "L2": delta ** 4 * (totals[0] + totals[1]),
+                    "L3": 0.5 * delta ** 4 * totals[2]}
+            for key in ("A4", "L2", "L3"):
+                assert got[key][k] == pytest.approx(want[key], rel=1e-13, abs=0.0), (delta, key)
+            total = got["A4"][k] + got["L2"][k] + got["L3"][k]
+            want_total = want["A4"] + want["L2"] + want["L3"]
+            remainder = total - 0.5 * delta ** 4 * pairing
+            want_remainder = want_total - 0.5 * delta ** 4 * pairing
+            assert abs(remainder - want_remainder) <= 1e-12 * abs(want_total), delta
+
     def test_batched_terms_match_panel_loop(self, point11, sol11_big):
-        # default 7-rung ladder; the remainder cancels about 4 digits of
-        # the sum, so it is bounded against |sum|, not against itself
+        # the polar one pass against the Cartesian panel rule of 40 x 40
+        # panels per rung, to that rule's own error: against a refined
+        # polar rule (8 angular panels of 20 nodes, 200 geometric radial
+        # panels of 12 nodes) it is off by up to 2.5e-8 in A4, 4.4e-8 in
+        # L2 and L3, and 7.1e-8 of |sum| in the sum, where the one pass is
+        # off by 1e-9 or less
         exp = verify_A4_L2_L3_identity(point11, sol11_big)
+        got = energy._identity_ladder(point11, sol11_big, exp.deltas)
         pairing = sol11_big.pairing()
         ratios = []
-        for d in exp.deltas:
-            got = _identity_terms(point11, sol11_big, float(d))
+        for k, d in enumerate(exp.deltas):
             ref = _ref_identity_terms(point11, sol11_big, float(d))
             for key in ("A4", "L2", "L3"):
-                assert got[key] == pytest.approx(ref[key], rel=1e-13, abs=0.0), (d, key)
-            total = got["A4"] + got["L2"] + got["L3"]
+                assert got[key][k] == pytest.approx(ref[key], rel=5e-8, abs=0.0), (d, key)
             ref_total = ref["A4"] + ref["L2"] + ref["L3"]
-            remainder = total - 0.5 * d ** 4 * pairing
             ref_remainder = ref_total - 0.5 * d ** 4 * pairing
-            assert abs(remainder - ref_remainder) <= 1e-12 * abs(ref_total), d
-            assert got["ratio_max"] == ref["ratio_max"]
+            assert abs(exp.values[k] - ref_remainder) <= 1e-7 * abs(ref_total), d
+            assert got["ratio_max"][k] == ref["ratio_max"]
             ratios.append(ref["ratio_max"])
         assert exp.extras["taylor_ratio_max"] == max(ratios)
 
     @pytest.mark.parametrize("n", [11, 15])
     def test_grid_jet_matches_spline_partials(self, n, sol11_big, sol15_far):
-        # eval_grid on the bulk nodes of the smallest and largest rung
-        # against one partial each from FITPACK's evaluator, mapped by the
-        # chain rule; the first node row and column (t, r -> 0) are also
-        # bounded on their own scale.  FITPACK evaluates this profile's
-        # own coefficients: near r = 0 any double-precision fit is good to
-        # about 1e-11 only on the column's own scale (the fits are held to
-        # each other in tests/test_corrector.py)
+        # the profile jet on the identity ladder's polar nodes against one
+        # partial each from FITPACK's evaluator, mapped by the chain rule;
+        # the innermost radial node (t, r -> 0) is also bounded on its own
+        # scale.  FITPACK evaluates this profile's own coefficients
         prof = (sol11_big if n == 11 else sol15_far).profile
         spline = fitpack_spline(prof)
         spline.tck = (*spline.tck[:2], prof._coef.ravel())
-        x_nodes, _ = np.polynomial.legendre.leggauss(10)
-        for delta in (0.5 * 10.0 ** -1.5, 0.5):
-            edges = _panel_edges(1.0 / delta, 40)
-            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-            nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
-            tau = _compress(nodes, _MAP_SCALE)[:, None]
-            sigma = _compress(nodes, _MAP_SCALE)[None, :]
-            x, y = tau[:, 0], sigma[0]
-            want = (spline(x, y),
-                    spline(x, y, dx=1) / _stretch(tau, _MAP_SCALE)[1],
-                    spline(x, y, dy=1) / _stretch(sigma, _MAP_SCALE)[1])
-            for got, ref in zip(prof.eval_grid(nodes, nodes), want):
-                assert got.shape == ref.shape
-                err = np.abs(got - ref)
-                assert np.max(err) <= 1e-13 * np.max(np.abs(ref)), delta
-                assert np.max(err[0]) <= 1e-13 * np.max(np.abs(ref[0])), delta
-                assert np.max(err[:, 0]) <= 1e-13 * np.max(np.abs(ref[:, 0])), delta
+        rho, _, theta, _ = energy._polar_nodes(IDENTITY_DELTAS)
+        t, r = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+        tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
+        x, y = tau.ravel(), sigma.ravel()
+        want = (spline(x, y, grid=False).reshape(t.shape),
+                spline(x, y, dx=1, grid=False).reshape(t.shape)
+                / _stretch(tau, _MAP_SCALE)[1],
+                spline(x, y, dy=1, grid=False).reshape(t.shape)
+                / _stretch(sigma, _MAP_SCALE)[1])
+        for got, ref in zip(prof.eval(t, r), want):
+            assert got.shape == ref.shape
+            err = np.abs(got - ref)
+            assert np.max(err) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(err[0]) <= 1e-13 * np.max(np.abs(ref[0]))
 
-    def test_each_axis_basis_built_once_per_rung(self, point11, sol11_big,
-                                                 monkeypatch):
-        # psi is evaluated once on each rung's whole 400 x 400 node grid:
-        # one basis matrix per axis and rung, none per block of t-rows
+    def test_one_profile_eval_per_ladder(self, point11, sol11_big, monkeypatch):
+        # the profile jet is evaluated once per ladder, on every polar
+        # node at once; each rung only sums over the radial nodes
         sol11_big.pairing()
-        built, basis_matrix = [], corrector._basis_matrix
+        calls, real = [], corrector.Profile2D.eval
 
-        def counted(knots, x, nu=0):
-            built.append(len(x))
-            return basis_matrix(knots, x, nu)
+        def counted(self, t, r):
+            calls.append(np.broadcast(t, r).size)
+            return real(self, t, r)
 
-        monkeypatch.setattr(corrector, "_basis_matrix", counted)
+        monkeypatch.setattr(corrector.Profile2D, "eval", counted)
         verify_A4_L2_L3_identity(point11, sol11_big)
-        assert built == [400] * (2 * len(IDENTITY_DELTAS))
+        rho, _, theta, _ = energy._polar_nodes(IDENTITY_DELTAS)
+        assert calls == [rho.size * theta.size]
 
     @pytest.mark.parametrize("delta", [0.5 * 10.0 ** -1.5, 0.5])
-    def test_whole_grid_psi_equals_its_row_blocks(self, sol11_big, delta):
-        # slicing the whole-grid evaluation gives each block of t-rows the
-        # bits its own evaluation gave
-        x_nodes, _ = np.polynomial.legendre.leggauss(10)
-        edges = _panel_edges(1.0 / delta, 40)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * x_nodes).ravel()
-        prof = sol11_big.profile
-        whole = prof.eval_grid(nodes, nodes)
-        for s in range(0, nodes.size, _BULK_ROWS):
-            block = prof.eval_grid(nodes[s:s + _BULK_ROWS], nodes)
-            for got, want in zip(whole, block):
-                assert np.array_equal(got[s:s + _BULK_ROWS], want), s
+    def test_whole_grid_psi_equals_its_row_blocks(self, point11, sol11_big, delta):
+        # the delta-free pieces of a block of radial nodes do not depend
+        # on the block: a rung's own support, evaluated alone, gives the
+        # bits the whole node set gave there
+        rho, _, theta, w_theta = energy._polar_nodes(IDENTITY_DELTAS)
+        inside = delta * rho < 1.0
+        whole = energy._bulk_pieces(point11, sol11_big, rho, theta, w_theta)
+        block = energy._bulk_pieces(point11, sol11_big, rho[inside], theta, w_theta)
+        assert np.array_equal(whole[..., inside], block)
 
     def test_zero_curvature_is_degenerate(self):
         pt = zero_curvature_point(11)

@@ -425,6 +425,23 @@ class TestMonteCarlo:
                                   seed=17)
             assert est == single
 
+    def test_rows_weighted_one_at_a_time(self):
+        # an integrand may return rows it keeps: they are read, not
+        # weighted in place, and no weighted copy of them all is held
+        import tracemalloc
+
+        n_samples = 60_000
+        kept = np.full((28, n_samples), 2.0)
+        tracemalloc.start()
+        try:
+            ests = mc_halfspace(5, lambda t, z: kept, n_samples=n_samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(kept == 2.0)
+        assert len(set(ests)) == 1
+        assert peak < 0.75 * kept.nbytes, peak
+
     def test_poisoned_row_reported(self):
         def rows(t, z):
             bad = np.ones_like(t)
