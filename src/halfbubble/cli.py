@@ -160,8 +160,7 @@ def _coefficients(cfg: RunConfig, points, quarantined: dict) -> dict:
     def worker(point):
         sol = _solve_point(cfg, point)
         return sol, compute_phi(point, sol,
-                                weyl_denominator=cfg.weyl_denominator,
-                                tol_quad=cfg.tol_quad)
+                                weyl_denominator=cfg.weyl_denominator)
     return _map_points(points, worker, quarantined)
 
 
@@ -238,21 +237,29 @@ def _write_reduction(out: Path, payload: dict) -> None:
     _write_family(out, payload)
 
 
-def _write_residual_ladder(cfg: RunConfig, label: str, exp) -> None:
-    columns = [exp.extras.get(key) for key in
-               ("std_errors", "eps_column", "bound_column")]
+def _write_residual_ladder(cfg: RunConfig, label: str, exp, eps: float = 0.0,
+                           tie_eps: bool = False) -> None:
+    """Each rung's norm and standard error, with the bound column
+    eps*delta + delta^3 (eps = delta^3 per rung with tie_eps); a degenerate
+    experiment has no fit, so those three cells stay blank."""
+    deltas = exp.deltas
+    if exp.status == "degenerate":
+        columns = [[None] * len(deltas)] * 3
+    else:
+        eps_column = deltas ** 3 if tie_eps else np.full_like(deltas, eps)
+        columns = [exp.extras["std_errors"], eps_column,
+                   eps_column * deltas + deltas ** 3]
     _write_csv(Path(cfg.out_dir) / "plots" / f"residual_ladder_{label}.csv",
                "delta,norm,std_error,eps,bound",
-               ([d, exp.values[k]] + [None if col is None else col[k]
-                                      for col in columns]
-                for k, d in enumerate(exp.deltas)))
+               ([d, exp.values[k]] + [col[k] for col in columns]
+                for k, d in enumerate(deltas)))
 
 
-def _slope_ladders(cfg: RunConfig, point, sol, with_identity: bool = True,
-                   **options) -> tuple:
+def _slope_ladders(cfg: RunConfig, point, sol,
+                   with_identity: bool = True) -> tuple:
     """(identity, residual) experiments of one point on the configured
-    ladders; identity is None without with_identity.  options go to the
-    residual ladder, which runs on the bubble alone when sol is None.
+    ladders; identity is None without with_identity.  The residual ladder
+    runs on the bubble alone when sol is None.
 
     The identity ladder runs first, so its error is raised before the
     residual ladder starts, and nothing is written before both return.
@@ -261,7 +268,7 @@ def _slope_ladders(cfg: RunConfig, point, sol, with_identity: bool = True,
     residual = residual_slope(
         point, sol, deltas=cfg.delta_ladder or None,
         mc_samples=cfg.mc_samples, seed=cfg.seed,
-        metric_seed=cfg.metric_seed, deg3_scale=cfg.deg3_scale, **options)
+        metric_seed=cfg.metric_seed, deg3_scale=cfg.deg3_scale)
     return identity, residual
 
 
@@ -319,21 +326,20 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         "kernel_boundary_max": bubble.kernel_boundary_max,
     }
 
-    suites["moments"] = _moment_identity_suite(
-        MomentTable(n=cfg.n, tol=cfg.tol_quad))
+    suites["moments"] = _moment_identity_suite(MomentTable(n=cfg.n))
 
     points, _, quarantined = _valid_points(cfg)
     suites["geometry"] = {"passed": not quarantined, "points": len(points),
                           "quarantined": quarantined}
 
     overlap_max = max(
-        float(np.max(np.abs(check_solvability(p, tol_quad=cfg.tol_quad))))
+        float(np.max(np.abs(check_solvability(p))))
         for p in points)
     suites["solvability"] = {"passed": overlap_max <= 1e-8,
                              "overlap_max": overlap_max, "tol": 1e-8}
 
     report = verify_corrector(_solve_point(cfg, points[0]), seed=cfg.seed,
-                              tol_solver=cfg.tol_solver, tol_quad=cfg.tol_quad)
+                              tol_solver=cfg.tol_solver)
     suites["corrector"] = {
         "passed": report.passed(tol_sym=cfg.tol_sym),
         "pde_residual": report.pde_residual,
@@ -357,11 +363,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_moments(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    table = MomentTable(n=cfg.n, tol=cfg.tol_quad)
-    table.load_standard()
-    _write_csv(out / "moments.csv", "n,p,a,b,value,error",
-               ((str(cfg.n), p, str(a), str(b), v, e)
-                for p, a, b, v, e in table.rows()))
+    table = MomentTable(n=cfg.n)
+    _write_csv(out / "moments.csv", "n,p,a,b,value",
+               ((str(cfg.n), p, str(a), str(b), v)
+                for p, a, b, v in table.rows()))
     _write_json(out / "moment_identities.json", _moment_identity_suite(table))
     return 0
 
@@ -521,9 +526,8 @@ def cmd_residual_slope(cfg: RunConfig, args) -> int:
         raise DomainError(f"unknown point label {label!r}")
     # the bubble-alone ladder never reads a corrector, so none is solved
     sol = None if args.omit_corrector else _solve_point(cfg, point)
-    _, exp = _slope_ladders(cfg, point, sol, with_identity=False,
-                            eps=args.eps, tie_eps=args.tie_eps)
-    _write_residual_ladder(cfg, label, exp)
+    _, exp = _slope_ladders(cfg, point, sol, with_identity=False)
+    _write_residual_ladder(cfg, label, exp, args.eps, args.tie_eps)
     _write_json(Path(cfg.out_dir) / f"residual_slope_{label}.json",
                 _slope_summary(exp))
     return 0
@@ -613,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default="", help="JSON config file")
     parser.add_argument("--n", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--tol-quad", type=float, dest="tol_quad")
     parser.add_argument("--tol-sym", type=float, dest="tol_sym")
     parser.add_argument("--tol-solver", type=float, dest="tol_solver")
     parser.add_argument("--t-max", type=float, dest="t_max")

@@ -43,7 +43,6 @@ class RunConfig:
     """
     n: int = 11
     seed: int = 1
-    tol_quad: float = 1e-9
     tol_sym: float = 1e-12
     tol_solver: float = 1e-8
     t_max: float = 160.0
@@ -71,7 +70,7 @@ class RunConfig:
             if kind is numbers.Integral and value < 0:
                 raise ValidationFailure(
                     f"{f.name} must be nonnegative, got {value!r}")
-        for name in ("tol_quad", "tol_sym", "tol_solver"):
+        for name in ("tol_sym", "tol_solver"):
             if not getattr(self, name) > 0.0:
                 raise ValidationFailure(f"{name} must be positive")
         object.__setattr__(self, "n", check_dim(self.n))

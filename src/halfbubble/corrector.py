@@ -60,7 +60,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DomainError, SolverError
 from .geometry import CurvaturePoint, _inner
-from .quadrature import angular_moment, integrate_rectangle, panel_gauss_nodes, \
+from .quadrature import MomentKey, angular_moment, moment, panel_gauss_nodes, \
     quadratic_sphere_moment, sphere_area
 
 __all__ = [
@@ -749,34 +749,26 @@ def _bc_residual(profile: Profile2D, n: int, seed: int) -> float:
     return float(np.max(np.abs(lhs) / np.maximum(scale, 1e-300)))
 
 
-def check_solvability(point: CurvaturePoint, tol_quad: float = 1e-9) -> np.ndarray:
+def check_solvability(point: CurvaturePoint) -> np.ndarray:
     """Overlap of the corrector source with each kernel element.
 
-    Angular factors come from the exact moment table; radial factors from
-    adaptive quadrature.  All n overlaps must vanish (the source lives in
-    the degree-2 channel, orthogonal to the degree-0/1 kernel).
+    Angular factors come from the exact moment table; radial factors are
+    closed-form half-space moments over the sphere area (the source's
+    radial factor n(n-2) t^2 r^2 Q^{-(n+2)/2}, Q = (1+t)^2 + r^2, times
+    each kernel's radial part collapses to moment keys).  All n overlaps
+    must vanish (the source lives in the degree-2 channel, orthogonal to
+    the degree-0/1 kernel).
     """
     n = point.n
     s = n - 2.0
-
-    def quarter(fr):
-        def F(tau, sigma):
-            t = tau / (1.0 - tau)
-            r = sigma / (1.0 - sigma)
-            jac = (1.0 - tau) ** -2 * (1.0 - sigma) ** -2
-            return fr(t, r) * jac
-        val, _ = integrate_rectangle(F, 0.0, 0.995, 0.0, 0.995, tol_abs=tol_quad)
-        return val
-
-    # translation kernels: radial part against -s r Q^{-n/2} theta_b
-    rad_translation = quarter(lambda t, r: source_radial(n, t, r)
-                              * (-s) * r * ((1.0 + t) ** 2 + r * r) ** (-n / 2.0)
-                              * r ** (n - 2))
-    # dilation kernel: radial part s Q^{-s/2} ((1+t)/Q - 1/2)
-    rad_dilation = quarter(lambda t, r: source_radial(n, t, r)
-                           * s * ((1.0 + t) ** 2 + r * r) ** (-s / 2.0)
-                           * ((1.0 + t) / ((1.0 + t) ** 2 + r * r) - 0.5)
-                           * r ** (n - 2))
+    scale = s * n * (n - 2.0) / sphere_area(n - 2)
+    # translation kernels: radial part -s r Q^{-n/2}, so t^2 r^3 Q^{-(n+1)}
+    rad_translation = -scale * moment(n, MomentKey(n + 1, 2, 3))
+    # dilation kernel: radial part s Q^{-s/2} ((1+t)/Q - 1/2), so
+    # (t^2 + t^3) r^2 Q^{-(n+1)} - 1/2 t^2 r^2 Q^{-n}
+    rad_dilation = scale * (moment(n, MomentKey(n + 1, 2, 2))
+                            + moment(n, MomentKey(n + 1, 3, 2))
+                            - 0.5 * moment(n, MomentKey(n, 2, 2)))
     out = np.empty(n)
     S = point.S
     m = n - 1
@@ -797,8 +789,7 @@ def check_solvability(point: CurvaturePoint, tol_quad: float = 1e-9) -> np.ndarr
 
 
 def verify_corrector(sol: CorrectorSolution, seed: int = 0,
-                     tol_solver: float = 1e-8,
-                     tol_quad: float = 1e-9) -> VerificationReport:
+                     tol_solver: float = 1e-8) -> VerificationReport:
     """Full verification suite for one corrector solution on its grid.
 
     The angular mean of the degree-2 pattern determines the boundary
@@ -825,7 +816,7 @@ def verify_corrector(sol: CorrectorSolution, seed: int = 0,
         angular_mean=ang_mean,
         boundary_orthogonality=0.0 if abs(ang_mean) <= 1e-14 else float("nan"),
         pairing=base,
-        kernel_overlaps=check_solvability(sol.point, tol_quad),
+        kernel_overlaps=check_solvability(sol.point),
         self_convergence_order=conv["order"],
         self_convergence_coarse_error=conv["coarse_error"],
         self_convergence_fine_error=conv["fine_error"],

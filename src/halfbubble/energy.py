@@ -1,9 +1,9 @@
 """Reduced-energy coefficients and the two slope experiments.
 
-Coefficient layer: A and B are fixed by the dimension (profile integrals),
-G2/G3/phi depend on the curvature data and the corrector pairing.  Every
-closed-form route has an independent quadrature or Monte Carlo route in the
-tests.
+Coefficient layer: A and B are fixed by the dimension (Beta closed forms
+of profile integrals, see quadrature.moment), G2/G3/phi depend on the
+curvature data and the corrector pairing.  Every closed-form route has an
+independent quadrature or Monte Carlo route in the tests.
 
 Slope experiments:
 
@@ -104,27 +104,24 @@ def compute_A(n: int) -> float:
     (n-2) * boundary integral), which the tests check via both routes.
     """
     return (0.5 * compute_A_gradient(n)
-            - (n - 2.0) ** 2 / (2.0 * (n - 1.0)) * compute_A_boundary(n, tol=1e-10))
+            - (n - 2.0) ** 2 / (2.0 * (n - 1.0)) * compute_A_boundary(n))
 
 
 def compute_A_gradient(n: int) -> float:
-    """Half-space integral of |grad U|^2 via 2D quadrature."""
-    val, _ = moment(n, MomentKey(n - 1, 0, 0), tol=1e-10)
-    return (n - 2.0) ** 2 * val
+    """Half-space integral of |grad U|^2, the moment M(n-1, 0, 0)."""
+    return (n - 2.0) ** 2 * moment(n, MomentKey(n - 1, 0, 0))
 
 
-def compute_A_boundary(n: int, tol: float = 1e-12) -> float:
-    """Boundary integral of U(0, z)^{2(n-1)/(n-2)} via 1D quadrature."""
-    radial, _ = half_line_moment(n - 2, n - 1, tol=tol)
-    return sphere_area(n - 2) * radial
+def compute_A_boundary(n: int) -> float:
+    """Boundary integral of U(0, z)^{2(n-1)/(n-2)}, a half-line moment."""
+    return sphere_area(n - 2) * half_line_moment(n - 2, n - 1)
 
 
 def compute_B(n: int) -> float:
     """Half of the boundary integral of U(0, z)^2."""
     if n < 5:
         raise DomainError("B integral needs n >= 5 for integrability")
-    radial, _ = half_line_moment(n - 2, n - 2)
-    return 0.5 * sphere_area(n - 2) * radial
+    return 0.5 * sphere_area(n - 2) * half_line_moment(n - 2, n - 2)
 
 
 def compute_G_terms(point: CurvaturePoint,
@@ -141,8 +138,7 @@ def compute_G_terms(point: CurvaturePoint,
 
 
 def compute_phi(point: CurvaturePoint, sol: CorrectorSolution,
-                weyl_denominator: str = "96(n-1)^2",
-                tol_quad: float = 1e-10) -> ReducedCoefficients:
+                weyl_denominator: str = "96(n-1)^2") -> ReducedCoefficients:
     """Assemble phi and the full coefficient record for one point.
 
     phi = pairing/2 + (n-2)(n-8)/(4(n^2-1)) * Rnnnn * I2
@@ -157,7 +153,7 @@ def compute_phi(point: CurvaturePoint, sol: CorrectorSolution,
     n = point.n
     if sol.point.n != n:
         raise DomainError("corrector solution dimension mismatch")
-    table = MomentTable(n, tol=tol_quad)
+    table = MomentTable(n)
     I2, I4 = table.named("I2"), table.named("I4")
     _, G2, G3 = compute_G_terms(point, I2=I2)
     pairing = sol.pairing()
@@ -560,7 +556,6 @@ def _ladder_terms(point: CurvaturePoint, sol: CorrectorSolution | None,
 
 
 def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
-                   eps: float = 0.0, tie_eps: bool = False,
                    deltas=None, mc_samples: int = 100000, seed: int = 0,
                    metric_seed: int = 0, deg3_scale: float = 5.0,
                    max_rel_error: float = 0.25) -> SlopeExperiment:
@@ -569,13 +564,10 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
     The residual is that of the dressed bubble plus the corrector of sol,
     or of the bubble alone when sol is None.  The norm is estimated by
     importance MC of the p-th power (p = 2n/(n+2)) and converted by the
-    delta method.  eps affects only the reported combined bound column
-    eps*delta + delta^3; with tie_eps the column uses eps = delta^3 per
-    rung so both contributions are visible.  extras also carries the
-    per-rung norms, their standard errors, and, with the corrector, the
-    cancellation diagnostics (the corrector's flat Laplacian against the
-    metric quadratic term must decay about one order faster than either
-    term alone).
+    delta method.  extras carries the per-rung norms, their standard
+    errors, and, with the corrector, the cancellation diagnostics (the
+    corrector's flat Laplacian against the metric quadratic term must
+    decay about one order faster than either term alone).
 
     Each power law is read inside its dominance window, so the default
     ladder depends on sol: with the corrector the cubic jets set the
@@ -630,12 +622,7 @@ def residual_slope(point: CurvaturePoint, sol: CorrectorSolution | None = None,
         errs.append(err)
     norms, errs = np.asarray(norms), np.asarray(errs)
     slope, intercept, band = _fit_loglog(deltas, norms, sigmas=errs)
-    eps_column = deltas ** 3 if tie_eps else np.full_like(deltas, eps)
-    extras = {
-        "norms": norms, "std_errors": errs,
-        "eps_column": eps_column,
-        "bound_column": eps_column * deltas + deltas ** 3,
-    }
+    extras = {"norms": norms, "std_errors": errs}
     if sol is not None:
         K = len(deltas)
         cancel = [np.asarray([est.mean ** (1.0 / p) for est in ests[K * i:K * (i + 1)]])

@@ -37,9 +37,11 @@ class ConstructionImpossibleError(DomainError):
 
 
 class BudgetError(HalfBubbleError):
-    """Numeric budget exhausted before reaching the requested tolerance.
+    """Monte Carlo budget exhausted: a residual-ladder rung's standard error
+    exceeds the allowed share of its norm at the given sample count.
 
-    Carries the best estimate so callers can decide whether to accept it.
+    Carries the best estimate and its error so callers can decide whether
+    to accept it.
     """
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):

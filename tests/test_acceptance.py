@@ -93,7 +93,6 @@ def test_criterion_1_moment_identities():
     worst = 0.0
     for n in DIMS:
         table = MomentTable(n=n)
-        table.load_standard()
         I1, I2, I3 = table.named("I1"), table.named("I2"), table.named("I3")
         checks = (
             (I1 / I2, 4.0 * (n - 2) / (n + 1)),

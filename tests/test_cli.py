@@ -105,6 +105,41 @@ class TestArtifactWriters:
         cli._write_coefficients(path, {"q7": (None, co)})
         assert path.read_text().splitlines()[1].endswith(",-1e-05,,")
 
+    def test_bound_column_combines_eps_and_delta_cubed(self, tmp_path):
+        deltas = np.geomspace(0.02, 0.7, 5)
+        exp = SlopeExperiment(deltas=deltas, values=deltas ** 3, slope=3.0,
+                              intercept=0.0, band=0.1,
+                              extras={"std_errors": 0.01 * deltas ** 3})
+        cfg = RunConfig(out_dir=str(tmp_path))
+        path = tmp_path / "plots" / "residual_ladder_q7.csv"
+
+        def columns(**eps):
+            cli._write_residual_ladder(cfg, "q7", exp, **eps)
+            header, *rows = path.read_text().splitlines()
+            assert header == "delta,norm,std_error,eps,bound"
+            return np.array([[float(x) for x in row.split(",")]
+                             for row in rows]).T
+
+        d, norm, err, eps, bound = columns(eps=0.1)
+        assert np.array_equal(d, deltas) and np.array_equal(norm, deltas ** 3)
+        assert np.array_equal(err, 0.01 * deltas ** 3)
+        assert np.array_equal(eps, np.full(5, 0.1))
+        assert np.array_equal(bound, 0.1 * deltas + deltas ** 3)
+        _, _, _, eps, bound = columns(eps=0.1, tie_eps=True)
+        assert np.array_equal(eps, deltas ** 3)
+        assert np.array_equal(bound, deltas ** 4 + deltas ** 3)
+
+    def test_degenerate_ladder_leaves_error_and_bound_blank(self, tmp_path):
+        deltas = np.geomspace(0.02, 0.7, 5)
+        exp = SlopeExperiment(deltas=deltas, values=np.zeros(5),
+                              slope=float("nan"), intercept=float("nan"),
+                              band=float("nan"), status="degenerate")
+        cli._write_residual_ladder(RunConfig(out_dir=str(tmp_path)), "q7",
+                                   exp, eps=0.1)
+        rows = (tmp_path / "plots" / "residual_ladder_q7.csv").read_text()
+        assert [row.split(",")[2:] for row in rows.splitlines()[1:]] == \
+            [["", "", ""]] * 5
+
 
 # ----------------------------------------------------------------------
 # RunConfig
@@ -149,7 +184,8 @@ class TestRunConfig:
             {"n": 4},
             {"h": 0.0},
             {"h": 0.2},
-            {"tol_quad": 0.0},
+            # removed field: every moment is a closed form
+            {"tol_quad": 1e-9},
             {"tol_sym": -1e-12},
             {"t_max": 4.0},
             {"mc_samples": 10},
@@ -223,7 +259,7 @@ class TestMomentsCommand:
     def test_writes_table_and_identities(self, tmp_path):
         assert run(tmp_path, "moments") == 0
         rows = (tmp_path / "moments.csv").read_text().splitlines()
-        assert rows[0] == "n,p,a,b,value,error"
+        assert rows[0] == "n,p,a,b,value"
         report = json.loads((tmp_path / "moment_identities.json").read_text())
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"].values())
@@ -232,22 +268,13 @@ class TestMomentsCommand:
         assert run(tmp_path, "moments") == 0
         rows = [line.split(",") for line in
                 (tmp_path / "moments.csv").read_text().splitlines()[1:]]
-        table = MomentTable(n=11, tol=fast_config("moments").tol_quad)
-        table.load_standard()
         assert len(rows) == 4
-        for (n, p, a, b, value, error), want in zip(rows, table.rows()):
+        for (n, p, a, b, value), want in zip(rows, MomentTable(n=11).rows()):
             assert n == "11" and a == str(want[1]) and b == str(want[2])
-            assert_float_cells([p, value, error])
+            assert_float_cells([p, value])
             assert MomentKey(float(p), int(a), int(b)) \
                 == MomentKey(*want[:3])
-            assert (float(value), float(error)) == want[3:]
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_starved_quadrature_budget_is_exit_3(self, tmp_path):
-        code = cli.main(
-            ["--tol-quad", "1e-20", "--out-dir", str(tmp_path), "moments"]
-        )
-        assert code == 3
+            assert float(value) == want[3]
 
 
 class TestVerifyCommand:
@@ -315,19 +342,6 @@ class TestVerifyCommand:
                 suite["self_convergence_coarse_error"],
                 suite["self_convergence_fine_error"]) == \
             (study["order"], study["coarse_error"], study["fine_error"])
-
-    def test_every_overlap_check_uses_tol_quad(self, tmp_path, monkeypatch):
-        tols, real = [], corrector.check_solvability
-
-        def spy(point, tol_quad=1e-9):
-            tols.append(tol_quad)
-            return real(point, tol_quad)
-
-        monkeypatch.setattr(cli, "check_solvability", spy)
-        monkeypatch.setattr(corrector, "check_solvability", spy)
-        run(tmp_path, "--tol-quad", "1e-7", "verify")
-        # the solvability suite's five points, then the corrector suite's
-        assert tols == [1e-7] * 6
 
     def test_quarantined_first_point_fails_the_geometry_suite(self, tmp_path):
         # the corrector suite still checks points[0], which validation failed
@@ -927,7 +941,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "text",
         ['{"h": "0.1"}', '{"mc_samples": "5000"}', '{"delta_ladder": ["x"]}',
-         '{"richardson": "no"}'],
+         '{"richardson": "no"}', '{"tol_quad": 1e-9}'],
     )
     def test_mistyped_config_value_is_exit_2(self, tmp_path, text):
         cfg = tmp_path / "cfg.json"
@@ -991,6 +1005,14 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["--n", "11", "--out-dir", str(out), *argv]) == 2
         assert "needs the profile solved out to rho" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_tol_quad_flag_is_exit_2_before_any_work(self, tmp_path):
+        # every moment is a closed form, so there is no tolerance to set
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--tol-quad", "1e-9", "--out-dir", str(out), "moments"])
+        assert exc.value.code == 2
         assert not out.exists()
 
     def test_non_numeric_ladder_flag_is_exit_2(self, tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.interpolate import RectBivariateSpline
 from scipy.sparse.linalg import splu
 
@@ -35,6 +36,7 @@ from halfbubble.geometry import (
 )
 from halfbubble.quadrature import quadratic_sphere_moment, sphere_area
 from metric_reference import ref_metric_g
+from test_cli import with_trace
 
 
 def random_traceless(m, seed):
@@ -854,4 +856,28 @@ class TestVerification:
     def test_kernel_overlaps_zero_source(self):
         overlaps = check_solvability(zero_pattern_point(11))
         np.testing.assert_array_equal(overlaps, 0.0)
+
+    @pytest.mark.parametrize("n", [11, 15])
+    def test_dilation_overlap_matches_quad(self, n):
+        # a trace of 1e-3 |S| leaves one nonzero overlap, the dilation's:
+        # trace(S) |S^{n-2}|/(n-1) times the radial integral of the source
+        # against the kernel s Q^{-s/2} ((1+t)/Q - 1/2) on the quarter plane
+        point = with_trace(generate_sample(n, seed=11), 1e-3)
+        s = n - 2.0
+
+        def radial(r, t):
+            q = (1.0 + t) ** 2 + r * r
+            return (source_radial(n, t, r) * s * q ** (-s / 2.0)
+                    * ((1.0 + t) / q - 0.5) * r ** (n - 2))
+
+        def over_r(t):
+            return quad(radial, 0.0, np.inf, args=(t,), epsabs=0.0,
+                        epsrel=1e-13, limit=200)[0]
+
+        integral = quad(over_r, 0.0, np.inf, epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0]
+        want = np.trace(point.S) * sphere_area(n - 2) / (n - 1.0) * integral
+        overlaps = check_solvability(point)
+        np.testing.assert_array_equal(overlaps[:-1], 0.0)
+        assert overlaps[-1] == pytest.approx(want, rel=1e-12)
 

@@ -101,8 +101,8 @@ class TestProfileConstants:
 
     @pytest.mark.parametrize("n", DIMS)
     def test_divergence_theorem_ties_the_two_routes(self, n):
-        # 2D half-space quadrature against 1D boundary quadrature;
-        # independent code paths, tied by the divergence theorem
+        # the half-space moment against the boundary half-line moment:
+        # two Beta closed forms, tied by the divergence theorem
         grad = compute_A_gradient(n)
         boundary = compute_A_boundary(n)
         assert grad == pytest.approx((n - 2.0) * boundary, rel=1e-8)
@@ -152,7 +152,7 @@ class TestGTerms:
     @pytest.mark.parametrize("n", DIMS)
     def test_closed_forms(self, n):
         pt = generate_sample(n, seed=2)
-        I2, _ = moment(n, MomentKey(n, 2, 4))
+        I2 = moment(n, MomentKey(n, 2, 4))
         _, G2, G3 = compute_G_terms(pt)
         assert G2 == pytest.approx(
             (n - 2.0) ** 2 / (n * n - 1.0) * I2 * pt.D2, rel=1e-12)
@@ -659,21 +659,6 @@ class TestResidualSlope:
         assert str(exc) == (
             f"MC variance too high at delta=0.015: norm {exc.best_estimate!r} "
             f"+- {exc.error_estimate!r} from 1500 samples; raise mc_samples")
-
-    def test_bound_column_combines_eps_and_delta_cubed(self, point11,
-                                                       sol11_big):
-        deltas = np.geomspace(0.02, 0.7, 5)
-        exp = residual_slope(point11, sol11_big, eps=0.1, deltas=deltas,
-                             mc_samples=4000, seed=1, max_rel_error=1.0)
-        assert np.allclose(exp.extras["eps_column"], 0.1)
-        assert np.allclose(exp.extras["bound_column"],
-                           0.1 * deltas + deltas ** 3)
-        tied = residual_slope(point11, sol11_big, eps=0.1, tie_eps=True,
-                              deltas=deltas, mc_samples=4000, seed=1,
-                              max_rel_error=1.0)
-        assert np.allclose(tied.extras["eps_column"], deltas ** 3)
-        assert np.allclose(tied.extras["bound_column"],
-                           deltas ** 4 + deltas ** 3)
 
 
 # ---------------------------------------------------------------------------

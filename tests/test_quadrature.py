@@ -1,14 +1,17 @@
-"""Quadrature tests against independent closed-form and stochastic oracles.
+"""Quadrature tests against independent closed-form, numerical and
+stochastic oracles.
 
-The main oracle: for the quarter-plane moment
-    J(p, a, m) = integral over t>0, r>0 of t^a r^m ((1+t)^2 + r^2)^(-p)
-substituting r = (1+t) u and then s = 1/(1+t) gives two decoupled Beta
-integrals, so
+The program's half-space moments are Beta closed forms; the tests check
+them against nested scipy quad of the defining quarter-plane integral
+
+    J(p, a, m) = integral over t>0, r>0 of t^a r^m ((1+t)^2 + r^2)^(-p),
+
+with the full half-space moment sphere_area(n-2) * J(p, a, b + n - 2).
+The Beta oracle (r = (1+t) u, then s = 1/(1+t)) is kept for the Monte
+Carlo tests:
     J(p, a, m) = 1/2 * B((m+1)/2, p - (m+1)/2) * B(a+1, 2p - m - a - 2).
-The full half-space moment is sphere_area(n-2) * J(p, a, b + n - 2).
 """
 
-import heapq
 import math
 from math import lgamma
 
@@ -16,15 +19,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from halfbubble import corrector, quadrature
-from halfbubble.errors import (BudgetError, DomainError, PoisonedEstimateError,
+from halfbubble.errors import (DomainError, PoisonedEstimateError,
                                UnsupportedPatternError)
-from halfbubble.geometry import generate_sample
-from halfbubble.quadrature import (_MC_CHUNK, _STANDARD_KEYS, _eval_cells_1d, _eval_cells_2d,
-                                   MCEstimate, MomentKey, MomentTable, angular_moment,
-                                   half_line_moment, integrate_interval,
-                                   integrate_rectangle, mc_halfspace, moment,
-                                   panel_gauss_nodes, quadratic_sphere_moment, sphere_area)
+from halfbubble.quadrature import (_MC_CHUNK, MCEstimate, MomentKey, MomentTable,
+                                   angular_moment, half_line_moment, mc_halfspace,
+                                   moment, panel_gauss_nodes, quadratic_sphere_moment,
+                                   sphere_area)
 
 
 def beta(x: float, y: float) -> float:
@@ -35,6 +35,29 @@ def oracle_moment(n: int, p: float, a: int, b: int) -> float:
     m = b + n - 2
     J = 0.5 * beta(0.5 * (m + 1), p - 0.5 * (m + 1)) * beta(a + 1.0, 2 * p - m - a - 2.0)
     return sphere_area(n - 2) * J
+
+
+def half_line_quad(c: float, p: float, scale: float = 1.0) -> float:
+    """integral over r > 0 of r^c (scale^2 + r^2)^(-p), by adaptive quad."""
+    return scipy_quad(lambda r: r ** c * (scale * scale + r * r) ** (-p),
+                      0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def quad_moment(n: int, p: float, a: int, b: int) -> float:
+    """The half-space moment by nested quad over the quarter plane."""
+    m = b + n - 2
+    J = scipy_quad(lambda t: t ** a * half_line_quad(m, p, 1.0 + t),
+                   0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return sphere_area(n - 2) * J
+
+
+def program_keys(n: int) -> list:
+    """Every moment key the program reads: I1..I4, the gradient route of
+    A, and the four radial factors of the solvability check."""
+    return [MomentKey(n - 2, 2, 0), MomentKey(n, 2, 4), MomentKey(n, 4, 2),
+            MomentKey(n - 2, 0, 2), MomentKey(n - 1, 0, 0),
+            MomentKey(n + 1, 2, 3), MomentKey(n + 1, 2, 2),
+            MomentKey(n + 1, 3, 2), MomentKey(n, 2, 2)]
 
 
 class TestSphereArea:
@@ -141,166 +164,16 @@ class TestQuadraticSphereMoment:
             assert abs(quadratic_sphere_moment(S, K) - mc) < 5 * se
 
 
-class TestAdaptiveEngines:
-    def test_rectangle_polynomial_exact(self):
-        val, err = integrate_rectangle(lambda x, y: x * x * y, 0, 2, 0, 3, tol_abs=1e-12)
-        assert val == pytest.approx(8.0 / 3.0 * 4.5, rel=1e-13)
-
-    def test_rectangle_gaussian(self):
-        F = lambda x, y: np.exp(-(x * x + y * y))
-        val, err = integrate_rectangle(F, -6, 6, -6, 6, tol_abs=1e-11)
-        assert val == pytest.approx(math.pi, rel=1e-10)
-        assert err < 1e-10
-
-    def test_interval_against_scipy(self):
-        F = lambda x: np.sin(3 * x) * np.exp(-x)
-        val, _ = integrate_interval(F, 0.0, 5.0, tol_abs=1e-12)
-        want, _ = scipy_quad(lambda x: math.sin(3 * x) * math.exp(-x), 0, 5)
-        assert val == pytest.approx(want, abs=1e-10)
-
-    def test_budget_error_carries_estimate(self):
-        F = lambda x, y: np.abs(x - 0.37313) ** 0.2 * np.abs(y - 0.5313) ** 0.1
-        with pytest.raises(BudgetError) as ei:
-            integrate_rectangle(F, 0, 1, 0, 1, tol_abs=1e-15, max_cells=80)
-        assert math.isfinite(ei.value.best_estimate)
-        assert ei.value.error_estimate > 1e-15
-
-    def test_panel_gauss_matches_adaptive(self):
+class TestPanelGauss:
+    def test_matches_analytic_value(self):
+        # int_0^2 int_0^2 cos(x) e^-y (1 + x y) dy dx in closed form
         F = lambda x, y: np.cos(x) * np.exp(-y) * (1 + x * y)
         edges = np.linspace(0, 2, 9)
         x, w = panel_gauss_nodes(edges, 10)
         got = w @ F(x[:, None], x) @ w
-        want, _ = integrate_rectangle(F, 0, 2, 0, 2, tol_abs=1e-12)
-        assert got == pytest.approx(want, rel=1e-11)
-
-
-def ref_integrate_rectangle(F, x0, x1, y0, y1, tol_abs, max_cells=40000, initial=8):
-    """Reference for integrate_rectangle: the former 2-D heap loop."""
-    ex = np.linspace(x0, x1, initial + 1)
-    ey = np.linspace(y0, y1, initial + 1)
-    boxes = np.array([(ex[i], ex[i + 1], ey[j], ey[j + 1])
-                      for i in range(initial) for j in range(initial)])
-    vals, errs = _eval_cells_2d(F, boxes)
-    counter = 0
-    heap = []
-    for b, v, e in zip(boxes, vals, errs):
-        heap.append((-float(e), counter, tuple(b), float(v)))
-        counter += 1
-    heapq.heapify(heap)
-    total_v = float(vals.sum())
-    total_e = float(errs.sum())
-    ncells = len(heap)
-    while total_e > tol_abs:
-        if ncells >= max_cells:
-            raise BudgetError("2-D budget", total_v, total_e)
-        batch = []
-        for _ in range(min(8, len(heap))):
-            ne, _, box, v = heapq.heappop(heap)
-            batch.append((box, v, -ne))
-        kids = []
-        for (bx0, bx1, by0, by1), v, e in batch:
-            mx, my = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
-            kids.extend([(bx0, mx, by0, my), (mx, bx1, by0, my),
-                         (bx0, mx, my, by1), (mx, bx1, my, by1)])
-            total_v -= v
-            total_e -= e
-        kv, ke = _eval_cells_2d(F, np.array(kids))
-        for b, v, e in zip(kids, kv, ke):
-            heapq.heappush(heap, (-float(e), counter, b, float(v)))
-            counter += 1
-        total_v += float(kv.sum())
-        total_e += float(ke.sum())
-        ncells += 3 * len(batch)
-    return total_v, total_e
-
-
-def ref_integrate_interval(F, x0, x1, tol_abs, max_cells=20000, initial=16):
-    """Reference for integrate_interval: the former 1-D heap loop."""
-    ex = np.linspace(x0, x1, initial + 1)
-    segs = np.stack([ex[:-1], ex[1:]], axis=1)
-    vals, errs = _eval_cells_1d(F, segs)
-    heap = []
-    counter = 0
-    for s, v, e in zip(segs, vals, errs):
-        heap.append((-float(e), counter, (float(s[0]), float(s[1])), float(v)))
-        counter += 1
-    heapq.heapify(heap)
-    total_v = float(vals.sum())
-    total_e = float(errs.sum())
-    ncells = len(heap)
-    while total_e > tol_abs:
-        if ncells >= max_cells:
-            raise BudgetError("1-D budget", total_v, total_e)
-        batch = []
-        for _ in range(min(16, len(heap))):
-            ne, _, seg, v = heapq.heappop(heap)
-            batch.append((seg, v, -ne))
-        kids = []
-        for (a, b), v, e in batch:
-            mid = 0.5 * (a + b)
-            kids.extend([(a, mid), (mid, b)])
-            total_v -= v
-            total_e -= e
-        kv, ke = _eval_cells_1d(F, np.array(kids))
-        for s, v, e in zip(kids, kv, ke):
-            heapq.heappush(heap, (-float(e), counter, s, float(v)))
-            counter += 1
-        total_v += float(kv.sum())
-        total_e += float(ke.sum())
-        ncells += len(batch)
-    return total_v, total_e
-
-
-class TestSharedRefinement:
-    """The shared refinement loop against the former per-dimension loops:
-    same cells in the same order, so values and errors agree bit for bit."""
-
-    @pytest.fixture
-    def reference(self, monkeypatch):
-        def use_reference():
-            monkeypatch.setattr(quadrature, "integrate_rectangle", ref_integrate_rectangle)
-            monkeypatch.setattr(quadrature, "integrate_interval", ref_integrate_interval)
-            monkeypatch.setattr(corrector, "integrate_rectangle", ref_integrate_rectangle)
-        return use_reference
-
-    # the reference passes call the functions behind the memo, which would
-    # otherwise return the first pass's values
-    def test_standard_moments_bit_identical(self, reference):
-        keys = [(n, make(n)) for n in range(11, 16) for make in _STANDARD_KEYS.values()]
-        got = [moment(n, key) for n, key in keys]
-        reference()
-        assert got == [moment.__wrapped__(n, key) for n, key in keys]
-
-    def test_half_line_moments_bit_identical(self, reference):
-        cases = [(n - 2.0, n - 1.0) for n in range(11, 16)] + [
-            (n - 2.0, n - 2.0) for n in range(11, 16)] + [(4.0, 6.5), (0.0, 2.0)]
-        got = [half_line_moment(c, p) for c, p in cases]
-        reference()
-        assert got == [half_line_moment.__wrapped__(c, p) for c, p in cases]
-
-    @pytest.mark.parametrize("n", [11, 15])
-    def test_solvability_bit_identical(self, reference, n):
-        point = generate_sample(n, seed=2)
-        got = corrector.check_solvability(point)
-        reference()
-        assert np.array_equal(got, corrector.check_solvability(point))
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_budget_error_matches_reference(self, dim):
-        if dim == 1:
-            F = lambda x: np.abs(x - 0.37313) ** 0.2
-            new = lambda: integrate_interval(F, 0, 1, tol_abs=1e-15, max_cells=40)
-            ref = lambda: ref_integrate_interval(F, 0, 1, tol_abs=1e-15, max_cells=40)
-        else:
-            F = lambda x, y: np.abs(x - 0.37313) ** 0.2 * np.abs(y - 0.5313) ** 0.1
-            new = lambda: integrate_rectangle(F, 0, 1, 0, 1, tol_abs=1e-15, max_cells=80)
-            ref = lambda: ref_integrate_rectangle(F, 0, 1, 0, 1, tol_abs=1e-15, max_cells=80)
-        with pytest.raises(BudgetError, match=f"{dim}-D quadrature exceeded") as got:
-            new()
-        with pytest.raises(BudgetError) as want:
-            ref()
-        assert (got.value.best_estimate, got.value.error_estimate) == \
-            (want.value.best_estimate, want.value.error_estimate)
+        s2, c2, e2 = math.sin(2.0), math.cos(2.0), math.exp(-2.0)
+        want = s2 * (1 - e2) + (2 * s2 + c2 - 1) * (1 - 3 * e2)
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestHalfSpaceMoments:
@@ -314,11 +187,22 @@ class TestHalfSpaceMoments:
         (8, 8.0, 2, 2),
     ])
     def test_against_beta_oracle(self, n, p, a, b):
-        val, err = moment(n, MomentKey(p=p, a=a, b=b), tol=1e-10)
-        want = oracle_moment(n, p, a, b)
-        assert val == pytest.approx(want, rel=2e-10)
-        assert err <= 1e-10 * abs(val) * 1.0001
-        assert abs(val - want) <= 5 * max(err, 1e-15 * abs(want))
+        key = MomentKey(p=p, a=a, b=b)
+        assert moment(n, key) == pytest.approx(quad_moment(n, p, a, b), rel=1e-12)
+        assert moment(n, key) == pytest.approx(oracle_moment(n, p, a, b), rel=1e-13)
+
+    @pytest.mark.parametrize("n", range(11, 16))
+    def test_program_keys_match_nested_quad(self, n):
+        for key in program_keys(n):
+            assert moment(n, key) == pytest.approx(
+                quad_moment(n, key.p, key.a, key.b), rel=1e-12), key
+
+    @pytest.mark.parametrize("n", range(11, 16))
+    def test_boundary_half_line_moments_match_quad(self, n):
+        # the radial integrals of A's boundary route and of B
+        for c, p in [(n - 2.0, n - 1.0), (n - 2.0, n - 2.0)]:
+            assert half_line_moment(c, p) == pytest.approx(
+                half_line_quad(c, p), rel=1e-12)
 
     def test_divergent_key_rejected(self):
         with pytest.raises(DomainError):
@@ -330,40 +214,29 @@ class TestHalfSpaceMoments:
 
     def test_named_ratios_n11(self):
         # frozen: I1/I2 = 4(n-2)/(n+1) = 3 and I3/I2 = 12/((n-2)(n+1)) = 1/9 at n=11
-        table = MomentTable(n=11, tol=1e-11)
-        table.load_standard()
+        table = MomentTable(n=11)
         assert table.named("I1") / table.named("I2") == pytest.approx(3.0, rel=1e-9)
         assert table.named("I3") / table.named("I2") == pytest.approx(1.0 / 9.0, rel=1e-9)
 
     @pytest.mark.parametrize("n", [11, 12, 15])
     def test_named_ratios_general_n(self, n):
-        table = MomentTable(n=n, tol=1e-10)
+        table = MomentTable(n=n)
         assert table.named("I1") / table.named("I2") == pytest.approx(
             4.0 * (n - 2) / (n + 1), rel=1e-8)
         assert table.named("I3") / table.named("I2") == pytest.approx(
             12.0 / ((n - 2) * (n + 1)), rel=1e-8)
 
-    def test_memo_repeats_the_computed_bits(self):
-        # compute_phi asks for the same moments at every point: the memo
-        # answers a repeat with what the computation gives
-        key = MomentKey(p=11.0, a=2, b=4)
-        before = moment.cache_info().hits
-        assert moment(11, key, tol=1e-10) == moment.__wrapped__(11, key, tol=1e-10)
-        assert moment(11, key, tol=1e-10) == moment.__wrapped__(11, key, tol=1e-10)
-        assert moment.cache_info().hits > before
-        assert half_line_moment(9.0, 10.0) == half_line_moment.__wrapped__(9.0, 10.0)
-        assert half_line_moment(9.0, 10.0) == half_line_moment.__wrapped__(9.0, 10.0)
-
     def test_half_line_moment_oracle(self):
         # integral r^c (1+r^2)^-p = 1/2 B((c+1)/2, p-(c+1)/2)
         for c, p in [(9.0, 9.0), (10.0, 11.0), (4.0, 6.5), (0.0, 2.0)]:
-            val, err = half_line_moment(c, p, tol=1e-12)
-            want = 0.5 * beta(0.5 * (c + 1), p - 0.5 * (c + 1))
-            assert val == pytest.approx(want, rel=1e-10)
+            assert half_line_moment(c, p) == pytest.approx(
+                half_line_quad(c, p), rel=1e-12)
 
     def test_half_line_divergent(self):
         with pytest.raises(DomainError):
             half_line_moment(5.0, 3.0)
+        with pytest.raises(DomainError):  # r^-1 at the origin
+            half_line_moment(-1.0, 3.0)
 
 
 class TestMonteCarlo:
