@@ -29,6 +29,12 @@ second-order centered stencils inside, one-sided 3-point second-order rows
 on the boundaries, a sparse LU factor in geometric nested-dissection order
 (each separator line numbered after the two halves it splits), and a
 Lanczos probe of the smallest singular value as a conditioning gate.
+The stencil's pattern is symmetric, so SuperLU factors in its symmetric
+mode with a diagonal pivot threshold of 0.01 (_LU_OPTIONS): it keeps a
+diagonal pivot unless it is below 0.01 of its column's largest entry, so
+the factor keeps the order's separators.  At the default threshold of 1
+it swapped about a thousand rows at 193 nodes per side and left 17 %
+more fill.
 The Richardson profile combines the solves at N and 2N cells to fourth
 order on the N-cell nodes; the command line always solves that way.  The
 probe runs Lanczos on (A^T A)^-1 from a fixed random start and stops once
@@ -55,7 +61,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, SolverError
@@ -188,7 +194,8 @@ class Profile2D:
 
     def _scattered(self, tau, sigma, nu: int) -> list:
         """Computational partials at the points (tau, sigma): [s00] for
-        nu = 0, [s00, s10, s01, s20, s02] for nu = 2."""
+        nu = 0, [s00, s10, s01] for nu = 1, [s00, s10, s01, s20, s02] for
+        nu = 2."""
         kt, ks = self._knots
         it, bt = _basis_rows(kt, tau, nu)
         ir, br = _basis_rows(ks, sigma, nu)
@@ -199,7 +206,7 @@ class Profile2D:
         block = [[flat[base + (i * stride + j)] for j in range(_DEGREE + 1)]
                  for i in range(_DEGREE + 1)]
         cols = [[_dot(row, b) for row in block] for b in br]
-        pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))[:1 if nu == 0 else 5]
+        pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))[:2 * nu + 1]
         return [_dot(bt[dt], cols[dr]) for dt, dr in pairs]
 
     def value(self, t, r) -> np.ndarray:
@@ -215,22 +222,25 @@ class Profile2D:
         return (_basis_matrix(kt, tau)[0] @ self._coef
                 @ _basis_matrix(ks, sigma)[0].T)
 
-    def eval(self, t, r) -> tuple:
+    def eval(self, t, r, order: int = 2) -> tuple:
         """The jet (psi, psi_t, psi_r, psi_tt, psi_rr) at (t, r), which
-        broadcast; one basis pass per point gives all five."""
+        broadcast; one basis pass per point gives all five.  order = 1
+        stops at (psi, psi_t, psi_r), with the same bits, and skips the
+        second-derivative basis rows."""
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.asarray(r, dtype=float))
         tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
         _, tp, tpp = _stretch(tau, _MAP_SCALE)
         _, rp, rpp = _stretch(sigma, _MAP_SCALE)
-        s00, s10, s01, s20, s02 = (
+        s00, s10, s01, *second = (
             s.reshape(t.shape)
-            for s in self._scattered(tau.ravel(), sigma.ravel(), 2))
-        return (s00,
-                s10 / tp,
-                s01 / rp,
-                s20 / tp ** 2 - s10 * tpp / tp ** 3,
-                s02 / rp ** 2 - s01 * rpp / rp ** 3)
+            for s in self._scattered(tau.ravel(), sigma.ravel(), order))
+        first = (s00, s10 / tp, s01 / rp)
+        if order == 1:
+            return first
+        s20, s02 = second
+        return first + (s20 / tp ** 2 - s10 * tpp / tp ** 3,
+                        s02 / rp ** 2 - s01 * rpp / rp ** 3)
 
     def far_field_exponent(self) -> float:
         """Fitted log-log decay exponent along the diagonal far field.
@@ -358,9 +368,10 @@ def _compress(x, L):
     return x / (L + x)
 
 
-# largest side of a nested-dissection leaf, in nodes: 4 and 8 factor and
-# solve within a few percent of each other from 97 to 385 nodes per side,
-# and 4 leaves the least fill (2.86 M against 3.10 M nonzeros at 193)
+# largest side of a nested-dissection leaf, in nodes: under _LU_OPTIONS, 4
+# leaves less fill than 8 (2.44 M against 2.65 M nonzeros at 193 nodes per
+# side, 11.95 M against 12.80 M at 385) and factors and probes as fast or
+# faster (0.138 s against 0.148 s to factor at 193, one thread)
 _ND_LEAF = 4
 
 
@@ -475,12 +486,18 @@ def _assemble(n: int, grid: GridConfig, label: np.ndarray | None = None):
     M = csc_matrix((np.concatenate(vals),
                     (np.concatenate(rows), np.concatenate(cols))),
                    shape=(size, size))
-    # row equilibration
-    scale = np.maximum(np.abs(M).max(axis=1).toarray().ravel(), 1e-300)
-    M = diags(1.0 / scale) @ M
+    # free the triplets before the returned arrays are allocated: memory
+    # they held below a live array stays resident through the factor
+    # (about 20 MB of peak RSS at 385 nodes per side)
+    del rows, cols, vals
+    # row equilibration on the CSC arrays (duplicates are summed by now):
+    # each row's largest |entry|, at least 1e-300
+    scale = np.full(size, 1e-300)
+    np.maximum.at(scale, M.indices, np.abs(M.data))
+    M.data *= (1.0 / scale)[M.indices]
     rhs_by_label = np.empty(size)
     rhs_by_label[label] = rhs
-    return M.tocsc(), rhs_by_label / scale, tau, sigma
+    return M, rhs_by_label / scale, tau, sigma
 
 
 _PROBE_RTOL = 1e-6
@@ -526,6 +543,16 @@ def _sigma_min_probe(lu, order: np.ndarray) -> tuple[float, int]:
         f"sigma_min probe did not converge in {_PROBE_MAX_STEPS} steps")
 
 
+# SuperLU's symmetric mode: keep the nested-dissection column order and
+# pivot on the diagonal unless it is below 0.01 of its column's largest
+# entry (0.0 would never swap a tiny pivot).  scipy turns SymmetricMode on
+# for NATURAL by itself; it is named here so the factor does not rest on
+# that.  relax and panel_size stay at SuperLU's defaults: setting them was
+# seen to crash scipy 1.17.1's SuperLU on these systems.
+_LU_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01,
+               "options": {"SymmetricMode": True}}
+
+
 # 3: verify's convergence study reads the run's Richardson pair and its half
 # grid; more would keep finished solves alive and raise a sweep's peak RSS
 @lru_cache(maxsize=3)
@@ -534,13 +561,15 @@ def _solve_nodes(n: int, grid: GridConfig, tol_solver: float) -> tuple:
     solve's discrete residual, sigma_min and probe steps; memoized, with
     read-only arrays.
 
-    The system is assembled and factored in nested-dissection order
-    (SuperLU keeps that column order); psi is gathered back to the node
-    grid at the end.
+    The system is assembled and factored in nested-dissection order;
+    SuperLU keeps that column order and, in symmetric mode with a small
+    pivot threshold (_LU_OPTIONS), pivots on the diagonal, so the
+    separators bound the fill.  psi is gathered back to the node grid at
+    the end.
     """
     order, label = _nested_dissection(grid.n_t + 1, grid.n_r + 1)
     M, rhs, tau, sigma = _assemble(n, grid, label)
-    lu = splu(M, permc_spec="NATURAL")
+    lu = splu(M, **_LU_OPTIONS)
     x = lu.solve(rhs)
     res = float(np.max(np.abs(M @ x - rhs)) / max(np.max(np.abs(rhs)), 1e-300))
     smin, steps = _sigma_min_probe(lu, order)

@@ -337,7 +337,7 @@ def _bulk_pieces(point: CurvaturePoint, sol: CorrectorSolution, rho, theta,
     u = Q ** (-s / 2.0)
     u1 = -s * u / Q
     u_t, u_r = u1 * (1.0 + t), u1 * r
-    psi, psi_t, psi_r = sol.profile.eval(t, r)[:3]
+    psi, psi_t, psi_r = sol.profile.eval(t, r, order=1)
     # radial derivatives, and the bracket the S part pairs with U_r
     u_rho, psi_rho = cos * u_t + sin * u_r, cos * psi_t + sin * psi_r
     bracket = cYY * psi_r + 2.0 * (cS2 - cYY) * psi / r

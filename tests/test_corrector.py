@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import RectBivariateSpline
+from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 from halfbubble.bubble import eval_U, eval_U_hess
@@ -203,7 +204,44 @@ def assemble_by_loop(n, grid):
     return M, rhs
 
 
+def equilibrate_by_diags(M, rhs):
+    """Reference row equilibration: diags(1/scale) @ M with the largest
+    |entry| of each row as its scale, back in CSC."""
+    scale = np.maximum(np.abs(M).max(axis=1).toarray().ravel(), 1e-300)
+    return (diags(1.0 / scale) @ M).tocsc(), rhs / scale
+
+
 class TestSolveProfile:
+    @pytest.mark.parametrize("n,cells,t_max,nested", [
+        (11, 24, 40.0, False), (15, 96, 160.0, True)],
+        ids=["row-major-24", "nested-96"])
+    def test_equilibration_matches_diags_reference(self, monkeypatch, n,
+                                                   cells, t_max, nested):
+        grid = GridConfig(n_t=cells, n_r=cells + 4, t_max=t_max, r_max=t_max)
+        label = (corrector._nested_dissection(cells + 1, cells + 5)[1]
+                 if nested else np.arange((cells + 1) * (cells + 5))
+                 .reshape(cells + 1, cells + 5))
+        built = []
+
+        def recording_csc(*args, **kwargs):
+            M = csc_matrix(*args, **kwargs)
+            built.append(M.copy())
+            return M
+
+        monkeypatch.setattr(corrector, "csc_matrix", recording_csc)
+        M, rhs, tau, sigma = corrector._assemble(n, grid, label)
+        # the right-hand side before equilibration, in label's numbering
+        t = corrector._stretch(tau, corrector._MAP_SCALE)[0]
+        r = corrector._stretch(sigma, corrector._MAP_SCALE)[0]
+        raw = np.zeros(M.shape[0])
+        raw[label[1:-1, 1:-1]] = -source_radial(n, t[1:-1, None],
+                                                r[None, 1:-1])
+        ref, ref_rhs = equilibrate_by_diags(built[0], raw)
+        np.testing.assert_array_equal(M.indptr, ref.indptr)
+        np.testing.assert_array_equal(M.indices, ref.indices)
+        np.testing.assert_array_equal(M.data, ref.data)
+        np.testing.assert_array_equal(rhs, ref_rhs)
+
     @pytest.mark.parametrize("n,cells", [(11, 16), (15, 24)])
     def test_assemble_matches_loop_reference(self, n, cells):
         grid = GridConfig(n_t=cells, n_r=cells + 4, t_max=30.0, r_max=30.0)
@@ -493,7 +531,22 @@ class TestNestedDissection:
         M, _, _, _ = corrector._assemble(11, grid)
         _, label = corrector._nested_dissection(97, 97)
         M_nd, _, _, _ = corrector._assemble(11, grid, label)
-        assert splu(M_nd, permc_spec="NATURAL").nnz < splu(M).nnz
+        fill = splu(M_nd, **corrector._LU_OPTIONS).nnz
+        assert fill < splu(M).nnz
+        # and below the same order at SuperLU's default pivot threshold of 1
+        assert fill < splu(M_nd, permc_spec="NATURAL").nnz
+
+    @pytest.mark.parametrize("cells", [96, 192])
+    @pytest.mark.parametrize("n", [11, 15])
+    def test_factor_keeps_the_diagonal(self, n, cells):
+        grid = GridConfig(n_t=cells, n_r=cells, t_max=160.0, r_max=160.0)
+        _, label = corrector._nested_dissection(cells + 1, cells + 1)
+        M, _, _, _ = corrector._assemble(n, grid, label)
+        lu = splu(M, **corrector._LU_OPTIONS)
+        swaps = np.count_nonzero(lu.perm_r != np.arange(M.shape[0]))
+        # the default pivot threshold of 1 swaps 1,043 to 1,090 rows at 192
+        # cells
+        assert swaps <= 10
 
 
 def fitpack_reference(prof):
@@ -645,6 +698,13 @@ class TestProfileJet:
         for g, w in zip(got, jet_by_dispatch(jet_profile, t, r)):
             assert_rel_close(g, w, where=where)
         np.testing.assert_array_equal(jet_profile.value(t, r), got[0])
+
+    def test_first_order_pass_is_the_jet_head(self, jet_profile):
+        t, r, _ = reference_points(JET_GRID.t_max)
+        head = jet_profile.eval(t, r, order=1)
+        assert len(head) == 3
+        for g, w in zip(head, jet_profile.eval(t, r)[:3]):
+            np.testing.assert_array_equal(g, w)
 
     def test_bench_grid_matches_fitpack_by_parts(self, bench_profile):
         # on the benchmark grid FITPACK's own fit is about 9e-14 off the

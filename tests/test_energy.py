@@ -532,19 +532,19 @@ class TestIdentityExperiment:
             assert np.max(err[0]) <= 1e-13 * np.max(np.abs(ref[0]))
 
     def test_one_profile_eval_per_ladder(self, point11, sol11_big, monkeypatch):
-        # the profile jet is evaluated once per ladder, on every polar
-        # node at once; each rung only sums over the radial nodes
+        # the profile's first derivatives are evaluated once per ladder, on
+        # every polar node at once; each rung only sums over the radial nodes
         sol11_big.pairing()
         calls, real = [], corrector.Profile2D.eval
 
-        def counted(self, t, r):
-            calls.append(np.broadcast(t, r).size)
-            return real(self, t, r)
+        def counted(self, t, r, **kwargs):
+            calls.append((np.broadcast(t, r).size, kwargs))
+            return real(self, t, r, **kwargs)
 
         monkeypatch.setattr(corrector.Profile2D, "eval", counted)
         verify_A4_L2_L3_identity(point11, sol11_big)
         rho, _, theta, _ = energy._polar_nodes(IDENTITY_DELTAS)
-        assert calls == [rho.size * theta.size]
+        assert calls == [(rho.size * theta.size, {"order": 1})]
 
     @pytest.mark.parametrize("delta", [0.5 * 10.0 ** -1.5, 0.5])
     def test_whole_grid_psi_equals_its_row_blocks(self, point11, sol11_big, delta):
