@@ -150,9 +150,8 @@ def _map_points(points, worker, quarantined: dict) -> dict:
 
 
 def _solve_point(cfg: RunConfig, point):
-    """The corrector from the Richardson profile on the configured grid."""
-    return solve_vq(point, grid=cfg.grid(), tol_solver=cfg.tol_solver,
-                    richardson=True)
+    """solve_vq on the configured grid, which defaults to solve_vq's."""
+    return solve_vq(point, grid=cfg.grid(), tol_solver=cfg.tol_solver)
 
 
 def _coefficients(cfg: RunConfig, points, quarantined: dict) -> dict:

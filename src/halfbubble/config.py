@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import GridConfig
+from .corrector import DEFAULT_TOL_SOLVER, GridConfig
 from .energy import WEYL_DENOMINATORS, check_slope_ladder
 from .errors import InputFormatError, ValidationFailure
 from .geometry import check_dim
@@ -36,18 +36,19 @@ class RunConfig:
     """Everything a batch run needs, in one serializable record.
 
     h is the grid spacing of the mapped unit square; the solve uses
-    round(1/h) cells per direction.  delta_ladder sets the residual-slope
-    ladder only (empty: its regime-specific default; a given one must
-    already have the shape a slope fit needs); the identity experiment
-    always runs on its fixed ladder.
+    round(1/h) cells per direction.  h, the caps and tol_solver default to
+    the library's, so grid() defaults to GridConfig().  delta_ladder sets
+    the residual-slope ladder only (empty: its regime-specific default; a
+    given one must already have the shape a slope fit needs); the identity
+    experiment always runs on its fixed ladder.
     """
     n: int = 11
     seed: int = 1
     tol_sym: float = 1e-12
-    tol_solver: float = 1e-8
-    t_max: float = 160.0
-    r_max: float = 160.0
-    h: float = 1.0 / 192.0
+    tol_solver: float = DEFAULT_TOL_SOLVER
+    t_max: float = GridConfig.t_max
+    r_max: float = GridConfig.r_max
+    h: float = 1.0 / GridConfig.n_t
     delta_ladder: tuple = ()
     eps_ladder: tuple = DEFAULT_EPS_LADDER
     weyl_denominator: str = "96(n-1)^2"

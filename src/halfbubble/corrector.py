@@ -35,8 +35,8 @@ diagonal pivot unless it is below 0.01 of its column's largest entry, so
 the factor keeps the order's separators.  At the default threshold of 1
 it swapped about a thousand rows at 193 nodes per side and left 17 %
 more fill.
-The Richardson profile combines the solves at N and 2N cells to fourth
-order on the N-cell nodes; the command line always solves that way.  The
+Every profile is the Richardson profile: the N- and 2N-cell solves
+combined to fourth order on the N-cell nodes.  The
 probe runs Lanczos on (A^T A)^-1 from a fixed random start and stops once
 one step moves its estimate by at most 1e-6 relative;
 SolveDiagnostics.probe_steps reports the count, and a probe that has not
@@ -72,6 +72,7 @@ from .quadrature import MomentKey, angular_moment, moment, panel_gauss_nodes, \
 __all__ = [
     "source_radial",
     "eval_source",
+    "DEFAULT_TOL_SOLVER",
     "GridConfig",
     "Profile2D",
     "SolveDiagnostics",
@@ -124,14 +125,18 @@ def eval_source(point: CurvaturePoint, t, z) -> np.ndarray:
 # scale L of the compactifying map x = L s/(1-s), the same in t and in r
 _MAP_SCALE = 4.0
 
+# the sigma_min gate of each factor, unless the caller sets its own
+DEFAULT_TOL_SOLVER = 1e-8
+
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Mapped-rectangle grid for the reduced solve."""
-    n_t: int = 96
-    n_r: int = 96
-    t_max: float = 40.0
-    r_max: float = 40.0
+    """Mapped-rectangle grid for the reduced solve; the default is the
+    command line's (192 cells per direction, caps 160)."""
+    n_t: int = 192
+    n_r: int = 192
+    t_max: float = 160.0
+    r_max: float = 160.0
 
     def __post_init__(self):
         if self.n_t < 8 or self.n_r < 8:
@@ -591,16 +596,14 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=24)
-def _solve_profile_cached(n: int, grid: GridConfig, tol_solver: float,
-                          richardson: bool) -> tuple:
-    psi, tau, sigma, res, smin, steps = _solve_nodes(n, grid, tol_solver)
-    if richardson:
-        # the fine half only feeds the combination: no interpolant of its own
-        fine, _, _, res_f, smin_f, steps_f = _solve_nodes(
-            n, grid.refined(2), tol_solver)
-        psi = _richardson(psi, fine[::2, ::2])
-        res, smin = max(res, res_f), min(smin, smin_f)
-        steps = max(steps, steps_f)
+def _solve_profile_cached(n: int, grid: GridConfig, tol_solver: float) -> tuple:
+    coarse, tau, sigma, res, smin, steps = _solve_nodes(n, grid, tol_solver)
+    # the fine half only feeds the combination: no interpolant of its own
+    fine, _, _, res_f, smin_f, steps_f = _solve_nodes(
+        n, grid.refined(2), tol_solver)
+    psi = _richardson(coarse, fine[::2, ::2])
+    res, smin = max(res, res_f), min(smin, smin_f)
+    steps = max(steps, steps_f)
     profile = Profile2D(n=n, grid=grid, tau=tau, sigma=sigma, psi=psi)
     diag = SolveDiagnostics(discrete_residual=res, sigma_min=smin,
                             probe_steps=steps,
@@ -609,27 +612,24 @@ def _solve_profile_cached(n: int, grid: GridConfig, tol_solver: float,
 
 
 def solve_profile(n: int, grid: GridConfig = GridConfig(),
-                  tol_solver: float = 1e-8,
-                  richardson: bool = False) -> tuple[Profile2D, SolveDiagnostics]:
-    """Solve the reduced quarter-plane problem; cached per argument set.
-
-    The profile is pattern-independent: the same psi serves every curvature
-    point at this dimension.  richardson combines the solves at N and 2N
-    cells to fourth order on the N-cell nodes; the diagnostics take the
-    worse of the two solves.
-    """
-    return _solve_profile_cached(n, grid, tol_solver, richardson)
+                  tol_solver: float = DEFAULT_TOL_SOLVER
+                  ) -> tuple[Profile2D, SolveDiagnostics]:
+    """The Richardson profile on grid, cached per argument set: the N- and
+    2N-cell solves combined to fourth order on the N-cell nodes, with the
+    worse solve's diagnostics.  It does not depend on the pattern, so it
+    serves every curvature point of dimension n."""
+    return _solve_profile_cached(n, grid, tol_solver)
 
 
 def self_convergence(n: int, grid: GridConfig = GridConfig(),
-                     tol_solver: float = 1e-8) -> dict:
+                     tol_solver: float = DEFAULT_TOL_SOLVER) -> dict:
     """Observed order from plain solves at grid.halved(), grid and
     grid.refined(2) against the Richardson limit.
 
     The limit is extrapolated from the two finer solves; interior-node
     errors of the two coarser ones against it should shrink by about 4 per
     refinement for a second-order scheme.  Node solves are memoized: after
-    a Richardson solve on grid only the half grid is new.
+    solve_profile on grid only the half grid is new.
     """
     coarse = _solve_nodes(n, grid.halved(), tol_solver)[0]
     mid_on_coarse = _solve_nodes(n, grid, tol_solver)[0][::2, ::2]
@@ -648,12 +648,11 @@ def self_convergence(n: int, grid: GridConfig = GridConfig(),
 
 @dataclass(frozen=True)
 class CorrectorSolution:
-    """v(t, z) = psi(t, r) Y(theta), Y = theta . S theta, with S read from
-    point; S is checked by curvature validation only, not here."""
+    """v(t, z) = psi(t, r) Y(theta), Y = theta . S theta, psi the Richardson
+    profile and S read from point (checked by curvature validation only)."""
     point: CurvaturePoint
     profile: Profile2D
     diagnostics: SolveDiagnostics
-    richardson: bool = False    # profile is the Richardson profile
 
     def pairing(self) -> float:
         """Half-space integral of v * Laplacian(v) = -<Y^2> * source overlap.
@@ -665,16 +664,15 @@ class CorrectorSolution:
 
 
 def solve_vq(point: CurvaturePoint, grid: GridConfig = GridConfig(),
-             tol_solver: float = 1e-8, richardson: bool = False) -> CorrectorSolution:
-    """Corrector for one curvature point; reuses the cached profile.
+             tol_solver: float = DEFAULT_TOL_SOLVER) -> CorrectorSolution:
+    """Corrector for one curvature point on the cached Richardson profile.
 
     The quadratic-block source is S_ij z_i z_j t^2 A plus a curvature-block
     term that cancels pointwise, so only the pattern of S survives; the
     radial factor is source_radial.
     """
-    profile, diag = solve_profile(point.n, grid, tol_solver, richardson)
-    return CorrectorSolution(point=point, profile=profile, diagnostics=diag,
-                             richardson=richardson)
+    profile, diag = solve_profile(point.n, grid, tol_solver)
+    return CorrectorSolution(point=point, profile=profile, diagnostics=diag)
 
 
 def eval_v_derivatives(sol: CorrectorSolution, t, z):
@@ -818,7 +816,8 @@ def check_solvability(point: CurvaturePoint) -> np.ndarray:
 
 
 def verify_corrector(sol: CorrectorSolution, seed: int = 0,
-                     tol_solver: float = 1e-8) -> VerificationReport:
+                     tol_solver: float = DEFAULT_TOL_SOLVER
+                     ) -> VerificationReport:
     """Full verification suite for one corrector solution on its grid.
 
     The angular mean of the degree-2 pattern determines the boundary
@@ -826,7 +825,7 @@ def verify_corrector(sol: CorrectorSolution, seed: int = 0,
     integral is exactly zero, so it is asserted through the mean rather
     than quadrature.  The order is self_convergence on sol's grid, run
     while sol's node solves are memoized; the far-field check then
-    re-solves sol's kind of profile with doubled caps.
+    re-solves the Richardson profile with doubled caps.
     """
     n = sol.point.n
     profile = sol.profile
@@ -835,7 +834,7 @@ def verify_corrector(sol: CorrectorSolution, seed: int = 0,
     ang_mean = float(np.trace(sol.point.S)) / (n - 1.0) * sphere_area(n - 2)
     big = replace(profile.grid, t_max=2.0 * profile.grid.t_max,
                   r_max=2.0 * profile.grid.r_max)
-    pairing_big = solve_vq(sol.point, big, tol_solver, sol.richardson).pairing()
+    pairing_big = solve_vq(sol.point, big, tol_solver).pairing()
     base = sol.pairing()
     return VerificationReport(
         pde_residual=_pde_residual_offgrid(profile, n, seed),

@@ -17,7 +17,6 @@ from scipy.special import beta as beta_fn
 from halfbubble import cli
 from halfbubble.bubble import check_bubble_residual, eval_U_grad
 from halfbubble.corrector import (
-    GridConfig,
     check_solvability,
     self_convergence,
     solve_vq,
@@ -58,8 +57,8 @@ def point11():
 
 @pytest.fixture(scope="module")
 def sol_big(point11):
-    grid = GridConfig(n_t=192, n_r=192, t_max=160.0, r_max=160.0)
-    return solve_vq(point11, grid=grid, richardson=True)
+    # the program's profile: the default grid is RunConfig's
+    return solve_vq(point11)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ runs with the same flags must produce identical files.
 """
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -18,7 +19,8 @@ import pytest
 
 from halfbubble import cli, corrector, energy
 from halfbubble.config import RunConfig
-from halfbubble.corrector import solve_vq
+from halfbubble.corrector import (GridConfig, self_convergence, solve_profile,
+                                  solve_vq, verify_corrector)
 from halfbubble.energy import (IDENTITY_DELTAS, RESIDUAL_DELTAS, ReducedCoefficients,
                                SlopeExperiment)
 from halfbubble.errors import DomainError, InputFormatError, SolverError, ValidationFailure
@@ -169,6 +171,19 @@ class TestRunConfig:
         grid = RunConfig(h=1.0 / 96, t_max=40.0, r_max=48.0).grid()
         assert (grid.n_t, grid.n_r) == (96, 96)
         assert (grid.t_max, grid.r_max) == (40.0, 48.0)
+
+    def test_library_defaults_are_the_programs(self):
+        # one source for the default grid and sigma_min gate: the default
+        # run solves the profile that solve_vq's defaults solve
+        cfg = RunConfig()
+        assert cfg.grid() == GridConfig()
+        assert cfg.tol_solver == corrector.DEFAULT_TOL_SOLVER
+        for solver in (solve_profile, solve_vq, self_convergence,
+                       verify_corrector):
+            default = inspect.signature(solver).parameters["tol_solver"].default
+            assert default == cfg.tol_solver, solver.__name__
+        point = make_battery(11, 1, 1)[0]
+        assert cli._solve_point(cfg, point).profile is solve_vq(point).profile
 
     def test_from_dict_rejects_unknown_field(self):
         with pytest.raises(InputFormatError, match="unknown"):

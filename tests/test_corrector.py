@@ -17,8 +17,10 @@ from scipy.sparse.linalg import splu
 from halfbubble.bubble import eval_U, eval_U_hess
 from halfbubble import corrector
 from halfbubble.corrector import (
+    DEFAULT_TOL_SOLVER,
     CorrectorSolution,
     GridConfig,
+    Profile2D,
     check_solvability,
     eval_source,
     eval_v_derivatives,
@@ -45,6 +47,18 @@ def random_traceless(m, seed):
     A = rng.standard_normal((m, m))
     S = 0.5 * (A + A.T)
     return S - np.trace(S) / m * np.eye(m)
+
+
+def plain_nodes(n, grid):
+    """The plain (not Richardson) node solve on grid: psi, tau, sigma,
+    residual, sigma_min and probe steps."""
+    return corrector._solve_nodes(n, grid, DEFAULT_TOL_SOLVER)
+
+
+def plain_profile(n, grid):
+    """The interpolant of the plain node solve on grid."""
+    psi, tau, sigma, *_ = plain_nodes(n, grid)
+    return Profile2D(n=n, grid=grid, tau=tau, sigma=sigma, psi=psi)
 
 
 def zero_pattern_point(n):
@@ -271,15 +285,16 @@ class TestSolveProfile:
 
     def test_cache_identity(self):
         p1, _ = solve_profile(11)
-        p2, _ = solve_profile(11)
-        assert p1 is p2
-        r1, _ = solve_profile(11, richardson=True)
-        r2, _ = solve_profile(11, richardson=True)
-        assert r1 is r2 and r1 is not p1
-        # the Richardson profile is the fourth-order combination of the
-        # plain solves at N and 2N cells
-        fine = solve_profile(11, GridConfig().refined(2))[0].psi[::2, ::2]
-        np.testing.assert_array_equal(r1.psi, fine + (fine - p1.psi) / 3.0)
+        assert solve_profile(11)[0] is p1
+        assert solve_profile(11, GridConfig(), DEFAULT_TOL_SOLVER)[0] is p1
+        # the profile is the fourth-order combination of the plain solves
+        # at N and 2N cells
+        grid = GridConfig(n_t=48, n_r=48, t_max=40.0, r_max=40.0)
+        rich, _ = solve_profile(11, grid)
+        assert solve_profile(11, grid)[0] is rich and rich is not p1
+        coarse = plain_nodes(11, grid)[0]
+        fine = plain_nodes(11, grid.refined(2))[0][::2, ::2]
+        np.testing.assert_array_equal(rich.psi, fine + (fine - coarse) / 3.0)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -288,24 +303,29 @@ class TestSolveProfile:
             GridConfig(t_max=2.0)
 
     def test_pde_residual_second_order(self):
-        rep1 = verify_corrector(solve_vq(generate_sample(11, seed=1)))
-        grid2 = GridConfig(n_t=192, n_r=192)
-        rep2 = verify_corrector(solve_vq(generate_sample(11, seed=1), grid=grid2))
-        assert rep1.pde_residual <= 2e-2
-        assert rep2.pde_residual <= 0.5 * rep1.pde_residual
-        assert rep1.boundary_residual <= 5e-2
-        assert rep2.boundary_residual <= 0.5 * rep1.boundary_residual
+        # verify's off-grid residuals (seeds 0 and 1) of the plain solves
+        # at 96 and 192 cells on caps 40
+        grid = GridConfig(n_t=96, n_r=96, t_max=40.0, r_max=40.0)
+        reps = [(corrector._pde_residual_offgrid(prof, 11, 0),
+                 corrector._bc_residual(prof, 11, 1))
+                for prof in (plain_profile(11, grid),
+                             plain_profile(11, grid.refined(2)))]
+        (pde1, bc1), (pde2, bc2) = reps
+        assert pde1 <= 2e-2
+        assert pde2 <= 0.5 * pde1
+        assert bc1 <= 5e-2
+        assert bc2 <= 0.5 * bc1
 
     def test_self_convergence_order(self):
         study = self_convergence(11)
         assert study["order"] >= 1.9
 
     def test_default_study_is_the_fixed_triple(self):
-        # reference: plain profiles at 48, 96 and 192 cells on t_max = 40
-        grid = GridConfig(n_t=48, n_r=48, t_max=40.0, r_max=40.0)
-        coarse = solve_profile(11, grid)[0].psi
-        mid = solve_profile(11, grid.refined(2))[0].psi[::2, ::2]
-        fine = solve_profile(11, grid.refined(4))[0].psi[::4, ::4]
+        # reference: plain solves at 96, 192 and 384 cells on t_max = 160
+        grid = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)
+        coarse = plain_nodes(11, grid)[0]
+        mid = plain_nodes(11, grid.refined(2))[0][::2, ::2]
+        fine = plain_nodes(11, grid.refined(4))[0][::4, ::4]
         limit = fine + (fine - mid) / 3.0
         inner = (slice(1, -1), slice(1, -1))
         e1 = float(np.max(np.abs(coarse[inner] - limit[inner])))
@@ -313,10 +333,10 @@ class TestSolveProfile:
         want = {"order": math.log2(e1 / e2), "coarse_error": e1,
                 "fine_error": e2}
         assert self_convergence(11) == want
-        assert self_convergence(11, GridConfig(), 1e-8) == want
+        assert self_convergence(11, GridConfig(), DEFAULT_TOL_SOLVER) == want
 
     def test_halved_grid(self):
-        assert GridConfig().halved() == GridConfig(n_t=48, n_r=48)
+        assert GridConfig().halved() == GridConfig(n_t=96, n_r=96)
         grid = GridConfig(n_t=16, n_r=32, t_max=160.0, r_max=80.0)
         assert grid.halved() == GridConfig(8, 16, 160.0, 80.0)
         for n_t, n_r in ((95, 96), (96, 95), (14, 16), (8, 8)):
@@ -336,7 +356,7 @@ class TestSolveProfile:
         # the study of its grid factors only the N/2 system
         grid = GridConfig(n_t=40, n_r=40, t_max=160.0, r_max=160.0)
         corrector._solve_nodes.cache_clear()
-        corrector._solve_profile_cached.__wrapped__(13, grid, 1e-8, True)
+        corrector._solve_profile_cached.__wrapped__(13, grid, 1e-8)
         sizes, real_splu = [], corrector.splu
 
         def counting_splu(M, **kwargs):
@@ -348,14 +368,13 @@ class TestSolveProfile:
         assert sizes == [21 * 21]
 
     def test_richardson_closer_to_limit(self):
-        grid = GridConfig(n_t=48, n_r=48)
-        rich, _ = solve_profile(11, grid, richardson=True)
-        plain, _ = solve_profile(11, grid)
-        fine, _ = solve_profile(11, grid.refined(4))
-        ref = fine.psi[::4, ::4]
+        grid = GridConfig(n_t=48, n_r=48, t_max=40.0, r_max=40.0)
+        rich, _ = solve_profile(11, grid)
+        plain = plain_nodes(11, grid)[0]
+        ref = plain_nodes(11, grid.refined(4))[0][::4, ::4]
         inner = (slice(1, -1), slice(1, -1))
         e_rich = np.max(np.abs(rich.psi[inner] - ref[inner]))
-        e_plain = np.max(np.abs(plain.psi[inner] - ref[inner]))
+        e_plain = np.max(np.abs(plain[inner] - ref[inner]))
         assert e_rich <= 0.25 * e_plain
 
 
@@ -379,9 +398,9 @@ class TestSigmaMinProbe:
         grid = GridConfig(n_t=cells, n_r=cells, t_max=160.0, r_max=160.0)
         M, _, _, _ = corrector._assemble(n, grid)
         ref = probe_25_steps(splu(M), M.shape[0])
-        _, diag = solve_profile(n, grid)
-        assert diag.sigma_min == pytest.approx(ref, rel=1e-6, abs=0.0)
-        assert 1 <= diag.probe_steps < corrector._PROBE_MAX_STEPS
+        *_, smin, steps = plain_nodes(n, grid)
+        assert smin == pytest.approx(ref, rel=1e-6, abs=0.0)
+        assert 1 <= steps < corrector._PROBE_MAX_STEPS
 
     def test_one_probe_per_factor_through_module_names(self, monkeypatch):
         # the benchmark's trace hooks corrector.splu and
@@ -412,8 +431,7 @@ class TestSigmaMinProbe:
         grid = GridConfig(n_t=48, n_r=48, t_max=40.0, r_max=40.0)
         # the uncached Richardson pair: one factorization per solve
         corrector._solve_nodes.cache_clear()
-        _, diag = corrector._solve_profile_cached.__wrapped__(13, grid, 1e-8,
-                                                              True)
+        _, diag = corrector._solve_profile_cached.__wrapped__(13, grid, 1e-8)
         assert len(factors) == 2
         assert [lu for lu, _ in probes] == factors
         for lu, steps in probes:
@@ -433,8 +451,7 @@ class TestSigmaMinProbe:
     def test_benchmark_grid_n15_within_8_steps(self):
         # inverse power iteration on A^T A took 17 steps on this factor
         grid = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)
-        _, diag = solve_profile(15, grid)
-        assert diag.probe_steps <= 8
+        assert plain_nodes(15, grid)[5] <= 8
 
     def test_unconverged_probe_raises(self, monkeypatch):
         # an estimate short of ||(A^T A)^-1|| overstates sigma_min, so a
@@ -443,7 +460,7 @@ class TestSigmaMinProbe:
         grid = GridConfig(n_t=48, n_r=48, t_max=160.0, r_max=160.0)
         corrector._solve_nodes.cache_clear()
         with pytest.raises(SolverError, match="did not converge in 2 steps"):
-            corrector._solve_profile_cached.__wrapped__(11, grid, 1e-8, False)
+            corrector._solve_profile_cached.__wrapped__(11, grid, 1e-8)
 
     def test_same_bits_for_one_and_two_blas_threads(self):
         # fresh interpreters, so OpenBLAS reads its thread count at start-up
@@ -452,7 +469,7 @@ class TestSigmaMinProbe:
             "from halfbubble.corrector import GridConfig, solve_profile\n"
             "grid = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)\n"
             "for n in (11, 15):\n"
-            "    _, d = solve_profile(n, grid, richardson=True)\n"
+            "    _, d = solve_profile(n, grid)\n"
             "    print(d.sigma_min.hex(), d.probe_steps)\n")
         outputs = []
         for threads in ("1", "2"):
@@ -520,11 +537,11 @@ class TestNestedDissection:
         lu = splu(M)
         ref = lu.solve(rhs).reshape(cells + 1, cells + 1)
         smin, steps = corrector._sigma_min_probe(lu, np.arange(M.shape[0]))
-        prof, diag = solve_profile(n, grid)
-        assert np.max(np.abs(prof.psi - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert diag.sigma_min == pytest.approx(smin, rel=1e-6, abs=0.0)
+        psi, *_, smin_nd, steps_nd = plain_nodes(n, grid)
+        assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert smin_nd == pytest.approx(smin, rel=1e-6, abs=0.0)
         # the start vector is drawn in node order: the same iteration
-        assert diag.probe_steps == steps
+        assert steps_nd == steps
 
     def test_fill_below_colamd(self):
         grid = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)
@@ -630,7 +647,7 @@ JET_GRID = GridConfig(n_t=32, n_r=40, t_max=30.0, r_max=30.0)
                 ids=["n11", "n11-richardson", "n15", "n15-richardson"])
 def jet_profile(request):
     n, rich = request.param
-    return solve_profile(n, JET_GRID, richardson=rich)[0]
+    return solve_profile(n, JET_GRID)[0] if rich else plain_profile(n, JET_GRID)
 
 
 # the benchmark grid: 96 cells on the default caps
@@ -639,7 +656,7 @@ BENCH_GRID = GridConfig(n_t=96, n_r=96, t_max=160.0, r_max=160.0)
 
 @pytest.fixture(scope="module", params=[11, 15], ids=["n11", "n15"])
 def bench_profile(request):
-    return solve_profile(request.param, BENCH_GRID, richardson=True)[0]
+    return solve_profile(request.param, BENCH_GRID)[0]
 
 
 def reference_points(cap, seed=5):
@@ -883,18 +900,16 @@ class TestVerification:
     def test_far_field_compares_like_with_like(self, n):
         # the benchmark grid, h = 1/96 at t_max = 160, where the plain and
         # the Richardson pairings differ by about 1e-2: the re-solve of the
-        # doubled domain has to be of the same kind as the solution
+        # doubled domain is the Richardson profile, as the solution is
         grid = GridConfig(96, 96, 160.0, 160.0)
         point = generate_sample(n, seed=1)
-        rich = verify_corrector(solve_vq(point, grid, richardson=True))
-        assert abs(rich.far_field_shift) < 1e-3
-        # a plain solution still compares with a plain re-solve
-        plain = solve_vq(point, grid)
+        sol = solve_vq(point, grid)
+        rep = verify_corrector(sol)
+        assert abs(rep.far_field_shift) < 1e-3
         big = GridConfig(96, 96, 320.0, 320.0)
         pairing_big = (-quadratic_sphere_moment(point.S, 2)
                        * solve_profile(n, big)[0].source_overlap())
-        base = plain.pairing()
-        rep = verify_corrector(plain)
+        base = sol.pairing()
         assert rep.far_field_shift == (pairing_big - base) / abs(base)
 
     @pytest.mark.parametrize("n", [11, 13, 15])

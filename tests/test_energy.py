@@ -69,13 +69,9 @@ def point11():
 
 @pytest.fixture(scope="module")
 def sol11(point11):
+    """The program's corrector: the Richardson profile on the default grid
+    (192 cells, caps 160)."""
     return solve_vq(point11)
-
-
-@pytest.fixture(scope="module")
-def sol11_big(point11):
-    grid = GridConfig(n_t=192, n_r=192, t_max=160.0, r_max=160.0)
-    return solve_vq(point11, grid=grid, richardson=True)
 
 
 # ---------------------------------------------------------------------------
@@ -444,30 +440,30 @@ def _ref_identity_terms(point, sol, delta, panels=40, order=10):
 
 
 class TestIdentityExperiment:
-    def test_slope_and_coefficient(self, point11, sol11_big):
-        exp = verify_A4_L2_L3_identity(point11, sol11_big)
+    def test_slope_and_coefficient(self, point11, sol11):
+        exp = verify_A4_L2_L3_identity(point11, sol11)
         assert exp.status == "ok"
         assert exp.slope >= 4.5
         assert exp.slope - exp.band > 4.2
         c4, target = exp.extras["c4_fit"], exp.extras["c4_target"]
         assert abs(c4 - target) <= 0.02 * abs(target)
-        assert target == pytest.approx(0.5 * sol11_big.pairing(), rel=1e-14)
+        assert target == pytest.approx(0.5 * sol11.pairing(), rel=1e-14)
 
-    def test_taylor_region_never_clipped(self, point11, sol11_big):
-        exp = verify_A4_L2_L3_identity(point11, sol11_big)
+    def test_taylor_region_never_clipped(self, point11, sol11):
+        exp = verify_A4_L2_L3_identity(point11, sol11)
         assert exp.extras["taylor_ratio_max"] < 0.5
 
-    def test_one_pass_matches_rung_by_rung(self, point11, sol11_big):
+    def test_one_pass_matches_rung_by_rung(self, point11, sol11):
         # each rung's A4, L2 and L3 from the one pass equal today's dressed
         # integrands evaluated rung by rung on the same polar nodes; the
         # remainder cancels about 4 digits of the sum, so it is bounded
         # against |sum|, not against itself
         deltas = np.asarray(IDENTITY_DELTAS)
-        got = energy._identity_ladder(point11, sol11_big, deltas)
+        got = energy._identity_ladder(point11, sol11, deltas)
         rho, w_rho, theta, w_theta = energy._polar_nodes(deltas)
         t, r = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
-        prof = sol11_big.profile
-        pairing = sol11_big.pairing()
+        prof = sol11.profile
+        pairing = sol11.pairing()
         for k, delta in enumerate(deltas):
             vals = _dressed_bulk(point11, prof, delta, t, r)
             totals = np.sum(vals * (w_rho * rho)[:, None] * w_theta, axis=(1, 2))
@@ -485,19 +481,19 @@ class TestIdentityExperiment:
             want_remainder = want_total - 0.5 * delta ** 4 * pairing
             assert abs(remainder - want_remainder) <= 1e-12 * abs(want_total), delta
 
-    def test_batched_terms_match_panel_loop(self, point11, sol11_big):
+    def test_batched_terms_match_panel_loop(self, point11, sol11):
         # the polar one pass against the Cartesian panel rule of 40 x 40
         # panels per rung, to that rule's own error: against a refined
         # polar rule (8 angular panels of 20 nodes, 200 geometric radial
         # panels of 12 nodes) it is off by up to 2.5e-8 in A4, 4.4e-8 in
         # L2 and L3, and 7.1e-8 of |sum| in the sum, where the one pass is
         # off by 1e-9 or less
-        exp = verify_A4_L2_L3_identity(point11, sol11_big)
-        got = energy._identity_ladder(point11, sol11_big, exp.deltas)
-        pairing = sol11_big.pairing()
+        exp = verify_A4_L2_L3_identity(point11, sol11)
+        got = energy._identity_ladder(point11, sol11, exp.deltas)
+        pairing = sol11.pairing()
         ratios = []
         for k, d in enumerate(exp.deltas):
-            ref = _ref_identity_terms(point11, sol11_big, float(d))
+            ref = _ref_identity_terms(point11, sol11, float(d))
             for key in ("A4", "L2", "L3"):
                 assert got[key][k] == pytest.approx(ref[key], rel=5e-8, abs=0.0), (d, key)
             ref_total = ref["A4"] + ref["L2"] + ref["L3"]
@@ -508,12 +504,12 @@ class TestIdentityExperiment:
         assert exp.extras["taylor_ratio_max"] == max(ratios)
 
     @pytest.mark.parametrize("n", [11, 15])
-    def test_grid_jet_matches_spline_partials(self, n, sol11_big, sol15_far):
+    def test_grid_jet_matches_spline_partials(self, n, sol11, sol15_far):
         # the profile jet on the identity ladder's polar nodes against one
         # partial each from FITPACK's evaluator, mapped by the chain rule;
         # the innermost radial node (t, r -> 0) is also bounded on its own
         # scale.  FITPACK evaluates this profile's own coefficients
-        prof = (sol11_big if n == 11 else sol15_far).profile
+        prof = (sol11 if n == 11 else sol15_far).profile
         spline = fitpack_spline(prof)
         spline.tck = (*spline.tck[:2], prof._coef.ravel())
         rho, _, theta, _ = energy._polar_nodes(IDENTITY_DELTAS)
@@ -531,10 +527,10 @@ class TestIdentityExperiment:
             assert np.max(err) <= 1e-13 * np.max(np.abs(ref))
             assert np.max(err[0]) <= 1e-13 * np.max(np.abs(ref[0]))
 
-    def test_one_profile_eval_per_ladder(self, point11, sol11_big, monkeypatch):
+    def test_one_profile_eval_per_ladder(self, point11, sol11, monkeypatch):
         # the profile's first derivatives are evaluated once per ladder, on
         # every polar node at once; each rung only sums over the radial nodes
-        sol11_big.pairing()
+        sol11.pairing()
         calls, real = [], corrector.Profile2D.eval
 
         def counted(self, t, r, **kwargs):
@@ -542,19 +538,19 @@ class TestIdentityExperiment:
             return real(self, t, r, **kwargs)
 
         monkeypatch.setattr(corrector.Profile2D, "eval", counted)
-        verify_A4_L2_L3_identity(point11, sol11_big)
+        verify_A4_L2_L3_identity(point11, sol11)
         rho, _, theta, _ = energy._polar_nodes(IDENTITY_DELTAS)
         assert calls == [(rho.size * theta.size, {"order": 1})]
 
     @pytest.mark.parametrize("delta", [0.5 * 10.0 ** -1.5, 0.5])
-    def test_whole_grid_psi_equals_its_row_blocks(self, point11, sol11_big, delta):
+    def test_whole_grid_psi_equals_its_row_blocks(self, point11, sol11, delta):
         # the delta-free pieces of a block of radial nodes do not depend
         # on the block: a rung's own support, evaluated alone, gives the
         # bits the whole node set gave there
         rho, _, theta, w_theta = energy._polar_nodes(IDENTITY_DELTAS)
         inside = delta * rho < 1.0
-        whole = energy._bulk_pieces(point11, sol11_big, rho, theta, w_theta)
-        block = energy._bulk_pieces(point11, sol11_big, rho[inside], theta, w_theta)
+        whole = energy._bulk_pieces(point11, sol11, rho, theta, w_theta)
+        block = energy._bulk_pieces(point11, sol11, rho[inside], theta, w_theta)
         assert np.array_equal(whole[..., inside], block)
 
     def test_zero_curvature_is_degenerate(self):
@@ -564,29 +560,31 @@ class TestIdentityExperiment:
         assert exp.status == "degenerate"
         assert np.all(exp.values == 0.0)
 
-    def test_small_grid_rejected_for_deep_ladder(self, point11, sol11):
+    def test_small_grid_rejected_for_deep_ladder(self, point11):
+        # caps 40, below the fixed ladder's reach of 63.2
+        grid = GridConfig(n_t=48, n_r=48, t_max=40.0, r_max=40.0)
         with pytest.raises(DomainError):
-            verify_A4_L2_L3_identity(point11, sol11)
+            verify_A4_L2_L3_identity(point11, solve_vq(point11, grid))
 
 
 class TestResidualSlope:
-    def test_slope_in_window(self, point11, sol11_big):
-        exp = residual_slope(point11, sol11_big, mc_samples=60000, seed=0)
+    def test_slope_in_window(self, point11, sol11):
+        exp = residual_slope(point11, sol11, mc_samples=60000, seed=0)
         assert exp.status == "ok"
         assert 2.7 <= exp.slope <= 3.3
 
-    def test_v_omission_degrades_slope_to_two(self, point11, sol11_big):
+    def test_v_omission_degrades_slope_to_two(self, point11, sol11):
         exp = residual_slope(point11, mc_samples=40000, seed=0)
         assert abs(exp.slope - 2.0) <= 0.3
 
-    def test_cancellation_one_order_faster(self, point11, sol11_big):
-        exp = residual_slope(point11, sol11_big, mc_samples=40000, seed=0)
+    def test_cancellation_one_order_faster(self, point11, sol11):
+        exp = residual_slope(point11, sol11, mc_samples=40000, seed=0)
         fast = exp.extras["cancel_slope_sum"]
         each = max(exp.extras["cancel_slope_v"],
                    exp.extras["cancel_slope_metric"])
         assert fast >= each + 0.8
 
-    def test_cancellation_one_pass_matches_three(self, point11, sol11_big):
+    def test_cancellation_one_pass_matches_three(self, point11, sol11):
         # every rung's main norm and its three cancellation norms share one
         # sample set, read in pieces; each is the norm a pass of its own on
         # the same seed gives, bit for bit, from a row of the ladder terms
@@ -595,7 +593,7 @@ class TestResidualSlope:
         p = 2.0 * n / (n + 2.0)
         deltas = np.geomspace(0.02, 0.7, 5)
         samples = energy._PIECE + 904
-        exp = residual_slope(point11, sol11_big, deltas=deltas,
+        exp = residual_slope(point11, sol11, deltas=deltas,
                              mc_samples=samples, seed=5, max_rel_error=1.0)
         me = metric_expansion(point11, seed=0, deg3_scale=5.0)
         for kind, key in enumerate(("norms", "cancel_sum", "cancel_v_alone",
@@ -603,13 +601,13 @@ class TestResidualSlope:
             for k in (0, len(deltas) - 1):
                 want = mc_halfspace(
                     n, lambda t, z: np.abs(_ladder_terms(
-                        point11, sol11_big, me, deltas, t, z)[kind, k]) ** p,
+                        point11, sol11, me, deltas, t, z)[kind, k]) ** p,
                     n_samples=samples, seed=5, t_scale=0.8,
                     z_scale=0.5).mean ** (1.0 / p)
                 assert exp.extras[key][k] == want, (key, k)
 
     @pytest.mark.parametrize("with_corrector", [True, False])
-    def test_one_sample_set_for_the_ladder(self, point11, sol11_big,
+    def test_one_sample_set_for_the_ladder(self, point11, sol11,
                                            monkeypatch, with_corrector):
         # one residual_slope draws one sample set: one mc_halfspace call,
         # whose rows are every rung's main estimate and, with the
@@ -622,16 +620,16 @@ class TestResidualSlope:
             return ests
 
         monkeypatch.setattr(energy, "mc_halfspace", counted)
-        sol = sol11_big if with_corrector else None
+        sol = sol11 if with_corrector else None
         deltas = np.geomspace(0.02, 0.7, 5)
         residual_slope(point11, sol, deltas=deltas, mc_samples=2000, seed=1,
                        max_rel_error=1.0)
         assert calls == [(2000, 1, 5 * (4 if with_corrector else 1))]
 
-    def test_ladder_norms_positive(self, point11, sol11_big):
+    def test_ladder_norms_positive(self, point11, sol11):
         # every rung's residual norm and cancellation sum is a positive
         # number, not a zero from a term that dropped out
-        exp = residual_slope(point11, sol11_big, deltas=np.geomspace(0.02, 0.7, 5),
+        exp = residual_slope(point11, sol11, deltas=np.geomspace(0.02, 0.7, 5),
                              mc_samples=2000, seed=1, max_rel_error=1.0)
         assert np.all(exp.extras["norms"] > 0)
         assert np.all(exp.extras["cancel_sum"] > 0)
@@ -642,17 +640,17 @@ class TestResidualSlope:
         exp = residual_slope(pt, sol, mc_samples=1000, seed=0)
         assert exp.status == "degenerate"
 
-    def test_budget_error_on_starved_sampler(self, point11, sol11_big):
+    def test_budget_error_on_starved_sampler(self, point11, sol11):
         with pytest.raises(BudgetError):
-            residual_slope(point11, sol11_big, mc_samples=1500, seed=0,
+            residual_slope(point11, sol11, mc_samples=1500, seed=0,
                            deltas=np.geomspace(0.015, 0.5, 5),
                            max_rel_error=0.05)
 
     def test_budget_error_message_prints_plain_numbers(self, point11,
-                                                       sol11_big):
+                                                       sol11):
         # no error is allowed, so the first rung fails
         with pytest.raises(BudgetError) as info:
-            residual_slope(point11, sol11_big, mc_samples=1500, seed=0,
+            residual_slope(point11, sol11, mc_samples=1500, seed=0,
                            deltas=[0.015, 0.03, 0.06, 0.12, 0.5],
                            max_rel_error=0.0)
         exc = info.value
@@ -812,8 +810,8 @@ class TestStructuredResidual:
     RUNGS = (0.01, 0.056, 0.316)
 
     @pytest.fixture(params=[11, 15])
-    def sol(self, request, sol11_big, sol15_far):
-        return sol11_big if request.param == 11 else sol15_far
+    def sol(self, request, sol11, sol15_far):
+        return sol11 if request.param == 11 else sol15_far
 
     @pytest.mark.parametrize("include_v", [True, False])
     def test_integrand_matches_dense(self, sol, include_v):
