@@ -71,7 +71,6 @@ from .quadrature import MomentKey, angular_moment, moment, panel_gauss_nodes, \
 
 __all__ = [
     "source_radial",
-    "eval_source",
     "DEFAULT_TOL_SOLVER",
     "GridConfig",
     "Profile2D",
@@ -106,16 +105,6 @@ def source_radial(n: int, t, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     A = n * (n - 2.0) * ((1.0 + t) ** 2 + r * r) ** (-(n + 2) / 2.0)
     return t * t * r * r * A
-
-
-def eval_source(point: CurvaturePoint, t, z) -> np.ndarray:
-    """Half-space corrector source f(t, z) = n(n-2) t^2 (z . S z) Q^{-(n+2)/2}."""
-    n = point.n
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    Q = (1.0 + t) ** 2 + np.sum(z * z, axis=-1)
-    quad = np.einsum("...i,ij,...j->...", z, point.S, z)
-    return n * (n - 2.0) * t * t * quad * Q ** (-(n + 2) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +180,11 @@ class Profile2D:
 
     @property
     def t_nodes(self) -> np.ndarray:
-        return _stretch(self.tau, _MAP_SCALE)[0]
+        return _stretch(self.tau)[0]
 
     @property
     def r_nodes(self) -> np.ndarray:
-        return _stretch(self.sigma, _MAP_SCALE)[0]
+        return _stretch(self.sigma)[0]
 
     def _scattered(self, tau, sigma, nu: int) -> list:
         """Computational partials at the points (tau, sigma): [s00] for
@@ -218,7 +207,7 @@ class Profile2D:
         """psi alone at (t, r), which broadcast: eval's first entry."""
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.asarray(r, dtype=float))
-        tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
+        tau, sigma = _compress(t), _compress(r)
         return self._scattered(tau.ravel(), sigma.ravel(), 0)[0].reshape(t.shape)
 
     def _on_grid(self, tau, sigma) -> np.ndarray:
@@ -234,9 +223,9 @@ class Profile2D:
         second-derivative basis rows."""
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.asarray(r, dtype=float))
-        tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
-        _, tp, tpp = _stretch(tau, _MAP_SCALE)
-        _, rp, rpp = _stretch(sigma, _MAP_SCALE)
+        tau, sigma = _compress(t), _compress(r)
+        _, tp, tpp = _stretch(tau)
+        _, rp, rpp = _stretch(sigma)
         s00, s10, s01, *second = (
             s.reshape(t.shape)
             for s in self._scattered(tau.ravel(), sigma.ravel(), order))
@@ -276,8 +265,8 @@ class Profile2D:
         # composite 8-point Gauss-Legendre on the panels between the nodes
         tau, wt = panel_gauss_nodes(self.tau, 8)
         sigma, ws = panel_gauss_nodes(self.sigma, 8)
-        t, tp, _ = _stretch(tau[:, None], _MAP_SCALE)
-        r = _stretch(sigma, _MAP_SCALE)[0]
+        t, tp, _ = _stretch(tau[:, None])
+        r = _stretch(sigma)[0]
         # dt/dtau * dr/dsigma, grouped as (dt/dtau * L) / (1 - sigma)^2
         # so that the pairing keeps its rounding
         jac = tp * _MAP_SCALE / (1.0 - sigma) ** 2
@@ -362,15 +351,15 @@ def _basis_matrix(knots: np.ndarray, x: np.ndarray, nu: int = 0) -> list:
     return out
 
 
-def _stretch(s, L):
+def _stretch(s):
     """The compactifying map x = L s/(1-s) and its first two s-derivatives."""
     q = 1.0 - s
-    return L * s / q, L / q ** 2, 2.0 * L / q ** 3
+    return _MAP_SCALE * s / q, _MAP_SCALE / q ** 2, 2.0 * _MAP_SCALE / q ** 3
 
 
-def _compress(x, L):
+def _compress(x):
     """Inverse of the compactifying map: s = x/(L+x)."""
-    return x / (L + x)
+    return x / (_MAP_SCALE + x)
 
 
 # largest side of a nested-dissection leaf, in nodes: under _LU_OPTIONS, 4
@@ -422,12 +411,12 @@ def _assemble(n: int, grid: GridConfig, label: np.ndarray | None = None):
     in that numbering, so a reordered system is never permuted afterwards.
     """
     Nt, Nr = grid.n_t, grid.n_r
-    tau = np.linspace(0.0, _compress(grid.t_max, _MAP_SCALE), Nt + 1)
-    sigma = np.linspace(0.0, _compress(grid.r_max, _MAP_SCALE), Nr + 1)
+    tau = np.linspace(0.0, _compress(grid.t_max), Nt + 1)
+    sigma = np.linspace(0.0, _compress(grid.r_max), Nr + 1)
     ht = tau[1] - tau[0]
     hs = sigma[1] - sigma[0]
-    t, tp, tpp = _stretch(tau, _MAP_SCALE)
-    r, rp, rpp = _stretch(sigma, _MAP_SCALE)
+    t, tp, tpp = _stretch(tau)
+    r, rp, rpp = _stretch(sigma)
 
     NJ = Nr + 1
     size = (Nt + 1) * NJ

@@ -15,7 +15,7 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from halfbubble import cli
-from halfbubble.bubble import check_bubble_residual, eval_U_grad
+from halfbubble.bubble import check_bubble_residual
 from halfbubble.corrector import (
     check_solvability,
     self_convergence,
@@ -39,6 +39,7 @@ from halfbubble.reduction import (
     family_table,
     find_blowup_point,
 )
+from bubble_reference import eval_U_grad
 
 DIMS = (11, 12, 13, 14, 15)
 EPS_LADDER = tuple(float(e) for e in np.geomspace(1e-4, 1e-1, 7))

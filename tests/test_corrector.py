@@ -14,7 +14,6 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from halfbubble.bubble import eval_U, eval_U_hess
 from halfbubble import corrector
 from halfbubble.corrector import (
     DEFAULT_TOL_SOLVER,
@@ -22,7 +21,6 @@ from halfbubble.corrector import (
     GridConfig,
     Profile2D,
     check_solvability,
-    eval_source,
     eval_v_derivatives,
     self_convergence,
     solve_profile,
@@ -38,6 +36,7 @@ from halfbubble.geometry import (
     validate_curvature,
 )
 from halfbubble.quadrature import quadratic_sphere_moment, sphere_area
+from bubble_reference import eval_source, eval_U, eval_U_hess
 from metric_reference import ref_metric_g
 from test_cli import with_trace
 
@@ -245,8 +244,8 @@ class TestSolveProfile:
         monkeypatch.setattr(corrector, "csc_matrix", recording_csc)
         M, rhs, tau, sigma = corrector._assemble(n, grid, label)
         # the right-hand side before equilibration, in label's numbering
-        t = corrector._stretch(tau, corrector._MAP_SCALE)[0]
-        r = corrector._stretch(sigma, corrector._MAP_SCALE)[0]
+        t = corrector._stretch(tau)[0]
+        r = corrector._stretch(sigma)[0]
         raw = np.zeros(M.shape[0])
         raw[label[1:-1, 1:-1]] = -source_radial(n, t[1:-1, None],
                                                 r[None, 1:-1])

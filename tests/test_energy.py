@@ -14,9 +14,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.special import beta as beta_fn
 
 from halfbubble import cli, corrector, energy
-from halfbubble.bubble import eval_U, eval_U_grad, eval_U_hess
-from halfbubble.corrector import (GridConfig, _MAP_SCALE, _compress, _stretch,
-                                  _y_of_z, solve_vq)
+from halfbubble.corrector import GridConfig, _compress, _stretch, _y_of_z, solve_vq
 from halfbubble.energy import (
     IDENTITY_DELTAS,
     ReducedCoefficients,
@@ -42,6 +40,7 @@ from halfbubble.quadrature import (
     quadratic_sphere_moment,
     sphere_area,
 )
+from bubble_reference import eval_U, eval_U_grad, eval_U_hess
 from metric_reference import ref_metric_divergence, ref_metric_g
 
 DIMS = (11, 13, 15)
@@ -514,13 +513,13 @@ class TestIdentityExperiment:
         spline.tck = (*spline.tck[:2], prof._coef.ravel())
         rho, _, theta, _ = energy._polar_nodes(IDENTITY_DELTAS)
         t, r = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
-        tau, sigma = _compress(t, _MAP_SCALE), _compress(r, _MAP_SCALE)
+        tau, sigma = _compress(t), _compress(r)
         x, y = tau.ravel(), sigma.ravel()
         want = (spline(x, y, grid=False).reshape(t.shape),
                 spline(x, y, dx=1, grid=False).reshape(t.shape)
-                / _stretch(tau, _MAP_SCALE)[1],
+                / _stretch(tau)[1],
                 spline(x, y, dy=1, grid=False).reshape(t.shape)
-                / _stretch(sigma, _MAP_SCALE)[1])
+                / _stretch(sigma)[1])
         for got, ref in zip(prof.eval(t, r), want):
             assert got.shape == ref.shape
             err = np.abs(got - ref)
@@ -679,10 +678,9 @@ def _dense_v_derivatives(sol, t, z):
     p, p_t, p_r, p_tt, p_rr = sol.profile.eval(t, r)
     # the mixed partial, which Profile2D.eval does not return, from
     # FITPACK's quintic on the same nodes
-    Lt = Lr = _MAP_SCALE
-    tau, sigma = _compress(t, Lt), _compress(r, Lr)
+    tau, sigma = _compress(t), _compress(r)
     p_tr = fitpack_spline(sol.profile)(tau, sigma, dx=1, dy=1, grid=False) / (
-        _stretch(tau, Lt)[1] * _stretch(sigma, Lr)[1])
+        _stretch(tau)[1] * _stretch(sigma)[1])
     dY = (2.0 * Sz - 2.0 * Y[:, None] * z) / r_safe[:, None] ** 2
     eye = np.eye(n - 1)
     d2Y = (2.0 * S[None] / r_safe[:, None, None] ** 2
