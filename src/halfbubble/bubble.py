@@ -101,7 +101,7 @@ class BubbleResidualReport:
         return worst <= tol
 
 
-def check_bubble_residual(n: int, n_points: int = 400, seed: int = 0) -> BubbleResidualReport:
+def check_bubble_residual(n: int, n_points: int = 10 ** 4, seed: int = 1) -> BubbleResidualReport:
     """Sample the half-space and measure all profile/kernel residuals.
 
     Points cover seven orders of magnitude in radius with random directions,

@@ -315,7 +315,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     cfg.grid().halved()  # verify's convergence check needs it: fail early
     suites = {}
 
-    bubble = check_bubble_residual(cfg.n, n_points=10000, seed=cfg.seed)
+    bubble = check_bubble_residual(cfg.n, seed=cfg.seed)
     suites["bubble"] = {
         "passed": bubble.passed(1e-12),
         "tol": 1e-12,

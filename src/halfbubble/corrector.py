@@ -50,8 +50,8 @@ solves, C = Bt^-1 psi Br^-T.  Three evaluation paths share them: the jet
 at scattered points from one basis pass per point (values and first two
 derivatives of the six nonzero B-splines per axis), psi alone the same
 way, and psi alone on a tensor grid (source_overlap's) as per-axis basis
-matrices times C.  Points past the last node are clamped to it, as
-FITPACK's evaluator does.
+matrices times C, in column panels of _PANEL sigma values.  Points past
+the last node are clamped to it, as FITPACK's evaluator does.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ class Profile2D:
     derivatives.  Callers pick the evaluation path: eval (the jet) and
     value (psi alone) take scattered points, one basis pass per point;
     source_overlap reads psi on a tensor grid, per-axis basis matrices
-    times C.  Points beyond the last node are clamped to it.
+    times C, one column panel of _PANEL sigma values at a time.  Points
+    beyond the last node are clamped to it.
     """
     n: int
     grid: GridConfig
@@ -210,11 +211,13 @@ class Profile2D:
         tau, sigma = _compress(t), _compress(r)
         return self._scattered(tau.ravel(), sigma.ravel(), 0)[0].reshape(t.shape)
 
-    def _on_grid(self, tau, sigma) -> np.ndarray:
-        """psi on the tensor grid of the 1-D tau and sigma."""
+    def _on_grid(self, tau, sigma):
+        """(sigma slice, psi) per column panel of the tau x sigma grid."""
         kt, ks = self._knots
-        return (_basis_matrix(kt, tau)[0] @ self._coef
-                @ _basis_matrix(ks, sigma)[0].T)
+        rows = _basis_matrix(kt, tau)[0] @ self._coef
+        for lo in range(0, sigma.size, _PANEL):
+            part = slice(lo, lo + _PANEL)
+            yield part, rows @ _basis_matrix(ks, sigma[part])[0].T
 
     def eval(self, t, r, order: int = 2) -> tuple:
         """The jet (psi, psi_t, psi_r, psi_tt, psi_rr) at (t, r), which
@@ -266,19 +269,24 @@ class Profile2D:
         tau, wt = panel_gauss_nodes(self.tau, 8)
         sigma, ws = panel_gauss_nodes(self.sigma, 8)
         t, tp, _ = _stretch(tau[:, None])
-        r = _stretch(sigma)[0]
-        # dt/dtau * dr/dsigma, grouped as (dt/dtau * L) / (1 - sigma)^2
-        # so that the pairing keeps its rounding
-        jac = tp * _MAP_SCALE / (1.0 - sigma) ** 2
-        psi = self._on_grid(tau, sigma)
-        vals = psi * source_radial(n, t, r) * r ** (n - 2) * jac
-        val = float(wt @ vals @ ws)
+        cols = []
+        for part, psi in self._on_grid(tau, sigma):
+            r = _stretch(sigma[part])[0]
+            # dt/dtau * dr/dsigma, grouped as (dt/dtau * L) / (1 - sigma)^2
+            # so that the pairing keeps its rounding
+            jac = tp * _MAP_SCALE / (1.0 - sigma[part]) ** 2
+            cols.append(wt @ (psi * source_radial(n, t, r) * r ** (n - 2) * jac))
+        val = float(np.concatenate(cols) @ ws)
         object.__setattr__(self, "_overlap", val)
         return val
 
 
 # degree of the profile interpolant in each computational coordinate
 _DEGREE = 5
+
+# sigma values per column panel of a tensor grid: source_overlap's
+# temporaries stay a few MB, and its sums keep their order (and bits)
+_PANEL = 64
 
 
 def _quintic_knots(x: np.ndarray) -> np.ndarray:
@@ -375,27 +383,27 @@ def _nested_dissection(n_i: int, n_j: int) -> tuple:
 
     Each block is bisected across its longer side by one line of nodes,
     which is numbered after the two halves; blocks of at most _ND_LEAF
-    nodes per side stay whole, row-major.  Returns (order, label): order[k]
-    is the row-major index of the k-th unknown and label[i, j] is the
-    position of node (i, j) in order.  Both are read-only.
+    nodes per side stay whole, row-major.  A block's order depends only on
+    its shape, so each shape's (row, column) offsets are built once, from
+    those of its two halves and its separator line.  Returns (order, label):
+    order[k] is the row-major index of the k-th unknown and label[i, j] is
+    the position of node (i, j) in order.  Both are read-only.
     """
-    parts = []
-
-    def visit(block):
-        h, w = block.shape
+    @lru_cache(maxsize=None)
+    def block(h, w):
         if max(h, w) <= _ND_LEAF:
-            parts.append(block.ravel())
-        elif h >= w:
-            visit(block[:h // 2])
-            visit(block[h // 2 + 1:])
-            parts.append(block[h // 2])
-        else:
-            visit(block[:, :w // 2])
-            visit(block[:, w // 2 + 1:])
-            parts.append(block[:, w // 2])
+            return np.divmod(np.arange(h * w), w)
+        if h >= w:
+            (i0, j0), (i1, j1) = block(h // 2, w), block(h - h // 2 - 1, w)
+            return (np.concatenate([i0, i1 + h // 2 + 1, np.full(w, h // 2)]),
+                    np.concatenate([j0, j1, np.arange(w)]))
+        (i0, j0), (i1, j1) = block(h, w // 2), block(h, w - w // 2 - 1)
+        return (np.concatenate([i0, i1, np.arange(h)]),
+                np.concatenate([j0, j1 + w // 2 + 1, np.full(h, w // 2)]))
 
-    visit(np.arange(n_i * n_j).reshape(n_i, n_j))
-    order = np.concatenate(parts)
+    order = np.ravel_multi_index(block(n_i, n_j), (n_i, n_j))
+    # free the memo first: its arrays below label would stay resident
+    block.cache_clear()
     label = np.empty_like(order)
     label[order] = np.arange(order.size)
     label = label.reshape(n_i, n_j)

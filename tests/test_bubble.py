@@ -165,6 +165,13 @@ class TestResiduals:
         assert report.kernel_interior_max < 1e-12
         assert report.kernel_boundary_max < 1e-12
 
+    def test_defaults_are_the_checked_points(self):
+        # verify (at the default --seed) and criterion 2 check 10^4 points
+        # at seed 1
+        report = check_bubble_residual(11)
+        assert report.n_points == 10 ** 4
+        assert report == check_bubble_residual(11, 10 ** 4, seed=1)
+
     def test_verify_default_points_at_seed_2(self):
         # verify's points at --n 11 --seed 2 put a boundary point at
         # |z| = 0.999994, where j_n (1.2e-6) and dj_n/dt nearly vanish but

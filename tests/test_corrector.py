@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,8 +36,10 @@ from halfbubble.geometry import (
     metric_expansion,
     validate_curvature,
 )
-from halfbubble.quadrature import quadratic_sphere_moment, sphere_area
+from halfbubble.quadrature import (panel_gauss_nodes, quadratic_sphere_moment,
+                                   sphere_area)
 from bubble_reference import eval_source, eval_U, eval_U_hess
+from dissection_reference import nested_dissection
 from metric_reference import ref_metric_g
 from test_cli import with_trace
 
@@ -519,6 +522,16 @@ class TestNestedDissection:
                                       np.arange(order.size))
         check_dissection(label, 0, shape[0], 0, shape[1])
 
+    @pytest.mark.parametrize("shape", [(97, 97), (193, 193), (385, 385),
+                                       (17, 23), (9, 40), (40, 9), (4, 4),
+                                       (5, 9)])
+    def test_matches_recursive_reference(self, shape):
+        got = corrector._nested_dissection(*shape)
+        for g, ref in zip(got, nested_dissection(*shape)):
+            assert g.dtype == ref.dtype and g.shape == ref.shape
+            np.testing.assert_array_equal(g, ref)
+            assert not g.flags.writeable
+
     def test_assembled_in_order_is_the_permuted_system(self):
         grid = GridConfig(n_t=24, n_r=28, t_max=40.0, r_max=40.0)
         M, rhs, _, _ = corrector._assemble(13, grid)
@@ -625,6 +638,23 @@ def overlap_by_meshgrid(prof, order=8):
     psi = fitpack_reference(prof)(tau, sigma, grid=False)
     vals = psi * source_radial(n, t, r) * r ** (n - 2) * jac
     return float(wx @ vals.reshape(X.shape) @ wy)
+
+
+def overlap_whole_grid(prof):
+    """Reference for the bits of Profile2D.source_overlap: its sums on the
+    whole Gauss grid at once, psi as the full basis matrices times the
+    coefficients."""
+    n = prof.n
+    kt, ks = prof._knots
+    tau, wt = panel_gauss_nodes(prof.tau, 8)
+    sigma, ws = panel_gauss_nodes(prof.sigma, 8)
+    t, tp, _ = corrector._stretch(tau[:, None])
+    r = corrector._stretch(sigma)[0]
+    jac = tp * corrector._MAP_SCALE / (1.0 - sigma) ** 2
+    psi = (corrector._basis_matrix(kt, tau)[0] @ prof._coef
+           @ corrector._basis_matrix(ks, sigma)[0].T)
+    vals = psi * source_radial(n, t, r) * r ** (n - 2) * jac
+    return float(wt @ vals @ ws)
 
 
 def assert_rel_close(got, ref, rel=1e-13, where=None):
@@ -767,7 +797,9 @@ class TestProfileJet:
                             [2.0 * cap]])
         spline = fitpack_reference(prof)
         s = x / (corrector._MAP_SCALE + x)
-        assert_rel_close(prof._on_grid(s, s), spline(s, s),
+        panels = [psi for _, psi in prof._on_grid(s, s)]
+        assert len(panels) == 2
+        assert_rel_close(np.concatenate(panels, axis=1), spline(s, s),
                          where={"t = 0": (0, slice(None)),
                                 "r = 1e-9": (slice(None), 1)})
 
@@ -796,6 +828,35 @@ class TestProfileJet:
     def test_bench_source_overlap_matches_meshgrid(self, bench_profile):
         assert bench_profile.source_overlap() == pytest.approx(
             overlap_by_meshgrid(bench_profile), rel=1e-13, abs=0.0)
+
+    def test_source_overlap_bits_match_whole_grid(self, jet_profile):
+        assert jet_profile.source_overlap() == overlap_whole_grid(jet_profile)
+
+    def test_bench_source_overlap_bits_match_whole_grid(self, bench_profile):
+        assert (bench_profile.source_overlap()
+                == overlap_whole_grid(bench_profile))
+
+    def test_source_overlap_bits_on_a_partial_panel(self):
+        # 44 cells give 352 Gauss columns: five full panels and a half one
+        prof = plain_profile(13, replace(JET_GRID, n_r=44))
+        assert 8 * prof.grid.n_r % corrector._PANEL != 0
+        assert prof.source_overlap() == overlap_whole_grid(prof)
+
+    def test_source_overlap_traced_peak(self, bench_profile):
+        # a fresh profile, so the overlap is not memoized; the whole Gauss
+        # grid at once took 22.6 MiB of temporaries
+        prof = Profile2D(n=bench_profile.n, grid=BENCH_GRID,
+                         tau=bench_profile.tau, sigma=bench_profile.sigma,
+                         psi=bench_profile.psi)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            value = prof.source_overlap()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == bench_profile.source_overlap()
+        assert peak <= 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
